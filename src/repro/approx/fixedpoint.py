@@ -43,6 +43,11 @@ GRAD_SHIFT_CAP = 40
 #: even when accumulated as float64 (bincount) before the int64 cast
 _SAFE_SUM_BITS = 50
 
+_NON_FINITE = (
+    "non-finite gradient or hessian (NaN or inf): check the labels and "
+    "weights for NaN or infinite values"
+)
+
 
 def choose_shift(g_max: float, h_max: float, n: int, *, cap: int = GRAD_SHIFT_CAP) -> int:
     """Largest shift ``s`` (capped) such that ``n * max(|g|, h) * 2**s``
@@ -51,9 +56,15 @@ def choose_shift(g_max: float, h_max: float, n: int, *, cap: int = GRAD_SHIFT_CA
     Depends only on *global* quantities (``max`` reductions are exact and
     order-independent), so sharded workers that allreduce-max their local
     extrema compute the identical shift.
+
+    Raises ``ValueError`` when either maximum is NaN or infinite: such
+    gradients (from a NaN or infinite label) have no fixed-point image.
     """
-    m = max(float(g_max), float(h_max))
-    if not math.isfinite(m) or m <= 0.0:
+    g_max, h_max = float(g_max), float(h_max)
+    if not (math.isfinite(g_max) and math.isfinite(h_max)):
+        raise ValueError(_NON_FINITE)
+    m = max(g_max, h_max)
+    if m <= 0.0:
         return cap
     # frexp: m * n = frac * 2**exp with frac in [0.5, 1)
     exp = math.frexp(m * max(int(n), 1))[1]
@@ -66,11 +77,16 @@ def quantize_gradients(
     """Round ``(g, h)`` to the fixed-point grid ``2**-shift`` (int64).
 
     Elementwise and deterministic: a worker holding any subset of the rows
-    produces the identical integers for those rows.
+    produces the identical integers for those rows.  Raises ``ValueError``
+    on a NaN or infinite gradient, which no int64 can represent.
     """
     scale = float(2.0**shift)
-    gq = np.rint(np.asarray(g, dtype=np.float64) * scale).astype(np.int64)
-    hq = np.rint(np.asarray(h, dtype=np.float64) * scale).astype(np.int64)
+    g = np.asarray(g, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        raise ValueError(_NON_FINITE)
+    gq = np.rint(g * scale).astype(np.int64)
+    hq = np.rint(h * scale).astype(np.int64)
     return gq, hq
 
 

@@ -21,17 +21,18 @@ row-sharded workers) drive the same functions:
   per level (and, distributed, halving the histogram allreduce payload:
   only built children are reduced; siblings are derived locally from the
   already-global parent tables).
-* :func:`scan_histograms` -- cumulative sums plus Eq.-(2) gain enumeration
-  over the (already global) histograms, returning the best split of every
-  node.  It is a pure function of the histogram integers, so every worker
-  that holds the allreduced tables takes the identical decision with no
-  winner broadcast -- the structural reason data-parallel histogram training
-  communicates O(bins), not O(rows).
+* :func:`scan_histograms` -- the best split of every node of a level in
+  one vectorized pass over the (already global) histograms.  It is a pure
+  function of the histogram integers, so every worker that holds the
+  allreduced tables takes the identical decision with no winner broadcast
+  -- the structural reason data-parallel histogram training communicates
+  O(bins), not O(rows).
 
-Candidate order matches the exact trainer's canonical rule: interior
-boundaries by ascending cut index (descending value), then the
-present|missing boundary; gains are float32-quantized before comparison so
-ties resolve identically everywhere (see :mod:`repro.core.split`).
+Split candidates tile ``(n_active, total_bins)`` **one slot per bin**: an
+attribute with ``nb`` bins has ``nb - 1`` interior cuts (ascending cut
+index, i.e. descending value), then its present|missing boundary.  Gains
+are float32-quantized and each node takes the **first** maximum in that
+order, the exact trainer's canonical tie rule (see :mod:`repro.core.split`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ __all__ = [
     "subtract_enabled_default",
     "leaf_values",
 ]
+
+#: cell budget of one row chunk of :func:`scan_histograms`; bounds its
+#: temporaries independently of the level's node count
+_SCAN_CELLS = 1 << 16
 
 
 def subtract_enabled_default() -> bool:
@@ -173,98 +178,92 @@ def scan_histograms(
     shift: int,
     lambda_: float,
 ):
-    """Best split per node from global histogram tables.
+    """Best split per node from global histogram tables, one pass per level.
 
-    All statistics enter as exact int64; floats appear only at the gain
-    evaluation (dequantized by an exact power of two), so any two callers
-    holding the same tables compute bit-identical results.
+    Slot ``j`` of an attribute with bins ``lo..hi-1`` puts bins ``lo..j``
+    left: the interior cut ``j - lo + 1`` below ``hi - 1``, else the
+    present|missing boundary (cut ``hi - lo``, ``dir=False``).  So one int64
+    ``cumsum`` per table minus each attribute's prefix gives every slot's
+    left statistics exactly.  An interior slot scores the better of
+    missing-right and missing-left (``dir=True`` if missing-left wins or ties);
+    ``argmax`` takes each node's first maximum; a node with no valid one gets
+    ``gain=-inf``, ``attr = cut = -1``.  Rows go in chunks of at most
+    ``_SCAN_CELLS`` cells, so temporaries do not grow with ``n_active``.
+    Floats appear only at the gain evaluation, so any two callers holding
+    the same tables compute bit-identical results.
 
     Returns ``(best_gain, best_attr, best_cut, best_dir, best_lgq,
     best_lhq, best_ln)`` -- left-child statistics stay in fixed point so the
     caller can propagate child stats with exact integer subtraction.
     """
     inv = inv_scale(shift)
-    n_active = hist_gq.shape[0]
-    d = bin_offset.size - 1
-    node_g = node_gq * inv
-    node_h = node_hq * inv
+    n_active, total_bins = hist_gq.shape
+    nbins = np.diff(bin_offset)
+    slot_attr = np.repeat(np.arange(nbins.size), nbins)
+    bounds = bin_offset[1:] - 1  # boundary slots (every attribute has >= 1 bin)
+
+    def per_slot(v):  # (rows, attributes) -> (rows, total_bins)
+        return np.repeat(v, nbins, axis=1)
+
+    def left_and_present(hist):
+        # prefix sums behind a zero column (column lo: the attribute's prefix,
+        # column hi: plus its present total); a running sum that wraps int64
+        # still gives exact differences, which stay below 2**50
+        cum = np.zeros((hist.shape[0], total_bins + 1), dtype=np.int64)
+        np.cumsum(hist, axis=1, out=cum[:, 1:])
+        prefix = cum[:, bin_offset[:-1]]
+        return cum[:, 1:] - per_slot(prefix), cum[:, bin_offset[1:]] - prefix
 
     best_gain = np.full(n_active, -np.inf)
     best_attr = np.full(n_active, -1, dtype=np.int64)
     best_cut = np.full(n_active, -1, dtype=np.int64)
     best_dir = np.zeros(n_active, dtype=bool)
-    best_lgq = np.zeros(n_active, dtype=np.int64)
-    best_lhq = np.zeros(n_active, dtype=np.int64)
-    best_ln = np.zeros(n_active, dtype=np.int64)
+    best_lgq, best_lhq, best_ln = (np.zeros(n_active, dtype=np.int64) for _ in range(3))
 
-    for a in range(d):
-        lo, hi = int(bin_offset[a]), int(bin_offset[a + 1])
-        nb = hi - lo
-        cgq = np.cumsum(hist_gq[:, lo:hi], axis=1)
-        chq = np.cumsum(hist_hq[:, lo:hi], axis=1)
-        cc = np.cumsum(hist_c[:, lo:hi], axis=1)
-        gq_present = cgq[:, -1]
-        hq_present = chq[:, -1]
-        c_present = cc[:, -1]
-        gq_miss = node_gq - gq_present
-        hq_miss = node_hq - hq_present
-        n_miss = node_n - c_present
+    step = max(1, _SCAN_CELLS // max(total_bins, 1))
+    # chunk gain buffers for eq2_gain's bit-identical allocation-free path
+    shape = (min(step, n_active), total_bins)
+    buf_mr, buf_ml, s1, s2 = (np.empty(shape) for _ in range(4))
+    f32 = np.empty(shape, dtype=np.float32)
+    for r0 in range(0, n_active if total_bins else 0, step):
+        rows = slice(r0, r0 + step)
+        lgq, pgq = left_and_present(hist_gq[rows])
+        lhq, phq = left_and_present(hist_hq[rows])
+        lc, pc = left_and_present(hist_c[rows])
+        gq_miss = node_gq[rows, None] - pgq
+        hq_miss = node_hq[rows, None] - phq
+        n_miss = node_n[rows, None] - pc
+        node_g = node_gq[rows, None] * inv
+        node_h = node_hq[rows, None] * inv
+        nr = lgq.shape[0]
+        mr, ml, scratch = buf_mr[:nr], buf_ml[:nr], (s1[:nr], s2[:nr])
 
-        # interior boundaries: cut k in 1..nb-1, left = bins [0, k)
-        if nb > 1:
-            glq = cgq[:, :-1]  # (n_active, nb-1): cut k uses column k-1
-            hlq = chq[:, :-1]
-            cl = cc[:, :-1]
-            valid = (cl > 0) & (cl < c_present[:, None])
-            gain_mr = quantize_gain(
-                eq2_gain(glq * inv, hlq * inv, node_g[:, None], node_h[:, None], lambda_)
-            )
-            gain_ml = quantize_gain(
-                eq2_gain(
-                    (glq + gq_miss[:, None]) * inv,
-                    (hlq + hq_miss[:, None]) * inv,
-                    node_g[:, None],
-                    node_h[:, None],
-                    lambda_,
-                )
-            )
-            dirs = gain_ml >= gain_mr
-            gains = np.where(valid, np.maximum(gain_ml, gain_mr), -np.inf)
-            kbest = np.argmax(gains, axis=1)  # first max per node
-            rows = np.arange(n_active)
-            cand = gains[rows, kbest]
-            better = cand > best_gain
-            if better.any():
-                bsel = np.flatnonzero(better)
-                kb = kbest[bsel]
-                best_gain[bsel] = cand[bsel]
-                best_attr[bsel] = a
-                best_cut[bsel] = kb + 1
-                dsel = dirs[bsel, kb]
-                best_dir[bsel] = dsel
-                best_lgq[bsel] = glq[bsel, kb] + np.where(dsel, gq_miss[bsel], 0)
-                best_lhq[bsel] = hlq[bsel, kb] + np.where(dsel, hq_miss[bsel], 0)
-                best_ln[bsel] = cl[bsel, kb] + np.where(dsel, n_miss[bsel], 0)
+        eq2_gain(lgq * inv, lhq * inv, node_g, node_h, lambda_, out=mr, scratch=scratch)
+        quantize_gain(mr, out=mr, f32=f32[:nr], scratch=s1[:nr])
+        gl_ml = (lgq + per_slot(gq_miss)) * inv  # missing rows join the left
+        hl_ml = (lhq + per_slot(hq_miss)) * inv
+        eq2_gain(gl_ml, hl_ml, node_g, node_h, lambda_, out=ml, scratch=scratch)
+        quantize_gain(ml, out=ml, f32=f32[:nr], scratch=s1[:nr])
+        ml[:, bounds] = -np.inf  # a boundary sends missing rows right only
+        dirs = ml >= mr
+        gains = np.maximum(ml, mr, out=ml)
+        valid = (lc > 0) & (lc < per_slot(pc))
+        valid[:, bounds] = (n_miss > 0) & (pc > 0)
+        np.copyto(gains, -np.inf, where=~valid)
 
-        # present | missing boundary
-        sp_ok = (n_miss > 0) & (c_present > 0)
-        sp_gain = np.where(
-            sp_ok,
-            quantize_gain(
-                eq2_gain(gq_present * inv, hq_present * inv, node_g, node_h, lambda_)
-            ),
-            -np.inf,
-        )
-        better = sp_gain > best_gain
-        if better.any():
-            bsel = np.flatnonzero(better)
-            best_gain[bsel] = sp_gain[bsel]
-            best_attr[bsel] = a
-            best_cut[bsel] = nb
-            best_dir[bsel] = False
-            best_lgq[bsel] = gq_present[bsel]
-            best_lhq[bsel] = hq_present[bsel]
-            best_ln[bsel] = c_present[bsel]
+        k = np.argmax(gains, axis=1)  # first max per node
+        r = np.flatnonzero(gains[np.arange(nr), k] > -np.inf)
+        k = k[r]
+        a = slot_attr[k]
+        d = dirs[r, k]
+        sel = r + r0
+        best_gain[sel] = gains[r, k]
+        best_attr[sel] = a
+        best_cut[sel] = k - bin_offset[a] + 1
+        best_dir[sel] = d
+        best_lgq[sel] = lgq[r, k] + np.where(d, gq_miss[r, a], 0)
+        best_lhq[sel] = lhq[r, k] + np.where(d, hq_miss[r, a], 0)
+        best_ln[sel] = lc[r, k] + np.where(d, n_miss[r, a], 0)
 
     return best_gain, best_attr, best_cut, best_dir, best_lgq, best_lhq, best_ln
 
