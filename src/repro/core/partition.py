@@ -127,7 +127,6 @@ def partition_segments(
     bytes_per_element: int = 16,
     name: str = "histogram_partition",
     workspace: WorkspaceArena | None = None,
-    sid: np.ndarray | None = None,
     drop_to_trash: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order-preserving scatter of every old segment into mapped children.
@@ -151,14 +150,10 @@ def partition_segments(
     bytes_per_element:
         Payload moved per element across all arrays being scattered.
     workspace:
-        Optional :class:`~repro.core.workspace.WorkspaceArena`.  When given,
-        the histogram/rank/scatter passes are fused into one arena-backed
-        pass (two global cumsums instead of four segmented primitives, every
-        per-element temporary a reused view) -- bit-identical ``dest`` /
+        Optional :class:`~repro.core.workspace.WorkspaceArena`.  When
+        enabled, the histogram/rank/scatter passes become one stable radix
+        sort over per-element new-segment keys -- bit-identical ``dest`` /
         ``new_offsets``, same device charges.
-    sid:
-        Optional precomputed element -> segment map (the trainer computes it
-        once per level anyway); only consulted on the workspace path.
     drop_to_trash:
         When True, dropped elements get ``dest == new_offsets[-1]`` (one
         past the end) instead of ``-1``, so callers can scatter *without*
@@ -177,7 +172,7 @@ def partition_segments(
         return _partition_segments_arena(
             device, offsets, side, left_seg, right_seg, n_new_segments, plan,
             bytes_per_element=bytes_per_element, name=name,
-            workspace=workspace, sid=sid, drop_to_trash=drop_to_trash,
+            workspace=workspace, drop_to_trash=drop_to_trash,
         )
     side = np.asarray(side, dtype=np.int8)
     n = side.size
@@ -275,18 +270,20 @@ def _partition_segments_arena(
     bytes_per_element: int,
     name: str,
     workspace: WorkspaceArena,
-    sid: np.ndarray | None,
     drop_to_trash: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused arena implementation of :func:`partition_segments`.
+    """Radix-sort implementation of :func:`partition_segments`.
 
-    One stable pass: two global int cumsums provide both the per-element
-    ranks *and* (read at segment ends) the per-segment histogram counts the
-    legacy path recomputed with two extra segmented reductions.  Every
-    n-element temporary is a reused arena view.  ``dest`` / ``new_offsets``
-    are bit-identical to the legacy path; the device is charged identically.
+    Every element gets its new segment as a sort key -- the left or right
+    target by ``side``, and ``n_new_segments`` (a trash key past the last
+    segment) when dropped -- and one stable LSD radix sort over 16-bit
+    digits orders the keys.  A stable sort keeps each (old segment, side)
+    group in source order, which is the Fig. 2 invariant, so ``dest`` (the
+    inverse permutation) and ``new_offsets`` (from ``bincount``) are
+    bit-identical to the legacy path; the device is charged identically.
+    Keys stay ``uint16`` up to 65,535 new segments; wider keys take one
+    more stable pass per further 16-bit digit.
     """
-    ws = workspace
     side = np.asarray(side, dtype=np.int8)
     n = side.size
     offsets = check_offsets(offsets, n)
@@ -298,56 +295,35 @@ def _partition_segments_arena(
     for m in (left_seg, right_seg):
         if m.size and m.max() >= n_new_segments:
             raise ValueError("segment map points past n_new_segments")
-    if sid is None:
-        sid = seg_ids(offsets, n)
-    if n == 0:
-        new_offsets = np.zeros(n_new_segments + 1, dtype=IDX_DTYPE)
-        _charge_partition(device, 0, plan, bytes_per_element, name)
-        return np.empty(0, dtype=IDX_DTYPE), new_offsets
-    starts = offsets[:-1]
-    ends = offsets[1:]
-    lens = ends - starts
+    trash = int(n_new_segments)
+    key_dtype = np.uint16 if trash <= 0xFFFF else IDX_DTYPE
+    lkey = np.where(left_seg >= 0, left_seg, trash).astype(key_dtype)
+    rkey = np.where(right_seg >= 0, right_seg, trash).astype(key_dtype)
+    lens = np.diff(offsets)
 
-    # -- fused histogram + rank: one cumsum per side -------------------------
-    is_left = np.equal(side, 0, out=ws.buf(f"{name}/is_l", n, bool))
-    is_right = np.equal(side, 1, out=ws.buf(f"{name}/is_r", n, bool))
-    cum_left = ws.buf(f"{name}/cum_l", n, IDX_DTYPE)
-    cum_right = ws.buf(f"{name}/cum_r", n, IDX_DTYPE)
-    np.cumsum(is_left, out=cum_left)
-    np.cumsum(is_right, out=cum_right)
-    # per-segment carry cancellation (the segmented-scan behavior) and, read
-    # at each segment's last element, the per-segment left/right histogram
-    base_l = np.where(starts > 0, cum_left[np.maximum(starts - 1, 0)], 0)
-    base_r = np.where(starts > 0, cum_right[np.maximum(starts - 1, 0)], 0)
-    last = np.maximum(ends - 1, 0)
-    left_counts = np.where(lens > 0, cum_left[last] - base_l, 0)
-    right_counts = np.where(lens > 0, cum_right[last] - base_r, 0)
-    scratch = ws.buf(f"{name}/scratch", n, IDX_DTYPE)
-    np.subtract(cum_left, np.take(base_l, sid, out=scratch), out=cum_left)
-    np.subtract(cum_right, np.take(base_r, sid, out=scratch), out=cum_right)
-    # cum_* are now the *inclusive* within-segment ranks (rank + 1)
+    # key = left target, plus (right - left) where side is 1, plus
+    # (trash - left) where side is neither 0 nor 1 (-1 views as 255);
+    # branch-free (modular in uint16): masked writes over a random side
+    # pattern are several times slower
+    key = np.repeat(lkey, lens)
+    mask = workspace.buf(f"{name}/mask", n, bool)
+    key += np.repeat(rkey - lkey, lens) * np.equal(side, 1, out=mask)
+    key += np.repeat(trash - lkey, lens) * np.greater(side.view(np.uint8), 1, out=mask)
 
-    # -- new segmentation (S-sized, cheap) -----------------------------------
-    sizes = np.zeros(n_new_segments, dtype=IDX_DTYPE)
-    lv = left_seg >= 0
-    rv = right_seg >= 0
-    np.add.at(sizes, left_seg[lv], left_counts[lv])
-    np.add.at(sizes, right_seg[rv], right_counts[rv])
-    new_offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    # -- destinations: segment base + rank, no boolean compression -----------
-    # segment base minus 1 folds the inclusive-rank -> rank correction in
-    seg_base_l = np.where(lv, new_offsets[np.maximum(left_seg, 0)], 0) - 1
-    seg_base_r = np.where(rv, new_offsets[np.maximum(right_seg, 0)], 0) - 1
-    # candidate destination if the element went left / right
-    np.add(cum_left, np.take(seg_base_l, sid, out=scratch), out=cum_left)
-    np.add(cum_right, np.take(seg_base_r, sid, out=scratch), out=cum_right)
-    np.logical_and(is_left, np.take(lv, sid, out=ws.buf(f"{name}/vmask", n, bool)), out=is_left)
-    np.logical_and(is_right, np.take(rv, sid, out=ws.buf(f"{name}/vmask", n, bool)), out=is_right)
-    fill = new_offsets[-1] if drop_to_trash else -1
-    dest = ws.full(f"{name}/dest", n, IDX_DTYPE, fill)
-    np.copyto(dest, cum_left, where=is_left)
-    np.copyto(dest, cum_right, where=is_right)
+    perm = np.argsort(key.astype(np.uint16, copy=False), kind="stable")
+    for shift in range(16, trash.bit_length(), 16):
+        digit = (key >> shift).astype(np.uint16)
+        perm = perm[np.argsort(digit[perm], kind="stable")]
+    dest = workspace.buf(f"{name}/dest", n, IDX_DTYPE)
+    dest[perm] = workspace.arange(n)
+    new_offsets = np.zeros(n_new_segments + 1, dtype=IDX_DTYPE)
+    np.cumsum(np.bincount(key, minlength=trash + 1)[:trash], out=new_offsets[1:])
+    # dropped elements sorted past the last segment: one slot or -1
+    kept = new_offsets[-1]
+    if drop_to_trash:
+        np.minimum(dest, kept, out=dest)
+    else:
+        np.copyto(dest, -1, where=dest >= kept)
 
     _charge_partition(device, n, plan, bytes_per_element, name)
     return dest, new_offsets

@@ -59,6 +59,11 @@ from .workspace import IDX_DTYPE, WorkspaceArena
 
 __all__ = ["SegmentLayout", "NodeBestSplits", "eq2_gain", "find_best_splits_sparse", "find_best_splits_rle"]
 
+#: candidates scored per chunk by the arena branches, so the chunk's eight
+#: float temporaries stay in cache instead of growing with the level
+#: (2**14 and 2**15 measured fastest; docs/performance.md, Exact level step)
+_SCORE_CHUNK = 1 << 14
+
 
 @dataclasses.dataclass
 class SegmentLayout:
@@ -230,6 +235,64 @@ def _last_valid(cum: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.where(lens > 0, cum[idx] if cum.size else 0.0, 0.0)
 
 
+def _score_candidates(
+    ws: WorkspaceArena,
+    gl: np.ndarray,
+    hl: np.ndarray,
+    invalid: np.ndarray,
+    cand_offsets: np.ndarray,
+    seg_tot_g: np.ndarray,
+    seg_tot_h: np.ndarray,
+    miss_g: np.ndarray,
+    miss_h: np.ndarray,
+    lambda_: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantized gain and missing-left flag of every interior candidate.
+
+    Candidates are segmented by ``cand_offsets``; ``gl``/``hl`` are their
+    exclusive left prefixes, and the ``seg_*``/``miss_*`` arrays give each
+    segment's node totals and missing mass.  ``invalid`` marks candidates
+    that are not real cuts; each segment's first candidate is marked here,
+    as nothing lies left of it.  Runs ``_SCORE_CHUNK`` candidates at a
+    time, broadcasting per-segment constants with ``np.repeat`` over the
+    chunk's slice of each segment, in the legacy branches' operation order
+    (bit-identical gains).
+    """
+    n = gl.size
+    lens = np.diff(cand_offsets)
+    invalid[cand_offsets[:-1][lens > 0]] = True
+    cand_gain = ws.buf("split/cgain", n, np.float64)
+    cand_dir = ws.buf("split/dir", n, bool)
+    step = max(1, min(_SCORE_CHUNK, n))
+    mr, s1, s2 = (ws.buf(f"split/chunk{i}", step, np.float64) for i in range(3))
+    f32 = ws.buf("split/chunk_f32", step, np.float32)
+    for c0 in range(0, n, step):
+        c1 = min(c0 + step, n)
+        # segments overlapping [c0, c1) and their lengths clipped to it
+        lo = np.searchsorted(cand_offsets, c0, side="right") - 1
+        hi = np.searchsorted(cand_offsets, c1, side="left")
+        reps = np.diff(np.clip(cand_offsets[lo : hi + 1], c0, c1))
+        segs = slice(lo, hi)
+        g_tot = np.repeat(seg_tot_g[segs], reps)
+        h_tot = np.repeat(seg_tot_h[segs], reps)
+        c = slice(c0, c1)
+        k = c1 - c0
+        gain_mr, scratch, f = mr[:k], (s1[:k], s2[:k]), f32[:k]
+        eq2_gain(gl[c], hl[c], g_tot, h_tot, lambda_, out=gain_mr, scratch=scratch)
+        quantize_gain(gain_mr, out=gain_mr, f32=f, scratch=s1[:k])
+        glm = np.repeat(miss_g[segs], reps)  # missing entries join the left
+        np.add(gl[c], glm, out=glm)
+        hlm = np.repeat(miss_h[segs], reps)
+        np.add(hl[c], hlm, out=hlm)
+        gain_ml = cand_gain[c]
+        eq2_gain(glm, hlm, g_tot, h_tot, lambda_, out=gain_ml, scratch=scratch)
+        quantize_gain(gain_ml, out=gain_ml, f32=f, scratch=s1[:k])
+        np.greater_equal(gain_ml, gain_mr, out=cand_dir[c])
+        np.maximum(gain_ml, gain_mr, out=gain_ml)
+        np.copyto(gain_ml, -np.inf, where=invalid[c])
+    return cand_gain, cand_dir
+
+
 def _select_splits(
     device: GpuDevice,
     *,
@@ -362,15 +425,13 @@ def find_best_splits_sparse(
     setkey_enabled: bool = True,
     setkey_c: int = 1000,
     workspace: WorkspaceArena | None = None,
-    sid: np.ndarray | None = None,
 ) -> NodeBestSplits:
     """Split finding on uncompressed sorted attribute lists (Section III-B).
 
     ``workspace`` routes every per-entry temporary through arena views; the
     arena branch repeats the legacy branch's elementary operations in the
     same order, so candidate gains (and hence the chosen splits) are
-    bit-identical.  ``sid`` optionally supplies the element -> segment map
-    (the trainer shares one per level with the partition step).
+    bit-identical.
     """
     ws = workspace if workspace is not None and workspace.enabled else None
     n = values.size
@@ -391,8 +452,6 @@ def find_best_splits_sparse(
             ch = segmented_inclusive_cumsum(device, h_ent, offsets, name="seg_prefix_sum_h",
                                             out=ws.buf("split/ch", n, np.float64))
 
-    if sid is None:
-        sid = ws.seg_ids("split/sid", offsets, n) if ws is not None else seg_ids(offsets, n)
     seg_node = layout.seg_node()
     lens = np.diff(offsets)
 
@@ -407,6 +466,7 @@ def find_best_splits_sparse(
         gl = cg - g_ent
         hl = ch - h_ent
 
+        sid = seg_ids(offsets, n)
         pos = np.arange(n, dtype=np.int64) - offsets[:-1][sid]
         valid = pos > 0
         if n > 1:
@@ -442,45 +502,14 @@ def find_best_splits_sparse(
         np.subtract(ch, h_ent, out=hl)
 
         pos = ws.buf("split/pos", n, IDX_DTYPE)
-        np.take(offsets, sid, out=pos)  # == offsets[:-1][sid]: sid < S
-        np.subtract(ws.arange(n), pos, out=pos)
-        valid = ws.buf("split/valid", n, bool)
-        np.greater(pos, 0, out=valid)
-        if n > 1:
-            same_as_prev = ws.buf("split/sap", n, bool)
-            same_as_prev[0] = False
-            np.equal(values[1:], values[:-1], out=same_as_prev[1:])
-            np.logical_not(same_as_prev, out=same_as_prev)
-            np.logical_and(valid, same_as_prev, out=valid)
-
-        node_of_ent = ws.buf("split/noe", n, IDX_DTYPE)
-        np.take(seg_node, sid, out=node_of_ent)
-        g_tot = ws.buf("split/g_tot", n, np.float64)
-        h_tot = ws.buf("split/h_tot", n, np.float64)
-        np.take(node_g, node_of_ent, out=g_tot)
-        np.take(node_h, node_of_ent, out=h_tot)
-
-        s1 = ws.buf("split/s1", n, np.float64)
-        s2 = ws.buf("split/s2", n, np.float64)
-        f32 = ws.buf("split/f32", n, np.float32)
-        gain_mr = ws.buf("split/gmr", n, np.float64)
-        eq2_gain(gl, hl, g_tot, h_tot, lambda_, out=gain_mr, scratch=(s1, s2))
-        quantize_gain(gain_mr, out=gain_mr, f32=f32, scratch=s1)
-        glm = ws.buf("split/glm", n, np.float64)
-        hlm = ws.buf("split/hlm", n, np.float64)
-        np.take(miss_g, sid, out=glm)
-        np.add(gl, glm, out=glm)
-        np.take(miss_h, sid, out=hlm)
-        np.add(hl, hlm, out=hlm)
-        gain_ml = ws.buf("split/gml", n, np.float64)
-        eq2_gain(glm, hlm, g_tot, h_tot, lambda_, out=gain_ml, scratch=(s1, s2))
-        quantize_gain(gain_ml, out=gain_ml, f32=f32, scratch=s1)
-        cand_dir = ws.buf("split/dir", n, bool)
-        np.greater_equal(gain_ml, gain_mr, out=cand_dir)
-        cand_gain = ws.buf("split/cgain", n, np.float64)
-        np.maximum(gain_ml, gain_mr, out=cand_gain)
-        np.logical_not(valid, out=valid)
-        np.copyto(cand_gain, -np.inf, where=valid)
+        np.subtract(ws.arange(n), np.repeat(offsets[:-1], lens), out=pos)
+        invalid = ws.buf("split/invalid", n, bool)
+        # "reset gain of repeated split points"
+        np.equal(values[1:], values[:-1], out=invalid[1:])
+        cand_gain, cand_dir = _score_candidates(
+            ws, gl, hl, invalid, offsets, node_g[seg_node], node_h[seg_node],
+            miss_g, miss_h, lambda_,
+        )
 
         cand_thr = ws.buf("split/thr", n, np.float64)
         if n:
@@ -553,8 +582,7 @@ def find_best_splits_rle(
 
     ``workspace`` enables the arena branch -- same elementary operations in
     the same order as the legacy branch, so the chosen splits are
-    bit-identical.  (The run -> segment map is over ``rle.run_offsets``, not
-    the element segmentation, so it is always derived here.)
+    bit-identical.
     """
     ws = workspace if workspace is not None and workspace.enabled else None
     n = inst.size
@@ -637,41 +665,10 @@ def find_best_splits_rle(
         hl = chr_
         np.subtract(chr_, h_run, out=hl)
 
-        rid_seg = ws.seg_ids("split/sid", rle.run_offsets, n_runs)  # run -> segment
-        run_pos = ws.buf("split/pos", n_runs, IDX_DTYPE)
-        np.take(rle.run_offsets, rid_seg, out=run_pos)  # == run_offsets[:-1][rid_seg]
-        np.subtract(ws.arange(n_runs), run_pos, out=run_pos)
-        valid = ws.buf("split/valid", n_runs, bool)
-        np.greater(run_pos, 0, out=valid)
-
-        node_of_run = ws.buf("split/noe", n_runs, IDX_DTYPE)
-        np.take(seg_node, rid_seg, out=node_of_run)
-        g_tot = ws.buf("split/g_tot", n_runs, np.float64)
-        h_tot = ws.buf("split/h_tot", n_runs, np.float64)
-        np.take(node_g, node_of_run, out=g_tot)
-        np.take(node_h, node_of_run, out=h_tot)
-
-        s1 = ws.buf("split/s1", n_runs, np.float64)
-        s2 = ws.buf("split/s2", n_runs, np.float64)
-        f32 = ws.buf("split/f32", n_runs, np.float32)
-        gain_mr = ws.buf("split/gmr", n_runs, np.float64)
-        eq2_gain(gl, hl, g_tot, h_tot, lambda_, out=gain_mr, scratch=(s1, s2))
-        quantize_gain(gain_mr, out=gain_mr, f32=f32, scratch=s1)
-        glm = ws.buf("split/glm", n_runs, np.float64)
-        hlm = ws.buf("split/hlm", n_runs, np.float64)
-        np.take(miss_g, rid_seg, out=glm)
-        np.add(gl, glm, out=glm)
-        np.take(miss_h, rid_seg, out=hlm)
-        np.add(hl, hlm, out=hlm)
-        gain_ml = ws.buf("split/gml", n_runs, np.float64)
-        eq2_gain(glm, hlm, g_tot, h_tot, lambda_, out=gain_ml, scratch=(s1, s2))
-        quantize_gain(gain_ml, out=gain_ml, f32=f32, scratch=s1)
-        cand_dir = ws.buf("split/dir", n_runs, bool)
-        np.greater_equal(gain_ml, gain_mr, out=cand_dir)
-        cand_gain = ws.buf("split/cgain", n_runs, np.float64)
-        np.maximum(gain_ml, gain_mr, out=cand_gain)
-        np.logical_not(valid, out=valid)
-        np.copyto(cand_gain, -np.inf, where=valid)
+        cand_gain, cand_dir = _score_candidates(
+            ws, gl, hl, ws.zeros("split/invalid", n_runs, bool), rle.run_offsets,
+            node_g[seg_node], node_h[seg_node], miss_g, miss_h, lambda_,
+        )
 
         cand_thr = ws.buf("split/thr", n_runs, np.float64)
         if n_runs:
@@ -683,8 +680,7 @@ def find_best_splits_rle(
 
         # element count strictly above each run = its run start within the segment
         cand_nl = ws.buf("split/nl", n_runs, IDX_DTYPE)
-        np.take(offsets, rid_seg, out=cand_nl)  # == offsets[:-1][rid_seg]
-        np.subtract(run_starts, cand_nl, out=cand_nl)
+        np.subtract(run_starts, np.repeat(offsets[:-1], np.diff(rle.run_offsets)), out=cand_nl)
 
     device.launch(
         "compute_split_gains_rle",

@@ -391,9 +391,6 @@ class GPUGBDTTrainer:
             n_active = node_tree_ids.size
             if n_active == 0:
                 break
-            # one element -> segment map per level, shared by split finding,
-            # instance routing, and the partition scatter
-            sid = ws.seg_ids("tree/sid", layout.offsets, layout.n_elements) if ws.enabled else None
             with device.phase("find_split"), span("find_split", depth=_depth, nodes=n_active):
                 if used_rle:
                     best = find_best_splits_rle(
@@ -405,7 +402,7 @@ class GPUGBDTTrainer:
                     best = find_best_splits_sparse(
                         device, vals, inst_arr, layout, g, h, node_g, node_h, node_n,
                         lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey, setkey_c=p.setkey_c,
-                        workspace=ws, sid=sid,
+                        workspace=ws,
                     )
 
             split_mask = best.found & (best.gain > p.gamma)
@@ -463,19 +460,21 @@ class GPUGBDTTrainer:
                     side_inst[active] = default_side[inst2local[active]]
 
                 # present entries of the chosen segments override the default
-                S = layout.n_segments
-                n_el = layout.n_elements
-                split_pos = np.full(S, -1, dtype=np.int64)
-                split_pos[best.seg[split_locals]] = best.elem_pos[split_locals]
                 if ws.enabled:
-                    pos_ent = ws.buf("tree/pos_ent", n_el, IDX_DTYPE)
-                    np.take(split_pos, sid, out=pos_ent)
-                    chosen = ws.buf("tree/chosen", n_el, bool)
-                    np.greater_equal(pos_ent, 0, out=chosen)
-                    elem_left = ws.buf("tree/elem_left", n_el, bool)
-                    np.less(ws.arange(n_el), pos_ent, out=elem_left)
-                    side_inst[inst_arr[chosen]] = np.where(elem_left[chosen], 0, 1)
+                    # only the chosen segments' entries: their ranges laid end
+                    # to end, each entry compared with its segment's split point
+                    seg = best.seg[split_locals]
+                    lo = layout.offsets[seg]
+                    reps = layout.offsets[seg + 1] - lo
+                    ent = np.repeat(lo - np.cumsum(reps) + reps, reps)
+                    ent += ws.arange(ent.size)
+                    elem_right = ent >= np.repeat(best.elem_pos[split_locals], reps)
+                    side_inst[inst_arr[ent]] = elem_right
                 else:
+                    S = layout.n_segments
+                    n_el = layout.n_elements
+                    split_pos = np.full(S, -1, dtype=np.int64)
+                    split_pos[best.seg[split_locals]] = best.elem_pos[split_locals]
                     sid = np.repeat(np.arange(S, dtype=np.int64), np.diff(layout.offsets))
                     chosen = split_pos[sid] >= 0
                     elem_idx = np.arange(n_el, dtype=np.int64)
@@ -513,7 +512,7 @@ class GPUGBDTTrainer:
                 right_seg = np.where(splitting_seg, (child_base + 1) * d_used + seg_attr, -1)
 
                 if ws.enabled:
-                    side_ent = ws.buf("tree/side_ent", n_el, np.int8)
+                    side_ent = ws.buf("tree/side_ent", inst_arr.size, np.int8)
                     np.take(side_inst, inst_arr, out=side_ent)
                 else:
                     side_ent = side_inst[inst_arr]
@@ -537,7 +536,6 @@ class GPUGBDTTrainer:
                     plan,
                     bytes_per_element=8 if used_rle else 16,
                     workspace=ws,
-                    sid=sid,
                     drop_to_trash=use_trash,
                 )
                 n_new = int(new_offsets[-1])

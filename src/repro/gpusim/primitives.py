@@ -192,9 +192,8 @@ def segmented_argmax(
         # reduceat over non-empty starts: each range ends at the next start
         # (empty segments contribute no range), last range runs to the end.
         best_val[nonempty] = np.maximum.reduceat(values, starts)
-        sid = np.repeat(np.arange(n_seg, dtype=np.int64), lens)
-        hit = np.flatnonzero(values == best_val[sid])
-        hit_seg = sid[hit]
+        hit = np.flatnonzero(values == np.repeat(best_val, lens))
+        hit_seg = np.searchsorted(offsets, hit, side="right") - 1
         segs, first = np.unique(hit_seg, return_index=True)
         best_idx[segs] = hit[first]
     device.launch(

@@ -2,9 +2,10 @@
 
 ``partition_segments`` is the paper's Fig. 2/3 kernel: every old segment's
 elements scatter to left/right child segments *keeping their relative
-order*.  The arena-backed fused implementation must agree with the legacy
-two-pass one element-for-element, including on degenerate layouts (empty
-segments, all-left, all-right, dropped sides, empty input).
+order*.  The arena-backed radix-sort implementation must agree with the
+legacy two-pass one element-for-element, including on degenerate layouts
+(empty segments, all-left, all-right, dropped sides, empty input, more new
+segments than a 16-bit sort key holds).
 """
 
 import numpy as np
@@ -76,11 +77,14 @@ def _check_case(offsets, side, left_seg, right_seg, n_new):
     assert np.array_equal(arena_off, want_off)
 
     # trash mode: dropped elements scatter to the single slot past the end
-    trash_dest, trash_off = _run(offsets, side, left_seg, right_seg, n_new, arena=True, trash=True)
-    assert np.array_equal(trash_off, want_off)
     dropped = want_dest < 0
-    assert np.array_equal(trash_dest[~dropped], want_dest[~dropped])
-    assert np.all(trash_dest[dropped] == want_off[-1])
+    for arena in (False, True):
+        trash_dest, trash_off = _run(
+            offsets, side, left_seg, right_seg, n_new, arena=arena, trash=True
+        )
+        assert np.array_equal(trash_off, want_off)
+        assert np.array_equal(trash_dest[~dropped], want_dest[~dropped])
+        assert np.all(trash_dest[dropped] == want_off[-1])
 
     # exact per-child counts
     for s in range(left_seg.size):
@@ -141,6 +145,24 @@ class TestAdversarialLayouts:
         out[dest] = np.arange(8)
         assert np.array_equal(out[new_off[0] : new_off[1]], left_sources)
         assert np.array_equal(out[new_off[1] : new_off[2]], right_sources)
+
+
+def test_more_new_segments_than_a_uint16_key_holds():
+    """70,000 new segments: keys need a second 16-bit radix digit.  The
+    new-segment ids are a random permutation, so segments whose ids share
+    the low digit are ordered by the high one alone."""
+    rng = np.random.default_rng(7)
+    n_seg = 35_000
+    lengths = rng.integers(0, 4, size=n_seg)
+    offsets = np.zeros(n_seg + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    n = int(offsets[-1])
+    side = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=n, p=[0.1, 0.45, 0.45])
+    ids = rng.permutation(2 * n_seg).astype(np.int64)
+    ids[rng.random(2 * n_seg) < 0.05] = -1  # some sides dropped entirely
+    n_new = 2 * n_seg
+    assert n_new > 0xFFFF
+    _check_case(offsets, side, ids[:n_seg], ids[n_seg:], n_new)
 
 
 @st.composite
