@@ -14,6 +14,16 @@ Per boosting round the trainer:
 4. finalizes leaves with weight ``-eta * G / (H + lambda)`` and reports
    them to the gradient computer (SmartGD's "intermediate results").
 
+The grow loop runs over a list of :class:`ColumnShard` -- attribute subsets,
+each with its device and per-tree lists.  The single-GPU trainer is the
+one-shard case.  :mod:`repro.ext.multigpu` (one shard per device) and
+:mod:`repro.ext.outofcore` (host-resident column groups streamed through one
+device) are subclasses that build their shards and charge their transfers
+through the ``_build_shards`` / ``_share_gradients`` / ``_page_in`` /
+``_exchange_winners`` / ``_charge_routing`` / ``_page_out`` hooks; the loop
+itself combines the per-shard winners (strictly higher gain wins, ties go
+to the lowest global attribute -- the single-shard kernels' own rule).
+
 Every Fig. 9 optimization switch in :class:`~repro.core.params.GBDTParams`
 changes the *recorded work* (and sometimes the code path) but never the
 resulting trees -- ``tests/test_trainer.py`` asserts tree identity across
@@ -24,13 +34,13 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from ..data.matrix import CSRMatrix
 from ..data.rle import RunLengthColumns, decide_compression, encode_segments
-from ..data.sorted_columns import build_sorted_columns
+from ..data.sorted_columns import SortedColumns, build_sorted_columns
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.primitives import bincount_sum
 from ..obs import get_registry, span
@@ -40,11 +50,11 @@ from .partition import partition_segments, plan_partition
 from .rle_split import split_runs_direct, split_runs_with_decompression
 from .sampling import TreeSample, sample_tree
 from .smartgd import GradientComputer
-from .split import SegmentLayout, find_best_splits_rle, find_best_splits_sparse
+from .split import NodeBestSplits, SegmentLayout, find_best_splits_rle, find_best_splits_sparse
 from .tree import DecisionTree
 from .workspace import IDX_DTYPE, WorkspaceArena, arena_enabled_default
 
-__all__ = ["GPUGBDTTrainer", "TrainReport"]
+__all__ = ["ColumnShard", "GPUGBDTTrainer", "TrainReport"]
 
 
 @dataclasses.dataclass
@@ -67,6 +77,99 @@ class TrainReport:
     @property
     def mean_tree_size(self) -> float:
         return float(sum(self.tree_sizes) / len(self.tree_sizes)) if self.tree_sizes else 0.0
+
+
+@dataclasses.dataclass
+class ColumnShard:
+    """An attribute subset of the training matrix, held on one device.
+
+    ``cols`` and ``base_rle`` are built once per fit; :meth:`stage` resets
+    the per-tree lists (``inst``, ``vals`` or ``rle``, ``layout``) for each
+    tree's sampled rows and columns, and the grow loop partitions them
+    level by level.  ``workspace`` keeps the shard's buffer names apart
+    from every other shard's.
+    """
+
+    device: GpuDevice
+    #: global attribute ids of the shard's columns, ascending
+    attrs: np.ndarray
+    cols: SortedColumns
+    base_rle: RunLengthColumns | None
+    workspace: WorkspaceArena | None = None
+    #: global ids of the columns staged for the current tree
+    tree_attrs: np.ndarray | None = None
+    inst: np.ndarray | None = None
+    vals: np.ndarray | None = None
+    rle: RunLengthColumns | None = None
+    layout: SegmentLayout | None = None
+
+    def stage(self, sample: TreeSample, used_rle: bool) -> bool:
+        """Per-tree working copies of the lists; False if no column is drawn.
+
+        On the device this is the first scatter into the double buffer; a
+        stochastic round keeps only the sampled rows/columns (an extra
+        compaction pass over the staged lists).
+        """
+        cols = self.cols
+        local = np.flatnonzero(np.isin(self.attrs, sample.attrs))
+        if local.size == 0:
+            return False
+        self.tree_attrs = self.attrs[local]
+        if sample.inst_mask.all() and local.size == self.attrs.size:
+            self.inst = cols.inst.copy()
+            self.vals = None if used_rle else cols.values.copy()
+            self.rle = self.base_rle
+            self.layout = SegmentLayout(cols.col_offsets.copy(), 1, local.size)
+        else:
+            parts_i, parts_v, lens = [], [], []
+            for a in local:
+                lo, hi = cols.col_offsets[a], cols.col_offsets[a + 1]
+                inst_a = cols.inst[lo:hi]
+                keep = sample.inst_mask[inst_a]
+                parts_i.append(inst_a[keep])
+                parts_v.append(cols.values[lo:hi][keep])
+                lens.append(int(keep.sum()))
+            self.inst = np.concatenate(parts_i)
+            stage_vals = np.concatenate(parts_v)
+            offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+            self.layout = SegmentLayout(offsets, 1, local.size)
+            self.rle = encode_segments(stage_vals, offsets) if used_rle else None
+            self.vals = None if used_rle else stage_vals
+        self.device.launch(
+            "stage_attribute_lists",
+            elements=cols.nnz,
+            flops_per_element=0.5,
+            coalesced_bytes=cols.nnz * 16,
+        )
+        return True
+
+
+def _combine_winners(
+    shards: List[ColumnShard], bests: List[NodeBestSplits]
+) -> Tuple[NodeBestSplits, np.ndarray]:
+    """Per-node winner across shards, with ``attr`` as global attribute ids.
+
+    A shard's split replaces the current winner only on strictly higher
+    gain, or on equal gain with a lower global attribute.  Also returns the
+    index of the shard each node's winner came from.
+    """
+    merged, owner = None, np.zeros(bests[0].gain.size, dtype=np.int64)
+    for si, (shard, b) in enumerate(zip(shards, bests)):
+        gattr = np.where(b.found, shard.tree_attrs[np.maximum(b.attr, 0)], -1)
+        b = dataclasses.replace(b, attr=gattr)
+        if merged is not None:
+            better = b.found & (
+                ~merged.found
+                | (b.gain > merged.gain)
+                | ((b.gain == merged.gain) & (b.attr < merged.attr))
+            )
+            b = NodeBestSplits(*(
+                np.where(better, getattr(b, f.name), getattr(merged, f.name))
+                for f in dataclasses.fields(NodeBestSplits)
+            ))
+            owner[better] = si
+        merged = b
+    return merged, owner
 
 
 class GPUGBDTTrainer:
@@ -113,7 +216,13 @@ class GPUGBDTTrainer:
         #: persistent across fit calls: buffers warm up on the first tree and
         #: are reused for every level of every round thereafter
         self.workspace = WorkspaceArena(enabled=self.use_arena)
+        #: one arena per shard; shard 0 shares the trainer's
+        self._shard_arenas = [self.workspace]
         self.report: TrainReport | None = None
+
+    def elapsed_seconds(self) -> float:
+        """Modeled device seconds spent so far."""
+        return self.device.elapsed_seconds()
 
     # ----------------------------------------------------------------- setup
     def _register_memory(self, X: CSRMatrix, used_rle: bool, rle: RunLengthColumns | None) -> None:
@@ -149,6 +258,75 @@ class GPUGBDTTrainer:
         mem.alloc("gradients_gh", n_full * 8)
         mem.alloc("predictions", n_full * 4)
         mem.alloc("instance_to_node", n_full * 4)
+
+    def _decide_rle(self, cols: SortedColumns) -> bool:
+        """The run-wide compression decision, made once on all columns."""
+        p = self.params
+        return p.use_rle and decide_compression(
+            p.rle_policy,
+            n_rows=cols.n_rows,
+            n_cols=cols.n_cols,
+            values=cols.values,
+            offsets=cols.col_offsets,
+            paper_threshold=p.rle_paper_threshold,
+            measured_threshold=p.rle_measured_threshold,
+        )
+
+    def _build_shards(self, X: CSRMatrix) -> Tuple[List[ColumnShard], bool]:
+        """Sort, compress and upload the columns; one shard on ``device``.
+
+        Runs inside the ``setup`` phase.  Returns the shards and whether
+        the run uses RLE.
+        """
+        device = self.device
+        cols = build_sorted_columns(X.to_csc(), device)
+        used_rle = self._decide_rle(cols)
+        base_rle = encode_segments(cols.values, cols.col_offsets) if used_rle else None
+        if used_rle:
+            device.launch(
+                "rle_compress_initial",
+                elements=X.nnz,
+                flops_per_element=2.0,
+                coalesced_bytes=X.nnz * 8 + base_rle.n_runs * 16,
+            )
+        # host -> device: instance ids + (compressed) values + targets.
+        # RLE shrinks the PCI-e traffic (Section III-C advantage (i)).
+        value_bytes = base_rle.n_runs * 8 if used_rle else X.nnz * 4
+        device.transfer("upload_training_data", X.nnz * 4 + value_bytes)
+        device.transfer("upload_targets", X.n_rows * 4 * self.row_scale, scale=False)
+        self._register_memory(X, used_rle, base_rle)
+        return [ColumnShard(device, np.arange(X.n_cols, dtype=np.int64), cols, base_rle)], used_rle
+
+    # ------------------------------------------------------------------ hooks
+    # Distribution and streaming plug in here; the single-GPU trainer moves
+    # nothing between devices, so every hook but the routing charge is a
+    # no-op.
+    def _round_span_attrs(self) -> dict:
+        """Extra attributes for each ``boost_round`` span."""
+        return {}
+
+    def _share_gradients(self, n: int) -> None:
+        """After the round's gradients are computed on ``device``."""
+
+    def _page_in(self, shard: ColumnShard) -> None:
+        """Before a shard's lists are read (split finding, partitioning)."""
+
+    def _exchange_winners(self, shard: ColumnShard, n_active: int) -> None:
+        """After a shard found its per-node winners, before they combine."""
+
+    def _charge_routing(self, owners: List[ColumnShard], n: int, d: int, split_n) -> None:
+        """After the winning shards routed the instances of split nodes."""
+        self.device.launch(
+            "update_instance_to_node",
+            elements=n * self.row_scale,
+            flops_per_element=2.0,
+            coalesced_bytes=n * self.row_scale * 9,
+            irregular_bytes=split_n * (self.device.work_scale / max(d, 1)) * 4,
+            scale=False,
+        )
+
+    def _page_out(self, shard: ColumnShard) -> None:
+        """After a shard's lists are partitioned."""
 
     # ------------------------------------------------------------------- fit
     def fit(
@@ -189,6 +367,8 @@ class GPUGBDTTrainer:
         n, d = X.shape
         if y.size != n:
             raise ValueError(f"y has {y.size} entries for {n} rows")
+        if not np.isfinite(y).all():
+            raise ValueError("y contains NaN or inf labels")
         if n < 2:
             raise ValueError("need at least 2 training instances")
         if d < 1:
@@ -214,34 +394,11 @@ class GPUGBDTTrainer:
                 )
 
         with device.phase("setup"), span("setup"):
-            csc = X.to_csc()
-            cols = build_sorted_columns(csc, device)
-            base_rle: RunLengthColumns | None = None
-            used_rle = False
-            if p.use_rle:
-                used_rle = decide_compression(
-                    p.rle_policy,
-                    n_rows=n,
-                    n_cols=d,
-                    values=cols.values,
-                    offsets=cols.col_offsets,
-                    paper_threshold=p.rle_paper_threshold,
-                    measured_threshold=p.rle_measured_threshold,
-                )
-            if used_rle:
-                base_rle = encode_segments(cols.values, cols.col_offsets)
-                device.launch(
-                    "rle_compress_initial",
-                    elements=X.nnz,
-                    flops_per_element=2.0,
-                    coalesced_bytes=X.nnz * 8 + base_rle.n_runs * 16,
-                )
-            # host -> device: instance ids + (compressed) values + targets.
-            # RLE shrinks the PCI-e traffic (Section III-C advantage (i)).
-            value_bytes = base_rle.n_runs * 8 if used_rle else X.nnz * 4
-            device.transfer("upload_training_data", X.nnz * 4 + value_bytes)
-            device.transfer("upload_targets", n * 4 * self.row_scale, scale=False)
-            self._register_memory(X, used_rle, base_rle)
+            shards, used_rle = self._build_shards(X)
+        while len(self._shard_arenas) < len(shards):
+            self._shard_arenas.append(WorkspaceArena(enabled=self.use_arena))
+        for shard, arena in zip(shards, self._shard_arenas):
+            shard.workspace = arena
 
         gc = GradientComputer(
             device,
@@ -274,13 +431,14 @@ class GPUGBDTTrainer:
             # sampling sequence exactly where the init model stopped
             t_idx = round_offset + t
             t_round = time.perf_counter()
-            with span("boost_round", tree=t_idx):
+            with span("boost_round", tree=t_idx, **self._round_span_attrs()):
                 with device.phase("gradients"), span("gradients"):
                     g, h = gc.compute()
+                self._share_gradients(n)
                 sample = sample_tree(
                     p.seed, t_idx, n, d, p.subsample, p.colsample_bytree
                 )
-                tree = self._grow_tree(X, g, h, cols, base_rle, used_rle, gc, sample)
+                tree = self._grow_tree(X, g, h, shards, used_rle, gc, sample)
                 if not sample.inst_mask.all():
                     gc.apply_tree_to(tree, np.flatnonzero(~sample.inst_mask))
                 gc.on_tree_finished(tree)
@@ -291,14 +449,17 @@ class GPUGBDTTrainer:
             nodes_total.inc(tree.n_nodes)
             leaves_total.inc(tree.n_leaves)
             round_seconds.observe(time.perf_counter() - t_round)
+        runs = [s.base_rle for s in shards if used_rle]
+        n_runs = sum(r.n_runs for r in runs)
+        ratio = sum(r.n_elements for r in runs) / n_runs if n_runs else 1.0
         registry.gauge(
             "train_compression_ratio", "RLE compression ratio of the last run"
-        ).set(base_rle.compression_ratio if base_rle is not None else 1.0)
+        ).set(ratio)
         self.workspace.publish_metrics()
 
         self.report = TrainReport(
             used_rle=used_rle,
-            compression_ratio=base_rle.compression_ratio if base_rle is not None else 1.0,
+            compression_ratio=ratio,
             n_nodes_total=n_nodes_total,
             n_leaves_total=n_leaves_total,
             tree_sizes=[t.n_nodes for t in trees],
@@ -314,65 +475,25 @@ class GPUGBDTTrainer:
         X: CSRMatrix,
         g: np.ndarray,
         h: np.ndarray,
-        cols,
-        base_rle: RunLengthColumns | None,
+        shards: List[ColumnShard],
         used_rle: bool,
         gc: GradientComputer,
-        sample: TreeSample | None = None,
+        sample: TreeSample,
     ) -> DecisionTree:
         p = self.params
         device = self.device
         ws = self.workspace
         n, d = X.shape
-        if sample is None:
-            sample = sample_tree(p.seed, 0, n, d, 1.0, 1.0)
-        self._tree_attrs = sample.attrs  # local -> global attribute map
 
         tree = DecisionTree()
-
-        # per-tree working copies of the (compressed) attribute lists; on the
-        # device this is the first scatter into the double buffer
-        if sample.is_trivial:
-            inst_arr = cols.inst.copy()
-            vals = None if used_rle else cols.values.copy()
-            rle_state = base_rle
-            layout = SegmentLayout(cols.col_offsets.copy(), 1, d)
+        shards = [s for s in shards if s.stage(sample, used_rle)]
+        if sample.inst_mask.all():
             inst2local = np.zeros(n, dtype=np.int64)
             n_inc = n
         else:
-            # stochastic round: keep only the sampled rows/columns (an extra
-            # compaction pass over the staged lists)
-            parts_i, parts_v, lens = [], [], []
-            for a in sample.attrs:
-                lo, hi = cols.col_offsets[a], cols.col_offsets[a + 1]
-                inst_a = cols.inst[lo:hi]
-                keep = sample.inst_mask[inst_a]
-                parts_i.append(inst_a[keep])
-                parts_v.append(cols.values[lo:hi][keep])
-                lens.append(int(keep.sum()))
-            inst_arr = (
-                np.concatenate(parts_i) if parts_i else np.empty(0, np.int64)
-            )
-            stage_vals = (
-                np.concatenate(parts_v) if parts_v else np.empty(0)
-            )
-            offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-            layout = SegmentLayout(offsets, 1, sample.attrs.size)
-            if used_rle:
-                rle_state = encode_segments(stage_vals, offsets)
-                vals = None
-            else:
-                rle_state = None
-                vals = stage_vals
             inst2local = np.where(sample.inst_mask, 0, -1).astype(np.int64)
             n_inc = sample.n_included
         tree.add_root(n_inc)
-        device.launch(
-            "stage_attribute_lists",
-            elements=X.nnz,
-            flops_per_element=0.5,
-            coalesced_bytes=X.nnz * 16,
-        )
 
         node_tree_ids = np.array([0], dtype=np.int64)
         with device.phase("gradients"), span("gradients"):
@@ -391,19 +512,20 @@ class GPUGBDTTrainer:
             n_active = node_tree_ids.size
             if n_active == 0:
                 break
-            with device.phase("find_split"), span("find_split", depth=_depth, nodes=n_active):
-                if used_rle:
-                    best = find_best_splits_rle(
-                        device, rle_state, inst_arr, layout, g, h, node_g, node_h, node_n,
-                        lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey, setkey_c=p.setkey_c,
-                        workspace=ws,
-                    )
-                else:
-                    best = find_best_splits_sparse(
-                        device, vals, inst_arr, layout, g, h, node_g, node_h, node_n,
-                        lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey, setkey_c=p.setkey_c,
-                        workspace=ws,
-                    )
+            with span("find_split", depth=_depth, nodes=n_active):
+                bests = []
+                for shard in shards:
+                    with shard.device.phase("find_split"):
+                        self._page_in(shard)
+                        find = find_best_splits_rle if used_rle else find_best_splits_sparse
+                        bests.append(find(
+                            shard.device, shard.rle if used_rle else shard.vals,
+                            shard.inst, shard.layout, g, h, node_g, node_h, node_n,
+                            lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey,
+                            setkey_c=p.setkey_c, workspace=shard.workspace,
+                        ))
+                        self._exchange_winners(shard, n_active)
+            best, owner = _combine_winners(shards, bests)
 
             split_mask = best.found & (best.gain > p.gamma)
 
@@ -426,7 +548,7 @@ class GPUGBDTTrainer:
                 for j, loc in enumerate(split_locals):
                     lid, rid = tree.split_node(
                         int(node_tree_ids[loc]),
-                        int(self._tree_attrs[best.attr[loc]]),
+                        int(best.attr[loc]),
                         float(best.threshold[loc]),
                         bool(best.default_left[loc]),
                         float(best.gain[loc]),
@@ -459,37 +581,15 @@ class GPUGBDTTrainer:
                     active = (inst2local >= 0) & split_mask[local_safe]
                     side_inst[active] = default_side[inst2local[active]]
 
-                # present entries of the chosen segments override the default
-                if ws.enabled:
-                    # only the chosen segments' entries: their ranges laid end
-                    # to end, each entry compared with its segment's split point
-                    seg = best.seg[split_locals]
-                    lo = layout.offsets[seg]
-                    reps = layout.offsets[seg + 1] - lo
-                    ent = np.repeat(lo - np.cumsum(reps) + reps, reps)
-                    ent += ws.arange(ent.size)
-                    elem_right = ent >= np.repeat(best.elem_pos[split_locals], reps)
-                    side_inst[inst_arr[ent]] = elem_right
-                else:
-                    S = layout.n_segments
-                    n_el = layout.n_elements
-                    split_pos = np.full(S, -1, dtype=np.int64)
-                    split_pos[best.seg[split_locals]] = best.elem_pos[split_locals]
-                    sid = np.repeat(np.arange(S, dtype=np.int64), np.diff(layout.offsets))
-                    chosen = split_pos[sid] >= 0
-                    elem_idx = np.arange(n_el, dtype=np.int64)
-                    elem_side = (elem_idx < split_pos[sid]).astype(np.int8)
-                    side_inst[inst_arr[chosen]] = np.where(elem_side[chosen] == 1, 0, 1)
-                device.launch(
-                    "update_instance_to_node",
-                    elements=n * self.row_scale,
-                    flops_per_element=2.0,
-                    coalesced_bytes=n * self.row_scale * 9,
-                    irregular_bytes=node_n[split_locals].sum()
-                    * (self.device.work_scale / max(d, 1))
-                    * 4,
-                    scale=False,
-                )
+                # present entries of the chosen segments override the default;
+                # each winner's own shard holds its segment
+                owners = []
+                for si, shard in enumerate(shards):
+                    owned = split_locals[owner[split_locals] == si]
+                    if owned.size:
+                        _route_present(shard, best, owned, side_inst)
+                        owners.append(shard)
+                self._charge_routing(owners, n, d, node_n[split_locals].sum())
 
                 if ws.enabled:
                     # ping-pong: read the previous level's map, write this one's
@@ -503,83 +603,13 @@ class GPUGBDTTrainer:
                     inst2local = np.where(active, new_local_of[local_safe] + side_inst, -1)
 
                 # ---- partition the attribute lists -------------------------
-                d_used = layout.n_attrs
-                seg_node = layout.seg_node()
-                seg_attr = layout.seg_attr()
-                splitting_seg = split_mask[seg_node]
-                child_base = new_local_of[seg_node]
-                left_seg = np.where(splitting_seg, child_base * d_used + seg_attr, -1)
-                right_seg = np.where(splitting_seg, (child_base + 1) * d_used + seg_attr, -1)
-
-                if ws.enabled:
-                    side_ent = ws.buf("tree/side_ent", inst_arr.size, np.int8)
-                    np.take(side_inst, inst_arr, out=side_ent)
-                else:
-                    side_ent = side_inst[inst_arr]
-                plan = plan_partition(
-                    int(layout.n_elements * device.work_scale),
-                    k,
-                    max_counter_mem_bytes=p.max_counter_mem_bytes,
-                    use_custom_workload=p.use_custom_workload,
-                    fixed_thread_workload=p.fixed_thread_workload,
-                )
-                # the decompression strategy consumes -1-coded drops, so the
-                # trash-slot scatter is reserved for the other code paths
-                use_trash = ws.enabled and (not used_rle or p.use_direct_rle)
-                dest, new_offsets = partition_segments(
-                    device,
-                    layout.offsets,
-                    side_ent,
-                    left_seg,
-                    right_seg,
-                    2 * k * d_used,
-                    plan,
-                    bytes_per_element=8 if used_rle else 16,
-                    workspace=ws,
-                    drop_to_trash=use_trash,
-                )
-                n_new = int(new_offsets[-1])
-                if use_trash:
-                    # full-array stable scatter: dropped elements pile into the
-                    # single trash slot past the end, no boolean compression
-                    pp = _depth % 2
-                    new_inst = ws.buf(f"tree/inst/{pp}", n_new + 1, IDX_DTYPE)
-                    new_inst[dest] = inst_arr
-                    new_inst = new_inst[:n_new]
-                    if used_rle:
-                        rle_state = split_runs_direct(
-                            device,
-                            rle_state,
-                            side_ent,
-                            left_seg,
-                            right_seg,
-                            2 * k * d_used,
-                            workspace=ws,
-                            parity=_depth,
+                for shard in shards:
+                    with shard.device.phase("split_node"):
+                        self._page_in(shard)
+                        self._partition(
+                            shard, side_inst, split_mask, new_local_of, k, _depth, used_rle
                         )
-                    else:
-                        val_buf = ws.buf(f"tree/vals/{pp}", n_new + 1, np.float64)
-                        val_buf[dest] = vals
-                        vals = val_buf[:n_new]
-                else:
-                    keep = dest >= 0
-                    new_inst = np.empty(n_new, dtype=np.int64)
-                    new_inst[dest[keep]] = inst_arr[keep]
-                    if used_rle:
-                        if p.use_direct_rle:
-                            rle_state = split_runs_direct(
-                                device, rle_state, side_ent, left_seg, right_seg, 2 * k * d_used
-                            )
-                        else:
-                            rle_state = split_runs_with_decompression(
-                                device, rle_state, dest, new_offsets
-                            )
-                    else:
-                        new_vals = np.empty(n_new, dtype=np.float64)
-                        new_vals[dest[keep]] = vals[keep]
-                        vals = new_vals
-                inst_arr = new_inst
-                layout = SegmentLayout(new_offsets, 2 * k, d_used)
+                        self._page_out(shard)
 
                 # ---- child statistics from the chosen splits ---------------
                 lg = best.left_g[split_locals]
@@ -617,6 +647,80 @@ class GPUGBDTTrainer:
             inst2local[:] = -1
         return tree
 
+    def _partition(
+        self, shard: ColumnShard, side_inst: np.ndarray, split_mask: np.ndarray,
+        new_local_of: np.ndarray, k: int, depth: int, used_rle: bool,
+    ) -> None:
+        """Order-preserving split of one shard's lists into the children's."""
+        p = self.params
+        device = shard.device
+        ws = shard.workspace
+        layout = shard.layout
+        d_used = layout.n_attrs
+        seg_node = layout.seg_node()
+        seg_attr = layout.seg_attr()
+        splitting_seg = split_mask[seg_node]
+        child_base = new_local_of[seg_node]
+        left_seg = np.where(splitting_seg, child_base * d_used + seg_attr, -1)
+        right_seg = np.where(splitting_seg, (child_base + 1) * d_used + seg_attr, -1)
+
+        inst_arr = shard.inst
+        if ws.enabled:
+            side_ent = ws.buf("tree/side_ent", inst_arr.size, np.int8)
+            np.take(side_inst, inst_arr, out=side_ent)
+        else:
+            side_ent = side_inst[inst_arr]
+        plan = plan_partition(
+            int(layout.n_elements * device.work_scale),
+            k,
+            max_counter_mem_bytes=p.max_counter_mem_bytes,
+            use_custom_workload=p.use_custom_workload,
+            fixed_thread_workload=p.fixed_thread_workload,
+        )
+        # the decompression strategy consumes -1-coded drops, so the
+        # trash-slot scatter is reserved for the other code paths
+        use_trash = ws.enabled and (not used_rle or p.use_direct_rle)
+        dest, new_offsets = partition_segments(
+            device, layout.offsets, side_ent, left_seg, right_seg, 2 * k * d_used, plan,
+            bytes_per_element=8 if used_rle else 16, workspace=ws, drop_to_trash=use_trash,
+        )
+        n_new = int(new_offsets[-1])
+        if use_trash:
+            # full-array stable scatter: dropped elements pile into the
+            # single trash slot past the end, no boolean compression
+            pp = depth % 2
+            new_inst = ws.buf(f"tree/inst/{pp}", n_new + 1, IDX_DTYPE)
+            new_inst[dest] = inst_arr
+            new_inst = new_inst[:n_new]
+            if used_rle:
+                shard.rle = split_runs_direct(
+                    device, shard.rle, side_ent, left_seg, right_seg, 2 * k * d_used,
+                    workspace=ws, parity=depth,
+                )
+            else:
+                val_buf = ws.buf(f"tree/vals/{pp}", n_new + 1, np.float64)
+                val_buf[dest] = shard.vals
+                shard.vals = val_buf[:n_new]
+        else:
+            keep = dest >= 0
+            new_inst = np.empty(n_new, dtype=np.int64)
+            new_inst[dest[keep]] = inst_arr[keep]
+            if used_rle:
+                if p.use_direct_rle:
+                    shard.rle = split_runs_direct(
+                        device, shard.rle, side_ent, left_seg, right_seg, 2 * k * d_used
+                    )
+                else:
+                    shard.rle = split_runs_with_decompression(
+                        device, shard.rle, dest, new_offsets
+                    )
+            else:
+                new_vals = np.empty(n_new, dtype=np.float64)
+                new_vals[dest[keep]] = shard.vals[keep]
+                shard.vals = new_vals
+        shard.inst = new_inst
+        shard.layout = SegmentLayout(new_offsets, 2 * k, d_used)
+
     def _finalize_leaves(
         self,
         tree: DecisionTree,
@@ -652,3 +756,30 @@ class GPUGBDTTrainer:
         ids = np.flatnonzero(settled)
         gc.on_leaves(ids, values[inst2local[ids]])
         inst2local[ids] = -1
+
+
+def _route_present(
+    shard: ColumnShard, best: NodeBestSplits, owned: np.ndarray, side_inst: np.ndarray
+) -> None:
+    """Send the present entries of ``owned`` nodes' chosen segments to their
+    side: entries before the split position go left (0), the rest right."""
+    layout = shard.layout
+    if shard.workspace.enabled:
+        # only the chosen segments' entries: their ranges laid end to end,
+        # each entry compared with its segment's split point
+        seg = best.seg[owned]
+        lo = layout.offsets[seg]
+        reps = layout.offsets[seg + 1] - lo
+        ent = np.repeat(lo - np.cumsum(reps) + reps, reps)
+        ent += shard.workspace.arange(ent.size)
+        elem_right = ent >= np.repeat(best.elem_pos[owned], reps)
+        side_inst[shard.inst[ent]] = elem_right
+    else:
+        S = layout.n_segments
+        split_pos = np.full(S, -1, dtype=np.int64)
+        split_pos[best.seg[owned]] = best.elem_pos[owned]
+        sid = np.repeat(np.arange(S, dtype=np.int64), np.diff(layout.offsets))
+        chosen = split_pos[sid] >= 0
+        elem_idx = np.arange(layout.n_elements, dtype=np.int64)
+        elem_side = (elem_idx < split_pos[sid]).astype(np.int8)
+        side_inst[shard.inst[chosen]] = np.where(elem_side[chosen] == 1, 0, 1)

@@ -18,10 +18,14 @@ Per level:
 3. re-upload each group to partition its lists, then download the
    partitioned lists back to host.
 
-The trees are identical to in-memory training (asserted by tests) -- the
-algorithm is still exact; only the PCIe traffic grows.  The modeled-time
-overhead quantifies what the paper's "reduce data transferring between
-CPUs and GPUs" advice is worth.
+The trainer is :class:`~repro.core.trainer.GPUGBDTTrainer` with one column
+shard per group, all on the one device; the shared grow loop runs the steps
+above and the streaming is charged through its ``_page_in`` /
+``_exchange_winners`` / ``_page_out`` hooks.  The trees are identical to
+in-memory training (asserted by tests) -- also under row/column subsampling
+and warm starts -- because the algorithm is still exact; only the PCIe
+traffic grows.  The modeled-time overhead quantifies what the paper's
+"reduce data transferring between CPUs and GPUs" advice is worth.
 
 .. note::
    This column-group streamer keeps every group resident in host memory;
@@ -33,25 +37,18 @@ CPUs and GPUs" advice is worth.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from ..core.booster_model import GBDTModel
 from ..core.params import GBDTParams
-from ..core.partition import partition_segments, plan_partition
-from ..core.rle_split import split_runs_direct, split_runs_with_decompression
-from ..core.smartgd import GradientComputer
-from ..core.split import SegmentLayout, find_best_splits_rle, find_best_splits_sparse
-from ..core.tree import DecisionTree
+from ..core.trainer import ColumnShard, GPUGBDTTrainer
 from ..data.matrix import CSRMatrix
-from ..data.rle import decide_compression, encode_segments
 from ..data.sorted_columns import build_sorted_columns
-from ..ext.multigpu import MultiGpuGBDTTrainer, _comm, _Shard
 from ..gpusim.device import TITAN_X_PASCAL, DeviceSpec
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.memory import DeviceOutOfMemory
-from ..obs import span
+from .multigpu import _comm, build_column_shard
 
 __all__ = ["OutOfCoreGBDTTrainer", "plan_column_groups"]
 
@@ -89,7 +86,7 @@ def plan_column_groups(
     return [np.asarray(g, dtype=np.int64) for g in groups if g]
 
 
-class OutOfCoreGBDTTrainer:
+class OutOfCoreGBDTTrainer(GPUGBDTTrainer):
     """Exact GBDT training with host-resident, group-streamed columns.
 
     Parameters
@@ -111,9 +108,11 @@ class OutOfCoreGBDTTrainer:
         row_scale: float = 1.0,
         group_budget_bytes: float | None = None,
     ) -> None:
-        self.params = params if params is not None else GBDTParams()
-        self.device = GpuDevice(spec, work_scale=work_scale, seg_scale=seg_scale)
-        self.row_scale = float(row_scale)
+        super().__init__(
+            params,
+            GpuDevice(spec, work_scale=work_scale, seg_scale=seg_scale),
+            row_scale=row_scale,
+        )
         self.group_budget_bytes = (
             float(group_budget_bytes)
             if group_budget_bytes is not None
@@ -122,291 +121,48 @@ class OutOfCoreGBDTTrainer:
         self.n_groups_: int | None = None
         self.used_rle = False
 
-    def elapsed_seconds(self) -> float:
-        """Modeled wall time including the group streaming traffic."""
-        return self.device.elapsed_seconds()
-
-    # ------------------------------------------------------------------- fit
-    def fit(self, X: CSRMatrix, y: np.ndarray) -> GBDTModel:
-        """Pack columns into device-sized groups, then train streamed."""
-        p = self.params
+    # ------------------------------------------------------------------ hooks
+    def _build_shards(self, X: CSRMatrix) -> Tuple[List[ColumnShard], bool]:
+        """Pack columns into device-sized groups kept in host memory."""
         device = self.device
-        y = np.asarray(y, dtype=np.float64)
-        n, d = X.shape
-
         csc = X.to_csc()
-        col_nnz = np.diff(csc.indptr)
         groups = plan_column_groups(
-            col_nnz, device.work_scale, self.group_budget_bytes
+            np.diff(csc.indptr), device.work_scale, self.group_budget_bytes
         )
         self.n_groups_ = len(groups)
-
-        full_cols = build_sorted_columns(csc)
-        self.used_rle = p.use_rle and decide_compression(
-            p.rle_policy,
-            n_rows=n,
-            n_cols=d,
-            values=full_cols.values,
-            offsets=full_cols.col_offsets,
-            paper_threshold=p.rle_paper_threshold,
-            measured_threshold=p.rle_measured_threshold,
-        )
-
+        self.used_rle = self._decide_rle(build_sorted_columns(csc))
         # group state lives on the HOST; the device holds one group at a time
-        shards: List[_Shard] = []
-        for attrs in groups:
-            shard = _Shard(device, attrs)
-            sub = MultiGpuGBDTTrainer._column_subset(csc, attrs)
-            with device.phase("setup"):
-                cols = build_sorted_columns(sub, device)
-                shard.base_inst = cols.inst
-                shard.base_offsets = cols.col_offsets
-                if self.used_rle:
-                    shard.base_rle = encode_segments(cols.values, cols.col_offsets)
-                else:
-                    shard.base_vals = cols.values
-            shards.append(shard)
+        shards = [build_column_shard(csc, a, device, self.used_rle) for a in groups]
+        n_full = X.n_rows * self.row_scale
         device.memory.alloc("resident_group", self.group_budget_bytes)
-        device.memory.alloc("gradients_gh", n * self.row_scale * 8)
-        device.memory.alloc("predictions", n * self.row_scale * 4)
-        device.memory.alloc("instance_to_node", n * self.row_scale * 4)
+        device.memory.alloc("gradients_gh", n_full * 8)
+        device.memory.alloc("predictions", n_full * 4)
+        device.memory.alloc("instance_to_node", n_full * 4)
+        return shards, self.used_rle
 
-        gc = GradientComputer(
-            device, p.loss_fn, y, use_smartgd=p.use_smartgd,
-            row_scale=self.row_scale, X=X,
-        )
+    def _round_span_attrs(self) -> dict:
+        return {"groups": self.n_groups_, "rle": self.used_rle}
 
-        trees: List[DecisionTree] = []
-        for round_ in range(p.n_trees):
-            with span(
-                "outofcore.boost_round",
-                round=round_,
-                groups=self.n_groups_,
-                rle=self.used_rle,
-            ):
-                with device.phase("gradients"):
-                    g, h = gc.compute()
-                tree = self._grow_tree(shards, X, g, h, gc)
-                gc.on_tree_finished(tree)
-                trees.append(tree)
-        return GBDTModel(trees=trees, params=p, base_score=p.loss_fn.base_score(y))
-
-    # ----------------------------------------------------------------- level
-    def _group_bytes(self, shard: _Shard) -> float:
+    def _group_bytes(self, shard: ColumnShard) -> float:
         """Current list bytes of a group (values/runs + instance ids)."""
-        if self.used_rle:
-            value_bytes = shard.rle.n_runs * 8 if shard.rle is not None else 0
-        else:
-            value_bytes = shard.vals.size * 4 if shard.vals is not None else 0
+        value_bytes = shard.rle.n_runs * 8 if self.used_rle else shard.vals.size * 4
         return value_bytes + shard.inst.size * 4
 
-    def _grow_tree(self, shards, X, g, h, gc) -> DecisionTree:
-        p = self.params
-        device = self.device
-        n, d = X.shape
+    def _stream(self, shard: ColumnShard, op: str, direction: str) -> None:
+        nbytes = self._group_bytes(shard)
+        self.device.transfer(op, nbytes, direction=direction)
+        # the transfer is work_scale-extrapolated; the counter must report
+        # the same full-scale bytes
+        _comm("outofcore", op, nbytes * self.device.work_scale)
 
-        tree = DecisionTree()
-        tree.add_root(n)
-        for shard in shards:
-            shard.inst = shard.base_inst.copy()
-            shard.vals = None if self.used_rle else shard.base_vals.copy()
-            shard.rle = shard.base_rle
-            shard.layout = SegmentLayout(shard.base_offsets.copy(), 1, shard.attrs.size)
+    def _page_in(self, shard: ColumnShard) -> None:
+        self._stream(shard, "stream_group_in", "h2d")
 
-        inst2local = np.zeros(n, dtype=np.int64)
-        node_tree_ids = np.array([0], dtype=np.int64)
-        node_g = np.array([float(np.bincount(np.zeros(n, np.int64), weights=g)[0])])
-        node_h = np.array([float(np.bincount(np.zeros(n, np.int64), weights=h)[0])])
-        node_n = np.array([n], dtype=np.int64)
+    def _exchange_winners(self, shard: ColumnShard, n_active: int) -> None:
+        self.device.transfer(
+            "download_group_winners", n_active * 64, direction="d2h", scale=False
+        )
+        _comm("outofcore", "download_group_winners", n_active * 64)
 
-        for _depth in range(p.max_depth):
-            n_active = node_tree_ids.size
-
-            # 1. stream each group in, find its best splits
-            bests = []
-            for shard in shards:
-                with device.phase("find_split"):
-                    device.transfer("stream_group_in", self._group_bytes(shard))
-                    # the transfer above is work_scale-extrapolated; the
-                    # counter must report the same full-scale bytes
-                    _comm(
-                        "outofcore", "stream_group_in",
-                        self._group_bytes(shard) * device.work_scale,
-                    )
-                    if self.used_rle:
-                        b = find_best_splits_rle(
-                            device, shard.rle, shard.inst, shard.layout,
-                            g, h, node_g, node_h, node_n,
-                            lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey,
-                            setkey_c=p.setkey_c,
-                        )
-                    else:
-                        b = find_best_splits_sparse(
-                            device, shard.vals, shard.inst, shard.layout,
-                            g, h, node_g, node_h, node_n,
-                            lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey,
-                            setkey_c=p.setkey_c,
-                        )
-                    device.transfer(
-                        "download_group_winners", n_active * 64, direction="d2h", scale=False
-                    )
-                    _comm("outofcore", "download_group_winners", n_active * 64)
-                bests.append(b)
-
-            # 2. combine winners on the host (strict gain, lowest global attr)
-            win_grp = np.full(n_active, -1, dtype=np.int64)
-            win_gain = np.full(n_active, -np.inf)
-            win_attr = np.full(n_active, -1, dtype=np.int64)
-            for gi, (shard, b) in enumerate(zip(shards, bests)):
-                gattr = np.where(b.attr >= 0, shard.attrs[np.maximum(b.attr, 0)], -1)
-                better = b.found & (
-                    (b.gain > win_gain)
-                    | ((b.gain == win_gain) & (gattr < win_attr) & (win_attr >= 0))
-                )
-                win_grp[better] = gi
-                win_gain[better] = b.gain[better]
-                win_attr[better] = gattr[better]
-
-            split_mask = (win_grp >= 0) & (win_gain > p.gamma)
-
-            # 3. leaves
-            leaf_locals = np.flatnonzero(~split_mask)
-            if leaf_locals.size:
-                values = np.zeros(n_active)
-                values[leaf_locals] = (
-                    -p.learning_rate * node_g[leaf_locals] / (node_h[leaf_locals] + p.lambda_)
-                )
-                for loc in leaf_locals:
-                    tree.set_leaf(int(node_tree_ids[loc]), float(values[loc]))
-                is_leaf = np.zeros(n_active, dtype=bool)
-                is_leaf[leaf_locals] = True
-                safe = np.maximum(inst2local, 0)
-                settled = (inst2local >= 0) & is_leaf[safe]
-                ids = np.flatnonzero(settled)
-                gc.on_leaves(ids, values[inst2local[ids]])
-                inst2local[ids] = -1
-            if not split_mask.any():
-                break
-
-            split_locals = np.flatnonzero(split_mask)
-            kk = split_locals.size
-            new_tree_ids = np.empty(2 * kk, dtype=np.int64)
-            for j, loc in enumerate(split_locals):
-                b = bests[win_grp[loc]]
-                lid, rid = tree.split_node(
-                    int(node_tree_ids[loc]), int(win_attr[loc]),
-                    float(b.threshold[loc]), bool(b.default_left[loc]),
-                    float(b.gain[loc]),
-                    n_left=int(b.left_n[loc]),
-                    n_right=int(node_n[loc] - b.left_n[loc]),
-                )
-                new_tree_ids[2 * j] = lid
-                new_tree_ids[2 * j + 1] = rid
-
-            # 4. instance routing from the winning groups' segments
-            new_local_of = np.full(n_active, -1, dtype=np.int64)
-            new_local_of[split_locals] = 2 * np.arange(kk, dtype=np.int64)
-            side_inst = np.full(n, -1, dtype=np.int8)
-            safe = np.maximum(inst2local, 0)
-            active = (inst2local >= 0) & split_mask[safe]
-            for loc in split_locals:
-                b = bests[win_grp[loc]]
-                members = active & (inst2local == loc)
-                side_inst[members] = 0 if b.default_left[loc] else 1
-            for gi, shard in enumerate(shards):
-                owned = split_locals[win_grp[split_locals] == gi]
-                if owned.size == 0:
-                    continue
-                b = bests[gi]
-                S = shard.layout.n_segments
-                split_pos = np.full(S, -1, dtype=np.int64)
-                split_pos[b.seg[owned]] = b.elem_pos[owned]
-                sid = np.repeat(np.arange(S, dtype=np.int64), np.diff(shard.layout.offsets))
-                chosen = split_pos[sid] >= 0
-                elem_idx = np.arange(shard.layout.n_elements, dtype=np.int64)
-                es = (elem_idx < split_pos[sid]).astype(np.int8)
-                side_inst[shard.inst[chosen]] = np.where(es[chosen] == 1, 0, 1)
-            device.launch(
-                "update_instance_to_node",
-                elements=n * self.row_scale,
-                flops_per_element=2.0,
-                coalesced_bytes=n * self.row_scale * 9,
-                scale=False,
-            )
-            inst2local = np.where(active, new_local_of[safe] + side_inst, -1)
-
-            # 5. stream each group back in to partition it, then page it out
-            for shard in shards:
-                d_dev = shard.attrs.size
-                seg_node = shard.layout.seg_node()
-                seg_attr = shard.layout.seg_attr()
-                splitting_seg = split_mask[seg_node]
-                child_base = new_local_of[seg_node]
-                left_seg = np.where(splitting_seg, child_base * d_dev + seg_attr, -1)
-                right_seg = np.where(splitting_seg, (child_base + 1) * d_dev + seg_attr, -1)
-                side_ent = side_inst[shard.inst]
-                plan = plan_partition(
-                    int(shard.layout.n_elements * device.work_scale), kk,
-                    max_counter_mem_bytes=p.max_counter_mem_bytes,
-                    use_custom_workload=p.use_custom_workload,
-                    fixed_thread_workload=p.fixed_thread_workload,
-                )
-                with device.phase("split_node"):
-                    device.transfer("stream_group_in", self._group_bytes(shard))
-                    _comm(
-                        "outofcore", "stream_group_in",
-                        self._group_bytes(shard) * device.work_scale,
-                    )
-                    dest, new_offsets = partition_segments(
-                        device, shard.layout.offsets, side_ent,
-                        left_seg, right_seg, 2 * kk * d_dev, plan,
-                        bytes_per_element=8 if self.used_rle else 16,
-                    )
-                    keep = dest >= 0
-                    n_new = int(new_offsets[-1])
-                    new_inst = np.empty(n_new, dtype=np.int64)
-                    new_inst[dest[keep]] = shard.inst[keep]
-                    if self.used_rle:
-                        if p.use_direct_rle:
-                            shard.rle = split_runs_direct(
-                                device, shard.rle, side_ent, left_seg, right_seg,
-                                2 * kk * d_dev,
-                            )
-                        else:
-                            shard.rle = split_runs_with_decompression(
-                                device, shard.rle, dest, new_offsets
-                            )
-                    else:
-                        new_vals = np.empty(n_new)
-                        new_vals[dest[keep]] = shard.vals[keep]
-                        shard.vals = new_vals
-                    shard.inst = new_inst
-                    shard.layout = SegmentLayout(new_offsets, 2 * kk, d_dev)
-                    device.transfer(
-                        "stream_group_out", self._group_bytes(shard), direction="d2h"
-                    )
-                    _comm(
-                        "outofcore", "stream_group_out",
-                        self._group_bytes(shard) * device.work_scale,
-                    )
-
-            lg = np.array([bests[win_grp[loc]].left_g[loc] for loc in split_locals])
-            lh = np.array([bests[win_grp[loc]].left_h[loc] for loc in split_locals])
-            ln = np.array([bests[win_grp[loc]].left_n[loc] for loc in split_locals])
-            pg, ph, pn = node_g[split_locals], node_h[split_locals], node_n[split_locals]
-            node_g = np.empty(2 * kk)
-            node_h = np.empty(2 * kk)
-            node_n = np.empty(2 * kk, dtype=np.int64)
-            node_g[0::2], node_g[1::2] = lg, pg - lg
-            node_h[0::2], node_h[1::2] = lh, ph - lh
-            node_n[0::2], node_n[1::2] = ln, pn - ln
-            node_tree_ids = new_tree_ids
-
-        if node_tree_ids.size and (inst2local >= 0).any():
-            values = -p.learning_rate * node_g / (node_h + p.lambda_)
-            for loc in range(node_tree_ids.size):
-                tree.set_leaf(int(node_tree_ids[loc]), float(values[loc]))
-            ids = np.flatnonzero(inst2local >= 0)
-            gc.on_leaves(ids, values[inst2local[ids]])
-            inst2local[:] = -1
-        return tree
+    def _page_out(self, shard: ColumnShard) -> None:
+        self._stream(shard, "stream_group_out", "d2h")

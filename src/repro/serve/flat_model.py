@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.workspace import WorkspaceArena, arena_enabled_default
 from ..data.matrix import CSRMatrix, DenseMatrix
 from ..obs import span
 
@@ -234,25 +233,19 @@ class FlatEnsemble:
         if n == 0 or self.n_trees == 0:
             return out
         with span("flat_predict", rows=n, trees=self.n_trees):
-            # a per-call arena keeps the pair temporaries reused across chunks
-            # and levels while staying safe under concurrent predict calls
-            # (the server's worker threads never share scratch)
-            ws = WorkspaceArena(enabled=arena_enabled_default())
             chunk = max(1, _PAIRS_PER_CHUNK // self.n_trees)
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)
-                out[lo:hi] += self._route_block(dense[lo:hi], ws)
+                out[lo:hi] += self._route_block(dense[lo:hi])
         return out
 
-    def _route_block(self, dense: np.ndarray, ws: WorkspaceArena | None = None) -> np.ndarray:
+    def _route_block(self, dense: np.ndarray) -> np.ndarray:
         """Sum of leaf values over all trees for one row block (no base)."""
         n, d = dense.shape
         T = self.n_trees
         flat_x = np.ascontiguousarray(dense).reshape(-1)
         has_nan = bool(np.isnan(flat_x).any())
         roots = self.tree_offset[:-1]
-        if ws is not None and ws.enabled:
-            return self._route_block_arena(flat_x, has_nan, roots, n, d, T, ws)
         # one (row, tree) pair per slot; all pairs start at their tree's root
         cur = np.broadcast_to(roots, (n, T)).reshape(-1).copy()
         row_base = np.repeat(np.arange(n, dtype=np.int64) * d, T)
@@ -283,81 +276,6 @@ class FlatEnsemble:
                 a_cur = a_cur[live]
                 a_row = a_row[live]
         return self.value.take(cur).reshape(n, T).sum(axis=1)
-
-    def _route_block_arena(
-        self,
-        flat_x: np.ndarray,
-        has_nan: bool,
-        roots: np.ndarray,
-        n: int,
-        d: int,
-        T: int,
-        ws: WorkspaceArena,
-    ) -> np.ndarray:
-        """Arena variant of :meth:`_route_block`: the full-width per-level
-        temporaries are reused views (only the shrinking frontier-compaction
-        copies still allocate).  Routing decisions and the final per-row
-        leaf-value sum are bit-identical to the legacy body."""
-        P = n * T
-        cur = ws.buf("pred/cur", P, np.int32)
-        np.copyto(cur.reshape(n, T), roots)
-        row_off = ws.buf("pred/row_off", n, np.int64)
-        np.multiply(ws.arange(n), d, out=row_off)
-        row_base = ws.buf("pred/row_base", P, np.int64)
-        np.copyto(row_base.reshape(n, T), row_off[:, None])
-        active = None  # None means "every pair", else global slot indices
-        a_cur, a_row = cur, row_base
-        for level in range(self.max_depth):
-            m = a_cur.size
-            attr_buf = ws.buf("pred/attr", m, np.int32)
-            np.take(self.attr, a_cur, out=attr_buf)
-            idx = ws.buf("pred/x_idx", m, np.int64)
-            np.add(a_row, attr_buf, out=idx)
-            x = ws.buf("pred/x", m, np.float64)
-            np.take(flat_x, idx, out=x)
-            thr = ws.buf("pred/thr", m, np.float64)
-            np.take(self.threshold, a_cur, out=thr)
-            go_left = ws.buf("pred/go_left", m, bool)
-            with np.errstate(invalid="ignore"):
-                np.greater(x, thr, out=go_left)
-            if has_nan:
-                miss = ws.buf("pred/miss", m, bool)
-                np.isnan(x, out=miss)
-                if miss.any():
-                    dl = ws.buf("pred/dl", m, bool)
-                    np.take(self.default_left, a_cur, out=dl)
-                    np.logical_and(miss, dl, out=miss)
-                    np.logical_or(go_left, miss, out=go_left)
-            # right child = left + 1; leaves have step 0 and stay put.
-            # The child buffer ping-pongs because a_cur may alias the
-            # previous level's view of the same name.
-            child = ws.buf(f"pred/child/{level % 2}", m, np.int32)
-            np.take(self.left, a_cur, out=child)
-            step_buf = ws.buf("pred/step", m, np.int32)
-            np.take(self.step, a_cur, out=step_buf)
-            np.logical_not(go_left, out=go_left)
-            np.multiply(step_buf, go_left, out=step_buf)
-            np.add(child, step_buf, out=child)
-            a_cur = child
-            if active is None:
-                np.copyto(cur, a_cur)
-            else:
-                cur[active] = a_cur
-            np.take(self.step, a_cur, out=step_buf)
-            live = ws.buf("pred/live", m, bool)
-            np.equal(step_buf, 1, out=live)
-            if not live.all():
-                if active is None:
-                    active = np.flatnonzero(live)
-                else:
-                    active = active[live]
-                if active.size == 0:
-                    break
-                a_cur = a_cur[live]
-                a_row = a_row[live]
-        leaf_vals = ws.buf("pred/leaf_vals", P, np.float64)
-        np.take(self.value, cur, out=leaf_vals)
-        return leaf_vals.reshape(n, T).sum(axis=1)
 
     def predict_one(self, row: np.ndarray) -> float:
         """Single dense row via scalar traversal (the overload fallback --

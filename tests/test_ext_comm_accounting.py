@@ -106,7 +106,7 @@ class TestMultiGpuAccounting:
     def test_boost_round_spans_recorded(self):
         _, trainer, _, _, tracer = self._train()
         spans = [
-            s for s in tracer.snapshot() if s["name"] == "multigpu.boost_round"
+            s for s in tracer.snapshot() if s["name"] == "boost_round"
         ]
         assert len(spans) == trainer.params.n_trees
         assert all(s["attrs"]["devices"] == self.K for s in spans)
@@ -171,7 +171,7 @@ class TestOutOfCoreAccounting:
     def test_boost_round_spans_recorded(self):
         _, trainer, _, _, tracer = self._train()
         spans = [
-            s for s in tracer.snapshot() if s["name"] == "outofcore.boost_round"
+            s for s in tracer.snapshot() if s["name"] == "boost_round"
         ]
         assert len(spans) == trainer.params.n_trees
         assert all(s["attrs"]["groups"] == trainer.n_groups_ for s in spans)

@@ -1,5 +1,7 @@
 """Tests for the out-of-core (column-group streamed) trainer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,18 @@ from repro import GBDTParams, GPUGBDTTrainer, GpuDevice, TITAN_X_PASCAL, models_
 from repro.bench.harness import run_gpu_gbdt
 from repro.ext.outofcore import OutOfCoreGBDTTrainer, plan_column_groups
 from repro.gpusim.memory import DeviceOutOfMemory
+
+#: per-tree row/column draws the shared grow loop must honour on every group
+SAMPLING = {
+    "subsample": dict(subsample=0.5),
+    "colsample": dict(colsample_bytree=0.5),
+    "both": dict(subsample=0.5, colsample_bytree=0.5),
+}
+
+
+def _budget(ds, n_cols):
+    """A group budget holding about ``n_cols`` of the largest columns."""
+    return int(np.diff(ds.X.to_csc().indptr).max()) * 8 * n_cols + 64
 
 
 class TestGroupPlanning:
@@ -60,6 +74,46 @@ class TestTreeIdentity:
         model = ooc.fit(ds.X, ds.y)
         assert models_equal(model, single)
         assert ooc.n_groups_ > 1
+
+
+    @pytest.mark.parametrize("dataset", ["covtype_small", "susy_small"])
+    @pytest.mark.parametrize("sampling", sorted(SAMPLING))
+    @pytest.mark.parametrize("budget_cols", [1, 3])
+    def test_identical_under_sampling(self, request, dataset, sampling, budget_cols):
+        ds = request.getfixturevalue(dataset)
+        p = GBDTParams(n_trees=3, max_depth=4, seed=5, **SAMPLING[sampling])
+        single = GPUGBDTTrainer(p).fit(ds.X, ds.y)
+        ooc = OutOfCoreGBDTTrainer(p, group_budget_bytes=_budget(ds, budget_cols))
+        model = ooc.fit(ds.X, ds.y)
+        assert ooc.n_groups_ > 1
+        assert models_equal(model, single)
+
+    @pytest.mark.parametrize("sampling", ["none", "both"])
+    @pytest.mark.parametrize("budget_cols", [1000, 3])
+    def test_warm_start_matches_uninterrupted(self, covtype_small, budget_cols, sampling):
+        """fit(k) then fit(m, init_model=) is byte-equal to fit(k + m) with
+        the same groups.  One group is byte-equal to in-memory training too;
+        with several, leaf values match it only to rounding (each group's
+        segmented scans cancel carries over a different flat prefix)."""
+        ds = covtype_small
+        p = GBDTParams(n_trees=2, max_depth=4, seed=5, **SAMPLING.get(sampling, {}))
+        p4 = dataclasses.replace(p, n_trees=4)
+        budget = _budget(ds, budget_cols)
+        head = OutOfCoreGBDTTrainer(p, group_budget_bytes=budget).fit(ds.X, ds.y)
+        ooc = OutOfCoreGBDTTrainer(p, group_budget_bytes=budget)
+        resumed = ooc.fit(ds.X, ds.y, init_model=head)
+        whole = OutOfCoreGBDTTrainer(p4, group_budget_bytes=budget).fit(ds.X, ds.y)
+        single = GPUGBDTTrainer(p4).fit(ds.X, ds.y)
+        assert resumed.n_trees == 4
+        assert resumed.to_json() == whole.to_json()
+        assert models_equal(resumed, single)
+        if ooc.n_groups_ == 1:
+            assert resumed.to_json() == single.to_json()
+
+    def test_goss_rejected(self, covtype_small):
+        p = GBDTParams(n_trees=1, max_depth=2, goss_a=0.2)
+        with pytest.raises(ValueError, match="GOSS"):
+            OutOfCoreGBDTTrainer(p).fit(covtype_small.X, covtype_small.y)
 
 
 class TestEconomics:

@@ -243,35 +243,3 @@ def test_predict_one_and_predict_row_agree(sparse_small):
         expected = model.base_score + sum(t.predict_row(cols, vals) for t in model.trees)
         assert flat.predict_one(row) == pytest.approx(expected, abs=TOL)
         assert flat.predict_row(cols, vals) == pytest.approx(expected, abs=TOL)
-
-
-@pytest.mark.parametrize("missing_rate", [0.0, 0.4])
-def test_arena_scratch_predictions_bit_identical(missing_rate):
-    """The arena-backed block router must equal the allocating one bit for
-    bit -- it reorders no float operation, it only reuses scratch."""
-    from repro.core.workspace import WorkspaceArena
-
-    rng = np.random.default_rng(123)
-    model = random_model(rng, n_trees=9, n_features=7, max_depth=6)
-    flat = FlatEnsemble.from_model(model, n_features=7)
-    dense, _, _ = random_inputs(rng, n=200, d=7, missing_rate=missing_rate)
-    block = np.ascontiguousarray(dense)
-    legacy = flat._route_block(block)
-    ws = WorkspaceArena(enabled=True)
-    arena_first = flat._route_block(block, ws)
-    arena_reused = flat._route_block(block, ws)  # warm buffers, same answer
-    assert np.array_equal(legacy, arena_first)
-    assert np.array_equal(legacy, arena_reused)
-    assert ws.n_reuses > 0
-
-
-def test_arena_env_toggle_predict_identical(monkeypatch):
-    rng = np.random.default_rng(7)
-    model = random_model(rng, n_trees=4, n_features=5, max_depth=4)
-    flat = FlatEnsemble.from_model(model, n_features=5)
-    dense, _, _ = random_inputs(rng, n=50, d=5, missing_rate=0.3)
-    monkeypatch.setenv("REPRO_ARENA", "0")
-    off = flat.predict(dense)
-    monkeypatch.setenv("REPRO_ARENA", "1")
-    on = flat.predict(dense)
-    assert np.array_equal(off, on)

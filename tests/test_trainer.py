@@ -207,6 +207,25 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="at least 2"):
             GPUGBDTTrainer(GBDTParams(n_trees=1)).fit(X, np.array([1.0]))
 
+    @pytest.mark.parametrize("kind", ["single", "multigpu", "outofcore"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_label_fails_fit(self, covtype_small, kind, bad):
+        """One NaN or inf label used to come back as an all-NaN model."""
+        from repro.ext import MultiGpuGBDTTrainer, OutOfCoreGBDTTrainer
+
+        p = GBDTParams(n_trees=2, max_depth=3)
+        trainer = {
+            "single": lambda: GPUGBDTTrainer(p),
+            "multigpu": lambda: MultiGpuGBDTTrainer(p, n_devices=2),
+            "outofcore": lambda: OutOfCoreGBDTTrainer(p, group_budget_bytes=4096),
+        }[kind]()
+        y = covtype_small.y.copy()
+        y[7] = bad
+        model = None
+        with pytest.raises(ValueError, match="NaN or inf"):
+            model = trainer.fit(covtype_small.X, y)
+        assert model is None and trainer.report is None
+
 
 class TestFacade:
     def test_backend_dispatch(self, covtype_small):
