@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-fast bench bench-quick experiments experiments-quick \
-        baseline compare docs-check loc clean
+        baseline compare experiments-md loc clean
 
 install:
 	PIP_NO_BUILD_ISOLATION=0 pip install -e . --no-build-isolation

@@ -13,7 +13,12 @@ measurable inside the reproduction:
   partitioning and no per-entry prefix sums**, the structural reason
   histogram methods are cheap;
 * candidate splits are the bin boundaries; missing values take the learned
-  default direction exactly as in the exact trainer.
+  default direction exactly as in the exact trainer;
+* one grow loop serves both growth policies: it keeps a list of open
+  leaves, scores the unscored ones in one pass, and a selection rule picks
+  which to split -- every one (``"depthwise"``, a level at a time) or the
+  one with the highest gain (``"lossguide"``, LightGBM's leaf-wise growth
+  bounded by ``max_leaves``).
 
 When every attribute has at most ``max_bins`` distinct values the candidate
 set coincides with the exact trainer's, so the learned *partitions* (tree
@@ -38,7 +43,7 @@ from typing import List
 
 import numpy as np
 
-from ..core.booster_model import GBDTModel
+from ..core.booster_model import GBDTModel, validate_fit
 from ..core.params import GBDTParams
 from ..core.sampling import GossSample, goss_sample
 from ..core.smartgd import GradientComputer
@@ -62,6 +67,17 @@ from .quantile import BinSpec, bin_column_values, build_bins
 
 __all__ = ["HistogramGBDTTrainer"]
 
+#: best-split fields, in the order :func:`scan_histograms` returns them
+_BEST = ("gain", "attr", "cut", "dir", "lgq", "lhq", "ln")
+#: one open leaf of the grow loop: tree node id, fixed-point stats, depth,
+#: and its best split once scored
+_LEAF = np.dtype(
+    [("tid", np.int64), ("gq", np.int64), ("hq", np.int64), ("n", np.int64),
+     ("depth", np.int64), ("scored", bool), ("gain", np.float64),
+     ("attr", np.int64), ("cut", np.int64), ("dir", bool),
+     ("lgq", np.int64), ("lhq", np.int64), ("ln", np.int64)]
+)
+
 
 class HistogramGBDTTrainer:
     """LightGBM-style histogram trainer (the paper's "approximate" rival).
@@ -77,12 +93,20 @@ class HistogramGBDTTrainer:
     ``use_arena`` backs the per-level histogram tables (and gradient
     buffers) with a reusable :class:`~repro.core.workspace.WorkspaceArena`.
 
-    GOSS (``params.goss_a < 1``) is supported by the depthwise policy of
-    this trainer only: each round keeps the top-``a`` fraction of rows by
-    |gradient| plus an amplified ``b``-sample of the rest (see
-    :func:`repro.core.sampling.goss_sample`).  Sampled training is not
-    byte-identical to full-data training -- it is pinned by a differential
-    accuracy gate instead (``tests/test_goss.py``).
+    ``grow_policy`` selects which open leaves the one grow loop splits:
+    ``"depthwise"`` splits all of them (a level at a time, with sibling
+    subtraction); ``"lossguide"`` splits the one with the highest gain
+    until the tree holds ``max_leaves`` leaves (0 = unbounded), scoring the
+    two children of each split in one pass without subtraction.  Both
+    respect ``params.max_depth``.
+
+    GOSS (``params.goss_a < 1``) works under either policy: each round
+    keeps the top-``a`` fraction of rows by |gradient| plus an amplified
+    ``b``-sample of the rest (see :func:`repro.core.sampling.goss_sample`).
+    Sampled training is not byte-identical to full-data training -- it is
+    pinned by a differential accuracy gate instead (``tests/test_goss.py``).
+    ``subsample`` and ``colsample_bytree`` are rejected: this family does
+    not implement them.
     """
 
     GROW_POLICIES = ("depthwise", "lossguide")
@@ -138,28 +162,14 @@ class HistogramGBDTTrainer:
         """
         p = self.params
         device = self.device
-        y = np.asarray(y, dtype=np.float64)
-        n, d = X.shape
-        if y.size != n:
-            raise ValueError("y size mismatch")
-        if n < 2:
-            raise ValueError("need at least 2 training instances")
-        if p.goss_a < 1.0 and self.grow_policy != "depthwise":
-            raise ValueError("GOSS requires the depthwise grow policy")
-        if init_model is not None:
-            if init_model.base_score != p.loss_fn.base_score(y):
-                raise ValueError(
-                    "init_model.base_score does not match the loss base "
-                    "score; resuming would shift every margin"
-                )
-            if init_model.params.learning_rate != p.learning_rate:
-                raise ValueError(
-                    "init_model was trained with a different learning_rate; "
-                    "resumed rounds would not match uninterrupted training"
-                )
-            self._resume = list(init_model.trees)
-        else:
-            self._resume = []
+        y = validate_fit(X, y, p, init_model)
+        n = X.shape[0]
+        if p.subsample < 1.0 or p.colsample_bytree < 1.0:
+            raise ValueError(
+                "subsample and colsample_bytree are not implemented by the "
+                "histogram trainers; sample rows with GOSS (goss_a < 1) instead"
+            )
+        self._resume = [] if init_model is None else list(init_model.trees)
 
         base = self._base_score(y)
         self._nrows = self._global_rows(n)
@@ -199,10 +209,7 @@ class HistogramGBDTTrainer:
                 self._round_goss = goss
             shift = self._round_shift(g, h)
             gq, hq = quantize_gradients(g, h, shift)
-            grow = (
-                self._grow_tree if self.grow_policy == "depthwise" else self._grow_tree_lossguide
-            )
-            tree = grow(
+            tree = self._grow_tree(
                 X, gq, hq, shift, ent_inst, ent_gbin, ent_attr, bin_offset, spec, col_lens, gc
             )
             if goss is not None:
@@ -218,6 +225,26 @@ class HistogramGBDTTrainer:
         return GBDTModel(trees=trees, params=p, base_score=base)
 
     # ------------------------------------------------------------- tree grow
+    @staticmethod
+    def _threshold(spec: BinSpec, a: int, cut: int) -> float:
+        """Split threshold for 'left = bins [0, cut)' of attribute ``a``."""
+        if cut == spec.n_bins(a):
+            # present | missing boundary: every present value goes left
+            return -np.finfo(np.float64).max
+        return float(spec.edges[a][cut - 1])
+
+    def _choose_leaves(self, leaves: np.ndarray, can_split: np.ndarray) -> np.ndarray:
+        """Open-leaf positions to split this step (the grow policy's rule).
+
+        Depthwise splits every splittable leaf: one whole level.  Lossguide
+        splits the first open leaf with the highest gain; the open list is
+        in insertion order, so ties go to the leaf scored first.
+        """
+        cand = np.flatnonzero(can_split)
+        if self.grow_policy == "depthwise" or cand.size == 0:
+            return cand
+        return cand[np.argmax(leaves["gain"][cand])][None]
+
     def _grow_tree(
         self,
         X: CSRMatrix,
@@ -232,10 +259,22 @@ class HistogramGBDTTrainer:
         col_lens: np.ndarray,
         gc: GradientComputer,
     ) -> DecisionTree:
+        """Grow one tree over an insertion-ordered list of open leaves.
+
+        Each step scores the open leaves not yet scored in one
+        :meth:`_find_splits` call, settles those that cannot split (no
+        candidate, gain <= ``gamma``), and splits the ones
+        :meth:`_choose_leaves` picks, appending their children.  Leaves at
+        ``max_depth`` are never scored; they and whatever is still open
+        when growth stops (lossguide's ``max_leaves``) settle at the end.
+        ``inst2local`` maps each row to its open leaf's position, -1 once
+        settled or left out by GOSS.
+        """
         p = self.params
         device = self.device
-        n, d = X.shape
+        n = X.shape[0]
         total_bins = int(bin_offset[-1])
+        lossguide = self.grow_policy == "lossguide"
 
         goss = self._round_goss
         if goss is None:
@@ -249,116 +288,112 @@ class HistogramGBDTTrainer:
             root_gq, root_hq, root_n = self._root_sums(gq, hq, goss.n_kept)
         tree = DecisionTree()
         tree.add_root(root_n)
-        node_tree_ids = np.array([0], dtype=np.int64)
-        node_gq = np.array([root_gq], dtype=np.int64)
-        node_hq = np.array([root_hq], dtype=np.int64)
-        node_n = np.array([root_n], dtype=np.int64)
-        # previous level's full tables + which of its locals split: the
-        # sibling-subtraction parents for the next level's _find_splits
+        leaves = np.zeros(1, dtype=_LEAF)
+        leaves["gq"], leaves["hq"], leaves["n"] = root_gq, root_hq, root_n
+        # last scored batch's full tables + which of its locals split: the
+        # sibling-subtraction parents of the next depthwise level
         parent_ctx = None
 
-        for _depth in range(p.max_depth):
-            n_active = node_tree_ids.size
+        def splittable() -> np.ndarray:
+            return leaves["scored"] & (leaves["attr"] >= 0) & (leaves["gain"] > p.gamma)
 
-            with device.phase("find_split"), span(
-                "find_split", depth=_depth, nodes=n_active
-            ):
-                (
-                    best_gain, best_attr, best_cut, best_dir, best_lgq, best_lhq, best_ln
-                ), tables = self._find_splits(
-                    gq, hq, shift, ent_inst, ent_gbin, inst2local, n_active, total_bins,
-                    bin_offset, node_gq, node_hq, node_n, col_lens,
-                    parent=parent_ctx, depth=_depth,
-                )
+        def settle(mask: np.ndarray) -> None:
+            idx = np.flatnonzero(mask)
+            values = np.zeros(leaves.size)
+            values[idx] = leaf_values(
+                leaves["gq"][idx], leaves["hq"][idx], shift, p.learning_rate, p.lambda_
+            )
+            for loc in idx:
+                tree.set_leaf(int(leaves["tid"][loc]), float(values[loc]))
+            safe = np.maximum(inst2local, 0)
+            ids = np.flatnonzero((inst2local >= 0) & mask[safe])
+            gc.on_leaves(ids, values[inst2local[ids]])
+            inst2local[ids] = -1
 
-            split_mask = (best_attr >= 0) & (best_gain > p.gamma)
+        # lossguide stops once the tree holds max_leaves leaves
+        while not (lossguide and 0 < self.max_leaves <= tree.n_leaves):
+            todo = np.flatnonzero(~leaves["scored"] & (leaves["depth"] < p.max_depth))
+            if todo.size:
+                depth = int(leaves["depth"][todo[0]])
+                batch_of = np.full(leaves.size + 1, -1, dtype=np.int64)  # settled (-1) -> -1
+                batch_of[todo] = np.arange(todo.size)
+                with device.phase("find_split"), span(
+                    "find_split", depth=depth, nodes=todo.size
+                ):
+                    best, tables = self._find_splits(
+                        gq, hq, shift, ent_inst, ent_gbin, batch_of[inst2local],
+                        todo.size, total_bins, bin_offset, leaves["gq"][todo],
+                        leaves["hq"][todo], leaves["n"][todo], col_lens,
+                        parent=parent_ctx, depth=depth,
+                    )
+                for field, values in zip(_BEST, best):
+                    leaves[field][todo] = values
+                leaves["scored"][todo] = True
+            can_split = splittable()
+            unsplittable = leaves["scored"] & ~can_split
 
             with device.phase("split_node"):
-                leaf_locals = np.flatnonzero(~split_mask)
-                if leaf_locals.size:
-                    values = np.zeros(n_active)
-                    values[leaf_locals] = leaf_values(
-                        node_gq[leaf_locals], node_hq[leaf_locals], shift,
-                        p.learning_rate, p.lambda_,
-                    )
-                    for loc in leaf_locals:
-                        tree.set_leaf(int(node_tree_ids[loc]), float(values[loc]))
-                    is_leaf = np.zeros(n_active, dtype=bool)
-                    is_leaf[leaf_locals] = True
-                    safe = np.maximum(inst2local, 0)
-                    settled = (inst2local >= 0) & is_leaf[safe]
-                    ids = np.flatnonzero(settled)
-                    gc.on_leaves(ids, values[inst2local[ids]])
-                    inst2local[ids] = -1
-                if not split_mask.any():
+                if unsplittable.any():
+                    settle(unsplittable)
+                chosen = self._choose_leaves(leaves, can_split)
+                if not chosen.size:
                     break
-
-                split_locals = np.flatnonzero(split_mask)
-                k = split_locals.size
-                new_tree_ids = np.empty(2 * k, dtype=np.int64)
-                thresholds = np.empty(k)
-                for j, loc in enumerate(split_locals):
-                    a = int(best_attr[loc])
-                    cut = int(best_cut[loc])
-                    if cut == spec.n_bins(a):
-                        # present|missing boundary: every present value left
-                        thr = -np.finfo(np.float64).max
-                    else:
-                        thr = float(spec.edges[a][cut - 1])
-                    thresholds[j] = thr
+                is_chosen = np.zeros(leaves.size, dtype=bool)
+                is_chosen[chosen] = True
+                kept = np.flatnonzero(~unsplittable & ~is_chosen)
+                k = chosen.size
+                children = np.zeros(2 * k, dtype=_LEAF)
+                for j, loc in enumerate(chosen):
+                    leaf = leaves[loc]
+                    a, cut = int(leaf["attr"]), int(leaf["cut"])
                     lid, rid = tree.split_node(
-                        int(node_tree_ids[loc]), a, thr, bool(best_dir[loc]),
-                        float(best_gain[loc]),
-                        n_left=int(best_ln[loc]),
-                        n_right=int(node_n[loc] - best_ln[loc]),
+                        int(leaf["tid"]), a, self._threshold(spec, a, cut),
+                        bool(leaf["dir"]), float(leaf["gain"]),
+                        n_left=int(leaf["ln"]), n_right=int(leaf["n"] - leaf["ln"]),
                     )
-                    new_tree_ids[2 * j] = lid
-                    new_tree_ids[2 * j + 1] = rid
+                    children["tid"][2 * j : 2 * j + 2] = lid, rid
 
                 # ---- route instances by bin index --------------------------
-                new_local_of = np.full(n_active, -1, dtype=np.int64)
-                new_local_of[split_locals] = 2 * np.arange(k, dtype=np.int64)
-                side_inst = np.full(n, -1, dtype=np.int8)
+                new_local_of = np.full(leaves.size, -1, dtype=np.int64)
+                new_local_of[kept] = np.arange(kept.size)
+                new_local_of[chosen] = kept.size + 2 * np.arange(k, dtype=np.int64)
+                side_inst = np.zeros(n, dtype=np.int8)
                 safe = np.maximum(inst2local, 0)
-                active = (inst2local >= 0) & split_mask[safe]
-                default_side = np.where(best_dir, 0, 1).astype(np.int8)
+                active = (inst2local >= 0) & is_chosen[safe]
+                default_side = np.where(leaves["dir"], 0, 1).astype(np.int8)
                 side_inst[active] = default_side[inst2local[active]]
 
                 # entries of the chosen attributes decide present instances
-                cut_of_node = np.full(n_active, -1, dtype=np.int64)
-                attr_of_node = np.full(n_active, -2, dtype=np.int64)
-                cut_of_node[split_locals] = best_cut[split_locals]
-                attr_of_node[split_locals] = best_attr[split_locals]
+                cut_of_node = np.full(leaves.size, -1, dtype=np.int64)
+                attr_of_node = np.full(leaves.size, -2, dtype=np.int64)
+                cut_of_node[chosen] = leaves["cut"][chosen]
+                attr_of_node[chosen] = leaves["attr"][chosen]
                 self._route_by_entries(
                     ent_inst, ent_gbin, ent_attr, inst2local, attr_of_node,
                     cut_of_node, bin_offset, side_inst, n,
                 )
-                inst2local = np.where(active, new_local_of[safe] + side_inst, -1)
-
-                lgq = best_lgq[split_locals]
-                lhq = best_lhq[split_locals]
-                ln = best_ln[split_locals]
-                pgq, phq, pn = node_gq[split_locals], node_hq[split_locals], node_n[split_locals]
-                node_gq = np.empty(2 * k, dtype=np.int64)
-                node_hq = np.empty(2 * k, dtype=np.int64)
-                node_n = np.empty(2 * k, dtype=np.int64)
-                node_gq[0::2], node_gq[1::2] = lgq, pgq - lgq
-                node_hq[0::2], node_hq[1::2] = lhq, phq - lhq
-                node_n[0::2], node_n[1::2] = ln, pn - ln
-                node_tree_ids = new_tree_ids
-                # next level's locals (2j, 2j+1) are the children of this
-                # level's split_locals[j]; its tables are their parents
-                parent_ctx = (
-                    (*tables, split_locals) if self.use_subtraction else None
+                inst2local = np.where(
+                    inst2local >= 0, new_local_of[safe] + side_inst, -1
                 )
 
-        if node_tree_ids.size and (inst2local >= 0).any():
-            values = leaf_values(node_gq, node_hq, shift, p.learning_rate, p.lambda_)
-            for loc in range(node_tree_ids.size):
-                tree.set_leaf(int(node_tree_ids[loc]), float(values[loc]))
-            ids = np.flatnonzero(inst2local >= 0)
-            gc.on_leaves(ids, values[inst2local[ids]])
-            inst2local[:] = -1
+                split = leaves[chosen]
+                for field in ("gq", "hq", "n"):
+                    left = split["l" + field]
+                    children[field][0::2] = left
+                    children[field][1::2] = split[field] - left
+                children["depth"] = np.repeat(split["depth"] + 1, 2)
+                leaves = np.concatenate([leaves[kept], children])
+                # depthwise: the next level's locals (2j, 2j+1) are the
+                # children of this batch's local batch_of[chosen[j]]
+                parent_ctx = (
+                    (*tables, batch_of[chosen])
+                    if self.use_subtraction and not lossguide
+                    else None
+                )
+
+        still_open = ~leaves["scored"] | splittable()
+        if still_open.any() and (inst2local >= 0).any():
+            settle(still_open)
         return tree
 
     # ---------------------------------------------------------- split search
@@ -466,8 +501,7 @@ class HistogramGBDTTrainer:
         ``(instance id, global bin, attribute)`` arrays on the device; the
         out-of-core trainer (:mod:`repro.stream.trainer`) overrides this to
         build spillable row-range blocks instead and returns ``None`` entry
-        handles, with :meth:`_accumulate_entries` and
-        :meth:`_route_by_entries` iterating its block store.
+        handles, with :meth:`_entry_chunks` iterating its block store.
         """
         device = self.device
         n, d = X.shape
@@ -512,27 +546,33 @@ class HistogramGBDTTrainer:
         col_lens = np.diff(cols.col_offsets)
         return spec, ent_inst, ent_gbin, ent_attr, bin_offset, col_lens
 
+    def _entry_chunks(self, ent_inst, ent_gbin, ent_attr):
+        """The entry stream as ``(instance id, global bin, attribute)`` chunks.
+
+        In memory it is one chunk; the streaming trainer yields its blocks.
+        Int64 scatter-adds commute and each instance owns at most one entry
+        per attribute, so any chunking gives the same tables and routing.
+        """
+        yield ent_inst, ent_gbin, ent_attr
+
     def _accumulate_entries(
         self, gq, hq, ent_inst, ent_gbin, inst2x, n_rows, total_bins
     ):
-        """(node, global bin) tables from this trainer's entry stream.
-
-        One scatter-add pass over the in-memory entry arrays; the streaming
-        trainer overrides this to accumulate block by block (int64 sums are
-        partition-order-independent, so the tables -- and therefore the
-        trees -- are byte-identical for any blocking).
-        """
-        hist_gq, hist_hq, hist_c, n_live = accumulate_histograms(
-            gq, hq, ent_inst, ent_gbin, inst2x, n_rows, total_bins
-        )
-        self.device.launch(
-            "accumulate_histograms",
-            elements=n_live,
-            flops_per_element=3.0,
-            coalesced_bytes=n_live * 12,
-            irregular_bytes=n_live * 24,  # atomic adds into node tables
-        )
-        return hist_gq, hist_hq, hist_c
+        """(node, global bin) tables: one scatter-add pass per entry chunk."""
+        tables = None
+        for c_inst, c_gbin, _ in self._entry_chunks(ent_inst, ent_gbin, None):
+            *chunk, n_live = accumulate_histograms(
+                gq, hq, c_inst, c_gbin, inst2x, n_rows, total_bins
+            )
+            tables = chunk if tables is None else [t + c for t, c in zip(tables, chunk)]
+            self.device.launch(
+                "accumulate_histograms",
+                elements=n_live,
+                flops_per_element=3.0,
+                coalesced_bytes=n_live * 12,
+                irregular_bytes=n_live * 24,  # atomic adds into node tables
+            )
+        return tables
 
     def _route_by_entries(
         self, ent_inst, ent_gbin, ent_attr, inst2local, attr_of_node,
@@ -541,17 +581,17 @@ class HistogramGBDTTrainer:
         """Decide sides for present instances from the entry stream.
 
         Entries of each splitting node's chosen attribute overwrite the
-        missing-value default in ``side_inst`` (0 = left, 1 = right).  Each
-        instance owns at most one entry per attribute, so the writes are
-        disjoint and any chunking of the stream routes identically -- the
-        streaming trainer overrides this with a per-block loop.
+        missing-value default in ``side_inst`` (0 = left, 1 = right); other
+        nodes carry ``attr_of_node = -2``, which no entry matches.
         """
-        ent_node = np.where(ent_inst >= 0, inst2local[ent_inst], -1)
-        ent_node_safe = np.maximum(ent_node, 0)
-        sel = (ent_node >= 0) & (ent_attr == attr_of_node[ent_node_safe])
-        local_bin = ent_gbin[sel] - bin_offset[ent_attr[sel]]
-        goes_left = local_bin < cut_of_node[ent_node[sel]]
-        side_inst[ent_inst[sel]] = np.where(goes_left, 0, 1)
+        # per-row attribute to test; settled rows (-1) read the -2 sentinel
+        inst_attr = np.append(attr_of_node, -2)[inst2local]
+        for c_inst, c_gbin, c_attr in self._entry_chunks(ent_inst, ent_gbin, ent_attr):
+            sel = np.flatnonzero(c_attr == inst_attr[c_inst])
+            inst = c_inst[sel]
+            local_bin = c_gbin[sel] - bin_offset[c_attr[sel]]
+            goes_left = local_bin < cut_of_node[inst2local[inst]]
+            side_inst[inst] = np.where(goes_left, 0, 1)
         self.device.launch(
             "route_instances_by_bin",
             elements=n * self.row_scale,
@@ -600,129 +640,3 @@ class HistogramGBDTTrainer:
 
     def _round_end(self, round_: int, trees: List[DecisionTree]) -> None:
         """Post-round bookkeeping (periodic checkpointing when sharded)."""
-
-    # ------------------------------------------------------- lossguide grow
-    @staticmethod
-    def _threshold(spec: BinSpec, a: int, cut: int) -> float:
-        """Split threshold for 'left = bins [0, cut)' of attribute ``a``."""
-        if cut == spec.n_bins(a):
-            # present | missing boundary: every present value goes left
-            return -np.finfo(np.float64).max
-        return float(spec.edges[a][cut - 1])
-
-    def _grow_tree_lossguide(
-        self,
-        X: CSRMatrix,
-        gq: np.ndarray,
-        hq: np.ndarray,
-        shift: int,
-        ent_inst: np.ndarray,
-        ent_gbin: np.ndarray,
-        ent_attr: np.ndarray,
-        bin_offset: np.ndarray,
-        spec: BinSpec,
-        col_lens: np.ndarray,
-        gc: GradientComputer,
-    ) -> DecisionTree:
-        """Leaf-wise (best-first) growth: always split the leaf with the
-        largest gain next, LightGBM's signature strategy.
-
-        Bounded by ``max_leaves`` (0 = unbounded) *and* ``params.max_depth``.
-        When ``max_leaves`` does not bind, per-leaf split decisions are
-        independent of the split order, so the grown partition equals the
-        depthwise one (tested).
-        """
-        import heapq
-
-        p = self.params
-        device = self.device
-        n, d = X.shape
-        total_bins = int(bin_offset[-1])
-
-        root_gq, root_hq, root_n = self._root_sums(gq, hq, n)
-        tree = DecisionTree()
-        tree.add_root(root_n)
-        inst2node = np.zeros(n, dtype=np.int64)  # tree node id per instance
-        node_stats = {0: (root_gq, root_hq, root_n)}
-
-        def candidate(node_id: int):
-            """Best split of one leaf, or None."""
-            gn, hn, nn = node_stats[node_id]
-            local = np.where(inst2node == node_id, 0, -1).astype(np.int64)
-            with device.phase("find_split"):
-                # one node per call, so there is no sibling pair to subtract
-                # from -- lossguide growth always builds its histograms
-                (gain, attr, cut, dirs, lgq, lhq, ln), _ = self._find_splits(
-                    gq, hq, shift, ent_inst, ent_gbin, local, 1, total_bins,
-                    bin_offset, np.array([gn], dtype=np.int64),
-                    np.array([hn], dtype=np.int64),
-                    np.array([nn], dtype=np.int64), col_lens,
-                )
-            if attr[0] < 0 or not (gain[0] > p.gamma):
-                return None
-            return {
-                "gain": float(gain[0]), "attr": int(attr[0]), "cut": int(cut[0]),
-                "dir": bool(dirs[0]), "lgq": int(lgq[0]), "lhq": int(lhq[0]),
-                "ln": int(ln[0]),
-            }
-
-        heap: list = []
-        counter = 0
-        root_cand = candidate(0) if p.max_depth >= 1 else None
-        if root_cand is not None:
-            heapq.heappush(heap, (-root_cand["gain"], counter, 0, root_cand))
-            counter += 1
-        n_leaves = 1
-
-        while heap and (self.max_leaves == 0 or n_leaves < self.max_leaves):
-            _, _, nid, rec = heapq.heappop(heap)
-            gn, hn, nn = node_stats[nid]
-            thr = self._threshold(spec, rec["attr"], rec["cut"])
-            lid, rid = tree.split_node(
-                nid, rec["attr"], thr, rec["dir"], rec["gain"],
-                n_left=rec["ln"], n_right=nn - rec["ln"],
-            )
-            n_leaves += 1
-
-            # route this leaf's instances by bin index
-            members = inst2node == nid
-            side = np.where(rec["dir"], lid, rid)  # default for missing
-            inst2node[members] = side
-            sel = members[ent_inst] & (ent_attr == rec["attr"])
-            local_bin = ent_gbin[sel] - bin_offset[rec["attr"]]
-            goes_left = local_bin < rec["cut"]
-            inst2node[ent_inst[sel]] = np.where(goes_left, lid, rid)
-            device.launch(
-                "route_leaf_by_bin",
-                elements=nn * self.row_scale,
-                flops_per_element=2.0,
-                coalesced_bytes=nn * self.row_scale * 9,
-                scale=False,
-            )
-
-            node_stats[lid] = (rec["lgq"], rec["lhq"], rec["ln"])
-            node_stats[rid] = (gn - rec["lgq"], hn - rec["lhq"], nn - rec["ln"])
-            for child in (lid, rid):
-                if tree.depth[child] < p.max_depth:
-                    cand = candidate(child)
-                    if cand is not None:
-                        heapq.heappush(heap, (-cand["gain"], counter, child, cand))
-                        counter += 1
-
-        # finalize every remaining leaf and report to SmartGD once
-        value_of_node = np.zeros(tree.n_nodes)
-        for nid in range(tree.n_nodes):
-            if tree.is_leaf(nid):
-                gn, hn, _ = node_stats[nid]
-                value = float(
-                    leaf_values(
-                        np.array([gn], dtype=np.int64),
-                        np.array([hn], dtype=np.int64),
-                        shift, p.learning_rate, p.lambda_,
-                    )[0]
-                )
-                tree.set_leaf(nid, value)
-                value_of_node[nid] = value
-        with device.phase("split_node"):
-            gc.on_leaves(np.arange(n), value_of_node[inst2node])
-        return tree

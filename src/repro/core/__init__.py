@@ -1,7 +1,7 @@
 """The paper's primary contribution: the GPU-GBDT training algorithm."""
 
 from .booster import BACKENDS, GradientBoostedTrees, as_csr
-from .booster_model import GBDTModel, models_equal
+from .booster_model import GBDTModel, models_equal, validate_fit
 from .importance import IMPORTANCE_KINDS, feature_importance
 from .params import GBDTParams
 from .partition import PartitionPlan, partition_segments, plan_partition
@@ -26,6 +26,7 @@ __all__ = [
     "as_csr",
     "GBDTModel",
     "models_equal",
+    "validate_fit",
     "IMPORTANCE_KINDS",
     "feature_importance",
     "GBDTParams",

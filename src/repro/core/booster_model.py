@@ -12,7 +12,7 @@ from ..data.matrix import CSRMatrix, DenseMatrix
 from .params import GBDTParams
 from .tree import DecisionTree, trees_equal
 
-__all__ = ["GBDTModel", "models_equal"]
+__all__ = ["GBDTModel", "models_equal", "validate_fit"]
 
 
 @dataclasses.dataclass
@@ -196,3 +196,42 @@ def models_equal(a: GBDTModel, b: GBDTModel, **tol) -> bool:
     if a.n_trees != b.n_trees:
         return False
     return all(trees_equal(ta, tb, **tol) for ta, tb in zip(a.trees, b.trees))
+
+
+def validate_fit(
+    X: CSRMatrix,
+    y: np.ndarray,
+    params: GBDTParams,
+    init_model: GBDTModel | None = None,
+) -> np.ndarray:
+    """The one fit-input boundary every trainer calls; returns ``y`` as float64.
+
+    Rejects a label vector of the wrong size, non-finite labels (one NaN
+    would otherwise come back as an all-NaN model), fewer than 2 rows or
+    no attribute, and an ``init_model`` whose base score or learning rate
+    differs from this fit's: resumed rounds would not match uninterrupted
+    training.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    if y.size != n:
+        raise ValueError(f"y has {y.size} entries for {n} rows")
+    if not np.isfinite(y).all():
+        raise ValueError("y contains non-finite (NaN or inf) labels")
+    if n < 2:
+        raise ValueError("need at least 2 training instances")
+    if d < 1:
+        raise ValueError("need at least 1 attribute")
+    if init_model is not None:
+        base = params.loss_fn.base_score(y)
+        if init_model.base_score != base:
+            raise ValueError(
+                f"init_model.base_score={init_model.base_score!r} does not match "
+                f"the loss base score {base!r}; resuming would shift every margin"
+            )
+        if init_model.params.learning_rate != params.learning_rate:
+            raise ValueError(
+                "init_model was trained with a different learning_rate; "
+                "resumed rounds would not match uninterrupted training"
+            )
+    return y

@@ -44,7 +44,7 @@ from ..data.sorted_columns import SortedColumns, build_sorted_columns
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.primitives import bincount_sum
 from ..obs import get_registry, span
-from .booster_model import GBDTModel
+from .booster_model import GBDTModel, validate_fit
 from .params import GBDTParams
 from .partition import partition_segments, plan_partition
 from .rle_split import split_runs_direct, split_runs_with_decompression
@@ -363,16 +363,8 @@ class GPUGBDTTrainer:
     ) -> GBDTModel:
         p = self.params
         device = self.device
-        y = np.asarray(y, dtype=np.float64)
+        y = validate_fit(X, y, p, init_model)
         n, d = X.shape
-        if y.size != n:
-            raise ValueError(f"y has {y.size} entries for {n} rows")
-        if not np.isfinite(y).all():
-            raise ValueError("y contains NaN or inf labels")
-        if n < 2:
-            raise ValueError("need at least 2 training instances")
-        if d < 1:
-            raise ValueError("need at least 1 attribute")
         if p.goss_a < 1.0:
             raise ValueError(
                 "GOSS (goss_a < 1) is only implemented by the histogram "
@@ -380,18 +372,6 @@ class GPUGBDTTrainer:
             )
         init_trees: List[DecisionTree] = [] if init_model is None else list(init_model.trees)
         round_offset = len(init_trees)
-        if init_model is not None:
-            base = p.loss_fn.base_score(y)
-            if init_model.base_score != base:
-                raise ValueError(
-                    f"init_model.base_score={init_model.base_score!r} does not match "
-                    f"the loss base score {base!r}; resuming would shift every margin"
-                )
-            if init_model.params.learning_rate != p.learning_rate:
-                raise ValueError(
-                    "init_model was trained with a different learning_rate; "
-                    "resumed rounds would not match uninterrupted training"
-                )
 
         with device.phase("setup"), span("setup"):
             shards, used_rle = self._build_shards(X)

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.booster_model import GBDTModel
+from ..core.booster_model import GBDTModel, validate_fit
 from ..core.params import GBDTParams
 from ..core.sampling import sample_tree
 from ..core.split import eq2_gain, quantize_gain
@@ -86,15 +86,16 @@ class ReferenceTrainer:
         ``fit(m)`` equals ``fit(k + m)`` bit for bit.
         """
         p = self.params
-        y = np.asarray(y, dtype=np.float64)
+        y = validate_fit(X, y, p, init_model)
         n, d = X.shape
-        if y.size != n:
-            raise ValueError("y size mismatch")
+        if p.goss_a < 1.0:
+            raise ValueError(
+                "GOSS (goss_a < 1) is only implemented by the histogram "
+                "trainer; the exact trainer supports uniform subsample="
+            )
         loss = p.loss_fn
         init_trees: List[DecisionTree] = [] if init_model is None else list(init_model.trees)
         round_offset = len(init_trees)
-        if init_model is not None and init_model.base_score != loss.base_score(y):
-            raise ValueError("init_model.base_score does not match the loss base score")
 
         csc = X.to_csc()
         base_lists: List[Tuple[np.ndarray, np.ndarray]] = []

@@ -60,7 +60,7 @@ from ..approx.quantile import (
     merge_sketches,
     sketch_columns,
 )
-from ..core.booster_model import GBDTModel
+from ..core.booster_model import GBDTModel, validate_fit
 from ..core.params import GBDTParams
 from ..core.smartgd import GradientComputer
 from ..core.tree import DecisionTree
@@ -218,6 +218,11 @@ class DistributedHistTrainer:
                 "GOSS (goss_a < 1) is not supported by the distributed "
                 "trainer; use the single-process HistogramGBDTTrainer"
             )
+        if self.params.subsample < 1.0 or self.params.colsample_bytree < 1.0:
+            raise ValueError(
+                "subsample and colsample_bytree are not supported by the "
+                "distributed trainer"
+            )
         self.use_subtraction = use_subtraction
         self.n_workers = int(n_workers)
         self.max_bins = int(max_bins)
@@ -238,12 +243,8 @@ class DistributedHistTrainer:
     # ------------------------------------------------------------------- fit
     def fit(self, X: CSRMatrix, y: np.ndarray) -> GBDTModel:
         p = self.params
-        y = np.asarray(y, dtype=np.float64)
+        y = validate_fit(X, y, p)
         n = X.shape[0]
-        if y.size != n:
-            raise ValueError("y size mismatch")
-        if n < 2:
-            raise ValueError("need at least 2 training instances")
 
         base = p.loss_fn.base_score(y)
         store = (

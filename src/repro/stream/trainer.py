@@ -2,8 +2,9 @@
 
 :class:`StreamingHistTrainer` subclasses the in-memory
 :class:`~repro.approx.histogram_trainer.HistogramGBDTTrainer` and overrides
-only its entry-source hooks, so the grow loop -- split scanning, GOSS,
-sibling subtraction, leaf finalization -- is the *same code*:
+only its entry-source hooks, so the one histogram grow loop -- split
+scanning, GOSS, sibling subtraction, leaf finalization -- is the *same
+code*:
 
 ``_setup_entries``
     instead of materializing the full quantized entry stream on the device,
@@ -15,15 +16,13 @@ sibling subtraction, leaf finalization -- is the *same code*:
     entries by global bin (entry order within a block is free -- see below),
     and registers them as spillable RLE blocks in a
     :class:`~repro.stream.blockstore.BlockStore` under the cache budget.
-``_accumulate_entries``
-    per-level histograms accumulate block by block through the
-    :class:`~repro.stream.prefetch.PrefetchPipeline`.  Fixed-point int64
-    scatter-adds are associative and commutative, so any blocking (and any
-    within-block order) produces the identical tables.
-``_route_by_entries``
-    the per-split side decisions stream the blocks the same way; each
-    instance owns at most one entry per attribute, so the writes are
-    disjoint and chunking cannot change them.
+``_entry_chunks``
+    histogram accumulation and per-split routing walk the blocks through
+    the :class:`~repro.stream.prefetch.PrefetchPipeline` instead of one
+    in-memory entry array.  Fixed-point int64 scatter-adds are associative
+    and commutative, and each instance owns at most one entry per
+    attribute, so any blocking (and any within-block order) produces the
+    identical tables and routing.
 
 Everything downstream of identical tables and identical routing is shared
 code, so the serialized model is **byte-identical** to in-memory training
@@ -33,8 +32,8 @@ digests.  What *does* change is the cost ledger: one full-scale chunk of
 device memory instead of the whole entry stream (the OOM wall moves), plus
 modeled disk traffic in the ``stream_io`` phase.
 
-The lossguide grow policy walks entries node-at-a-time in-memory and is
-not supported out-of-core; the constructor rejects it loudly.
+The stream trainer grows depthwise (one block pass per level); it takes
+no ``grow_policy``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from pathlib import Path
 import numpy as np
 
 from ..approx.histogram_trainer import HistogramGBDTTrainer
-from ..approx.histops import accumulate_histograms
 from ..approx.quantile import (
     BinSpec,
     bin_column_values,
@@ -85,6 +83,8 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
         Read-ahead queue depth of the prefetch pipeline.
     use_rle:
         RLE-compress the block bin arrays (identity is unaffected).
+
+    Growth is depthwise: there is no ``grow_policy`` or ``max_leaves``.
     """
 
     def __init__(
@@ -99,16 +99,9 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
         use_rle: bool = True,
         max_bins: int = 64,
         row_scale: float = 1.0,
-        grow_policy: str = "depthwise",
         use_arena: bool | None = None,
         use_subtraction: bool | None = None,
     ) -> None:
-        if grow_policy != "depthwise":
-            raise ValueError(
-                "StreamingHistTrainer supports only the depthwise grow "
-                "policy: lossguide growth revisits one node's entries at a "
-                "time, which defeats block streaming"
-            )
         if block_rows < 1:
             raise ValueError("block_rows must be >= 1")
         super().__init__(
@@ -116,7 +109,6 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
             device,
             max_bins=max_bins,
             row_scale=row_scale,
-            grow_policy="depthwise",
             use_arena=use_arena,
             use_subtraction=use_subtraction,
         )
@@ -245,50 +237,9 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
             self.store_, self._block_ids, depth=self.prefetch_depth
         )
 
-    def _accumulate_entries(
-        self, gq, hq, ent_inst, ent_gbin, inst2x, n_rows, total_bins
-    ):
-        device = self.device
+    def _entry_chunks(self, ent_inst, ent_gbin, ent_attr):
         bin_offset = self._bin_offset
-        hist_gq = np.zeros((n_rows, total_bins), dtype=np.int64)
-        hist_hq = np.zeros((n_rows, total_bins), dtype=np.int64)
-        hist_c = np.zeros((n_rows, total_bins), dtype=np.int64)
         for block in self._blocks():
-            bi, bg, _ = block.entries(bin_offset)
-            device.transfer("upload_block_entries", block.nbytes)
-            b_gq, b_hq, b_c, n_live = accumulate_histograms(
-                gq, hq, bi, bg, inst2x, n_rows, total_bins
-            )
-            hist_gq += b_gq
-            hist_hq += b_hq
-            hist_c += b_c
-            device.launch(
-                "accumulate_histograms",
-                elements=n_live,
-                flops_per_element=3.0,
-                coalesced_bytes=n_live * 12,
-                irregular_bytes=n_live * 24,  # atomic adds into node tables
-            )
-        return hist_gq, hist_hq, hist_c
-
-    def _route_by_entries(
-        self, ent_inst, ent_gbin, ent_attr, inst2local, attr_of_node,
-        cut_of_node, bin_offset, side_inst, n,
-    ):
-        device = self.device
-        for block in self._blocks():
-            bi, bg, ba = block.entries(bin_offset)
-            device.transfer("upload_block_entries", block.nbytes)
-            ent_node = np.where(bi >= 0, inst2local[bi], -1)
-            ent_node_safe = np.maximum(ent_node, 0)
-            sel = (ent_node >= 0) & (ba == attr_of_node[ent_node_safe])
-            local_bin = bg[sel] - bin_offset[ba[sel]]
-            goes_left = local_bin < cut_of_node[ent_node[sel]]
-            side_inst[bi[sel]] = np.where(goes_left, 0, 1)
-        device.launch(
-            "route_instances_by_bin",
-            elements=n * self.row_scale,
-            flops_per_element=2.0,
-            coalesced_bytes=n * self.row_scale * 9,
-            scale=False,
-        )
+            entries = block.entries(bin_offset)
+            self.device.transfer("upload_block_entries", block.nbytes)
+            yield entries

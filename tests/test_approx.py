@@ -1,5 +1,7 @@
 """Tests for the histogram/approximate trainer and quantile binning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.approx import HistogramGBDTTrainer, build_bins
 from repro.approx.quantile import bin_column_values
 from repro.data import CSRMatrix, build_sorted_columns, make_dataset
 from repro.metrics import rmse
+from repro.obs import Tracer, use_tracer
 from tests.conftest import random_csr
 
 
@@ -166,6 +169,28 @@ class TestHistogramTrainer:
         ).fit(ds.X, ds.y)
         assert sum(t.n_nodes for t in strict.trees) < sum(t.n_nodes for t in loose.trees)
 
+    @pytest.mark.parametrize("kind", ["depthwise", "lossguide", "stream", "dist"])
+    @pytest.mark.parametrize(
+        "sampling", [{"subsample": 0.5}, {"colsample_bytree": 0.5}],
+        ids=["subsample", "colsample"],
+    )
+    def test_ignored_sampling_params_rejected(self, susy_small, kind, sampling):
+        """The histogram family implements GOSS only; uniform row or column
+        sampling used to be silently ignored."""
+        from repro.dist import DistributedHistTrainer
+        from repro.stream import StreamingHistTrainer
+
+        p = GBDTParams(n_trees=2, max_depth=3, **sampling)
+        with pytest.raises(ValueError, match="subsample"):
+            {
+                "depthwise": lambda: HistogramGBDTTrainer(p),
+                "lossguide": lambda: HistogramGBDTTrainer(
+                    p, grow_policy="lossguide", max_leaves=4
+                ),
+                "stream": lambda: StreamingHistTrainer(p, block_rows=100),
+                "dist": lambda: DistributedHistTrainer(p, n_workers=2),
+            }[kind]().fit(susy_small.X, susy_small.y)
+
 
 class TestLossguideGrowth:
     def test_unbounded_matches_depthwise(self, susy_small):
@@ -175,8 +200,60 @@ class TestLossguideGrowth:
         p = GBDTParams(n_trees=3, max_depth=4)
         depth = HistogramGBDTTrainer(p, max_bins=16).fit(ds.X, ds.y)
         loss = HistogramGBDTTrainer(p, max_bins=16, grow_policy="lossguide").fit(ds.X, ds.y)
-        assert np.allclose(depth.predict(ds.X), loss.predict(ds.X))
+        assert np.array_equal(depth.predict(ds.X), loss.predict(ds.X))
         assert [t.n_leaves for t in depth.trees] == [t.n_leaves for t in loss.trees]
+
+    #: sha256 of ``to_json()`` for lossguide fits on ``susy_small`` (3 trees,
+    #: 16 bins); a max_depth=2 tree holds at most 4 leaves, so every cap
+    #: grows the same model there
+    PINNED = {
+        (0, 2): "87b1016f3a8715a5c891db26a08b515b8849c8d25899d69fab1c01523ffe5423",
+        (0, 6): "ac6e3fa08d1cebe8c40425f5c78cc7c213d9afa3a614eadbfd61b2ac88cc3d82",
+        (4, 2): "87b1016f3a8715a5c891db26a08b515b8849c8d25899d69fab1c01523ffe5423",
+        (4, 6): "b518816f1967fa2e7337a58efb571657512b15e1b440e425d1460836330f8aa1",
+        (16, 2): "87b1016f3a8715a5c891db26a08b515b8849c8d25899d69fab1c01523ffe5423",
+        (16, 6): "d52b28b26103c3f2cf155a0afe3b5707f343068b9e9c834fc1431eb1a8a5a299",
+    }
+    PINNED_WARM = "4f8a67d37ade595828c9db050117ef13b6f753f9a7836c1311341645dfabcd38"
+
+    @pytest.mark.parametrize("use_subtraction", [True, False], ids=["sub", "nosub"])
+    @pytest.mark.parametrize("max_depth", [2, 6])
+    @pytest.mark.parametrize("max_leaves", [0, 4, 16])
+    def test_pinned_model_digests(self, susy_small, max_leaves, max_depth, use_subtraction):
+        """Lossguide models are pinned byte for byte, subtraction on or off."""
+        ds = susy_small
+        model = HistogramGBDTTrainer(
+            GBDTParams(n_trees=3, max_depth=max_depth), max_bins=16,
+            grow_policy="lossguide", max_leaves=max_leaves,
+            use_subtraction=use_subtraction,
+        ).fit(ds.X, ds.y)
+        digest = hashlib.sha256(model.to_json().encode()).hexdigest()
+        assert digest == self.PINNED[(max_leaves, max_depth)]
+
+    def test_pinned_warm_start_digest(self, susy_small):
+        """fit(2) then fit(4, init_model=...) (n_trees is the total)."""
+        ds = susy_small
+
+        def trainer(n_trees):
+            return HistogramGBDTTrainer(
+                GBDTParams(n_trees=n_trees, max_depth=4), max_bins=16,
+                grow_policy="lossguide", max_leaves=8,
+            )
+
+        half = trainer(2).fit(ds.X, ds.y)
+        model = trainer(4).fit(ds.X, ds.y, init_model=half)
+        digest = hashlib.sha256(model.to_json().encode()).hexdigest()
+        assert digest == self.PINNED_WARM
+
+    def test_emits_find_split_spans(self, susy_small):
+        ds = susy_small
+        tracer = Tracer(enabled=True)
+        with use_tracer(tracer):
+            HistogramGBDTTrainer(
+                GBDTParams(n_trees=1, max_depth=4), max_bins=16,
+                grow_policy="lossguide", max_leaves=6,
+            ).fit(ds.X, ds.y)
+        assert any(s.name == "find_split" for s in tracer.finished())
 
     def test_max_leaves_cap_respected(self, susy_small):
         ds = susy_small

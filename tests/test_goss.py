@@ -14,6 +14,7 @@ import pytest
 from repro import GBDTParams, GPUGBDTTrainer
 from repro.approx.histogram_trainer import HistogramGBDTTrainer
 from repro.core.sampling import goss_sample
+from repro.cpu.exact_greedy import ReferenceTrainer
 from repro.data import make_dataset
 from repro.dist import DistributedHistTrainer
 from repro.losses import goss_weighted_gradients
@@ -21,6 +22,11 @@ from repro.metrics import rmse
 from repro.obs import MetricsRegistry, use_registry
 
 PARAMS = GBDTParams(n_trees=6, max_depth=4, goss_a=0.3, goss_b=0.3, seed=7)
+#: HistogramGBDTTrainer keyword arguments per grow policy
+POLICIES = {
+    "depthwise": {},
+    "lossguide": {"grow_policy": "lossguide", "max_leaves": 8},
+}
 
 
 def _split(ds, frac=0.75):
@@ -96,17 +102,19 @@ class TestDeterminism:
         )
         assert a.to_json() == b.to_json()
 
-    def test_warm_start_replay_identity(self, covtype_small):
+    @pytest.mark.parametrize("policy", POLICIES, ids=list(POLICIES))
+    def test_warm_start_replay_identity(self, covtype_small, policy):
         """fit(k) then fit(k+m, init_model=...) == fit(k+m) bit-for-bit:
         the GOSS draw is keyed by the *global* round index and the resumed
         margins replay exactly, so the resumed rounds see identical
         gradients, draw identical samples, and grow identical trees."""
         ds = covtype_small
-        one_shot = HistogramGBDTTrainer(PARAMS, max_bins=32).fit(ds.X, ds.y)
+        kw = POLICIES[policy]
+        one_shot = HistogramGBDTTrainer(PARAMS, max_bins=32, **kw).fit(ds.X, ds.y)
         half = HistogramGBDTTrainer(
-            PARAMS.replace(n_trees=3), max_bins=32
+            PARAMS.replace(n_trees=3), max_bins=32, **kw
         ).fit(ds.X, ds.y)
-        resumed = HistogramGBDTTrainer(PARAMS, max_bins=32).fit(
+        resumed = HistogramGBDTTrainer(PARAMS, max_bins=32, **kw).fit(
             ds.X, ds.y, init_model=half
         )
         assert resumed.to_json() == one_shot.to_json()
@@ -148,16 +156,19 @@ class TestDeterminism:
 
 
 # ------------------------------------------------------------- accuracy gate
-def test_differential_accuracy_gate():
+@pytest.mark.parametrize("policy", POLICIES, ids=list(POLICIES))
+def test_differential_accuracy_gate(policy):
     """GOSS (a=0.2, b=0.2) must stay within 10% holdout RMSE of full-data
-    training on the gated workload (measured headroom ~2%; a sampler that
-    loses the amplification or samples the wrong side blows far past)."""
+    training under the same grow policy on the gated workload (a sampler
+    that loses the amplification or samples the wrong side blows far
+    past)."""
     ds = make_dataset("covtype", run_rows=1200, seed=11)
     Xtr, ytr, Xte, yte = _split(ds)
     p = GBDTParams(n_trees=20, max_depth=5)
-    full = HistogramGBDTTrainer(p, max_bins=32).fit(Xtr, ytr)
+    kw = POLICIES[policy]
+    full = HistogramGBDTTrainer(p, max_bins=32, **kw).fit(Xtr, ytr)
     goss = HistogramGBDTTrainer(
-        p.replace(goss_a=0.2, goss_b=0.2), max_bins=32
+        p.replace(goss_a=0.2, goss_b=0.2), max_bins=32, **kw
     ).fit(Xtr, ytr)
     r_full = rmse(yte, full.predict(Xte))
     r_goss = rmse(yte, goss.predict(Xte))
@@ -190,12 +201,9 @@ class TestScope:
         with pytest.raises(ValueError, match="histogram"):
             GPUGBDTTrainer(PARAMS).fit(covtype_small.X, covtype_small.y)
 
-    def test_lossguide_rejects(self, covtype_small):
-        trainer = HistogramGBDTTrainer(
-            PARAMS, max_bins=16, grow_policy="lossguide", max_leaves=8
-        )
-        with pytest.raises(ValueError, match="depthwise"):
-            trainer.fit(covtype_small.X, covtype_small.y)
+    def test_reference_trainer_rejects(self, covtype_small):
+        with pytest.raises(ValueError, match="histogram"):
+            ReferenceTrainer(PARAMS).fit(covtype_small.X, covtype_small.y)
 
     def test_distributed_rejects(self):
         with pytest.raises(ValueError, match="not supported"):

@@ -97,7 +97,7 @@ class TestByteIdentity:
 
 class TestGuards:
     def test_lossguide_rejected(self):
-        with pytest.raises(ValueError, match="depthwise"):
+        with pytest.raises(TypeError, match="grow_policy"):
             StreamingHistTrainer(GBDTParams(), grow_policy="lossguide")
 
     def test_bad_block_rows_rejected(self):

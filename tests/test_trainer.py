@@ -207,24 +207,48 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="at least 2"):
             GPUGBDTTrainer(GBDTParams(n_trees=1)).fit(X, np.array([1.0]))
 
-    @pytest.mark.parametrize("kind", ["single", "multigpu", "outofcore"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_non_finite_label_fails_fit(self, covtype_small, kind, bad):
-        """One NaN or inf label used to come back as an all-NaN model."""
+    @staticmethod
+    def _trainer(kind, p):
+        from repro.approx import HistogramGBDTTrainer
+        from repro.dist import DistributedHistTrainer
         from repro.ext import MultiGpuGBDTTrainer, OutOfCoreGBDTTrainer
+        from repro.stream import StreamingHistTrainer
 
-        p = GBDTParams(n_trees=2, max_depth=3)
-        trainer = {
+        return {
             "single": lambda: GPUGBDTTrainer(p),
             "multigpu": lambda: MultiGpuGBDTTrainer(p, n_devices=2),
             "outofcore": lambda: OutOfCoreGBDTTrainer(p, group_budget_bytes=4096),
+            "hist": lambda: HistogramGBDTTrainer(p, max_bins=16),
+            "stream": lambda: StreamingHistTrainer(p, max_bins=16, block_rows=100),
+            "dist": lambda: DistributedHistTrainer(p, n_workers=2, max_bins=16),
+            "cpu": lambda: ReferenceTrainer(p),
         }[kind]()
+
+    @pytest.mark.parametrize(
+        "kind", ["single", "multigpu", "outofcore", "hist", "stream", "dist", "cpu"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_label_fails_fit(self, covtype_small, kind, bad):
+        """One NaN or inf label used to come back as an all-NaN model."""
+        trainer = self._trainer(kind, GBDTParams(n_trees=2, max_depth=3))
         y = covtype_small.y.copy()
         y[7] = bad
         model = None
         with pytest.raises(ValueError, match="NaN or inf"):
             model = trainer.fit(covtype_small.X, y)
-        assert model is None and trainer.report is None
+        assert model is None and getattr(trainer, "report", None) is None
+
+    @pytest.mark.parametrize("kind", ["single", "hist", "stream", "cpu"])
+    def test_warm_start_rejects_other_learning_rate(self, covtype_small, kind):
+        """Resuming with another learning rate cannot match uninterrupted
+        training, so every warm-startable trainer refuses it."""
+        ds = covtype_small
+        head = self._trainer(kind, GBDTParams(n_trees=1, max_depth=3)).fit(ds.X, ds.y)
+        trainer = self._trainer(
+            kind, GBDTParams(n_trees=2, max_depth=3, learning_rate=0.05)
+        )
+        with pytest.raises(ValueError, match="learning_rate"):
+            trainer.fit(ds.X, ds.y, init_model=head)
 
 
 class TestFacade:
