@@ -19,6 +19,8 @@ import json
 import threading
 from typing import Dict, List
 
+import numpy as np
+
 from ..core.booster_model import GBDTModel
 from ..obs import get_registry, span
 from .flat_model import FlatEnsemble
@@ -70,21 +72,28 @@ class ModelRegistry:
         """Register ``model`` under ``name``; returns its content version id.
 
         Re-publishing identical content is a no-op apart from (optionally)
-        activating the existing version.
+        activating the existing version.  Raises ``ValueError``, registering
+        and activating nothing, when the model's base score or any leaf
+        value is non-finite: such a model cannot predict anything right.
         """
         with span("registry_publish", model=name):
             payload = canonical_payload(model)
             version = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
             with self._lock:
-                store = self._versions.setdefault(name, {})
-                if version not in store:
+                if version not in self._versions.get(name, {}):
                     restored = GBDTModel.from_json(payload, params=model.params)
+                    flat = FlatEnsemble.from_model(restored)
+                    if not (np.isfinite(flat.base_score) and np.isfinite(flat.value).all()):
+                        raise ValueError(
+                            f"refusing to publish model {name!r}: non-finite "
+                            "base score or leaf value"
+                        )
                     self._seq += 1
-                    store[version] = ModelVersion(
+                    self._versions.setdefault(name, {})[version] = ModelVersion(
                         name=name,
                         version=version,
                         payload=payload,
-                        flat=FlatEnsemble.from_model(restored),
+                        flat=flat,
                         seq=self._seq,
                     )
                     get_registry().counter(

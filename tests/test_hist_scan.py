@@ -7,7 +7,9 @@ by first maximum, then the present|missing boundary, each taken only when
 strictly better than the running best.  The two must agree on all seven
 outputs, values and dtypes, including ties, nodes with no valid candidate,
 ``lambda_ = 0``, fixed-point magnitudes at the ``2**50`` bound of
-:func:`repro.approx.fixedpoint.choose_shift` and the multi-chunk path.
+:func:`repro.approx.fixedpoint.choose_shift`, the multi-chunk path and
+sparse levels, where the vectorized scan scores only occupied bins and the
+oracle still scores every one.
 """
 
 import tracemalloc
@@ -116,14 +118,16 @@ def loop_scan(hist_gq, hist_hq, hist_c, node_gq, node_hq, node_n, bin_offset, sh
     return best_gain, best_attr, best_cut, best_dir, best_lgq, best_lhq, best_ln
 
 
-def random_level(rng, n_active, nbins, bound, dup_attrs=False, empty=()):
+def random_level(rng, n_active, nbins, bound, dup_attrs=False, empty=(), empty_frac=0.3):
     """Integer histogram tables of one level plus node totals.
 
     Cells are nonnegative counts with gradient sums in ``[-bound, bound]``
-    and hessian sums in ``[0, bound]``; node totals cover every attribute's
-    present rows plus some missing ones.  ``dup_attrs`` appends a copy of
-    the first attribute (exact gain ties across attributes); nodes listed in
-    ``empty`` hold no rows at all (no valid candidate).
+    and hessian sums in ``[0, bound]``; about ``empty_frac`` of them are
+    empty (all three sums 0, as in accumulated tables).  Node totals cover
+    every attribute's present rows plus some missing ones.  ``dup_attrs``
+    appends a copy of the first attribute (exact gain ties across
+    attributes); nodes listed in ``empty`` hold no rows at all (no valid
+    candidate).
     """
     nbins = list(nbins)
     if dup_attrs:
@@ -131,7 +135,7 @@ def random_level(rng, n_active, nbins, bound, dup_attrs=False, empty=()):
     bin_offset = np.concatenate([[0], np.cumsum(nbins)]).astype(np.int64)
     total = int(bin_offset[-1])
     c = rng.integers(0, 4, size=(n_active, total), dtype=np.int64)
-    c[rng.random(c.shape) < 0.3] = 0
+    c[rng.random(c.shape) < empty_frac] = 0
     gq = np.where(c > 0, rng.integers(-bound, bound + 1, size=c.shape, dtype=np.int64), 0)
     hq = np.where(c > 0, rng.integers(0, bound + 1, size=c.shape, dtype=np.int64), 0)
     if dup_attrs:
@@ -171,14 +175,15 @@ class TestDifferential:
         dup_attrs=st.booleans(),
         empty=st.lists(st.integers(0, 8), max_size=3),
         cells=st.sampled_from([1, 3, 7, 40, 1 << 16]),
+        empty_frac=st.sampled_from([0.0, 0.3, 0.9, 0.99]),
         seed=st.integers(0, 2**16),
     )
     @FUZZ
     def test_matches_loop_oracle(
-        self, n_active, nbins, bound, shift, lambda_, dup_attrs, empty, cells, seed
+        self, n_active, nbins, bound, shift, lambda_, dup_attrs, empty, cells, empty_frac, seed
     ):
         rng = np.random.default_rng(seed)
-        level = random_level(rng, n_active, nbins, bound, dup_attrs, empty)
+        level = random_level(rng, n_active, nbins, bound, dup_attrs, empty, empty_frac)
         with np.errstate(over="ignore"), mock.patch.object(histops, "_SCAN_CELLS", cells):
             got = scan_histograms(*level, shift, lambda_)
         with np.errstate(over="ignore"):
@@ -215,6 +220,64 @@ class TestDifferential:
         np.testing.assert_array_equal(got[1], -1)
         np.testing.assert_array_equal(got[2], -1)
 
+    def test_leading_empty_bins(self):
+        """Every node's first bins are empty: the slots over them have an
+        empty left side, so the best cut lies past them."""
+        rng = np.random.default_rng(7)
+        gq, hq, c, *node, off = random_level(rng, 6, [6, 4], 1000, empty_frac=0.0)
+        for t in (gq, hq, c):
+            t[:, :3] = 0
+            t[:, 6:8] = 0
+        node[2] = np.maximum(node[2], 1)
+        got = scan_histograms(gq, hq, c, *node, off, 10, 1.0)
+        assert_same(got, loop_scan(gq, hq, c, *node, off, 10, 1.0))
+        interior = (got[1] >= 0) & (got[2] < np.diff(off)[np.maximum(got[1], 0)])
+        assert interior.any()
+        assert (got[2][interior & (got[1] == 0)] > 3).all()
+        assert (got[2][interior & (got[1] == 1)] > 2).all()
+
+    def test_attribute_with_all_bins_empty_keeps_only_its_boundary(self):
+        """In node 0 attribute 1 has no present row: only its boundary is a
+        candidate, and it is invalid (nothing present to send left)."""
+        rng = np.random.default_rng(8)
+        gq, hq, c, node_gq, node_hq, node_n, off = random_level(rng, 4, [3, 5, 2], 1000)
+        for t in (gq, hq, c):
+            t[0, 3:8] = 0
+        node_n = node_n + 2  # missing rows on every attribute
+        got = scan_histograms(gq, hq, c, node_gq, node_hq, node_n, off, 10, 1.0)
+        assert_same(got, loop_scan(gq, hq, c, node_gq, node_hq, node_n, off, 10, 1.0))
+        assert got[1][0] != 1
+        # with every other attribute emptied too, node 0 has no candidate
+        for t in (gq, hq, c):
+            t[0] = 0
+        got = scan_histograms(gq, hq, c, node_gq, node_hq, node_n, off, 10, 1.0)
+        assert_same(got, loop_scan(gq, hq, c, node_gq, node_hq, node_n, off, 10, 1.0))
+        assert got[1][0] == -1 and got[0][0] == -np.inf
+
+    def test_cross_attribute_tie_after_empty_bin_goes_to_first(self):
+        """Attribute 1 = (empty, x, empty, y) ties attribute 0 = (x, y) at
+        its slot after the leading empty bin (and again after the middle
+        one); the first maximum must stay on attribute 0's cut 1."""
+        x = (np.array([[-300]]), np.array([[40]]), np.array([[3]]))
+        y = (np.array([[500]]), np.array([[60]]), np.array([[5]]))
+        z = (np.zeros((1, 1), dtype=np.int64),) * 3
+        gq, hq, c = (
+            np.concatenate([xi, yi, zi, xi, zi, yi], axis=1).astype(np.int64)
+            for xi, yi, zi in zip(x, y, z)
+        )
+        off = np.array([0, 2, 6], dtype=np.int64)
+        node = (np.array([200]), np.array([100]), np.array([8]))  # nothing missing
+        got = scan_histograms(gq, hq, c, *node, off, 0, 1.0)
+        assert_same(got, loop_scan(gq, hq, c, *node, off, 0, 1.0))
+        assert got[0][0] > 0
+        assert (got[1][0], got[2][0]) == (0, 1)
+        # reversed, the tie goes to the occupied slot, never the one after it
+        perm = [2, 3, 4, 5, 0, 1]
+        off2 = np.array([0, 4, 6], dtype=np.int64)
+        got = scan_histograms(gq[:, perm], hq[:, perm], c[:, perm], *node, off2, 0, 1.0)
+        assert_same(got, loop_scan(gq[:, perm], hq[:, perm], c[:, perm], *node, off2, 0, 1.0))
+        assert (got[1][0], got[2][0]) == (0, 2)
+
     def test_row_prefix_sum_wrapping_int64_stays_exact(self):
         """9000 one-bin attributes at the 2**50 cell bound: the level-wide
         running sum passes 2**63 and wraps, the per-attribute sums do not."""
@@ -235,9 +298,9 @@ class TestDifferential:
         assert (got[1] >= 0).all()
 
 
-def _scan_peak_bytes(n_nodes, nbins):
+def _scan_peak_bytes(n_nodes, nbins, empty_frac=0.3):
     rng = np.random.default_rng(0)
-    level = random_level(rng, n_nodes, nbins, 2**20)
+    level = random_level(rng, n_nodes, nbins, 2**20, empty_frac=empty_frac)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -255,5 +318,16 @@ def test_scan_memory_does_not_grow_with_nodes():
     nbins = [250] * 80
     small = _scan_peak_bytes(16, nbins)
     large = _scan_peak_bytes(128, nbins)
+    assert large <= small + 64 * 1024, (small, large)
+    assert large < 128 * sum(nbins) * 8, large
+
+
+def test_sparse_scan_memory_does_not_grow_with_nodes():
+    """The same bound on a deep-level table: 38,400 bins (600 attributes x
+    64, as ``e2006-hist``) at 95% empty cells, where a chunk holds many
+    more rows than on a dense level."""
+    nbins = [64] * 600
+    small = _scan_peak_bytes(16, nbins, empty_frac=0.95)
+    large = _scan_peak_bytes(128, nbins, empty_frac=0.95)
     assert large <= small + 64 * 1024, (small, large)
     assert large < 128 * sum(nbins) * 8, large

@@ -144,6 +144,32 @@ class TestRollback:
         s = c.summary()
         assert s["rollbacks"] == 1.0 and s["publishes"] == 1.0
 
+    def test_non_finite_candidate_is_never_published(self, ds, params, monkeypatch):
+        """A refresh whose candidate has a NaN leaf raises at publish: the
+        registry and the controller keep serving the last good model."""
+        registry = ModelRegistry()
+        c, _ = _controller(ds, params, registry=registry, schedule_interval=10.0)
+        dense = _dense(ds)
+        c.ingest(dense[:B], ds.y[:B], now=0.0)
+        c.poll(now=0.0)
+        good_version, good_model = c.active_version, c.model
+
+        fit = GPUGBDTTrainer.fit
+
+        def poisoned_fit(self, *args, **kwargs):
+            model = fit(self, *args, **kwargs)
+            tree = model.trees[-1]
+            tree.value[next(i for i in range(tree.n_nodes) if tree.is_leaf(i))] = np.nan
+            return model
+
+        monkeypatch.setattr(GPUGBDTTrainer, "fit", poisoned_fit)
+        c.ingest(dense[B : 2 * B], ds.y[B : 2 * B], now=20.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            c.poll(now=20.0)
+        assert registry.versions() == [good_version]
+        assert c.active_version == good_version
+        assert c.model is good_model
+
     def test_rollback_preserves_boosting_base(self, ds, params):
         """After a rollback the next refresh warm-starts from the last good
         model, not from the rejected candidate."""
@@ -176,6 +202,15 @@ class TestAdoptedModelAndCheckpoints:
         c, _ = _controller(ds, params, model=model, registry=registry)
         assert c.active_version is not None
         assert c.model is model
+
+    def test_non_finite_pretrained_model_is_refused(self, ds, params):
+        model = GPUGBDTTrainer(params).fit(ds.X, ds.y)
+        model.base_score = float("inf")
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match="non-finite"):
+            _controller(ds, params, model=model, registry=registry)
+        assert registry.versions() == []
+        assert registry.names() == []
 
     def test_accepted_refreshes_checkpoint(self, ds, params, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, GpuDevice, TITAN_X_PASCAL
+from repro.core.booster_model import GBDTModel
 from repro.serve import (
     BatchPolicy,
     FlatEnsemble,
@@ -250,6 +251,26 @@ class TestRegistryServing:
             registry.activate("default", "nope")
         with pytest.raises(KeyError):
             registry.rollback()  # only one version active so far
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["leaf", "base_score"])
+    def test_publish_refuses_non_finite_model(self, susy_small, where, bad):
+        ds, model_a, model_b = self._two_models(susy_small)
+        poisoned = GBDTModel.from_json(model_b.to_json(), params=model_b.params)
+        if where == "leaf":
+            tree = poisoned.trees[-1]
+            tree.value[next(i for i in range(tree.n_nodes) if tree.is_leaf(i))] = bad
+        else:
+            poisoned.base_score = bad
+        registry = ModelRegistry()
+        va = registry.publish(model_a)
+        with pytest.raises(ValueError, match="non-finite"):
+            registry.publish(poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            registry.publish(poisoned, "fresh")
+        assert registry.versions() == [va]
+        assert registry.active().version == va
+        assert registry.names() == ["default"]
 
     def test_round_trip_preserves_predictions(self, susy_small):
         ds, model_a, _ = self._two_models(susy_small)
