@@ -11,7 +11,9 @@ measurable inside the reproduction:
 * each level accumulates per-(node, attribute, bin) gradient histograms
   with one atomic-scatter pass over the present entries -- **no sorted-list
   partitioning and no per-entry prefix sums**, the structural reason
-  histogram methods are cheap;
+  histogram methods are cheap; the same walk of the entries first routes
+  the rows of the nodes that just split, so a tree of depth D reads the
+  entry stream D + 1 times;
 * candidate splits are the bin boundaries; missing values take the learned
   default direction exactly as in the exact trainer;
 * one grow loop serves both growth policies: it keeps a list of open
@@ -175,9 +177,7 @@ class HistogramGBDTTrainer:
         self._nrows = self._global_rows(n)
 
         with device.phase("setup"):
-            spec, ent_inst, ent_gbin, ent_attr, bin_offset, col_lens = (
-                self._setup_entries(X)
-            )
+            spec, ent_inst, ent_gbin, ent_attr, bin_offset = self._setup_entries(X)
             self.bins_ = spec
 
         gc = GradientComputer(
@@ -210,7 +210,7 @@ class HistogramGBDTTrainer:
             shift = self._round_shift(g, h)
             gq, hq = quantize_gradients(g, h, shift)
             tree = self._grow_tree(
-                X, gq, hq, shift, ent_inst, ent_gbin, ent_attr, bin_offset, spec, col_lens, gc
+                X, gq, hq, shift, ent_inst, ent_gbin, ent_attr, bin_offset, spec, gc
             )
             if goss is not None:
                 # sampled-out rows never reached a leaf; route them by
@@ -256,7 +256,6 @@ class HistogramGBDTTrainer:
         ent_attr: np.ndarray,
         bin_offset: np.ndarray,
         spec: BinSpec,
-        col_lens: np.ndarray,
         gc: GradientComputer,
     ) -> DecisionTree:
         """Grow one tree over an insertion-ordered list of open leaves.
@@ -269,12 +268,18 @@ class HistogramGBDTTrainer:
         when growth stops (lossguide's ``max_leaves``) settle at the end.
         ``inst2local`` maps each row to its open leaf's position, -1 once
         settled or left out by GOSS.
+
+        The histograms a step scores are built by the entry pass of the
+        step before, in the same walk that routes the rows of the leaves it
+        split (:meth:`_route_and_accumulate`); the root's by a route-free
+        pass.  A tree of depth D thus walks the entry stream D + 1 times.
         """
         p = self.params
         device = self.device
         n = X.shape[0]
         total_bins = int(bin_offset[-1])
         lossguide = self.grow_policy == "lossguide"
+        subtracting = self.use_subtraction and not lossguide
 
         goss = self._round_goss
         if goss is None:
@@ -290,9 +295,13 @@ class HistogramGBDTTrainer:
         tree.add_root(root_n)
         leaves = np.zeros(1, dtype=_LEAF)
         leaves["gq"], leaves["hq"], leaves["n"] = root_gq, root_hq, root_n
-        # last scored batch's full tables + which of its locals split: the
-        # sibling-subtraction parents of the next depthwise level
+        # last scored batch's full tables + which of its locals split + the
+        # sibling build plan: the subtraction parents of the next level
         parent_ctx = None
+
+        def capped() -> bool:
+            # lossguide stops once the tree holds max_leaves leaves
+            return lossguide and 0 < self.max_leaves <= tree.n_leaves
 
         def splittable() -> np.ndarray:
             return leaves["scored"] & (leaves["attr"] >= 0) & (leaves["gain"] > p.gamma)
@@ -310,8 +319,16 @@ class HistogramGBDTTrainer:
             gc.on_leaves(ids, values[inst2local[ids]])
             inst2local[ids] = -1
 
-        # lossguide stops once the tree holds max_leaves leaves
-        while not (lossguide and 0 < self.max_leaves <= tree.n_leaves):
+        # tables of the leaves the next step scores, built by the last pass
+        built = None
+        if p.max_depth > 0 and not capped():
+            with device.phase("find_split"):
+                _, built = self._route_and_accumulate(
+                    gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
+                    batch_of=np.zeros(1, dtype=np.int64),
+                )
+
+        while not capped():
             todo = np.flatnonzero(~leaves["scored"] & (leaves["depth"] < p.max_depth))
             if todo.size:
                 depth = int(leaves["depth"][todo[0]])
@@ -321,9 +338,8 @@ class HistogramGBDTTrainer:
                     "find_split", depth=depth, nodes=todo.size
                 ):
                     best, tables = self._find_splits(
-                        gq, hq, shift, ent_inst, ent_gbin, batch_of[inst2local],
-                        todo.size, total_bins, bin_offset, leaves["gq"][todo],
-                        leaves["hq"][todo], leaves["n"][todo], col_lens,
+                        built, shift, bin_offset, leaves["gq"][todo],
+                        leaves["hq"][todo], leaves["n"][todo],
                         parent=parent_ctx, depth=depth,
                     )
                 for field, values in zip(_BEST, best):
@@ -353,42 +369,42 @@ class HistogramGBDTTrainer:
                     )
                     children["tid"][2 * j : 2 * j + 2] = lid, rid
 
-                # ---- route instances by bin index --------------------------
+                # routing: a chosen leaf's rows go to its children 2j (left)
+                # or 2j + 1 (right), the others keep their leaf's new position
+                split = leaves[chosen]
                 new_local_of = np.full(leaves.size, -1, dtype=np.int64)
                 new_local_of[kept] = np.arange(kept.size)
                 new_local_of[chosen] = kept.size + 2 * np.arange(k, dtype=np.int64)
-                side_inst = np.zeros(n, dtype=np.int8)
-                safe = np.maximum(inst2local, 0)
-                active = (inst2local >= 0) & is_chosen[safe]
-                default_side = np.where(leaves["dir"], 0, 1).astype(np.int8)
-                side_inst[active] = default_side[inst2local[active]]
+                attr_of = np.full(leaves.size, -2, dtype=np.int64)
+                attr_of[chosen] = split["attr"]
+                gcut_of = np.zeros(leaves.size, dtype=np.int64)
+                gcut_of[chosen] = bin_offset[split["attr"]] + split["cut"]
+                side_of = np.zeros(leaves.size, dtype=np.int64)
+                side_of[chosen] = np.where(split["dir"], 0, 1)
 
-                # entries of the chosen attributes decide present instances
-                cut_of_node = np.full(leaves.size, -1, dtype=np.int64)
-                attr_of_node = np.full(leaves.size, -2, dtype=np.int64)
-                cut_of_node[chosen] = leaves["cut"][chosen]
-                attr_of_node[chosen] = leaves["attr"][chosen]
-                self._route_by_entries(
-                    ent_inst, ent_gbin, ent_attr, inst2local, attr_of_node,
-                    cut_of_node, bin_offset, side_inst, n,
-                )
-                inst2local = np.where(
-                    inst2local >= 0, new_local_of[safe] + side_inst, -1
-                )
-
-                split = leaves[chosen]
                 for field in ("gq", "hq", "n"):
                     left = split["l" + field]
                     children[field][0::2] = left
                     children[field][1::2] = split[field] - left
                 children["depth"] = np.repeat(split["depth"] + 1, 2)
                 leaves = np.concatenate([leaves[kept], children])
-                # depthwise: the next level's locals (2j, 2j+1) are the
-                # children of this batch's local batch_of[chosen[j]]
-                parent_ctx = (
-                    (*tables, batch_of[chosen])
-                    if self.use_subtraction and not lossguide
-                    else None
+
+                # the next step scores the children unless they sit at
+                # max_depth or the split reached lossguide's cap; depthwise,
+                # their locals (2j, 2j+1) pair under this batch's local
+                # batch_of[chosen[j]] and only the smaller one is built
+                next_batch = build_locals = parent_ctx = None
+                if children["depth"][0] < p.max_depth and not capped():
+                    next_batch = np.full(leaves.size, -1, dtype=np.int64)
+                    next_batch[kept.size:] = np.arange(2 * k)
+                    if subtracting:
+                        plan = plan_sibling_builds(children["n"])
+                        build_locals = plan[0]
+                        parent_ctx = (*tables, batch_of[chosen], *plan)
+                inst2local, built = self._route_and_accumulate(
+                    gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
+                    route=(attr_of, gcut_of, side_of, new_local_of),
+                    batch_of=next_batch, build_locals=build_locals,
                 )
 
         still_open = ~leaves["scored"] | splittable()
@@ -398,52 +414,35 @@ class HistogramGBDTTrainer:
 
     # ---------------------------------------------------------- split search
     def _find_splits(
-        self,
-        gq, hq, shift, ent_inst, ent_gbin, inst2local, n_active, total_bins,
-        bin_offset, node_gq, node_hq, node_n, col_lens,
+        self, built, shift, bin_offset, node_gq, node_hq, node_n,
         parent=None, depth=0,
     ):
-        """Histogram accumulation + boundary enumeration for every node.
+        """Reduce, complete and scan one batch of leaves' histograms.
 
-        Thin wrapper over the shared kernels of :mod:`repro.approx.histops`
-        (also driven, with a ring allreduce in between, by
-        :mod:`repro.dist.trainer`) plus this device's cost charges.
+        ``built`` holds this shard's tables of the batch, already
+        accumulated by :meth:`_route_and_accumulate`.  The shared kernels of
+        :mod:`repro.approx.histops` (also driven, with a ring allreduce in
+        between, by :mod:`repro.dist.trainer`) do the rest, plus this
+        device's cost charges.
 
-        ``parent`` carries the previous level's *global* tables plus the
-        locals that split (``(p_gq, p_hq, p_c, split_locals)``): when
-        subtraction is on, only the smaller child of each sibling pair is
-        accumulated and reduced -- roughly halving both the scatter work
-        and, distributed, the allreduce payload -- and the sibling is
-        derived exactly as ``parent - built`` into arena tables ping-ponged
-        by level parity.  Returns ``(scan_results, (hist_gq, hist_hq,
-        hist_c))`` with the tables always full ``(n_active, total_bins)``.
+        ``parent`` carries the previous level's *global* tables, the locals
+        that split and the sibling build plan ``(p_gq, p_hq, p_c,
+        split_locals, build_locals, derive_locals)``: then ``built`` holds
+        only the smaller child of each sibling pair -- roughly halving both
+        the scatter work and, distributed, the allreduce payload -- and the
+        sibling is derived exactly as ``parent - built`` into arena tables
+        ping-ponged by level parity.  Returns ``(scan_results, (hist_gq,
+        hist_hq, hist_c))`` with the tables always full ``(n_active,
+        total_bins)``.
         """
         device = self.device
         p = self.params
+        n_active = node_n.size
+        total_bins = int(bin_offset[-1])
 
-        subtracting = (
-            self.use_subtraction and parent is not None and n_active % 2 == 0
-        )
-        if subtracting:
-            # node_n is global (post-reduce), so every dist rank plans the
-            # same builds; instances of to-be-derived nodes are masked out
-            build_locals, derive_locals = plan_sibling_builds(node_n)
-            build_of = np.full(n_active, -1, dtype=np.int64)
-            build_of[build_locals] = np.arange(build_locals.size, dtype=np.int64)
-            inst2build = np.where(
-                inst2local >= 0, build_of[np.maximum(inst2local, 0)], -1
-            )
-            hist_gq, hist_hq, hist_c = self._accumulate_entries(
-                gq, hq, ent_inst, ent_gbin, inst2build,
-                build_locals.size, total_bins,
-            )
-        else:
-            hist_gq, hist_hq, hist_c = self._accumulate_entries(
-                gq, hq, ent_inst, ent_gbin, inst2local, n_active, total_bins
-            )
-        hist_gq, hist_hq, hist_c = self._reduce_histograms(hist_gq, hist_hq, hist_c)
-        if subtracting:
-            p_gq, p_hq, p_c, parent_locals = parent
+        hist_gq, hist_hq, hist_c = self._reduce_histograms(*built)
+        if parent is not None:
+            p_gq, p_hq, p_c, parent_locals, build_locals, derive_locals = parent
             with span(
                 "hist.subtract", depth=depth, derived=int(derive_locals.size)
             ):
@@ -496,12 +495,12 @@ class HistogramGBDTTrainer:
     def _setup_entries(self, X: CSRMatrix):
         """Quantize the training matrix into the per-entry stream.
 
-        Returns ``(spec, ent_inst, ent_gbin, ent_attr, bin_offset,
-        col_lens)``.  The in-memory trainer materializes the full
-        ``(instance id, global bin, attribute)`` arrays on the device; the
-        out-of-core trainer (:mod:`repro.stream.trainer`) overrides this to
-        build spillable row-range blocks instead and returns ``None`` entry
-        handles, with :meth:`_entry_chunks` iterating its block store.
+        Returns ``(spec, ent_inst, ent_gbin, ent_attr, bin_offset)``.  The
+        in-memory trainer materializes the full ``(instance id, global bin,
+        attribute)`` arrays on the device; the out-of-core trainer
+        (:mod:`repro.stream.trainer`) overrides this to build spillable
+        row-range blocks instead and returns ``None`` entry handles, with
+        :meth:`_entry_chunks` iterating its block store.
         """
         device = self.device
         n, d = X.shape
@@ -542,63 +541,104 @@ class HistogramGBDTTrainer:
             "level_histograms",
             total_bins * device.seg_scale * 4 * 16,
         )
-        # per-attribute present counts for missing-mass bookkeeping
-        col_lens = np.diff(cols.col_offsets)
-        return spec, ent_inst, ent_gbin, ent_attr, bin_offset, col_lens
+        return spec, ent_inst, ent_gbin, ent_attr, bin_offset
 
-    def _entry_chunks(self, ent_inst, ent_gbin, ent_attr):
-        """The entry stream as ``(instance id, global bin, attribute)`` chunks.
+    def _entry_chunks(self, ent_inst, ent_gbin, ent_attr, n):
+        """The entry stream as ``(instance id, global bin, attribute, lo, hi)``
+        chunks, each holding every entry of rows ``[lo, hi)``.
 
-        In memory it is one chunk; the streaming trainer yields its blocks.
-        Int64 scatter-adds commute and each instance owns at most one entry
-        per attribute, so any chunking gives the same tables and routing.
+        In memory it is one chunk over rows ``[0, n)``; the streaming
+        trainer yields its row-range blocks.  Int64 scatter-adds commute and
+        each instance owns at most one entry per attribute, so any chunking
+        gives the same tables and routing.
         """
-        yield ent_inst, ent_gbin, ent_attr
+        yield ent_inst, ent_gbin, ent_attr, 0, n
 
-    def _accumulate_entries(
-        self, gq, hq, ent_inst, ent_gbin, inst2x, n_rows, total_bins
+    def _route_and_accumulate(
+        self, gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
+        route=None, batch_of=None, build_locals=None,
     ):
-        """(node, global bin) tables: one scatter-add pass per entry chunk."""
+        """One walk of the entry stream: route rows, then build histograms.
+
+        ``route`` (``None``: rows stay put) is ``(attr_of, gcut_of, side_of,
+        new_local_of)``, indexed by open-leaf position: a splitting leaf's
+        attribute (-2 for the others, which no entry matches) and its cut
+        as a global bin (bins at or above it go right), the side (0 = left,
+        1 = right) its rows without that attribute take, and each leaf's
+        position after the split -- a splitting leaf's left child; the
+        others add side 0.  ``batch_of`` maps the positions after routing
+        to the next scored batch (-1 = not in it; ``None``: accumulate
+        nothing); ``build_locals`` lists the batch locals to build, all of
+        them when ``None``.
+
+        A chunk covers whole rows, so its entries decide the new positions
+        of exactly its rows ``[lo, hi)`` -- rows without entries keep their
+        default side -- and those rows' entries are then added to the
+        tables of the leaves they landed in.  Accumulation is charged to
+        the ``find_split`` phase and routing to ``split_node``.  Returns
+        ``(inst2local, tables)``; ``tables`` is ``None`` with no
+        ``batch_of``, else ``(hist_gq, hist_hq, hist_c)`` with one row per
+        built local.
+        """
+        device = self.device
+        n = inst2local.size
+        if batch_of is not None:
+            n_batch = int(batch_of.max()) + 1
+            if build_locals is None:
+                build_locals = np.arange(n_batch)
+            # batch local -> table row; the extra last slot maps -1 to -1
+            build_of = np.full(n_batch + 1, -1, dtype=np.int64)
+            build_of[build_locals] = np.arange(build_locals.size)
+            row_of = np.append(build_of[batch_of], -1)  # settled rows (-1) -> -1
+            n_build = build_locals.size
+            inst2build = np.empty(n, dtype=np.int64)
+        new = inst2local
+        if route is not None:
+            attr_of, gcut_of, side_of, new_local_of = route
+            # each row's attribute to test (settled rows read the -2
+            # sentinel) and its side should that attribute be missing
+            row_attr = np.append(attr_of, -2)[inst2local]
+            side = side_of[inst2local]
+            new = np.empty_like(inst2local)
         tables = None
-        for c_inst, c_gbin, _ in self._entry_chunks(ent_inst, ent_gbin, None):
-            *chunk, n_live = accumulate_histograms(
-                gq, hq, c_inst, c_gbin, inst2x, n_rows, total_bins
-            )
-            tables = chunk if tables is None else [t + c for t, c in zip(tables, chunk)]
-            self.device.launch(
-                "accumulate_histograms",
-                elements=n_live,
-                flops_per_element=3.0,
-                coalesced_bytes=n_live * 12,
-                irregular_bytes=n_live * 24,  # atomic adds into node tables
-            )
-        return tables
-
-    def _route_by_entries(
-        self, ent_inst, ent_gbin, ent_attr, inst2local, attr_of_node,
-        cut_of_node, bin_offset, side_inst, n,
-    ):
-        """Decide sides for present instances from the entry stream.
-
-        Entries of each splitting node's chosen attribute overwrite the
-        missing-value default in ``side_inst`` (0 = left, 1 = right); other
-        nodes carry ``attr_of_node = -2``, which no entry matches.
-        """
-        # per-row attribute to test; settled rows (-1) read the -2 sentinel
-        inst_attr = np.append(attr_of_node, -2)[inst2local]
-        for c_inst, c_gbin, c_attr in self._entry_chunks(ent_inst, ent_gbin, ent_attr):
-            sel = np.flatnonzero(c_attr == inst_attr[c_inst])
-            inst = c_inst[sel]
-            local_bin = c_gbin[sel] - bin_offset[c_attr[sel]]
-            goes_left = local_bin < cut_of_node[inst2local[inst]]
-            side_inst[inst] = np.where(goes_left, 0, 1)
-        self.device.launch(
-            "route_instances_by_bin",
-            elements=n * self.row_scale,
-            flops_per_element=2.0,
-            coalesced_bytes=n * self.row_scale * 9,
-            scale=False,
-        )
+        for c_inst, c_gbin, c_attr, lo, hi in self._entry_chunks(
+            ent_inst, ent_gbin, ent_attr, n
+        ):
+            if route is not None:
+                sel = np.flatnonzero(c_attr == row_attr[c_inst])
+                inst = c_inst[sel]
+                side[inst] = c_gbin[sel] >= gcut_of[inst2local[inst]]
+                old = inst2local[lo:hi]
+                new[lo:hi] = np.where(old >= 0, new_local_of[old] + side[lo:hi], -1)
+            if batch_of is None:
+                continue
+            inst2build[lo:hi] = row_of[new[lo:hi]]
+            with device.phase("find_split"):
+                *chunk, n_live = accumulate_histograms(
+                    gq, hq, c_inst, c_gbin, inst2build, n_build, total_bins
+                )
+                if tables is None:
+                    tables = chunk
+                else:
+                    for t, c in zip(tables, chunk):
+                        t += c
+                device.launch(
+                    "accumulate_histograms",
+                    elements=n_live,
+                    flops_per_element=3.0,
+                    coalesced_bytes=n_live * 12,
+                    irregular_bytes=n_live * 24,  # atomic adds into node tables
+                )
+        if route is not None:
+            with device.phase("split_node"):
+                device.launch(
+                    "route_instances_by_bin",
+                    elements=n * self.row_scale,
+                    flops_per_element=2.0,
+                    coalesced_bytes=n * self.row_scale * 9,
+                    scale=False,
+                )
+        return new, tables
 
     def _base_score(self, y: np.ndarray) -> float:
         """Model base score (global mean/odds of the full training set)."""

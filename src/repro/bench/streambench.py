@@ -100,6 +100,7 @@ def run_stream_bench(quick: bool = False) -> Dict[str, Any]:
             "n_blocks": len(trainer._block_ids),
             "wall_s": wall_s,
             "peak_resident_bytes": trainer.store_.peak_resident_bytes,
+            "blockstore_gets": trainer.store_.get_calls,
             "modeled_disk_bytes": device.ledger.disk_bytes,
         }
         for name in _COUNTERS:
@@ -145,6 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{flag} {row['name']:>18}: peak {row['peak_resident_bytes']:>8} B, "
             f"{row['blocks_spilled_total']:.0f} spills, "
             f"{row['blocks_fetched_total']:.0f} fetches, "
+            f"{row['blockstore_gets']} gets, "
             f"overlap {row['overlap_speedup']:.2f}x, wall {row['wall_s']:.2f}s"
         )
     print(f"[wrote {path}]")

@@ -243,6 +243,8 @@ class BlockStore:
         self._known: set[int] = set()
         self._resident = 0
         self.peak_resident_bytes = 0
+        #: :meth:`get` calls so far: one per block per pass over the store
+        self.get_calls = 0
         self._materializer: Optional[Callable[[int], ColumnBlock]] = None
         self._lock = threading.RLock()
 
@@ -279,6 +281,7 @@ class BlockStore:
         with self._lock:
             if block_id not in self._known:
                 raise KeyError(f"unknown block {block_id}")
+            self.get_calls += 1
             block = self._cache.get(block_id)
             if block is not None:
                 self._cache.move_to_end(block_id)

@@ -17,12 +17,15 @@ code*:
     and registers them as spillable RLE blocks in a
     :class:`~repro.stream.blockstore.BlockStore` under the cache budget.
 ``_entry_chunks``
-    histogram accumulation and per-split routing walk the blocks through
-    the :class:`~repro.stream.prefetch.PrefetchPipeline` instead of one
-    in-memory entry array.  Fixed-point int64 scatter-adds are associative
-    and commutative, and each instance owns at most one entry per
-    attribute, so any blocking (and any within-block order) produces the
-    identical tables and routing.
+    the shared entry pass (``_route_and_accumulate``) walks the blocks
+    through the :class:`~repro.stream.prefetch.PrefetchPipeline` instead of
+    one in-memory entry array, each block with its row range.  A block
+    holds every entry of its rows, so one walk routes the rows of the
+    leaves that just split and adds their entries to the histograms the
+    next level scores.  Fixed-point int64 scatter-adds are associative and
+    commutative, and each instance owns at most one entry per attribute,
+    so any blocking (and any within-block order) produces the identical
+    tables and routing.
 
 Everything downstream of identical tables and identical routing is shared
 code, so the serialized model is **byte-identical** to in-memory training
@@ -32,8 +35,11 @@ digests.  What *does* change is the cost ledger: one full-scale chunk of
 device memory instead of the whole entry stream (the OOM wall moves), plus
 modeled disk traffic in the ``stream_io`` phase.
 
-The stream trainer grows depthwise (one block pass per level); it takes
-no ``grow_policy``.
+The stream trainer grows depthwise; a tree of depth D takes D + 1 passes
+over the blocks: a route-free one that builds the root's histograms, then
+one per split level that routes the level's rows and, unless the
+children sit at ``max_depth``, builds their histograms in the same walk.
+It takes no ``grow_policy``.
 """
 
 from __future__ import annotations
@@ -191,13 +197,11 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
         # (exactly build_bins() of the unchunked columns, by the sketch
         # merge contract of repro.approx.quantile)
         per_attr: list[list] = [[] for _ in range(d)]
-        col_lens = np.zeros(d, dtype=np.int64)
         max_chunk_nnz = 0
         for lo, hi in self._chunks:
             cols = self._chunk_columns(X, lo, hi)
             for j in range(d):
                 per_attr[j].append(sketch_column(cols.column(j)[0]))
-            col_lens += np.diff(cols.col_offsets)
             max_chunk_nnz = max(max_chunk_nnz, cols.nnz)
         spec = build_bins_from_sketches(
             [merge_sketches(s) for s in per_attr], self.max_bins
@@ -229,7 +233,7 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
             "level_histograms",
             total_bins * device.seg_scale * 4 * 16,
         )
-        return spec, None, None, None, bin_offset, col_lens
+        return spec, None, None, None, bin_offset
 
     def _blocks(self) -> PrefetchPipeline:
         assert self.store_ is not None
@@ -237,9 +241,9 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
             self.store_, self._block_ids, depth=self.prefetch_depth
         )
 
-    def _entry_chunks(self, ent_inst, ent_gbin, ent_attr):
+    def _entry_chunks(self, ent_inst, ent_gbin, ent_attr, n):
         bin_offset = self._bin_offset
         for block in self._blocks():
             entries = block.entries(bin_offset)
             self.device.transfer("upload_block_entries", block.nbytes)
-            yield entries
+            yield (*entries, block.row_lo, block.row_hi)

@@ -1,6 +1,7 @@
 """Tests for the histogram/approximate trainer and quantile binning."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -302,3 +303,46 @@ class TestLossguideGrowth:
             HistogramGBDTTrainer(grow_policy="breadthfirst")
         with pytest.raises(ValueError):
             HistogramGBDTTrainer(max_leaves=-1)
+
+
+class TestLedgerPin:
+    """The in-memory histogram trainer's gpusim ledger, pinned as a multiset.
+
+    Each digest is the sha256 of the sorted ``(kernel or transfer name,
+    phase, elements, bytes)`` tuples of one fit on ``susy_small`` (3 trees,
+    depth 5, 16 bins), taken before histogram accumulation moved into the
+    routing pass.  Launch order may change; what the device is charged,
+    and in which phase, may not -- this guards modeled ``device_s`` and its
+    per-phase split.
+    """
+
+    PINNED = {
+        "depthwise-sub": "7e46507595c048d4b6ca125b0038b96196b753d139787f946d553774abd7e116",
+        "depthwise-nosub": "c43b37662e4585185ddcff9f589569af67cc8832e85006e3eb0be8df8f957c7a",
+        "depthwise-goss": "36f19e354278f2b42de350c1abf9ae9ab21a8a1d9d9b5f7ebfe456b1525b370c",
+        "lossguide": "43b5e828746439c3778d3f33db84b384c73dcdcd1e5f5bdb5dbeabd4e29ccc62",
+        "lossguide-capped": "c0b3a9db25a9ab72463a70a2a488136ffe24641a9ac39324bc374223c2b6d538",
+    }
+    CONFIGS = {
+        "depthwise-sub": ({}, {"use_subtraction": True}),
+        "depthwise-nosub": ({}, {"use_subtraction": False}),
+        "depthwise-goss": ({"goss_a": 0.3, "goss_b": 0.3}, {"use_subtraction": True}),
+        "lossguide": ({}, {"grow_policy": "lossguide"}),
+        "lossguide-capped": ({}, {"grow_policy": "lossguide", "max_leaves": 6}),
+    }
+
+    @staticmethod
+    def ledger_digest(device):
+        ledger = device.ledger
+        items = [(k.name, k.phase, k.work.elements, k.work.total_bytes) for k in ledger.kernels]
+        items += [(t.name, t.phase, 0.0, t.nbytes) for t in ledger.transfers]
+        return hashlib.sha256(json.dumps(sorted(items)).encode()).hexdigest()
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_ledger_multiset_pinned(self, susy_small, config):
+        params, knobs = self.CONFIGS[config]
+        device = GpuDevice()
+        HistogramGBDTTrainer(
+            GBDTParams(n_trees=3, max_depth=5, **params), device, max_bins=16, **knobs
+        ).fit(susy_small.X, susy_small.y)
+        assert self.ledger_digest(device) == self.PINNED[config]

@@ -119,28 +119,45 @@ class TestBuildPlan:
 # ----------------------------------------------------- trainer-level oracle
 class _OracleTrainer(HistogramGBDTTrainer):
     """Rebuilds every level's tables by full accumulation and checks the
-    subtraction path reproduced them cell-for-cell."""
+    subtraction path reproduced them cell-for-cell.
+
+    The entry pass that routes a level's rows also builds the next batch's
+    tables, so the reference is taken there -- from the pass's own output
+    rows, over every batch local -- and checked when the batch is scored.
+    """
 
     levels_checked = 0
     levels_subtracted = 0
 
+    def _route_and_accumulate(
+        self, gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
+        route=None, batch_of=None, build_locals=None,
+    ):
+        inst2local, built = super()._route_and_accumulate(
+            gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
+            route=route, batch_of=batch_of, build_locals=build_locals,
+        )
+        if batch_of is not None:
+            inst2batch = np.append(batch_of, -1)[inst2local]
+            self._ref = accumulate_histograms(
+                gq, hq, ent_inst, ent_gbin, inst2batch,
+                int(batch_of.max()) + 1, total_bins,
+            )[:3]
+        return inst2local, built
+
     def _find_splits(
-        self, gq, hq, shift, ent_inst, ent_gbin, inst2local, n_active,
-        total_bins, bin_offset, node_gq, node_hq, node_n, col_lens,
+        self, built, shift, bin_offset, node_gq, node_hq, node_n,
         parent=None, depth=0,
     ):
         results, tables = super()._find_splits(
-            gq, hq, shift, ent_inst, ent_gbin, inst2local, n_active,
-            total_bins, bin_offset, node_gq, node_hq, node_n, col_lens,
+            built, shift, bin_offset, node_gq, node_hq, node_n,
             parent=parent, depth=depth,
         )
-        ref = accumulate_histograms(
-            gq, hq, ent_inst, ent_gbin, inst2local, n_active, total_bins
-        )[:3]
-        for got, want in zip(tables, ref):
+        for got, want in zip(tables, self._ref):
             np.testing.assert_array_equal(got, want)
+        self._ref = None  # each scored batch needs its own pass
         self.levels_checked += 1
-        if parent is not None and n_active % 2 == 0:
+        if parent is not None:
             self.levels_subtracted += 1
         return results, tables
 

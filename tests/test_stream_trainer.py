@@ -12,18 +12,21 @@ spilled and came back -- a run that never touched the disk tier would
 vacuously pass the peak check).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.approx.histogram_trainer import HistogramGBDTTrainer
 from repro.core.params import GBDTParams
-from repro.data import make_dataset
+from repro.data import CSRMatrix, make_dataset
 from repro.gpusim.device import TITAN_X_PASCAL
 from repro.gpusim.kernel import GpuDevice
 from repro.gpusim.memory import DeviceOutOfMemory
 from repro.obs import MetricsRegistry, use_registry
 from repro.pipeline.checkpoint import model_digest
 from repro.stream import StreamingHistTrainer
+from repro.stream.blockstore import BlockStore
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +96,126 @@ class TestByteIdentity:
     def test_digest_matches_reference(self, ds, params, reference):
         t = StreamingHistTrainer(params, block_rows=64, cache_budget_bytes=1 << 18)
         assert model_digest(t.fit(ds.X, ds.y)) == model_digest(reference)
+
+
+def _spy_gets(monkeypatch):
+    """Record every block :meth:`BlockStore.get` hands out."""
+    got = []
+    real = BlockStore.get
+
+    def get(self, block_id, *, pin=False):
+        block = real(self, block_id, pin=pin)
+        got.append(block)
+        return block
+
+    monkeypatch.setattr(BlockStore, "get", get)
+    return got
+
+
+def _without_entries(X, lo, hi):
+    """``X`` with every entry of rows ``[lo, hi)`` removed (all missing)."""
+    counts = np.diff(X.indptr)
+    keep = np.ones(X.nnz, dtype=bool)
+    keep[X.indptr[lo]:X.indptr[hi]] = False
+    counts[lo:hi] = 0
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return CSRMatrix(indptr, X.indices[keep], X.data[keep], n_cols=X.n_cols)
+
+
+class TestEntryPasses:
+    """One walk of the entry stream per level: the walk that routes a
+    level's rows also builds the histograms the next level scores."""
+
+    @pytest.mark.parametrize("goss", [False, True], ids=["full", "goss"])
+    def test_full_depth_trees_take_depth_plus_one_passes(self, ds, monkeypatch, goss):
+        p = GBDTParams(
+            n_trees=2, max_depth=3, seed=7,
+            **({"goss_a": 0.3, "goss_b": 0.3} if goss else {}),
+        )
+        gets = _spy_gets(monkeypatch)
+        t = StreamingHistTrainer(p, block_rows=75, cache_budget_bytes=1 << 18)
+        model = t.fit(ds.X, ds.y)
+        assert [tree.max_depth() for tree in model.trees] == [p.max_depth] * p.n_trees
+        n_blocks = len(t._block_ids)
+        assert n_blocks == 3
+        assert len(gets) == p.n_trees * (p.max_depth + 1) * n_blocks
+        assert t.store_.get_calls == len(gets)
+
+    def test_stream_bench_reports_block_gets(self):
+        from repro.bench.streambench import run_stream_bench
+
+        payload = run_stream_bench(quick=True)
+        w = payload["workload"]
+        for row in payload["configs"]:
+            # the quick grid's trees all reach max_depth
+            assert row["blockstore_gets"] == (
+                w["n_trees"] * (w["max_depth"] + 1) * row["n_blocks"]
+            )
+
+    @pytest.mark.parametrize("kind", ["depthwise", "lossguide-capped", "goss"])
+    def test_inmemory_launches_per_step(self, ds, kind):
+        """One accumulate launch per scored step, one route launch per
+        split step, and nothing accumulated for a step that never comes
+        (children at max_depth, or lossguide's cap reached)."""
+        p = GBDTParams(
+            n_trees=2, max_depth=6 if kind == "lossguide-capped" else 3, seed=7,
+            **({"goss_a": 0.3, "goss_b": 0.3} if kind == "goss" else {}),
+        )
+        max_leaves = 6
+        device = GpuDevice()
+        if kind == "lossguide-capped":
+            trainer = HistogramGBDTTrainer(
+                p, device, grow_policy="lossguide", max_leaves=max_leaves
+            )
+        else:
+            trainer = HistogramGBDTTrainer(p, device)
+        trees = trainer.fit(ds.X, ds.y).trees
+        if kind == "lossguide-capped":
+            assert [t.n_leaves for t in trees] == [max_leaves] * p.n_trees
+            # every split but the one reaching the cap has scored children
+            scored = split = p.n_trees * (max_leaves - 1)
+        else:
+            assert [t.max_depth() for t in trees] == [p.max_depth] * p.n_trees
+            scored = split = p.n_trees * p.max_depth
+        kernels = device.ledger.kernels
+        count = Counter(k.name for k in kernels)
+        assert count["scan_histograms_for_best_split"] == scored
+        assert count["accumulate_histograms"] == scored
+        assert count["route_instances_by_bin"] == split
+        phases = {(k.name, k.phase) for k in kernels}
+        assert ("accumulate_histograms", "find_split") in phases
+        assert ("accumulate_histograms", "split_node") not in phases
+        assert ("route_instances_by_bin", "find_split") not in phases
+
+    @pytest.mark.parametrize(
+        "block_rows,empty_block",
+        [(64, 1), (100, None), (100, -1)],
+        ids=["empty-block", "short-last-block", "empty-short-last-block"],
+    )
+    def test_rows_without_entries_take_default_side(
+        self, ds, params, monkeypatch, block_rows, empty_block
+    ):
+        """The fused pass routes rows by their block's row range, so rows
+        whose block holds no entries at all must still be routed."""
+        n = ds.X.shape[0]
+        ranges = [(lo, min(lo + block_rows, n)) for lo in range(0, n, block_rows)]
+        assert ranges[-1][1] - ranges[-1][0] < block_rows  # a short last block
+        X = ds.X
+        if empty_block is not None:
+            X = _without_entries(X, *ranges[empty_block])
+        ref = HistogramGBDTTrainer(params).fit(X, ds.y)
+        gets = _spy_gets(monkeypatch)
+        t = StreamingHistTrainer(
+            params, block_rows=block_rows, cache_budget_bytes=1 << 18
+        )
+        assert t.fit(X, ds.y).to_json() == ref.to_json()
+        assert {(b.row_lo, b.row_hi) for b in gets} == set(ranges)
+        if empty_block is not None:
+            assert all(
+                b.n_entries == 0
+                for b in gets
+                if (b.row_lo, b.row_hi) == ranges[empty_block]
+            )
 
 
 class TestGuards:
