@@ -40,6 +40,7 @@ experiments-md:  ## regenerate EXPERIMENTS.md from full-scale runs
 loc:
 	@find src tests benchmarks examples scripts -name "*.py" | xargs wc -l | tail -1
 
-clean:
+clean:  ## also drops the gitignored run artifacts at the repo root
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
+	rm -rf .perfbench BENCH_*.json repro-stream-*
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -209,8 +209,8 @@ def validate_fit(
     Rejects a label vector of the wrong size, non-finite labels (one NaN
     would otherwise come back as an all-NaN model), fewer than 2 rows or
     no attribute, and an ``init_model`` whose base score or learning rate
-    differs from this fit's: resumed rounds would not match uninterrupted
-    training.
+    differs from this fit's (resumed rounds would not match uninterrupted
+    training) or that splits on an attribute ``X`` does not have.
     """
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
@@ -233,5 +233,11 @@ def validate_fit(
             raise ValueError(
                 "init_model was trained with a different learning_rate; "
                 "resumed rounds would not match uninterrupted training"
+            )
+        used = max((max(t.attr, default=-1) for t in init_model.trees), default=-1)
+        if used >= d:
+            raise ValueError(
+                f"init_model splits on attribute {used} but X has only {d} "
+                "attributes"
             )
     return y

@@ -28,6 +28,16 @@ spills it first (``blocks_spilled_total``, modeled as a disk write);
 fetching an evicted block reads it back (modeled as a disk read).  Blocks
 pinned by the prefetch pipeline are never evicted -- the budget must cover
 the pinned working set, which is what bounds peak resident bytes.
+
+LRU is the worst policy for a *cyclic* scan over more blocks than fit:
+when every pass walks blocks ``0..B-1`` in the same order, the block a
+pass needs next is always the one evicted longest ago, so every ``get``
+misses.  The stream trainer therefore walks the blocks serpentine (each
+pass reverses the previous one), and each pass starts on the blocks the
+last pass left resident.  Only the prefetch worker calls :meth:`get`, in
+pass order, and pinned blocks are always the newest, so the eviction
+victim is always the oldest block: the fetch sequence, and so the modeled
+disk traffic, does not depend on thread timing.
 """
 
 from __future__ import annotations

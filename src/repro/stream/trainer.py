@@ -40,6 +40,14 @@ over the blocks: a route-free one that builds the root's histograms, then
 one per split level that routes the level's rows and, unless the
 children sit at ``max_depth``, builds their histograms in the same walk.
 It takes no ``grow_policy``.
+
+The passes walk the blocks serpentine: setup puts them ascending, so
+pass 0 runs descending and every later pass reverses the one before.  With
+a cache smaller than the blocks, a fixed order would miss on every fetch
+(a cyclic scan is LRU's worst case); the reversed pass starts on the
+blocks the last one left resident, so each pass fetches only the blocks
+that did not fit.  Setup resets the pass index, so every ``fit`` walks the
+same orders and records the same ledger.
 """
 
 from __future__ import annotations
@@ -126,6 +134,7 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
         self.store_: BlockStore | None = None
         self._chunks: list[tuple[int, int]] = []
         self._block_ids: list[int] = []
+        self._passes = 0
         self._bin_offset: np.ndarray | None = None
 
     # ------------------------------------------------------------------- fit
@@ -192,6 +201,7 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
             for lo in range(0, n, self.block_rows)
         ]
         self._block_ids = list(range(len(self._chunks)))
+        self._passes = 0
 
         # pass 1: per-chunk mergeable sketches -> the global quantile cuts
         # (exactly build_bins() of the unchunked columns, by the sketch
@@ -236,10 +246,12 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
         return spec, None, None, None, bin_offset
 
     def _blocks(self) -> PrefetchPipeline:
+        """The next pass over the store, reversing the previous pass's
+        order (see the module docstring)."""
         assert self.store_ is not None
-        return PrefetchPipeline(
-            self.store_, self._block_ids, depth=self.prefetch_depth
-        )
+        ids = self._block_ids if self._passes % 2 else self._block_ids[::-1]
+        self._passes += 1
+        return PrefetchPipeline(self.store_, ids, depth=self.prefetch_depth)
 
     def _entry_chunks(self, ent_inst, ent_gbin, ent_attr, n):
         bin_offset = self._bin_offset

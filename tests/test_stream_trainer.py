@@ -12,6 +12,8 @@ spilled and came back -- a run that never touched the disk tier would
 vacuously pass the peak check).
 """
 
+import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.pipeline.checkpoint import model_digest
 from repro.stream import StreamingHistTrainer
 from repro.stream.blockstore import BlockStore
+from repro.stream.prefetch import PrefetchPipeline
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,35 @@ def _spy_gets(monkeypatch):
     return got
 
 
+def _spy_pass_orders(monkeypatch):
+    """Record the block order of every :class:`PrefetchPipeline` pass."""
+    orders = []
+    real = PrefetchPipeline.__init__
+
+    def init(self, store, block_ids, **kwargs):
+        real(self, store, block_ids, **kwargs)
+        orders.append(list(self.block_ids))
+
+    monkeypatch.setattr(PrefetchPipeline, "__init__", init)
+    return orders
+
+
+def _count(reg, name):
+    """A counter's value, 0 when nothing ever incremented it."""
+    counter = reg.get(name)
+    return 0 if counter is None else counter.value
+
+
+def _tight_fit(ds, params):
+    """Fit the tight-budget config (8 blocks, ~4.7 of them fit the cache);
+    returns ``(model digest, blocks fetched, modeled disk bytes, trainer)``."""
+    reg = MetricsRegistry(max_label_sets=256)
+    with use_registry(reg):
+        t = StreamingHistTrainer(params, block_rows=32, cache_budget_bytes=24 << 10)
+        digest = model_digest(t.fit(ds.X, ds.y))
+    return digest, _count(reg, "blocks_fetched_total"), t.device.ledger.disk_bytes, t
+
+
 def _without_entries(X, lo, hi):
     """``X`` with every entry of rows ``[lo, hi)`` removed (all missing)."""
     counts = np.diff(X.indptr)
@@ -140,6 +172,51 @@ class TestEntryPasses:
         assert n_blocks == 3
         assert len(gets) == p.n_trees * (p.max_depth + 1) * n_blocks
         assert t.store_.get_calls == len(gets)
+
+    def test_passes_alternate_direction(self, ds, monkeypatch):
+        """Pass 0 runs against setup's ascending puts; every later pass
+        reverses the one before.  A fit of 3 passes ends ascending, so the
+        second fit on the same trainer only starts descending again
+        because setup resets the pass index."""
+        p = GBDTParams(n_trees=1, max_depth=2, seed=7)
+        orders = _spy_pass_orders(monkeypatch)
+        t = StreamingHistTrainer(p, block_rows=75, cache_budget_bytes=1 << 18)
+        t.fit(ds.X, ds.y)
+        t.fit(ds.X, ds.y)
+        down, up = [2, 1, 0], [0, 1, 2]
+        assert orders == [down, up, down] * 2
+
+    def test_serpentine_passes_fetch_less_than_they_get(self, ds, params):
+        """A cyclic scan over more blocks than the cache holds misses on
+        every get (64 fetches of 64 gets here); the serpentine order starts
+        each pass on the blocks the last one left resident."""
+        _, fetched, _, t = _tight_fit(ds, params)
+        assert t.store_.get_calls == 64
+        assert fetched == 28
+        assert fetched < t.store_.get_calls
+
+    def test_fetches_independent_of_thread_timing(self, ds, params, monkeypatch):
+        """Only the prefetch worker calls ``get``, in pass order, so the
+        eviction victim is always the oldest block: random stalls in the
+        worker and the consumer move neither the model nor the modeled IO."""
+        clean = _tight_fit(ds, params)[:3]
+        rng = random.Random(5)
+        real_get = BlockStore.get
+        real_chunks = StreamingHistTrainer._entry_chunks
+
+        def slow_get(self, block_id, *, pin=False):
+            time.sleep(rng.uniform(0.0, 0.002))
+            return real_get(self, block_id, pin=pin)
+
+        def slow_chunks(self, *args):
+            for chunk in real_chunks(self, *args):
+                time.sleep(rng.uniform(0.0, 0.002))
+                yield chunk
+
+        monkeypatch.setattr(BlockStore, "get", slow_get)
+        monkeypatch.setattr(StreamingHistTrainer, "_entry_chunks", slow_chunks)
+        for _ in range(2):
+            assert _tight_fit(ds, params)[:3] == clean
 
     def test_stream_bench_reports_block_gets(self):
         from repro.bench.streambench import run_stream_bench
@@ -245,6 +322,50 @@ class TestGuards:
         )
         t2.fit(ds.X, ds.y)
         assert list(tmp_path.glob("block-*.blk"))
+
+
+class TestBudgetEdges:
+    """Cache budgets at the two ends of the legal range."""
+
+    BLOCK_ROWS = 32
+
+    def _block_bytes(self, ds, params):
+        t = StreamingHistTrainer(
+            params, block_rows=self.BLOCK_ROWS, cache_budget_bytes=1 << 20
+        )
+        t.fit(ds.X, ds.y)
+        return t, [
+            t._build_block(ds.X, bid, t.bins_, t._bin_offset).nbytes
+            for bid in t._block_ids
+        ]
+
+    def _fit(self, ds, params, budget):
+        reg = MetricsRegistry(max_label_sets=256)
+        with use_registry(reg):
+            t = StreamingHistTrainer(
+                params, block_rows=self.BLOCK_ROWS, cache_budget_bytes=budget
+            )
+            model = t.fit(ds.X, ds.y)
+        assert t.store_.peak_resident_bytes <= budget
+        return model, reg
+
+    def test_pinned_working_set_plus_one_block(self, ds, params, reference):
+        """At most ``prefetch_depth`` queued blocks and the consumer's are
+        pinned when the worker inserts the next one, so the largest
+        ``prefetch_depth + 2`` blocks are the most the cache ever needs."""
+        t, sizes = self._block_bytes(ds, params)
+        budget = sum(sorted(sizes)[-(t.prefetch_depth + 2):])
+        assert budget < sum(sizes)
+        model, reg = self._fit(ds, params, budget)
+        assert model.to_json() == reference.to_json()
+        assert _count(reg, "blocks_fetched_total") > 0
+
+    def test_budget_holding_every_block_never_fetches(self, ds, params, reference):
+        _, sizes = self._block_bytes(ds, params)
+        model, reg = self._fit(ds, params, sum(sizes))
+        assert model.to_json() == reference.to_json()
+        assert _count(reg, "blocks_fetched_total") == 0
+        assert _count(reg, "blocks_spilled_total") == 0
 
 
 class TestTenXDemo:
