@@ -176,7 +176,7 @@ class HistogramGBDTTrainer:
         base = self._base_score(y)
         self._nrows = self._global_rows(n)
 
-        with device.phase("setup"):
+        with device.phase("setup"), span("setup"):
             spec, ent_inst, ent_gbin, ent_attr, bin_offset = self._setup_entries(X)
             self.bins_ = spec
 
@@ -231,7 +231,7 @@ class HistogramGBDTTrainer:
         if cut == spec.n_bins(a):
             # present | missing boundary: every present value goes left
             return -np.finfo(np.float64).max
-        return float(spec.edges[a][cut - 1])
+        return float(spec.flat[spec.offsets[a] + cut - 1])
 
     def _choose_leaves(self, leaves: np.ndarray, can_split: np.ndarray) -> np.ndarray:
         """Open-leaf positions to split this step (the grow policy's rule).
@@ -520,8 +520,7 @@ class HistogramGBDTTrainer:
         )
         # device state: per-entry (instance id, global bin id) -- the
         # quantized matrix replaces the sorted value lists entirely
-        bin_offset = np.zeros(d + 1, dtype=np.int64)
-        np.cumsum([spec.n_bins(j) for j in range(d)], out=bin_offset[1:])
+        bin_offset = spec.bin_offset
         ent_gbin = bin_offset[ent_attr] + ent_bin
         total_bins = int(bin_offset[-1])
         device.transfer("upload_quantized_matrix", X.nnz * 8 + total_bins * 8)

@@ -8,24 +8,31 @@ runnable, :mod:`repro.approx` implements the histogram family on the same
 substrate; this module builds the bin edges.
 
 Because the sorted attribute lists already exist (Section II-A), computing
-quantile cuts is a pass over each column: pick at most ``max_bins`` cut
-points such that each bin holds roughly ``1/max_bins`` of the column's
-present mass.  These are the *global* proposals of [3] (computed once,
-reused for every tree/node).
+quantile cuts is a pass over the columns: pick at most ``max_bins`` cut
+points per attribute such that each bin holds roughly ``1/max_bins`` of the
+column's present mass.  These are the *global* proposals of [3] (computed
+once, reused for every tree/node).
 
-For distributed training the same cuts must come out of *row shards* that
-never see each other's values.  :class:`ColumnSketch` is the mergeable
-weighted form: a column summarised as (distinct values, multiplicities).
-Because :func:`build_bins` only ever looks at distinct-value boundaries and
-cumulative counts, a sketch carries *all* the information the cut rule
-uses -- merging exact local sketches and cutting the merge
-(:func:`build_bins_from_sketches`) reproduces the monolithic
-:func:`build_bins` edges bit-for-bit, not approximately (tested).
+There is **one cut rule**, and it reads only each column's distinct values
+and their counts -- a :class:`ColumnSketch`.  :func:`sketch_columns` builds
+the sketch of every column of the sorted lists in one segmented pass, and
+the rule cuts every column at once: one ``searchsorted`` of the per-column
+equi-mass targets on the flat group starts.  :func:`build_bins` applies it
+to the sketch of the sorted columns, and :func:`bin_column_values` finds
+every entry's bin in one search over all columns.
+
+For distributed and out-of-core training the same cuts must come out of
+*row shards* that never see each other's values.  A sketch is the run-length
+encoding of the sorted columns, so it is lossless for the cut rule, and
+sketches merge exactly (:func:`merge_sketches`): cutting the merge of the
+shards' sketches (:func:`build_bins_from_sketches`) reproduces the
+monolithic :func:`build_bins` edges bit-for-bit, not approximately (tested).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
@@ -37,9 +44,7 @@ __all__ = [
     "build_bins",
     "build_bins_from_sketches",
     "bin_column_values",
-    "edges_from_sketch",
     "merge_sketches",
-    "sketch_column",
     "sketch_columns",
 ]
 
@@ -55,173 +60,192 @@ class BinSpec:
     matching the descending sorted-list convention everywhere else in the
     package; splitting "before bin k" uses threshold ``edges[j][k-1]`` with
     the usual ``x > thr -> left`` predicate.  ``n_bins(j) == len(edges[j]) + 1``.
+
+    The edges are stored flat: attribute ``j``'s are
+    ``flat[offsets[j]:offsets[j + 1]]``.
     """
 
-    edges: list[np.ndarray]
+    flat: np.ndarray  # float64, every attribute's edges, attribute-major
+    offsets: np.ndarray  # (d + 1,) int64
     max_bins: int
 
     @property
     def n_attrs(self) -> int:
-        return len(self.edges)
+        return self.offsets.size - 1
+
+    @property
+    def edges(self) -> list[np.ndarray]:
+        """Per-attribute edge views."""
+        return np.split(self.flat, self.offsets[1:-1])
 
     def n_bins(self, j: int) -> int:
         """Bin count of attribute ``j`` (edges + 1)."""
-        return self.edges[j].size + 1
+        return int(self.offsets[j + 1] - self.offsets[j]) + 1
 
     @property
     def total_bins(self) -> int:
-        return sum(self.n_bins(j) for j in range(self.n_attrs))
+        return self.flat.size + self.n_attrs
+
+    @property
+    def bin_offset(self) -> np.ndarray:
+        """``(d + 1,)`` int64: attribute ``j``'s global bins start here."""
+        return self.offsets + np.arange(self.offsets.size, dtype=np.int64)
 
     def bin_of(self, j: int, values: np.ndarray) -> np.ndarray:
         """Bin index for (present) values of attribute ``j``."""
-        e = self.edges[j]
-        if e.size == 0:
-            return np.zeros(np.asarray(values).size, dtype=np.int32)
+        e = self.flat[self.offsets[j]:self.offsets[j + 1]]
         # edges descending: count how many edges are >= v
-        asc = e[::-1]
-        # v > asc[k-1] ... use searchsorted on ascending edges
-        idx = e.size - np.searchsorted(asc, np.asarray(values, dtype=np.float64), side="left")
+        idx = e.size - np.searchsorted(e[::-1], np.asarray(values, dtype=np.float64), side="left")
         return idx.astype(np.int32)
-
-
-def build_bins(cols: SortedColumns, max_bins: int = 64) -> BinSpec:
-    """Equi-mass quantile cuts from the descending sorted columns.
-
-    Cuts always fall *between distinct values*, so a value group is never
-    split across bins (the histogram analogue of the duplicate-split-point
-    rule).  Columns with fewer distinct values than ``max_bins`` keep one
-    bin per distinct value -- the histogram trainer is then exact on them.
-    """
-    if max_bins < 2:
-        raise ValueError("max_bins must be >= 2")
-    edges: list[np.ndarray] = []
-    for j in range(cols.n_cols):
-        vals, _ = cols.column(j)
-        L = vals.size
-        if L == 0:
-            edges.append(np.empty(0))
-            continue
-        # distinct group boundaries (descending): value changes at i
-        change = np.flatnonzero(vals[1:] != vals[:-1]) + 1
-        distinct_count = change.size + 1
-        if distinct_count <= max_bins:
-            # one bin per distinct value: edge at each boundary's midpoint
-            cut_vals = (vals[change - 1] + vals[change]) / 2.0
-            guard = np.minimum(cut_vals, np.nextafter(vals[change - 1], -np.inf))
-            edges.append(np.asarray(guard, dtype=np.float64))
-            continue
-        # equi-mass cuts among the group boundaries
-        targets = (np.arange(1, max_bins) * L) // max_bins
-        cut_pos = np.unique(np.searchsorted(change, targets, side="left").clip(0, change.size - 1))
-        bpos = change[cut_pos]
-        cut_vals = (vals[bpos - 1] + vals[bpos]) / 2.0
-        guard = np.minimum(cut_vals, np.nextafter(vals[bpos - 1], -np.inf))
-        edges.append(np.asarray(np.unique(guard)[::-1], dtype=np.float64))
-    return BinSpec(edges=edges, max_bins=max_bins)
 
 
 # --------------------------------------------------------------- sketches
 @dataclasses.dataclass
 class ColumnSketch:
-    """Exact weighted quantile summary of one attribute's present values.
+    """Exact weighted quantile summary of every attribute's present values.
 
-    ``values`` are the distinct values in descending order; ``counts[i]`` is
-    the (int64) multiplicity of ``values[i]``.  This is the run-length
-    encoding of the sorted column, which is lossless for the cut rule:
-    :func:`build_bins` only consults distinct-value boundaries and the
-    cumulative counts on either side.  Sketches merge associatively
-    (:func:`merge_sketches`), so W row shards allgather their local sketches
-    and every worker derives the identical global edges.
+    Attribute ``j``'s distinct values, strictly descending, are
+    ``values[offsets[j]:offsets[j + 1]]`` and ``counts`` holds their (int64)
+    multiplicities.  This is the run-length encoding of the sorted columns,
+    which is lossless for the cut rule: it consults only distinct-value
+    boundaries and the cumulative counts on either side.  Sketches merge
+    associatively (:func:`merge_sketches`), so W row shards allgather their
+    local sketches and every worker derives the identical global edges.
     """
 
-    values: np.ndarray  # float64, distinct, strictly descending
+    values: np.ndarray  # float64, distinct and descending within a column
     counts: np.ndarray  # int64 multiplicity per value
+    offsets: np.ndarray  # (d + 1,) int64 group offsets per attribute
 
     @property
-    def total(self) -> int:
-        """Total number of summarised (present) entries."""
-        return int(self.counts.sum())
+    def n_cols(self) -> int:
+        return self.offsets.size - 1
 
 
-def sketch_column(vals: np.ndarray) -> ColumnSketch:
-    """Sketch a descending-sorted column (duplicates allowed)."""
-    vals = np.asarray(vals, dtype=np.float64)
-    if vals.size == 0:
-        return ColumnSketch(np.empty(0), np.empty(0, dtype=np.int64))
-    change = np.flatnonzero(vals[1:] != vals[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    bounds = np.concatenate((starts, [vals.size]))
-    return ColumnSketch(vals[starts].copy(), np.diff(bounds).astype(np.int64))
+def sketch_columns(cols: SortedColumns) -> ColumnSketch:
+    """Sketch every attribute of the sorted columns in one segmented pass.
 
-
-def sketch_columns(cols: SortedColumns) -> list[ColumnSketch]:
-    """One :class:`ColumnSketch` per attribute of the sorted columns."""
-    return [sketch_column(cols.column(j)[0]) for j in range(cols.n_cols)]
-
-
-def merge_sketches(sketches: list[ColumnSketch]) -> ColumnSketch:
-    """Exact merge: union of distinct values, integer-summed counts."""
-    vs = [s.values for s in sketches if s.values.size]
-    if not vs:
-        return ColumnSketch(np.empty(0), np.empty(0, dtype=np.int64))
-    allv = np.concatenate(vs)
-    allc = np.concatenate([s.counts for s in sketches if s.values.size])
-    uniq, inverse = np.unique(allv, return_inverse=True)  # ascending
-    counts = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(counts, inverse, allc)
-    return ColumnSketch(uniq[::-1].copy(), counts[::-1].copy())
-
-
-def edges_from_sketch(sk: ColumnSketch, max_bins: int) -> np.ndarray:
-    """Bin edges from a sketch -- the same rule as :func:`build_bins`.
-
-    Both branches mirror the monolithic code line for line (including the
-    asymmetry that the few-distinct branch keeps edges as produced while the
-    equi-mass branch deduplicates guarded midpoints), with the sorted
-    column's ``vals[change - 1] / vals[change]`` lookups rewritten via the
-    identities ``vals[change[i] - 1] == values[i]`` and ``vals[change[i]] ==
-    values[i + 1]``.
+    A value group starts wherever the value changes or a column begins; the
+    group's representative is its first entry and its count its length.
     """
-    v, c = sk.values, sk.counts
-    if v.size == 0:
-        return np.empty(0)
-    if v.size <= max_bins:
-        # one bin per distinct value: edge at each boundary's midpoint
-        cut_vals = (v[:-1] + v[1:]) / 2.0
-        guard = np.minimum(cut_vals, np.nextafter(v[:-1], -np.inf))
-        return np.asarray(guard, dtype=np.float64)
-    # equi-mass cuts among the group boundaries
-    change = np.cumsum(c[:-1])
-    L = int(c.sum())
-    targets = (np.arange(1, max_bins) * L) // max_bins
-    cut_pos = np.unique(
-        np.searchsorted(change, targets, side="left").clip(0, change.size - 1)
+    v = cols.values
+    n = v.size
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    new[cols.col_offsets[:-1][np.diff(cols.col_offsets) > 0]] = True
+    starts = np.flatnonzero(new)
+    return ColumnSketch(
+        values=v[starts],
+        counts=np.diff(starts, append=n),
+        offsets=np.searchsorted(starts, cols.col_offsets),
     )
-    cut_vals = (v[cut_pos] + v[cut_pos + 1]) / 2.0
-    guard = np.minimum(cut_vals, np.nextafter(v[cut_pos], -np.inf))
-    return np.asarray(np.unique(guard)[::-1], dtype=np.float64)
 
 
-def build_bins_from_sketches(
-    sketches: list[ColumnSketch], max_bins: int = 64
-) -> BinSpec:
-    """:class:`BinSpec` from per-attribute (merged) sketches.
+def merge_sketches(sketches: Sequence[ColumnSketch]) -> ColumnSketch:
+    """Exact merge of same-shape sketches: per attribute, the union of the
+    distinct values with integer-summed counts."""
+    d = sketches[0].n_cols
+    v = np.concatenate([s.values for s in sketches])
+    c = np.concatenate([s.counts for s in sketches])
+    col = np.concatenate(
+        [np.repeat(np.arange(d, dtype=np.int64), np.diff(s.offsets)) for s in sketches]
+    )
+    order = np.lexsort((-v, col))
+    v, c, col = v[order], c[order], col[order]
+    new = np.empty(v.size, dtype=bool)
+    new[:1] = True
+    new[1:] = (v[1:] != v[:-1]) | (col[1:] != col[:-1])
+    starts = np.flatnonzero(new)
+    return ColumnSketch(
+        values=v[starts],
+        counts=np.add.reduceat(c, starts) if starts.size else c,
+        offsets=np.searchsorted(col[starts], np.arange(d + 1), side="left"),
+    )
 
-    ``build_bins_from_sketches([merge_sketches(shards[j]) for j])`` equals
-    ``build_bins`` on the unsharded data exactly, for any sharding.
+
+# --------------------------------------------------------------- cut rule
+def build_bins_from_sketches(sk: ColumnSketch, max_bins: int = 64) -> BinSpec:
+    """The cut rule: every attribute's edges from a sketch of its columns.
+
+    Cuts always fall *between distinct values*, so a value group is never
+    split across bins (the histogram analogue of the duplicate-split-point
+    rule).  A column with at most ``max_bins`` distinct values is cut at
+    every group boundary -- the histogram trainer is then exact on it.  A
+    column with ``L`` entries and more groups is cut at the first group
+    boundary at or after entry ``(k * L) // max_bins``, for ``k = 1 ..
+    max_bins - 1`` (clipped to the column's last boundary), once per
+    distinct boundary.  The edge of the cut after group ``p`` is the
+    midpoint of ``values[p]`` and ``values[p + 1]``, guarded below
+    ``values[p]``; within a column the edges come out descending.
+
+    ``build_bins_from_sketches(merge_sketches(shard_sketches))`` equals
+    :func:`build_bins` on the unsharded data exactly, for any sharding.
     """
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
+    v, c, goffs = sk.values, sk.counts, sk.offsets
+    n_groups = np.diff(goffs)
+    many = n_groups > max_bins
+    # few-distinct columns: a cut after every group but the column's last
+    cut = np.repeat(~many, n_groups)
+    cut[goffs[1:][n_groups > 0] - 1] = False
+    # equi-mass columns: the target entry positions, offset to each
+    # column's first entry, searched once on the flat group starts
+    m = np.flatnonzero(many)
+    if m.size:
+        end = np.cumsum(c)
+        gstart = end - c
+        first = gstart[goffs[m]]
+        size = end[goffs[m + 1] - 1] - first
+        k = np.arange(1, max_bins, dtype=np.int64)
+        targets = (k * size[:, None]) // max_bins + first[:, None]
+        prev = np.searchsorted(gstart, targets, side="left") - 1
+        cut[np.minimum(prev, (goffs[m + 1] - 2)[:, None]).ravel()] = True
+    p = np.flatnonzero(cut)
+    col = np.searchsorted(goffs, p, side="right") - 1
+    with np.errstate(over="ignore"):  # midpoints of values near -max are -inf
+        edge = np.minimum((v[p] + v[p + 1]) / 2.0, np.nextafter(v[p], -np.inf))
+    # the equi-mass branch keeps each distinct edge once (only a -inf tail
+    # can repeat); the every-boundary branch keeps them as produced
+    keep = np.ones(p.size, dtype=bool)
+    keep[1:] = ~((edge[1:] == edge[:-1]) & (col[1:] == col[:-1]) & many[col[1:]])
     return BinSpec(
-        edges=[edges_from_sketch(s, max_bins) for s in sketches], max_bins=max_bins
+        flat=edge[keep],
+        offsets=np.searchsorted(p[keep], goffs, side="left"),
+        max_bins=max_bins,
     )
 
 
+def build_bins(cols: SortedColumns, max_bins: int = 64) -> BinSpec:
+    """Equi-mass quantile cuts of the descending sorted columns: the cut
+    rule applied to :func:`sketch_columns` of ``cols``."""
+    return build_bins_from_sketches(sketch_columns(cols), max_bins)
+
+
 def bin_column_values(spec: BinSpec, cols: SortedColumns) -> np.ndarray:
-    """Bin index for every entry of the flat sorted arrays (int32)."""
-    out = np.empty(cols.nnz, dtype=np.int32)
-    for j in range(cols.n_cols):
-        lo, hi = cols.col_offsets[j], cols.col_offsets[j + 1]
-        vals = cols.values[lo:hi]
-        out[lo:hi] = spec.bin_of(j, vals)
-    return out
+    """Bin index for every entry of the flat sorted arrays (int32).
+
+    An entry's bin is the number of its attribute's edges ``>= value``.
+    Each attribute's entries are sorted descending, so the entries an edge
+    counts for are a suffix of them: one search finds where every edge's
+    suffix starts, and a cumsum over the entries adds the suffixes up.  The
+    search covers all attributes at once: NumPy orders complex numbers by
+    real part, then imaginary part, so the entry keys ``attribute + 1j *
+    -value`` ascend through every attribute in turn, and an edge's key
+    ``attribute + 1j * -edge`` lands on its attribute's first entry
+    ``<= edge``.  The suffixes of earlier attributes' edges all start by an
+    attribute's first entry; subtracting its edge offset removes them.
+    """
+    d = spec.n_attrs
+    n = cols.nnz
+    lens = np.diff(cols.col_offsets)
+    ent = np.empty(n, dtype=np.complex128)
+    ent.real = np.repeat(np.arange(d), lens)
+    ent.imag = -cols.values
+    keys = np.empty(spec.flat.size, dtype=np.complex128)
+    keys.real = np.repeat(np.arange(d), np.diff(spec.offsets))
+    keys.imag = -spec.flat
+    start = np.searchsorted(ent, keys, side="left")
+    counted = np.cumsum(np.bincount(start, minlength=n + 1)[:n])
+    return (counted - np.repeat(spec.offsets[:-1], lens)).astype(np.int32)

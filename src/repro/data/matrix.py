@@ -215,8 +215,14 @@ class CSRMatrix:
 
     def to_csc(self) -> "CSCMatrix":
         """Transpose to column-compressed form via the counting-sort
-        algorithm (a stable scatter -- rows stay sorted within columns)."""
-        order = np.argsort(self.indices, kind="stable")
+        algorithm (a stable scatter -- rows stay sorted within columns).
+
+        The column index is sorted as the narrowest unsigned type that holds
+        ``n_cols``: up to 65535 columns that is 16 bits or fewer, which
+        NumPy's stable argsort radix-sorts; the permutation is the same."""
+        order = np.argsort(
+            self.indices.astype(np.min_scalar_type(self.n_cols)), kind="stable"
+        )
         row_of = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr))
         col_counts = np.bincount(self.indices, minlength=self.n_cols)
         indptr = np.concatenate(([0], np.cumsum(col_counts))).astype(np.int64)
@@ -226,11 +232,11 @@ class CSRMatrix:
         """New CSR with the given rows, in the given order (for train/test
         splits and the online-update example)."""
         idx = np.asarray(idx, dtype=np.int64)
-        lens = np.diff(self.indptr)[idx]
+        starts = self.indptr[idx]
+        lens = self.indptr[idx + 1] - starts
         indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-        gather = np.concatenate(
-            [np.arange(self.indptr[i], self.indptr[i + 1]) for i in idx]
-        ) if idx.size else np.empty(0, dtype=np.int64)
+        # entry k of output row r sits at starts[r] + (k - indptr[r])
+        gather = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
         return CSRMatrix(indptr, self.indices[gather], self.data[gather], n_cols=self.n_cols)
 
     @property

@@ -11,6 +11,10 @@ every later tie-break deterministically.
 During training the trainer re-segments these flat arrays by tree node; this
 module only builds the initial one-segment-per-attribute layout and offers
 pure-NumPy accessors used across the trainers and the tests.
+
+The histogram trainers read the same lists: each attribute's runs of equal
+values are its distinct values and their counts, which is all the one cut
+rule of :mod:`repro.approx.quantile` consults.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from ..gpusim.kernel import GpuDevice
-from ..gpusim.primitives import segment_sort_desc
+from ..gpusim.primitives import segment_order_desc, segment_sort_desc
 from .matrix import CSCMatrix
 
 __all__ = ["SortedColumns", "build_sorted_columns"]
@@ -94,7 +98,9 @@ def build_sorted_columns(csc: CSCMatrix, device: GpuDevice | None = None) -> Sor
 
     When a ``device`` is given the sort is executed through the simulator's
     segmented radix-sort primitive (one-time cost the paper notes is
-    amortized across all trees); otherwise a pure host sort is used.
+    amortized across all trees); otherwise the same order
+    (:func:`~repro.gpusim.primitives.segment_order_desc`) is taken on the
+    host with nothing charged.
     """
     offsets = csc.indptr.copy()
     if device is not None:
@@ -102,8 +108,7 @@ def build_sorted_columns(csc: CSCMatrix, device: GpuDevice | None = None) -> Sor
             device, csc.data, csc.indices, offsets, name="build_sorted_attr_lists"
         )
     else:
-        sid = np.repeat(np.arange(csc.n_cols, dtype=np.int64), np.diff(offsets))
-        order = np.lexsort((-csc.data, sid))
+        order = segment_order_desc(csc.data, offsets)
         values, inst = csc.data[order], csc.indices[order]
     return SortedColumns(
         col_offsets=offsets,

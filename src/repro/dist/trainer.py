@@ -112,15 +112,9 @@ class _WorkerTrainer(HistogramGBDTTrainer):
 
     def _bin_spec(self, cols) -> BinSpec:
         local = sketch_columns(cols)
-        nbytes = float(
-            sum(s.values.nbytes + s.counts.nbytes for s in local)
-        )
-        with span("dist.sketch_merge", n_attrs=len(local)):
-            gathered = self.coll.allgather(local, nbytes=nbytes)
-            merged = [
-                merge_sketches([shard[j] for shard in gathered])
-                for j in range(len(local))
-            ]
+        nbytes = float(local.values.nbytes + local.counts.nbytes)
+        with span("dist.sketch_merge", n_attrs=local.n_cols):
+            merged = merge_sketches(self.coll.allgather(local, nbytes=nbytes))
         return build_bins_from_sketches(merged, self.max_bins)
 
     def _round_shift(self, g: np.ndarray, h: np.ndarray) -> int:

@@ -40,6 +40,7 @@ __all__ = [
     "bincount_sum",
     "two_way_partition",
     "stream_compact",
+    "segment_order_desc",
     "segment_sort_desc",
 ]
 
@@ -357,6 +358,42 @@ def stream_compact(
 
 
 # -------------------------------------------------------------------- sorts
+def segment_order_desc(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Permutation sorting each segment by descending value, ties in index order.
+
+    The permutation of ``np.lexsort((-values, seg_ids(offsets, n)))`` for
+    non-NaN values (``-0.0`` ties ``0.0``).  Two sorts give it, each fast
+    where the other is slow, and the input order picks one:
+
+    - When at most half the entries differ from the value before them
+      (binary and low-cardinality columns, and ``n <= 1``), ``lexsort``
+      itself: its merge sort takes each run of equal values whole, where a
+      float quicksort crawls.
+    - Otherwise by rank: one unstable float argsort plus a cumsum give every
+      entry its dense descending rank ``r`` among the ``R`` distinct values,
+      and one stable argsort of the int64 key ``sid * R + r`` orders
+      segments, then values, then indices.  The key stays below
+      ``segments * n``, so it cannot overflow.
+    """
+    values = np.asarray(values)
+    n = values.size
+    key = seg_ids(offsets, n)
+    if 2 * np.count_nonzero(values[1:] != values[:-1]) <= n:
+        return np.lexsort((-values, key))
+    asc = np.argsort(values)
+    sv = values[asc]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(sv[1:], sv[:-1], out=new[1:])
+    up = np.cumsum(new)  # 1-based ascending dense rank, in ascending order
+    n_distinct = int(up[-1])
+    rank = np.empty(n, dtype=np.int64)
+    rank[asc] = n_distinct - up  # descending dense rank, 0-based
+    key *= n_distinct
+    key += rank
+    return np.argsort(key, kind="stable")
+
+
 def segment_sort_desc(
     device: GpuDevice,
     values: np.ndarray,
@@ -369,7 +406,8 @@ def segment_sort_desc(
     Used once per training run to build the sorted attribute lists of
     Section II-A (descending order, as in the paper's ``a1`` example:
     ``1.2, 1.2, 0.5``).  Stability fixes the tie order to the original
-    (instance-id) order, making every later step deterministic.
+    (instance-id) order, making every later step deterministic.  The host
+    order comes from :func:`segment_order_desc`.
     """
     values = np.asarray(values)
     payload = np.asarray(payload)
@@ -377,8 +415,7 @@ def segment_sort_desc(
     if payload.size != n:
         raise ValueError("values and payload must align")
     offsets = check_offsets(offsets, n)
-    sid = seg_ids(offsets, n)
-    order = np.lexsort((-values, sid))
+    order = segment_order_desc(values, offsets)
     log_n = max(1.0, np.log2(max(n, 2)))
     device.launch(
         name,

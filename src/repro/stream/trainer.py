@@ -9,12 +9,13 @@ code*:
 ``_setup_entries``
     instead of materializing the full quantized entry stream on the device,
     rows are cut into ``block_rows``-sized chunks.  Pass 1 sketches each
-    chunk's columns (:func:`~repro.approx.quantile.sketch_column`) and
-    merges them into the global quantile cuts -- bit-equal to the
-    monolithic :func:`~repro.approx.quantile.build_bins` by the sketch
-    contract.  Pass 2 quantizes each chunk against those cuts, sorts its
-    entries by global bin (entry order within a block is free -- see below),
-    and registers them as spillable RLE blocks in a
+    chunk's columns in one call (:func:`~repro.approx.quantile.sketch_columns`)
+    and merges all the chunks' sketches at once into the global quantile
+    cuts -- bit-equal to the monolithic
+    :func:`~repro.approx.quantile.build_bins` by the sketch contract.  Pass
+    2 quantizes each chunk against those cuts, sorts its entries by global
+    bin (entry order within a block is free -- see below), and registers
+    them as spillable RLE blocks in a
     :class:`~repro.stream.blockstore.BlockStore` under the cache budget.
 ``_entry_chunks``
     the shared entry pass (``_route_and_accumulate``) walks the blocks
@@ -64,7 +65,7 @@ from ..approx.quantile import (
     bin_column_values,
     build_bins_from_sketches,
     merge_sketches,
-    sketch_column,
+    sketch_columns,
 )
 from ..core.booster_model import GBDTModel
 from ..core.params import GBDTParams
@@ -195,7 +196,7 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
 
     def _setup_entries(self, X: CSRMatrix):
         device = self.device
-        n, d = X.shape
+        n = X.shape[0]
         self._chunks = [
             (lo, min(lo + self.block_rows, n))
             for lo in range(0, n, self.block_rows)
@@ -206,18 +207,14 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
         # pass 1: per-chunk mergeable sketches -> the global quantile cuts
         # (exactly build_bins() of the unchunked columns, by the sketch
         # merge contract of repro.approx.quantile)
-        per_attr: list[list] = [[] for _ in range(d)]
+        sketches = []
         max_chunk_nnz = 0
         for lo, hi in self._chunks:
             cols = self._chunk_columns(X, lo, hi)
-            for j in range(d):
-                per_attr[j].append(sketch_column(cols.column(j)[0]))
+            sketches.append(sketch_columns(cols))
             max_chunk_nnz = max(max_chunk_nnz, cols.nnz)
-        spec = build_bins_from_sketches(
-            [merge_sketches(s) for s in per_attr], self.max_bins
-        )
-        bin_offset = np.zeros(d + 1, dtype=np.int64)
-        np.cumsum([spec.n_bins(j) for j in range(d)], out=bin_offset[1:])
+        spec = build_bins_from_sketches(merge_sketches(sketches), self.max_bins)
+        bin_offset = spec.bin_offset
         total_bins = int(bin_offset[-1])
         self._bin_offset = bin_offset
 

@@ -94,3 +94,12 @@ class TestReport:
     def test_paper_bands_present(self):
         assert PAPER_BANDS["speedup_vs_xgbst40"] == (1.5, 2.0)
         assert PAPER_BANDS["split_share_gpu"] == 0.95
+
+
+class TestHotpathHistRow:
+    def test_setup_s_read_from_setup_span(self):
+        from repro.bench.hotpath import HOTPATH_WORKLOADS, run_hist_workload
+
+        row = run_hist_workload(HOTPATH_WORKLOADS["smoke"], repeats=1)
+        assert 0 < row.setup_s < min(row.full_s, row.subtract_s, row.goss_s)
+        assert row.identical_models

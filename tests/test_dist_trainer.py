@@ -43,11 +43,7 @@ class TestSketchMerge:
             sketch_columns(build_sorted_columns(X.select_rows(part).to_csc()))
             for part in np.split(idx, shard_splits)
         ]
-        merged = [
-            merge_sketches([shard[j] for shard in per_shard])
-            for j in range(X.shape[1])
-        ]
-        return global_spec, build_bins_from_sketches(merged, max_bins)
+        return global_spec, build_bins_from_sketches(merge_sketches(per_shard), max_bins)
 
     @pytest.mark.parametrize("max_bins", [2, 3, 8, 64, 256])
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])

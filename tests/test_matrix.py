@@ -123,6 +123,36 @@ class TestCSR:
             CSRMatrix(np.array([0, 1]), np.array([9]), np.array([1.0]), n_cols=2)
 
 
+class TestSelectRows:
+    @staticmethod
+    def oracle(m, idx):
+        rows = [list(zip(*m.row(i))) for i in idx]
+        return CSRMatrix.from_rows(rows, n_cols=m.n_cols)
+
+    @pytest.mark.parametrize(
+        "idx",
+        [[3, 0, 2], [1, 1, 3, 1], [2, 2], [0, 1, 2, 3], []],
+        ids=["unsorted", "repeated", "empty-rows-only", "all", "no-rows"],
+    )
+    def test_matches_per_row_oracle(self, idx):
+        # rows 1 and 2 are empty
+        m = CSRMatrix.from_rows(
+            [[(0, 1.0), (2, 2.0)], [], [], [(1, 3.0), (3, 4.0), (4, 5.0)]], n_cols=5
+        )
+        got = m.select_rows(np.array(idx, dtype=np.int64))
+        assert got == self.oracle(m, idx)
+        assert got.shape == (len(idx), 5)
+
+    @given(st.integers(1, 12), st.integers(0, 20), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_property(self, n, k, rnd):
+        rng = np.random.default_rng(rnd.randint(0, 2**31))
+        dense = rng.normal(size=(n, 6)) * (rng.random((n, 6)) < 0.4)
+        m = DenseMatrix(dense).to_csr()
+        idx = rng.integers(0, n, size=k)
+        assert m.select_rows(idx) == self.oracle(m, idx)
+
+
 class TestCSC:
     def test_transpose_roundtrip(self, table1_csr):
         assert table1_csr.to_csc().to_csr() == table1_csr
@@ -142,6 +172,27 @@ class TestCSC:
         csc = table1_csr.to_csc()
         assert csc.shape == (4, 4)
         assert csc.nnz == 8
+
+    @pytest.mark.parametrize("n_cols", [1, 255, 256, 32767, 32768, 65535, 65536, 70000])
+    def test_narrow_index_sort_equals_int64_stable_sort(self, n_cols):
+        """The column index sorts as a narrow type; the permutation is the
+        one a stable int64 argsort gives."""
+        rng = np.random.default_rng(n_cols)
+        n_rows = 50
+        # every row holds the widest index the narrow type must represent
+        per_row = [
+            np.union1d(rng.choice(n_cols, size=min(40, n_cols), replace=False), [n_cols - 1])
+            for _ in range(n_rows)
+        ]
+        rows = np.repeat(np.arange(n_rows), [c.size for c in per_row])
+        cols = np.concatenate(per_row)
+        m = CSRMatrix.from_coo(rows, cols, rng.normal(size=cols.size), n_rows=n_rows, n_cols=n_cols)
+        order = np.argsort(m.indices.astype(np.int64), kind="stable")
+        row_of = np.repeat(np.arange(n_rows), np.diff(m.indptr))
+        csc = m.to_csc()
+        np.testing.assert_array_equal(csc.indices, row_of[order])
+        np.testing.assert_array_equal(csc.data, m.data[order])
+        assert csc.to_csr() == m
 
     def test_stability_of_transpose(self):
         """Rows stay ascending within each column (counting sort)."""

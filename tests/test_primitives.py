@@ -13,6 +13,7 @@ from repro.gpusim.primitives import (
     exclusive_cumsum,
     gather,
     seg_ids,
+    segment_order_desc,
     segment_sort_desc,
     segmented_argmax,
     segmented_inclusive_cumsum,
@@ -33,7 +34,7 @@ def segmented_array(draw, max_segments=8, max_len=12, elements=None):
     lens = [draw(st.integers(0, max_len)) for _ in range(n_seg)]
     offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
     n = int(offsets[-1])
-    elt = elements or st.floats(-100, 100, allow_nan=False, width=32)
+    elt = elements if elements is not None else st.floats(-100, 100, allow_nan=False, width=32)
     values = np.array([draw(elt) for _ in range(n)], dtype=np.float64)
     return values, offsets
 
@@ -233,3 +234,52 @@ class TestSegmentSort:
     def test_misaligned_payload_raises(self):
         with pytest.raises(ValueError):
             segment_sort_desc(dev(), np.ones(3), np.ones(2), np.array([0, 3]))
+
+    @given(
+        segmented_array(
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324]),
+                st.floats(allow_nan=False, width=64),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_keyed_order_equals_lexsort(self, va):
+        """Ties (``-0.0`` ties ``0.0``), infinities and empty segments: the
+        rank-keyed permutation is exactly ``lexsort``'s."""
+        values, offsets = va
+        sid = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        expected = np.lexsort((-values, sid))
+        np.testing.assert_array_equal(segment_order_desc(values, offsets), expected)
+        sv, sp = segment_sort_desc(dev(), values, np.arange(values.size), offsets)
+        np.testing.assert_array_equal(sp, expected)
+        np.testing.assert_array_equal(sv.view(np.int64), values[expected].view(np.int64))
+
+    @pytest.mark.parametrize("offsets", [[0], [0, 0], [0, 0, 0, 0]])
+    def test_rank_keyed_order_empty(self, offsets):
+        order = segment_order_desc(np.empty(0), np.array(offsets))
+        assert order.dtype == np.int64 and order.size == 0
+        sv, sp = segment_sort_desc(dev(), np.empty(0), np.empty(0, np.int64), np.array(offsets))
+        assert sv.size == sp.size == 0
+
+    @pytest.mark.parametrize("runs", [False, True])
+    def test_both_sorts_equal_lexsort(self, runs):
+        """Ties spread apart take the rank-keyed sort; the same multiset
+        laid out in runs of equal values takes ``lexsort``.  Both orders are
+        ``lexsort``'s, ``-0.0`` tying ``0.0``."""
+        rng = np.random.default_rng(7)
+        pool = np.array([2.0, -0.0, 1.0, 0.0, -1.0, 3.0])
+        if runs:
+            values = np.repeat(pool[rng.integers(0, pool.size, 40)], 5)
+        else:
+            # consecutive picks never repeat a pool index, so only the two
+            # zeros can compare equal to their neighbour
+            idx = np.cumsum(rng.integers(1, pool.size, 200)) % pool.size
+            values = pool[idx]
+        changes = np.count_nonzero(values[1:] != values[:-1])
+        assert (2 * changes <= values.size) == runs
+        offsets = np.array([0, 0, 37, 150, 150, 200])
+        sid = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        np.testing.assert_array_equal(
+            segment_order_desc(values, offsets), np.lexsort((-values, sid))
+        )
