@@ -50,7 +50,7 @@ from ..core.params import GBDTParams
 from ..core.sampling import GossSample, goss_sample
 from ..core.smartgd import GradientComputer
 from ..core.tree import DecisionTree
-from ..core.workspace import WorkspaceArena, arena_enabled_default
+from ..core.workspace import WorkspaceArena
 from ..data.matrix import CSRMatrix
 from ..data.sorted_columns import build_sorted_columns
 from ..gpusim.kernel import GpuDevice
@@ -91,9 +91,9 @@ class HistogramGBDTTrainer:
     the smaller child's histogram per sibling pair, derive the other as
     ``parent - built``; see :mod:`repro.approx.histops`).  It is exact in
     fixed point, so models are **byte-identical** with the knob on or off;
-    ``REPRO_SUBTRACT=0`` flips the default, mirroring ``REPRO_ARENA``.
-    ``use_arena`` backs the per-level histogram tables (and gradient
-    buffers) with a reusable :class:`~repro.core.workspace.WorkspaceArena`.
+    ``REPRO_SUBTRACT=0`` flips the default.  The per-level histogram tables
+    (and gradient buffers) live in a reusable
+    :class:`~repro.core.workspace.WorkspaceArena` (``self.arena``).
 
     ``grow_policy`` selects which open leaves the one grow loop splits:
     ``"depthwise"`` splits all of them (a level at a time, with sibling
@@ -122,7 +122,6 @@ class HistogramGBDTTrainer:
         row_scale: float = 1.0,
         grow_policy: str = "depthwise",
         max_leaves: int = 0,
-        use_arena: bool | None = None,
         use_subtraction: bool | None = None,
     ) -> None:
         if max_bins < 2:
@@ -137,10 +136,7 @@ class HistogramGBDTTrainer:
         self.row_scale = float(row_scale)
         self.grow_policy = grow_policy
         self.max_leaves = int(max_leaves)
-        self.use_arena = (
-            arena_enabled_default() if use_arena is None else bool(use_arena)
-        )
-        self.arena = WorkspaceArena(enabled=self.use_arena)
+        self.arena = WorkspaceArena()
         self.use_subtraction = (
             subtract_enabled_default()
             if use_subtraction is None

@@ -71,7 +71,7 @@ _SCAN_CELLS = 1 << 16
 
 def subtract_enabled_default() -> bool:
     """Whether new histogram trainers use sibling subtraction
-    (``REPRO_SUBTRACT=0`` disables, mirroring ``REPRO_ARENA``)."""
+    (``REPRO_SUBTRACT=0`` disables)."""
     import os
 
     return os.environ.get("REPRO_SUBTRACT", "1") != "0"

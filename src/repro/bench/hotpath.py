@@ -1,29 +1,29 @@
-"""Hot-path wall-clock benchmark: workspace arena on vs. off.
+"""Hot-path wall-clock benchmark of the training loop.
 
 Unlike the rest of :mod:`repro.bench` -- which reports *modeled* seconds
 from the simulated device's cost model -- this module measures the real
-wall-clock time of the training hot path.  The quantity under test is the
-effect of the :class:`~repro.core.workspace.WorkspaceArena`: with the arena
-enabled the level loop of :meth:`GPUGBDTTrainer._grow_tree` runs on reused
-preallocated buffers instead of allocating fresh ``np.empty`` /
-``np.concatenate`` temporaries at every level.
+wall-clock time of the training hot path.  The exact trainer's level loop
+(:meth:`GPUGBDTTrainer._grow_tree`) runs on the reused buffers of a
+:class:`~repro.core.workspace.WorkspaceArena`; each exact row reports the
+best-of cold fit time (``arena_on_s``, a fresh trainer per fit) and the
+arena's reserved bytes and buffer count after a fit.
 
 Three fixed synthetic workloads:
 
 ``medium``
     The gated workload: dense-ish sparse-path training (``rle_policy
-    "never"``), the regime the arena targets.  ``results/perf_baseline.json``
-    records its expected speedup and absolute times, and
-    ``tests/test_perf_smoke.py`` gates on them with generous slack.
+    "never"``).  ``results/perf_baseline.json`` records its absolute time
+    and its pinned arena footprint, and ``tests/test_perf_smoke.py`` gates
+    on them.
 ``rle``
-    Same trainer with RLE-compressed attribute lists (informational: run
-    splitting adds run-linear work the arena only partly absorbs).
+    Same trainer with RLE-compressed attribute lists (informational).
 ``deep``
     Many small levels (informational: Python per-call overhead dominates).
 
-Every run also asserts that arena-on and arena-off produce **byte-identical
-serialized models** -- the benchmark refuses to report a speedup obtained by
-changing the trees.
+Every exact row also refits on the trainer whose arena the timed fit left
+full: ``identical_models`` asserts the warm refit serializes
+**byte-identically** to the cold fit, so stale buffer contents never leak
+into a model.
 
 Each workload additionally carries a **histogram-trainer section**
 (:func:`run_hist_workload`): full sibling builds vs. sibling histogram
@@ -125,17 +125,17 @@ def make_hotpath_data(
 
 @dataclasses.dataclass
 class WorkloadResult:
-    """Timing of one workload, arena off vs. on."""
+    """Exact-trainer timing of one workload."""
 
     workload: str
     gated: bool
-    arena_off_s: float
+    #: best-of-repeats wall seconds of a cold fit (fresh trainer and arena)
     arena_on_s: float
-    speedup: float
+    #: a warm refit on the same trainer reproduced the cold fit's model
     identical_models: bool
     arena_reserved_bytes: int
     arena_buffers: int
-    #: per-fit mean wall seconds in each training phase during the arena-on
+    #: per-fit mean wall seconds in each training phase during the timed
     #: repeats (the run store's gate attributes regressions to these)
     phases: Dict[str, float] = dataclasses.field(default_factory=dict)
 
@@ -188,12 +188,12 @@ class HotpathResult:
 
     @property
     def text(self) -> str:
-        hdr = f"{'workload':>10} {'off (s)':>9} {'on (s)':>9} {'speedup':>8}  gated"
-        lines = ["arena off vs. on (exact trainer)", hdr, "-" * len(hdr)]
+        hdr = f"{'workload':>10} {'fit (s)':>9} {'arena (B)':>11}  gated  identical"
+        lines = ["exact trainer (identical = warm refit == cold fit)", hdr, "-" * len(hdr)]
         for r in self.rows:
             lines.append(
-                f"{r.workload:>10} {r.arena_off_s:>9.4f} {r.arena_on_s:>9.4f}"
-                f" {r.speedup:>7.2f}x  {'yes' if r.gated else 'no'}"
+                f"{r.workload:>10} {r.arena_on_s:>9.4f} {r.arena_reserved_bytes:>11}"
+                f"  {'yes' if r.gated else 'no':<5}  {'yes' if r.identical_models else 'NO'}"
             )
         if self.hist_rows:
             hdr2 = (
@@ -246,14 +246,14 @@ class HotpathResult:
         return doc
 
 
-def _time_fit(params, X, y, use_arena: bool, repeats: int):
-    """Best-of-``repeats`` wall-clock fit time (best-of defeats scheduler
-    noise; the work is deterministic so the minimum is the honest number).
-    Returns ``(seconds, model, trainer)`` from the last repeat."""
+def _time_fit(params, X, y, repeats: int):
+    """Best-of-``repeats`` wall-clock cold fit time (best-of defeats
+    scheduler noise; the work is deterministic so the minimum is the honest
+    number).  Returns ``(seconds, model, trainer)`` from the last repeat."""
     best = float("inf")
     trainer = model = None
     for _ in range(max(1, repeats)):
-        trainer = GPUGBDTTrainer(params, use_arena=use_arena)
+        trainer = GPUGBDTTrainer(params)
         t0 = time.perf_counter()
         model = trainer.fit(X, y)
         best = min(best, time.perf_counter() - t0)
@@ -262,27 +262,24 @@ def _time_fit(params, X, y, use_arena: bool, repeats: int):
 
 
 def run_workload(spec: WorkloadSpec, repeats: int = 3) -> WorkloadResult:
-    """Time one workload with the arena off and on, and verify identity."""
+    """Time one workload's cold fits, then check a warm refit's identity."""
     X, y = make_hotpath_data(spec.n_rows, spec.n_cols)
     params = spec.params()
-    off_s, off_model, _ = _time_fit(params, X, y, use_arena=False, repeats=repeats)
-    # a private tracer around the arena-on repeats captures the phase spans
+    # a private tracer around the timed repeats captures the phase spans
     # the trainer emits; reported per fit so they compare against arena_on_s
     tracer = Tracer()
     with use_tracer(tracer):
-        on_s, on_model, on_tr = _time_fit(params, X, y, use_arena=True, repeats=repeats)
+        fit_s, model, trainer = _time_fit(params, X, y, repeats=repeats)
     n_fits = max(1, repeats)
     phases = {p: tracer.total_time(p) / n_fits for p in PHASES}
-    identical = off_model.to_json() == on_model.to_json()
+    reserved, buffers = trainer.workspace.reserved_bytes, trainer.workspace.n_buffers
     return WorkloadResult(
         workload=spec.name,
         gated=spec.gated,
-        arena_off_s=off_s,
-        arena_on_s=on_s,
-        speedup=off_s / on_s if on_s > 0 else float("inf"),
-        identical_models=identical,
-        arena_reserved_bytes=on_tr.workspace.reserved_bytes,
-        arena_buffers=on_tr.workspace.n_buffers,
+        arena_on_s=fit_s,
+        identical_models=trainer.fit(X, y).to_json() == model.to_json(),
+        arena_reserved_bytes=reserved,
+        arena_buffers=buffers,
         phases=phases,
     )
 
@@ -409,7 +406,7 @@ def main(argv: List[str] | None = None) -> int:
     args = ap.parse_args(argv)
     result = run_hotpath(args.workloads, repeats=args.repeats)
     print(result.text)
-    bad = [r.workload for r in result.rows if not r.identical_models]
+    bad = [f"{r.workload} (warm refit)" for r in result.rows if not r.identical_models]
     bad += [
         f"{h.workload} (subtraction)"
         for h in result.hist_rows
@@ -417,7 +414,7 @@ def main(argv: List[str] | None = None) -> int:
     ]
     print(f"[-> {write_hotpath_json(result, args.out)}]")
     if bad:
-        print(f"ERROR: optimization changed the trees on: {', '.join(bad)}")
+        print(f"ERROR: the trees changed on: {', '.join(bad)}")
         return 1
     slow = [
         h.workload

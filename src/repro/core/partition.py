@@ -36,16 +36,14 @@ import dataclasses
 import numpy as np
 
 from ..gpusim.kernel import GpuDevice
-from ..gpusim.primitives import (
-    check_offsets,
-    seg_ids,
-    segmented_inclusive_cumsum,
-    segmented_sum,
-)
+from ..gpusim.primitives import check_offsets
 from ..obs import traced
 from .workspace import IDX_DTYPE, WorkspaceArena
 
-__all__ = ["PartitionPlan", "plan_partition", "partition_segments", "COUNTER_BYTES"]
+__all__ = [
+    "PartitionPlan", "plan_partition", "partition_segments", "check_segment_maps",
+    "COUNTER_BYTES",
+]
 
 #: bytes per histogram counter (a 32-bit count)
 COUNTER_BYTES = 4
@@ -114,6 +112,24 @@ def plan_partition(
     )
 
 
+def check_segment_maps(
+    left_seg: np.ndarray, right_seg: np.ndarray, n_old: int, n_new: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate old-segment -> new-segment maps; returns them as int64.
+
+    Each map needs one entry per old segment, and every target must be
+    ``-1`` (side dropped) or below ``n_new``.
+    """
+    left_seg = np.asarray(left_seg, dtype=IDX_DTYPE)
+    right_seg = np.asarray(right_seg, dtype=IDX_DTYPE)
+    if left_seg.size != n_old or right_seg.size != n_old:
+        raise ValueError("segment maps must have one entry per old segment")
+    for m in (left_seg, right_seg):
+        if m.size and m.max() >= n_new:
+            raise ValueError("segment map points past n_new_segments")
+    return left_seg, right_seg
+
+
 @traced("partition")
 def partition_segments(
     device: GpuDevice,
@@ -130,6 +146,16 @@ def partition_segments(
     drop_to_trash: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order-preserving scatter of every old segment into mapped children.
+
+    Every element gets its new segment as a sort key -- the left or right
+    target by ``side``, and ``n_new_segments`` (a trash key past the last
+    segment) when dropped -- and one stable LSD radix sort over 16-bit
+    digits orders the keys.  A stable sort keeps each (old segment, side)
+    group in source order, which is the Fig. 2 invariant; ``dest`` is the
+    inverse permutation and ``new_offsets`` comes from ``bincount``.  Keys
+    stay ``uint16`` up to 65,535 new segments; wider keys take one more
+    stable pass per further 16-bit digit.  The device is charged for the
+    paper's histogram/scan/scatter kernel (:func:`_charge_partition`).
 
     Parameters
     ----------
@@ -150,10 +176,8 @@ def partition_segments(
     bytes_per_element:
         Payload moved per element across all arrays being scattered.
     workspace:
-        Optional :class:`~repro.core.workspace.WorkspaceArena`.  When
-        enabled, the histogram/rank/scatter passes become one stable radix
-        sort over per-element new-segment keys -- bit-identical ``dest`` /
-        ``new_offsets``, same device charges.
+        :class:`~repro.core.workspace.WorkspaceArena` backing the mask and
+        ``dest`` (a fresh arena when omitted).
     drop_to_trash:
         When True, dropped elements get ``dest == new_offsets[-1]`` (one
         past the end) instead of ``-1``, so callers can scatter *without*
@@ -168,133 +192,13 @@ def partition_segments(
     new_offsets:
         ``(n_new_segments + 1,)`` segmentation of the scattered array.
     """
-    if workspace is not None and workspace.enabled:
-        return _partition_segments_arena(
-            device, offsets, side, left_seg, right_seg, n_new_segments, plan,
-            bytes_per_element=bytes_per_element, name=name,
-            workspace=workspace, drop_to_trash=drop_to_trash,
-        )
+    workspace = workspace if workspace is not None else WorkspaceArena()
     side = np.asarray(side, dtype=np.int8)
     n = side.size
     offsets = check_offsets(offsets, n)
-    n_seg = offsets.size - 1
-    left_seg = np.asarray(left_seg, dtype=np.int64)
-    right_seg = np.asarray(right_seg, dtype=np.int64)
-    if left_seg.size != n_seg or right_seg.size != n_seg:
-        raise ValueError("segment maps must have one entry per old segment")
-    for m in (left_seg, right_seg):
-        if m.size and m.max() >= n_new_segments:
-            raise ValueError("segment map points past n_new_segments")
-
-    # ranks/counts live in the histogram kernel's shared-memory counters on a
-    # real device, so they are computed uncharged here and their (on-chip)
-    # cost is folded into the fused kernel launch below
-    is_left = (side == 0).astype(np.int64)
-    is_right = (side == 1).astype(np.int64)
-    rank_left = (
-        segmented_inclusive_cumsum(device, is_left, offsets, name=f"{name}/scan_l", charge=False)
-        - 1
+    left_seg, right_seg = check_segment_maps(
+        left_seg, right_seg, offsets.size - 1, n_new_segments
     )
-    rank_right = (
-        segmented_inclusive_cumsum(device, is_right, offsets, name=f"{name}/scan_r", charge=False)
-        - 1
-    )
-    left_counts = segmented_sum(device, is_left, offsets, name=f"{name}/hist_l", charge=False)
-    right_counts = segmented_sum(device, is_right, offsets, name=f"{name}/hist_r", charge=False)
-
-    sizes = np.zeros(n_new_segments, dtype=np.int64)
-    lv = left_seg >= 0
-    rv = right_seg >= 0
-    np.add.at(sizes, left_seg[lv], left_counts[lv])
-    np.add.at(sizes, right_seg[rv], right_counts[rv])
-    new_offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    sid = seg_ids(offsets, n)
-    dest = np.full(n, -1, dtype=np.int64)
-    lmask = (side == 0) & lv[sid]
-    rmask = (side == 1) & rv[sid]
-    dest[lmask] = new_offsets[left_seg[sid[lmask]]] + rank_left[lmask]
-    dest[rmask] = new_offsets[right_seg[sid[rmask]]] + rank_right[rmask]
-
-    if drop_to_trash:
-        dest[dest < 0] = new_offsets[-1]
-
-    _charge_partition(device, n, plan, bytes_per_element, name)
-    return dest, new_offsets
-
-
-def _charge_partition(
-    device: GpuDevice, n: int, plan: PartitionPlan, bytes_per_element: int, name: str
-) -> None:
-    """The modeled device cost of one partition pass (shared by both host
-    implementations -- the arena fast path must charge exactly what the
-    legacy path charges)."""
-    # histogram pass(es) + scatter: the naive fixed workload may need
-    # several passes when its counters blow the memory budget.
-    # The scatter's destinations increase monotonically within each
-    # (segment, side) group, so most writes coalesce; only the interleaving
-    # between groups is irregular.
-    # traffic: one histogram read pass per `passes` (side byte + bookkeeping),
-    # one payload read and one payload write; destinations increase
-    # monotonically within each (segment, side) group so ~90% of the write
-    # coalesces
-    device.launch(
-        name,
-        elements=n * plan.passes,
-        flops_per_element=5.0,
-        coalesced_bytes=n * 9 * plan.passes + n * bytes_per_element * (1.0 + 0.9),
-        irregular_bytes=0.1 * n * bytes_per_element,
-        launches=plan.passes,
-    )
-    # counter traffic: the plan is computed from *full-scale* element counts
-    # (the caller passes them), so it must not be rescaled by work_scale;
-    # every counter is written once and scanned once regardless of passes
-    device.launch(
-        f"{name}/counter_scan",
-        elements=float(plan.n_threads) * plan.n_partitions,
-        flops_per_element=1.0,
-        coalesced_bytes=2.0 * plan.counter_bytes,
-        scale=False,
-    )
-
-
-def _partition_segments_arena(
-    device: GpuDevice,
-    offsets: np.ndarray,
-    side: np.ndarray,
-    left_seg: np.ndarray,
-    right_seg: np.ndarray,
-    n_new_segments: int,
-    plan: PartitionPlan,
-    *,
-    bytes_per_element: int,
-    name: str,
-    workspace: WorkspaceArena,
-    drop_to_trash: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Radix-sort implementation of :func:`partition_segments`.
-
-    Every element gets its new segment as a sort key -- the left or right
-    target by ``side``, and ``n_new_segments`` (a trash key past the last
-    segment) when dropped -- and one stable LSD radix sort over 16-bit
-    digits orders the keys.  A stable sort keeps each (old segment, side)
-    group in source order, which is the Fig. 2 invariant, so ``dest`` (the
-    inverse permutation) and ``new_offsets`` (from ``bincount``) are
-    bit-identical to the legacy path; the device is charged identically.
-    Keys stay ``uint16`` up to 65,535 new segments; wider keys take one
-    more stable pass per further 16-bit digit.
-    """
-    side = np.asarray(side, dtype=np.int8)
-    n = side.size
-    offsets = check_offsets(offsets, n)
-    n_seg = offsets.size - 1
-    left_seg = np.asarray(left_seg, dtype=IDX_DTYPE)
-    right_seg = np.asarray(right_seg, dtype=IDX_DTYPE)
-    if left_seg.size != n_seg or right_seg.size != n_seg:
-        raise ValueError("segment maps must have one entry per old segment")
-    for m in (left_seg, right_seg):
-        if m.size and m.max() >= n_new_segments:
-            raise ValueError("segment map points past n_new_segments")
     trash = int(n_new_segments)
     key_dtype = np.uint16 if trash <= 0xFFFF else IDX_DTYPE
     lkey = np.where(left_seg >= 0, left_seg, trash).astype(key_dtype)
@@ -327,3 +231,38 @@ def _partition_segments_arena(
 
     _charge_partition(device, n, plan, bytes_per_element, name)
     return dest, new_offsets
+
+
+def _charge_partition(
+    device: GpuDevice, n: int, plan: PartitionPlan, bytes_per_element: int, name: str
+) -> None:
+    """The modeled device cost of one partition pass: the paper's
+    histogram-count, counter-scan and stable-scatter kernel, whatever the
+    host does to compute the same result."""
+    # histogram pass(es) + scatter: the naive fixed workload may need
+    # several passes when its counters blow the memory budget.
+    # The scatter's destinations increase monotonically within each
+    # (segment, side) group, so most writes coalesce; only the interleaving
+    # between groups is irregular.
+    # traffic: one histogram read pass per `passes` (side byte + bookkeeping),
+    # one payload read and one payload write; destinations increase
+    # monotonically within each (segment, side) group so ~90% of the write
+    # coalesces
+    device.launch(
+        name,
+        elements=n * plan.passes,
+        flops_per_element=5.0,
+        coalesced_bytes=n * 9 * plan.passes + n * bytes_per_element * (1.0 + 0.9),
+        irregular_bytes=0.1 * n * bytes_per_element,
+        launches=plan.passes,
+    )
+    # counter traffic: the plan is computed from *full-scale* element counts
+    # (the caller passes them), so it must not be rescaled by work_scale;
+    # every counter is written once and scanned once regardless of passes
+    device.launch(
+        f"{name}/counter_scan",
+        elements=float(plan.n_threads) * plan.n_partitions,
+        flops_per_element=1.0,
+        coalesced_bytes=2.0 * plan.counter_bytes,
+        scale=False,
+    )

@@ -28,20 +28,15 @@ from ..data.rle import RunLengthColumns, encode_segments
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.primitives import (
     check_offsets,
-    seg_ids,
     segmented_inclusive_cumsum,
     segmented_sum,
     stream_compact,
 )
 from ..obs import traced
+from .partition import check_segment_maps
 from .workspace import WorkspaceArena
 
 __all__ = ["split_runs_direct", "split_runs_with_decompression"]
-
-
-def _run_elem_offsets(rle: RunLengthColumns, n: int) -> np.ndarray:
-    starts = rle.run_starts()
-    return np.concatenate((starts, [n])).astype(np.int64)
 
 
 @traced("rle_split_direct")
@@ -69,10 +64,8 @@ def split_runs_direct(
     n_new_segments:
         New segmentation size.
     workspace:
-        Optional arena; when enabled the element-linear temporaries and the
-        returned run arrays are reused arena views.  All math here is
-        integer counting plus value copies, so both paths produce exactly
-        equal run arrays.
+        Arena backing the element-linear temporaries and the returned run
+        arrays (a fresh arena when omitted).
     parity:
         Selects which of two output buffer generations to write (the caller
         alternates per level: the input ``rle`` still views the previous
@@ -82,40 +75,24 @@ def split_runs_direct(
     side = np.asarray(side, dtype=np.int8)
     if side.size != n:
         raise ValueError("side must have one entry per element")
-    S = rle.run_offsets.size - 1
-    left_seg = np.asarray(left_seg, dtype=np.int64)
-    right_seg = np.asarray(right_seg, dtype=np.int64)
-    if left_seg.size != S or right_seg.size != S:
-        raise ValueError("segment maps must have one entry per old segment")
-    ws = workspace if workspace is not None and workspace.enabled else None
+    left_seg, right_seg = check_segment_maps(
+        left_seg, right_seg, rle.run_offsets.size - 1, n_new_segments
+    )
+    ws = workspace if workspace is not None else WorkspaceArena()
 
     nr = rle.n_runs
-    if ws is None:
-        elem_off = _run_elem_offsets(rle, n)
-        # new run lengths from the instance-to-node mapping (one pass over the
-        # elements; this is the only element-linear work of the direct strategy)
-        left_len = segmented_sum(
-            device, (side == 0).astype(np.int64), elem_off, name="rle_left_lengths"
-        )
-        right_len = segmented_sum(
-            device, (side == 1).astype(np.int64), elem_off, name="rle_right_lengths"
-        )
-        rid_seg = seg_ids(rle.run_offsets, nr)  # run -> old segment
-    else:
-        elem_off = ws.buf("rled/eoff", nr + 1, np.int64)
-        elem_off[0] = 0
-        np.cumsum(rle.run_lengths, out=elem_off[1:])
-        acc = ws.buf("rled/acc", n, np.int64)
-        scan = ws.buf("rled/scan", n + 1, np.int64)
-        np.equal(side, 0, out=acc)
-        left_len = segmented_sum(
-            device, acc, elem_off, name="rle_left_lengths", scratch=scan
-        )
-        np.equal(side, 1, out=acc)
-        right_len = segmented_sum(
-            device, acc, elem_off, name="rle_right_lengths", scratch=scan
-        )
-        rid_seg = ws.seg_ids("rled/rid", rle.run_offsets, nr)
+    # new run lengths from the instance-to-node mapping (one pass over the
+    # elements; this is the only element-linear work of the direct strategy)
+    elem_off = ws.buf("rled/eoff", nr + 1, np.int64)
+    elem_off[0] = 0
+    np.cumsum(rle.run_lengths, out=elem_off[1:])
+    acc = ws.buf("rled/acc", n, np.int64)
+    scan = ws.buf("rled/scan", n + 1, np.int64)
+    np.equal(side, 0, out=acc)
+    left_len = segmented_sum(device, acc, elem_off, name="rle_left_lengths", scratch=scan)
+    np.equal(side, 1, out=acc)
+    right_len = segmented_sum(device, acc, elem_off, name="rle_right_lengths", scratch=scan)
+    rid_seg = ws.seg_ids("rled/rid", rle.run_offsets, nr)  # run -> old segment
 
     tgt_left = left_seg[rid_seg]
     tgt_right = right_seg[rid_seg]
@@ -125,54 +102,32 @@ def split_runs_direct(
     # per-(old segment, side) stable ranks among kept candidates; each new
     # segment receives candidates of exactly one (old segment, side) pair,
     # so this rank is the position within the new segment
-    if ws is None:
-        rank_left = (
-            segmented_inclusive_cumsum(
-                device, keep_left.astype(np.int64), rle.run_offsets, name="rle_compact_scan_l"
-            )
-            - 1
-        )
-        rank_right = (
-            segmented_inclusive_cumsum(
-                device, keep_right.astype(np.int64), rle.run_offsets, name="rle_compact_scan_r"
-            )
-            - 1
-        )
-        runs_per_new = np.zeros(n_new_segments, dtype=np.int64)
-    else:
-        keep64 = ws.buf("rled/keep64", nr, np.int64)
-        np.copyto(keep64, keep_left)
-        rank_left = ws.buf("rled/rank_l", nr, np.int64)
-        segmented_inclusive_cumsum(
-            device, keep64, rle.run_offsets, name="rle_compact_scan_l", out=rank_left
-        )
-        np.subtract(rank_left, 1, out=rank_left)
-        np.copyto(keep64, keep_right)
-        rank_right = ws.buf("rled/rank_r", nr, np.int64)
-        segmented_inclusive_cumsum(
-            device, keep64, rle.run_offsets, name="rle_compact_scan_r", out=rank_right
-        )
-        np.subtract(rank_right, 1, out=rank_right)
-        runs_per_new = ws.zeros("rled/rpn", n_new_segments, np.int64)
+    keep64 = ws.buf("rled/keep64", nr, np.int64)
+    np.copyto(keep64, keep_left)
+    rank_left = ws.buf("rled/rank_l", nr, np.int64)
+    segmented_inclusive_cumsum(
+        device, keep64, rle.run_offsets, name="rle_compact_scan_l", out=rank_left
+    )
+    np.subtract(rank_left, 1, out=rank_left)
+    np.copyto(keep64, keep_right)
+    rank_right = ws.buf("rled/rank_r", nr, np.int64)
+    segmented_inclusive_cumsum(
+        device, keep64, rle.run_offsets, name="rle_compact_scan_r", out=rank_right
+    )
+    np.subtract(rank_right, 1, out=rank_right)
 
+    runs_per_new = ws.zeros("rled/rpn", n_new_segments, np.int64)
     if keep_left.any():
         np.add.at(runs_per_new, tgt_left[keep_left], 1)
     if keep_right.any():
         np.add.at(runs_per_new, tgt_right[keep_right], 1)
-    if ws is None:
-        new_run_offsets = np.concatenate(([0], np.cumsum(runs_per_new)))
-    else:
-        new_run_offsets = ws.buf(f"rled/roff/{parity % 2}", n_new_segments + 1, np.int64)
-        new_run_offsets[0] = 0
-        np.cumsum(runs_per_new, out=new_run_offsets[1:])
+    new_run_offsets = ws.buf(f"rled/roff/{parity % 2}", n_new_segments + 1, np.int64)
+    new_run_offsets[0] = 0
+    np.cumsum(runs_per_new, out=new_run_offsets[1:])
     n_new_runs = int(new_run_offsets[-1])
 
-    if ws is None:
-        new_values = np.empty(n_new_runs, dtype=np.float64)
-        new_lengths = np.empty(n_new_runs, dtype=np.int64)
-    else:
-        new_values = ws.buf(f"rled/vals/{parity % 2}", n_new_runs, np.float64)
-        new_lengths = ws.buf(f"rled/lens/{parity % 2}", n_new_runs, np.int64)
+    new_values = ws.buf(f"rled/vals/{parity % 2}", n_new_runs, np.float64)
+    new_lengths = ws.buf(f"rled/lens/{parity % 2}", n_new_runs, np.int64)
     dl = new_run_offsets[tgt_left[keep_left]] + rank_left[keep_left]
     new_values[dl] = rle.run_values[keep_left]
     new_lengths[dl] = left_len[keep_left]

@@ -56,10 +56,10 @@ class GradientComputer:
     X:
         Training matrix; only required for the traversal strategy.
     workspace:
-        Optional :class:`~repro.core.workspace.WorkspaceArena`; when enabled
-        the per-round ``(g, h)`` arrays are reused arena views (filled via
-        :meth:`repro.losses.Loss.gradients_into` when the loss supports it),
-        bit-identical to the allocating path.
+        :class:`~repro.core.workspace.WorkspaceArena` holding the per-round
+        ``(g, h)`` arrays (a private one when omitted); they are filled via
+        :meth:`repro.losses.Loss.gradients_into` when the loss supports it.
+        Each :meth:`compute` overwrites the arrays the previous one returned.
     """
 
     def __init__(
@@ -78,7 +78,7 @@ class GradientComputer:
         self.y = np.asarray(y, dtype=np.float64)
         self.use_smartgd = use_smartgd
         self.row_scale = float(row_scale)
-        self.workspace = workspace
+        self.workspace = workspace if workspace is not None else WorkspaceArena()
         self._X = X
         self._dense_nan: np.ndarray | None = None
         self.yhat = np.full(self.y.size, loss.base_score(self.y), dtype=np.float64)
@@ -225,15 +225,12 @@ class GradientComputer:
         self._flush_traversals()
         ws = self.workspace
         with span("loss_gradients", strategy="smartgd" if self.use_smartgd else "traversal"):
-            if ws is not None and ws.enabled:
-                g = ws.buf("grad/g", self.n, np.float64)
-                h = ws.buf("grad/h", self.n, np.float64)
-                if not self.loss.gradients_into(self.y, self.yhat, g, h):
-                    g_new, h_new = self.loss.gradients(self.y, self.yhat)
-                    np.copyto(g, g_new)
-                    np.copyto(h, h_new)
-            else:
-                g, h = self.loss.gradients(self.y, self.yhat)
+            g = ws.buf("grad/g", self.n, np.float64)
+            h = ws.buf("grad/h", self.n, np.float64)
+            if not self.loss.gradients_into(self.y, self.yhat, g, h):
+                g_new, h_new = self.loss.gradients(self.y, self.yhat)
+                np.copyto(g, g_new)
+                np.copyto(h, h_new)
         rows = self._full_rows()
         self.device.launch(
             "compute_gradients",

@@ -49,7 +49,6 @@ from ..gpusim.kernel import GpuDevice
 from ..gpusim.primitives import (
     check_offsets,
     gather,
-    seg_ids,
     segmented_argmax,
     segmented_inclusive_cumsum,
     segmented_sum,
@@ -59,7 +58,7 @@ from .workspace import IDX_DTYPE, WorkspaceArena
 
 __all__ = ["SegmentLayout", "NodeBestSplits", "eq2_gain", "find_best_splits_sparse", "find_best_splits_rle"]
 
-#: candidates scored per chunk by the arena branches, so the chunk's eight
+#: candidates scored per chunk by :func:`_score_candidates`, so the chunk's eight
 #: float temporaries stay in cache instead of growing with the level
 #: (2**14 and 2**15 measured fastest; docs/performance.md, Exact level step)
 _SCORE_CHUNK = 1 << 14
@@ -255,8 +254,9 @@ def _score_candidates(
     that are not real cuts; each segment's first candidate is marked here,
     as nothing lies left of it.  Runs ``_SCORE_CHUNK`` candidates at a
     time, broadcasting per-segment constants with ``np.repeat`` over the
-    chunk's slice of each segment, in the legacy branches' operation order
-    (bit-identical gains).
+    chunk's slice of each segment.  The element-wise operation order is
+    the plain ``quantize_gain(eq2_gain(...))`` one, so the gains do not
+    depend on the chunk size.
     """
     n = gl.size
     lens = np.diff(cand_offsets)
@@ -428,29 +428,23 @@ def find_best_splits_sparse(
 ) -> NodeBestSplits:
     """Split finding on uncompressed sorted attribute lists (Section III-B).
 
-    ``workspace`` routes every per-entry temporary through arena views; the
-    arena branch repeats the legacy branch's elementary operations in the
-    same order, so candidate gains (and hence the chosen splits) are
-    bit-identical.
+    Every per-entry temporary is a view into ``workspace`` (a fresh
+    :class:`~repro.core.workspace.WorkspaceArena` when omitted).
     """
-    ws = workspace if workspace is not None and workspace.enabled else None
+    ws = workspace if workspace is not None else WorkspaceArena()
     n = values.size
     offsets = check_offsets(layout.offsets, n)
+    if inst.size != n:
+        raise ValueError("value count must match the instance array")
     with device.phase(device.current_phase):
-        if ws is None:
-            g_ent = gather(device, g, inst, name="gather_gradients")
-            h_ent = gather(device, h, inst, name="gather_hessians")
-            cg = segmented_inclusive_cumsum(device, g_ent, offsets, name="seg_prefix_sum_g")
-            ch = segmented_inclusive_cumsum(device, h_ent, offsets, name="seg_prefix_sum_h")
-        else:
-            g_ent = gather(device, g, inst, name="gather_gradients",
-                           out=ws.buf("split/g_ent", n, np.float64))
-            h_ent = gather(device, h, inst, name="gather_hessians",
-                           out=ws.buf("split/h_ent", n, np.float64))
-            cg = segmented_inclusive_cumsum(device, g_ent, offsets, name="seg_prefix_sum_g",
-                                            out=ws.buf("split/cg", n, np.float64))
-            ch = segmented_inclusive_cumsum(device, h_ent, offsets, name="seg_prefix_sum_h",
-                                            out=ws.buf("split/ch", n, np.float64))
+        g_ent = gather(device, g, inst, name="gather_gradients",
+                       out=ws.buf("split/g_ent", n, np.float64))
+        h_ent = gather(device, h, inst, name="gather_hessians",
+                       out=ws.buf("split/h_ent", n, np.float64))
+        cg = segmented_inclusive_cumsum(device, g_ent, offsets, name="seg_prefix_sum_g",
+                                        out=ws.buf("split/cg", n, np.float64))
+        ch = segmented_inclusive_cumsum(device, h_ent, offsets, name="seg_prefix_sum_h",
+                                        out=ws.buf("split/ch", n, np.float64))
 
     seg_node = layout.seg_node()
     lens = np.diff(offsets)
@@ -461,64 +455,33 @@ def find_best_splits_sparse(
     miss_h = node_h[seg_node] - seg_h
     miss_n = node_n[seg_node] - lens
 
-    if ws is None:
-        # exclusive prefix at each entry = "everything strictly above this value"
-        gl = cg - g_ent
-        hl = ch - h_ent
+    # exclusive prefix at each entry = "everything strictly above this
+    # value"; the cumsum buffers become it in place (the inclusive scans
+    # are not read again)
+    gl = cg
+    np.subtract(cg, g_ent, out=gl)
+    hl = ch
+    np.subtract(ch, h_ent, out=hl)
 
-        sid = seg_ids(offsets, n)
-        pos = np.arange(n, dtype=np.int64) - offsets[:-1][sid]
-        valid = pos > 0
-        if n > 1:
-            same_as_prev = np.empty(n, dtype=bool)
-            same_as_prev[0] = False
-            same_as_prev[1:] = values[1:] == values[:-1]
-            # "reset gain of repeated split points": only the first occurrence
-            # of each value group is a real candidate
-            valid &= ~same_as_prev
+    pos = ws.buf("split/pos", n, IDX_DTYPE)
+    np.subtract(ws.arange(n), np.repeat(offsets[:-1], lens), out=pos)
+    invalid = ws.buf("split/invalid", n, bool)
+    # "reset gain of repeated split points": only the first occurrence of
+    # each value group is a real candidate
+    np.equal(values[1:], values[:-1], out=invalid[1:])
+    cand_gain, cand_dir = _score_candidates(
+        ws, gl, hl, invalid, offsets, node_g[seg_node], node_h[seg_node],
+        miss_g, miss_h, lambda_,
+    )
 
-        node_of_ent = seg_node[sid]
-        g_tot = node_g[node_of_ent]
-        h_tot = node_h[node_of_ent]
-        gain_mr = quantize_gain(eq2_gain(gl, hl, g_tot, h_tot, lambda_))
-        gain_ml = quantize_gain(
-            eq2_gain(gl + miss_g[sid], hl + miss_h[sid], g_tot, h_tot, lambda_)
-        )
-        cand_dir = gain_ml >= gain_mr
-        cand_gain = np.where(valid, np.maximum(gain_ml, gain_mr), -np.inf)
-
-        prev = np.empty(n, dtype=np.float64)
-        if n:
-            prev[0] = values[0]
-            prev[1:] = values[:-1]
-        cand_thr = (prev + values) / 2.0
-        cand_elem_pos = np.arange(n, dtype=np.int64)
-    else:
-        # the cumsum buffers become the exclusive prefixes in place (the
-        # inclusive scans are not read again)
-        gl = cg
-        np.subtract(cg, g_ent, out=gl)
-        hl = ch
-        np.subtract(ch, h_ent, out=hl)
-
-        pos = ws.buf("split/pos", n, IDX_DTYPE)
-        np.subtract(ws.arange(n), np.repeat(offsets[:-1], lens), out=pos)
-        invalid = ws.buf("split/invalid", n, bool)
-        # "reset gain of repeated split points"
-        np.equal(values[1:], values[:-1], out=invalid[1:])
-        cand_gain, cand_dir = _score_candidates(
-            ws, gl, hl, invalid, offsets, node_g[seg_node], node_h[seg_node],
-            miss_g, miss_h, lambda_,
-        )
-
-        cand_thr = ws.buf("split/thr", n, np.float64)
-        if n:
-            prev = ws.buf("split/prev", n, np.float64)
-            prev[0] = values[0]
-            prev[1:] = values[:-1]
-            np.add(prev, values, out=cand_thr)
-            np.divide(cand_thr, 2.0, out=cand_thr)
-        cand_elem_pos = ws.arange(n)
+    cand_thr = ws.buf("split/thr", n, np.float64)
+    if n:
+        prev = ws.buf("split/prev", n, np.float64)
+        prev[0] = values[0]
+        prev[1:] = values[:-1]
+        np.add(prev, values, out=cand_thr)
+        np.divide(cand_thr, 2.0, out=cand_thr)
+    cand_elem_pos = ws.arange(n)
 
     device.launch(
         "compute_split_gains",
@@ -579,50 +542,36 @@ def find_best_splits_rle(
     one candidate, so no duplicate suppression is needed and the reductions
     shrink from ``nnz`` to ``n_runs`` items.  Functionally equivalent to the
     sparse path (a run's first element is the group's first occurrence).
-
-    ``workspace`` enables the arena branch -- same elementary operations in
-    the same order as the legacy branch, so the chosen splits are
-    bit-identical.
+    Temporaries are views into ``workspace`` (a fresh arena when omitted).
     """
-    ws = workspace if workspace is not None and workspace.enabled else None
+    ws = workspace if workspace is not None else WorkspaceArena()
     n = inst.size
     offsets = check_offsets(layout.offsets, n)
     if rle.n_elements != n:
         raise ValueError("RLE element count must match the instance array")
     n_runs = rle.n_runs
     run_starts = rle.run_starts()
-    if ws is None:
-        run_elem_offsets = np.concatenate((run_starts, [n])).astype(np.int64)
-    else:
-        run_elem_offsets = ws.buf("split/reo", n_runs + 1, IDX_DTYPE)
-        run_elem_offsets[:n_runs] = run_starts
-        run_elem_offsets[n_runs] = n
+    run_elem_offsets = ws.buf("split/reo", n_runs + 1, IDX_DTYPE)
+    run_elem_offsets[:n_runs] = run_starts
+    run_elem_offsets[n_runs] = n
 
     with device.phase(device.current_phase):
-        if ws is None:
-            g_ent = gather(device, g, inst, name="gather_gradients")
-            h_ent = gather(device, h, inst, name="gather_hessians")
-            # Fig. 5: aggregate gradients of instances sharing an attribute value
-            g_run = segmented_sum(device, g_ent, run_elem_offsets, name="rle_aggregate_g")
-            h_run = segmented_sum(device, h_ent, run_elem_offsets, name="rle_aggregate_h")
-            cgr = segmented_inclusive_cumsum(device, g_run, rle.run_offsets, name="seg_prefix_sum_g_rle")
-            chr_ = segmented_inclusive_cumsum(device, h_run, rle.run_offsets, name="seg_prefix_sum_h_rle")
-        else:
-            g_ent = gather(device, g, inst, name="gather_gradients",
-                           out=ws.buf("split/g_ent", n, np.float64))
-            h_ent = gather(device, h, inst, name="gather_hessians",
-                           out=ws.buf("split/h_ent", n, np.float64))
-            sum_scratch = ws.buf("split/scan", n + 1, np.float64)
-            g_run = segmented_sum(device, g_ent, run_elem_offsets,
-                                  name="rle_aggregate_g", scratch=sum_scratch)
-            h_run = segmented_sum(device, h_ent, run_elem_offsets,
-                                  name="rle_aggregate_h", scratch=sum_scratch)
-            cgr = segmented_inclusive_cumsum(device, g_run, rle.run_offsets,
-                                             name="seg_prefix_sum_g_rle",
-                                             out=ws.buf("split/cg", n_runs, np.float64))
-            chr_ = segmented_inclusive_cumsum(device, h_run, rle.run_offsets,
-                                              name="seg_prefix_sum_h_rle",
-                                              out=ws.buf("split/ch", n_runs, np.float64))
+        g_ent = gather(device, g, inst, name="gather_gradients",
+                       out=ws.buf("split/g_ent", n, np.float64))
+        h_ent = gather(device, h, inst, name="gather_hessians",
+                       out=ws.buf("split/h_ent", n, np.float64))
+        # Fig. 5: aggregate gradients of instances sharing an attribute value
+        sum_scratch = ws.buf("split/scan", n + 1, np.float64)
+        g_run = segmented_sum(device, g_ent, run_elem_offsets,
+                              name="rle_aggregate_g", scratch=sum_scratch)
+        h_run = segmented_sum(device, h_ent, run_elem_offsets,
+                              name="rle_aggregate_h", scratch=sum_scratch)
+        cgr = segmented_inclusive_cumsum(device, g_run, rle.run_offsets,
+                                         name="seg_prefix_sum_g_rle",
+                                         out=ws.buf("split/cg", n_runs, np.float64))
+        chr_ = segmented_inclusive_cumsum(device, h_run, rle.run_offsets,
+                                          name="seg_prefix_sum_h_rle",
+                                          out=ws.buf("split/ch", n_runs, np.float64))
 
     seg_node = layout.seg_node()
     lens = np.diff(offsets)
@@ -633,54 +582,27 @@ def find_best_splits_rle(
     miss_h = node_h[seg_node] - seg_h
     miss_n = node_n[seg_node] - lens
 
-    if ws is None:
-        gl = cgr - g_run
-        hl = chr_ - h_run
+    gl = cgr
+    np.subtract(cgr, g_run, out=gl)
+    hl = chr_
+    np.subtract(chr_, h_run, out=hl)
 
-        rid_seg = seg_ids(rle.run_offsets, n_runs)  # run -> segment
-        run_pos = np.arange(n_runs, dtype=np.int64) - rle.run_offsets[:-1][rid_seg]
-        valid = run_pos > 0
+    cand_gain, cand_dir = _score_candidates(
+        ws, gl, hl, ws.zeros("split/invalid", n_runs, bool), rle.run_offsets,
+        node_g[seg_node], node_h[seg_node], miss_g, miss_h, lambda_,
+    )
 
-        node_of_run = seg_node[rid_seg]
-        g_tot = node_g[node_of_run]
-        h_tot = node_h[node_of_run]
-        gain_mr = quantize_gain(eq2_gain(gl, hl, g_tot, h_tot, lambda_))
-        gain_ml = quantize_gain(
-            eq2_gain(gl + miss_g[rid_seg], hl + miss_h[rid_seg], g_tot, h_tot, lambda_)
-        )
-        cand_dir = gain_ml >= gain_mr
-        cand_gain = np.where(valid, np.maximum(gain_ml, gain_mr), -np.inf)
+    cand_thr = ws.buf("split/thr", n_runs, np.float64)
+    if n_runs:
+        prev = ws.buf("split/prev", n_runs, np.float64)
+        prev[0] = rle.run_values[0]
+        prev[1:] = rle.run_values[:-1]
+        np.add(prev, rle.run_values, out=cand_thr)
+        np.divide(cand_thr, 2.0, out=cand_thr)
 
-        prev = np.empty(n_runs, dtype=np.float64)
-        if n_runs:
-            prev[0] = rle.run_values[0]
-            prev[1:] = rle.run_values[:-1]
-        cand_thr = (prev + rle.run_values) / 2.0
-
-        # element count strictly above each run = its run start within the segment
-        cand_nl = run_starts - offsets[:-1][rid_seg] if n_runs else np.empty(0, np.int64)
-    else:
-        gl = cgr
-        np.subtract(cgr, g_run, out=gl)
-        hl = chr_
-        np.subtract(chr_, h_run, out=hl)
-
-        cand_gain, cand_dir = _score_candidates(
-            ws, gl, hl, ws.zeros("split/invalid", n_runs, bool), rle.run_offsets,
-            node_g[seg_node], node_h[seg_node], miss_g, miss_h, lambda_,
-        )
-
-        cand_thr = ws.buf("split/thr", n_runs, np.float64)
-        if n_runs:
-            prev = ws.buf("split/prev", n_runs, np.float64)
-            prev[0] = rle.run_values[0]
-            prev[1:] = rle.run_values[:-1]
-            np.add(prev, rle.run_values, out=cand_thr)
-            np.divide(cand_thr, 2.0, out=cand_thr)
-
-        # element count strictly above each run = its run start within the segment
-        cand_nl = ws.buf("split/nl", n_runs, IDX_DTYPE)
-        np.subtract(run_starts, np.repeat(offsets[:-1], np.diff(rle.run_offsets)), out=cand_nl)
+    # element count strictly above each run = its run start within the segment
+    cand_nl = ws.buf("split/nl", n_runs, IDX_DTYPE)
+    np.subtract(run_starts, np.repeat(offsets[:-1], np.diff(rle.run_offsets)), out=cand_nl)
 
     device.launch(
         "compute_split_gains_rle",

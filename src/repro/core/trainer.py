@@ -52,7 +52,7 @@ from .sampling import TreeSample, sample_tree
 from .smartgd import GradientComputer
 from .split import NodeBestSplits, SegmentLayout, find_best_splits_rle, find_best_splits_sparse
 from .tree import DecisionTree
-from .workspace import IDX_DTYPE, WorkspaceArena, arena_enabled_default
+from .workspace import IDX_DTYPE, WorkspaceArena
 
 __all__ = ["ColumnShard", "GPUGBDTTrainer", "TrainReport"]
 
@@ -189,14 +189,6 @@ class GPUGBDTTrainer:
         XGBoost baseline allocates it (n x d cells + node-interleaved
         gradient copies) instead of GPU-GBDT's sparse/RLE layout.  Used by
         :mod:`repro.cpu.gpu_xgboost`.
-    use_arena:
-        Route the hot-path temporaries through a persistent
-        :class:`~repro.core.workspace.WorkspaceArena` (default: the
-        ``REPRO_ARENA`` environment switch, on unless set to ``0``).
-        Trees, serialized models, and the device ledger are byte-identical
-        either way -- the switch lives on the trainer (not
-        :class:`~repro.core.params.GBDTParams`) precisely so it can never
-        leak into a serialized model.
     """
 
     def __init__(
@@ -206,16 +198,14 @@ class GPUGBDTTrainer:
         *,
         row_scale: float = 1.0,
         dense_memory_model: bool = False,
-        use_arena: bool | None = None,
     ) -> None:
         self.params = params if params is not None else GBDTParams()
         self.device = device if device is not None else GpuDevice()
         self.row_scale = float(row_scale)
         self.dense_memory_model = dense_memory_model
-        self.use_arena = arena_enabled_default() if use_arena is None else bool(use_arena)
         #: persistent across fit calls: buffers warm up on the first tree and
         #: are reused for every level of every round thereafter
-        self.workspace = WorkspaceArena(enabled=self.use_arena)
+        self.workspace = WorkspaceArena()
         #: one arena per shard; shard 0 shares the trainer's
         self._shard_arenas = [self.workspace]
         self.report: TrainReport | None = None
@@ -376,7 +366,7 @@ class GPUGBDTTrainer:
         with device.phase("setup"), span("setup"):
             shards, used_rle = self._build_shards(X)
         while len(self._shard_arenas) < len(shards):
-            self._shard_arenas.append(WorkspaceArena(enabled=self.use_arena))
+            self._shard_arenas.append(WorkspaceArena())
         for shard, arena in zip(shards, self._shard_arenas):
             shard.workspace = arena
 
@@ -543,23 +533,17 @@ class GPUGBDTTrainer:
                 new_local_of[split_locals] = 2 * np.arange(k, dtype=np.int64)
 
                 default_side = np.where(best.default_left, 0, 1).astype(np.int8)
-                if ws.enabled:
-                    side_inst = ws.full("tree/side_inst", n, np.int8, -1)
-                    local_safe = ws.buf("tree/local_safe", n, IDX_DTYPE)
-                    np.maximum(inst2local, 0, out=local_safe)
-                    active = ws.buf("tree/active", n, bool)
-                    np.greater_equal(inst2local, 0, out=active)
-                    amask = ws.buf("tree/amask", n, bool)
-                    np.take(split_mask, local_safe, out=amask)
-                    np.logical_and(active, amask, out=active)
-                    side_tmp = ws.buf("tree/side_tmp", n, np.int8)
-                    np.take(default_side, local_safe, out=side_tmp)
-                    np.copyto(side_inst, side_tmp, where=active)
-                else:
-                    side_inst = np.full(n, -1, dtype=np.int8)
-                    local_safe = np.maximum(inst2local, 0)
-                    active = (inst2local >= 0) & split_mask[local_safe]
-                    side_inst[active] = default_side[inst2local[active]]
+                side_inst = ws.full("tree/side_inst", n, np.int8, -1)
+                local_safe = ws.buf("tree/local_safe", n, IDX_DTYPE)
+                np.maximum(inst2local, 0, out=local_safe)
+                active = ws.buf("tree/active", n, bool)
+                np.greater_equal(inst2local, 0, out=active)
+                amask = ws.buf("tree/amask", n, bool)
+                np.take(split_mask, local_safe, out=amask)
+                np.logical_and(active, amask, out=active)
+                side_tmp = ws.buf("tree/side_tmp", n, np.int8)
+                np.take(default_side, local_safe, out=side_tmp)
+                np.copyto(side_inst, side_tmp, where=active)
 
                 # present entries of the chosen segments override the default;
                 # each winner's own shard holds its segment
@@ -571,16 +555,13 @@ class GPUGBDTTrainer:
                         owners.append(shard)
                 self._charge_routing(owners, n, d, node_n[split_locals].sum())
 
-                if ws.enabled:
-                    # ping-pong: read the previous level's map, write this one's
-                    i2l_next = ws.buf(f"tree/i2l/{_depth % 2}", n, IDX_DTYPE)
-                    np.take(new_local_of, local_safe, out=i2l_next)
-                    np.add(i2l_next, side_inst, out=i2l_next)
-                    np.logical_not(active, out=active)
-                    np.copyto(i2l_next, -1, where=active)
-                    inst2local = i2l_next
-                else:
-                    inst2local = np.where(active, new_local_of[local_safe] + side_inst, -1)
+                # ping-pong: read the previous level's map, write this one's
+                i2l_next = ws.buf(f"tree/i2l/{_depth % 2}", n, IDX_DTYPE)
+                np.take(new_local_of, local_safe, out=i2l_next)
+                np.add(i2l_next, side_inst, out=i2l_next)
+                np.logical_not(active, out=active)
+                np.copyto(i2l_next, -1, where=active)
+                inst2local = i2l_next
 
                 # ---- partition the attribute lists -------------------------
                 for shard in shards:
@@ -598,15 +579,10 @@ class GPUGBDTTrainer:
                 pg = node_g[split_locals]
                 ph = node_h[split_locals]
                 pn = node_n[split_locals]
-                if ws.enabled:
-                    pp = _depth % 2
-                    node_g = ws.buf(f"tree/node_g/{pp}", 2 * k, np.float64)
-                    node_h = ws.buf(f"tree/node_h/{pp}", 2 * k, np.float64)
-                    node_n = ws.buf(f"tree/node_n/{pp}", 2 * k, IDX_DTYPE)
-                else:
-                    node_g = np.empty(2 * k)
-                    node_h = np.empty(2 * k)
-                    node_n = np.empty(2 * k, dtype=np.int64)
+                pp = _depth % 2
+                node_g = ws.buf(f"tree/node_g/{pp}", 2 * k, np.float64)
+                node_h = ws.buf(f"tree/node_h/{pp}", 2 * k, np.float64)
+                node_n = ws.buf(f"tree/node_n/{pp}", 2 * k, IDX_DTYPE)
                 node_g[0::2], node_g[1::2] = lg, pg - lg
                 node_h[0::2], node_h[1::2] = lh, ph - lh
                 node_n[0::2], node_n[1::2] = ln, pn - ln
@@ -645,11 +621,8 @@ class GPUGBDTTrainer:
         right_seg = np.where(splitting_seg, (child_base + 1) * d_used + seg_attr, -1)
 
         inst_arr = shard.inst
-        if ws.enabled:
-            side_ent = ws.buf("tree/side_ent", inst_arr.size, np.int8)
-            np.take(side_inst, inst_arr, out=side_ent)
-        else:
-            side_ent = side_inst[inst_arr]
+        side_ent = ws.buf("tree/side_ent", inst_arr.size, np.int8)
+        np.take(side_inst, inst_arr, out=side_ent)
         plan = plan_partition(
             int(layout.n_elements * device.work_scale),
             k,
@@ -659,7 +632,7 @@ class GPUGBDTTrainer:
         )
         # the decompression strategy consumes -1-coded drops, so the
         # trash-slot scatter is reserved for the other code paths
-        use_trash = ws.enabled and (not used_rle or p.use_direct_rle)
+        use_trash = not used_rle or p.use_direct_rle
         dest, new_offsets = partition_segments(
             device, layout.offsets, side_ent, left_seg, right_seg, 2 * k * d_used, plan,
             bytes_per_element=8 if used_rle else 16, workspace=ws, drop_to_trash=use_trash,
@@ -682,22 +655,11 @@ class GPUGBDTTrainer:
                 val_buf[dest] = shard.vals
                 shard.vals = val_buf[:n_new]
         else:
+            # the paper's decompress-and-recompress ablation (Fig. 6)
             keep = dest >= 0
             new_inst = np.empty(n_new, dtype=np.int64)
             new_inst[dest[keep]] = inst_arr[keep]
-            if used_rle:
-                if p.use_direct_rle:
-                    shard.rle = split_runs_direct(
-                        device, shard.rle, side_ent, left_seg, right_seg, 2 * k * d_used
-                    )
-                else:
-                    shard.rle = split_runs_with_decompression(
-                        device, shard.rle, dest, new_offsets
-                    )
-            else:
-                new_vals = np.empty(n_new, dtype=np.float64)
-                new_vals[dest[keep]] = shard.vals[keep]
-                shard.vals = new_vals
+            shard.rle = split_runs_with_decompression(device, shard.rle, dest, new_offsets)
         shard.inst = new_inst
         shard.layout = SegmentLayout(new_offsets, 2 * k, d_used)
 
@@ -722,17 +684,13 @@ class GPUGBDTTrainer:
         is_leaf_local = np.zeros(node_tree_ids.size, dtype=bool)
         is_leaf_local[leaf_locals] = True
         ws = self.workspace
-        if ws.enabled:
-            local_safe = ws.buf("leaf/local_safe", inst2local.size, IDX_DTYPE)
-            np.maximum(inst2local, 0, out=local_safe)
-            settled = ws.buf("leaf/settled", inst2local.size, bool)
-            np.greater_equal(inst2local, 0, out=settled)
-            lmask = ws.buf("leaf/lmask", inst2local.size, bool)
-            np.take(is_leaf_local, local_safe, out=lmask)
-            np.logical_and(settled, lmask, out=settled)
-        else:
-            local_safe = np.maximum(inst2local, 0)
-            settled = (inst2local >= 0) & is_leaf_local[local_safe]
+        local_safe = ws.buf("leaf/local_safe", inst2local.size, IDX_DTYPE)
+        np.maximum(inst2local, 0, out=local_safe)
+        settled = ws.buf("leaf/settled", inst2local.size, bool)
+        np.greater_equal(inst2local, 0, out=settled)
+        lmask = ws.buf("leaf/lmask", inst2local.size, bool)
+        np.take(is_leaf_local, local_safe, out=lmask)
+        np.logical_and(settled, lmask, out=settled)
         ids = np.flatnonzero(settled)
         gc.on_leaves(ids, values[inst2local[ids]])
         inst2local[ids] = -1
@@ -744,22 +702,12 @@ def _route_present(
     """Send the present entries of ``owned`` nodes' chosen segments to their
     side: entries before the split position go left (0), the rest right."""
     layout = shard.layout
-    if shard.workspace.enabled:
-        # only the chosen segments' entries: their ranges laid end to end,
-        # each entry compared with its segment's split point
-        seg = best.seg[owned]
-        lo = layout.offsets[seg]
-        reps = layout.offsets[seg + 1] - lo
-        ent = np.repeat(lo - np.cumsum(reps) + reps, reps)
-        ent += shard.workspace.arange(ent.size)
-        elem_right = ent >= np.repeat(best.elem_pos[owned], reps)
-        side_inst[shard.inst[ent]] = elem_right
-    else:
-        S = layout.n_segments
-        split_pos = np.full(S, -1, dtype=np.int64)
-        split_pos[best.seg[owned]] = best.elem_pos[owned]
-        sid = np.repeat(np.arange(S, dtype=np.int64), np.diff(layout.offsets))
-        chosen = split_pos[sid] >= 0
-        elem_idx = np.arange(layout.n_elements, dtype=np.int64)
-        elem_side = (elem_idx < split_pos[sid]).astype(np.int8)
-        side_inst[shard.inst[chosen]] = np.where(elem_side[chosen] == 1, 0, 1)
+    # only the chosen segments' entries: their ranges laid end to end, each
+    # entry compared with its segment's split point
+    seg = best.seg[owned]
+    lo = layout.offsets[seg]
+    reps = layout.offsets[seg + 1] - lo
+    ent = np.repeat(lo - np.cumsum(reps) + reps, reps)
+    ent += shard.workspace.arange(ent.size)
+    elem_right = ent >= np.repeat(best.elem_pos[owned], reps)
+    side_inst[shard.inst[ent]] = elem_right

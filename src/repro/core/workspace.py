@@ -27,16 +27,20 @@ persist across levels, trees, and boosting rounds:
   reserved-bytes gauge publish into the shared metrics registry
   (:mod:`repro.obs`).
 
-The arena is purely a host optimization: the simulated-device ledger and
-the resulting trees are byte-identical with the arena on or off (the
-identity suites and ``tests/test_properties.py`` enforce this).
+The arena is purely a host optimization and the only allocation strategy
+of the exact kernels: it never changes the simulated-device ledger or the
+trees.  A kernel called without a workspace uses a fresh arena for that
+call.  Correctness rests on the CPU reference trainer's identical-tree
+tests and the per-kernel loop oracles in ``tests/``; a trainer reused after
+a fit that left larger, dirty buffers behind must give the same model as a
+fresh one (``tests/test_stale_arena.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["WorkspaceArena", "IDX_DTYPE", "arena_enabled_default"]
+__all__ = ["WorkspaceArena", "IDX_DTYPE"]
 
 #: the pinned dtype for every index-like buffer (offsets, destinations,
 #: ranks, segment ids).  int64 keeps >2**31-element layouts safe on every
@@ -50,25 +54,12 @@ _GROWTH = 1.5
 _ALIGN = 64
 
 
-def arena_enabled_default() -> bool:
-    """Whether new trainers use the arena (``REPRO_ARENA=0`` disables)."""
-    import os
-
-    return os.environ.get("REPRO_ARENA", "1") != "0"
-
-
 def _round_capacity(size: int) -> int:
     return -(-max(size, 1) // _ALIGN) * _ALIGN
 
 
 class WorkspaceArena:
     """Named, geometrically-grown scratch buffers for hot-path reuse.
-
-    Parameters
-    ----------
-    enabled:
-        When False every request falls back to a fresh ``np.empty`` -- one
-        code path for callers, zero behavior change when disabled.
 
     Notes
     -----
@@ -78,8 +69,7 @@ class WorkspaceArena:
     per logical array and swaps explicit ``/a``-``/b`` pairs).
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._bufs: dict[str, np.ndarray] = {}
         self._arange: np.ndarray | None = None
         # plain-int counters; published to the obs registry on demand so the
@@ -113,8 +103,6 @@ class WorkspaceArena:
         reading, exactly as with ``np.empty``.
         """
         dtype = np.dtype(dtype)
-        if not self.enabled:
-            return np.empty(size, dtype)
         self.n_requests += 1
         key = f"{name}|{dtype.str}"
         cur = self._bufs.get(key)
@@ -169,10 +157,6 @@ class WorkspaceArena:
         Handles empty segments (several marks accumulate on one element)
         and trailing empty segments (marks at ``n`` are dropped).
         """
-        if not self.enabled:
-            return np.repeat(
-                np.arange(offsets.size - 1, dtype=IDX_DTYPE), np.diff(offsets)
-            )
         out = self.zeros(name, n, IDX_DTYPE)
         interior = offsets[1:-1]
         np.add.at(out, interior[interior < n], 1)
@@ -186,8 +170,6 @@ class WorkspaceArena:
         larger prefix is requested; the view is marked non-writeable because
         every caller shares it.
         """
-        if not self.enabled:
-            return np.arange(size, dtype=IDX_DTYPE)
         self.n_requests += 1
         if self._arange is None or self._arange.size < size:
             self._arange = np.arange(_round_capacity(size), dtype=IDX_DTYPE)
@@ -204,8 +186,6 @@ class WorkspaceArena:
         Counters are published as deltas since the previous flush so the
         registry totals stay monotone across repeated ``fit`` calls.
         """
-        if not self.enabled:
-            return
         from ..obs import get_registry
 
         registry = get_registry()
@@ -225,7 +205,7 @@ class WorkspaceArena:
 
     def __repr__(self) -> str:
         return (
-            f"WorkspaceArena(enabled={self.enabled}, buffers={self.n_buffers}, "
+            f"WorkspaceArena(buffers={self.n_buffers}, "
             f"reserved={self.reserved_bytes}B, reuses={self.n_reuses}/"
             f"{self.n_requests})"
         )

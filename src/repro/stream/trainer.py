@@ -114,7 +114,6 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
         use_rle: bool = True,
         max_bins: int = 64,
         row_scale: float = 1.0,
-        use_arena: bool | None = None,
         use_subtraction: bool | None = None,
     ) -> None:
         if block_rows < 1:
@@ -124,7 +123,6 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
             device,
             max_bins=max_bins,
             row_scale=row_scale,
-            use_arena=use_arena,
             use_subtraction=use_subtraction,
         )
         self.block_rows = int(block_rows)

@@ -5,8 +5,8 @@ buffer uses a 32-bit (or platform-dependent) integer dtype.  Three layers
 of defense:
 
 1. a static audit of the hot-path sources for forbidden index dtypes;
-2. runtime checks that narrow inputs are widened to int64 on both the
-   legacy and the arena paths;
+2. runtime checks that narrow inputs are widened to int64, with and
+   without a caller-supplied arena;
 3. index *arithmetic* regression tests in the >2**31 value range, run on
    small arrays by mocking the partition-plan memory threshold so the
    huge-element regime's numbers flow through the real code.
@@ -62,7 +62,8 @@ def test_idx_dtype_is_int64():
 
 @pytest.mark.parametrize("arena", [False, True])
 def test_partition_widens_narrow_inputs(arena):
-    """int32 offsets/maps in -> int64 dest/offsets out, both paths."""
+    """int32 offsets/maps in -> int64 dest/offsets out, whether the caller
+    passes an arena or the kernel makes its own."""
     device = GpuDevice(TITAN_X_PASCAL)
     offsets = np.array([0, 3, 5], dtype=np.int32)
     side = np.array([0, 1, 0, 1, 0], dtype=np.int8)
@@ -71,14 +72,14 @@ def test_partition_widens_narrow_inputs(arena):
     plan = plan_partition(5, 2, max_counter_mem_bytes=2**30)
     dest, new_off = partition_segments(
         device, offsets, side, left, right, 4, plan,
-        workspace=WorkspaceArena(enabled=arena),
+        workspace=WorkspaceArena() if arena else None,
     )
     assert np.asarray(dest).dtype == np.int64
     assert np.asarray(new_off).dtype == np.int64
 
 
 def test_workspace_index_helpers_pin_int64():
-    ws = WorkspaceArena(enabled=True)
+    ws = WorkspaceArena()
     assert ws.arange(10).dtype == np.int64
     offsets = np.array([0, 2, 2, 5], dtype=np.int32)
     sid = ws.seg_ids("t/sid", offsets, 5)

@@ -185,16 +185,11 @@ def test_subtraction_on_off_byte_identity_adversarial(problem, max_bins):
     assert on.to_json() == off.to_json()
 
 
-@pytest.mark.parametrize("use_arena", [True, False])
-def test_subtraction_identity_with_arena_toggle(use_arena):
+def test_subtraction_identity_on_susy():
     ds = make_dataset("susy", run_rows=240, seed=1)
     p = GBDTParams(n_trees=3, max_depth=5)
-    on = HistogramGBDTTrainer(
-        p, max_bins=32, use_subtraction=True, use_arena=use_arena
-    ).fit(ds.X, ds.y)
-    off = HistogramGBDTTrainer(
-        p, max_bins=32, use_subtraction=False, use_arena=use_arena
-    ).fit(ds.X, ds.y)
+    on = HistogramGBDTTrainer(p, max_bins=32, use_subtraction=True).fit(ds.X, ds.y)
+    off = HistogramGBDTTrainer(p, max_bins=32, use_subtraction=False).fit(ds.X, ds.y)
     assert on.to_json() == off.to_json()
 
 

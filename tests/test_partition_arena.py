@@ -1,15 +1,15 @@
-"""Order-preserving partition on adversarial segment layouts, arena on/off.
+"""Order-preserving partition on adversarial segment layouts.
 
 ``partition_segments`` is the paper's Fig. 2/3 kernel: every old segment's
 elements scatter to left/right child segments *keeping their relative
-order*.  The arena-backed radix-sort implementation must agree with the
-legacy two-pass one element-for-element, including on degenerate layouts
-(empty segments, all-left, all-right, dropped sides, empty input, more new
+order*.  Its radix-sort implementation must agree with a plain-Python
+oracle element-for-element, without a workspace and on a caller's arena
+that earlier calls left dirty, including on degenerate layouts (empty
+segments, all-left, all-right, dropped sides, empty input, more new
 segments than a 16-bit sort key holds).
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.partition import partition_segments, plan_partition
@@ -44,10 +44,9 @@ def _oracle(offsets, side, left_seg, right_seg, n_new):
     return dest, new_offsets
 
 
-def _run(offsets, side, left_seg, right_seg, n_new, *, arena, trash=False):
+def _run(offsets, side, left_seg, right_seg, n_new, *, ws=None, trash=False):
     device = GpuDevice(TITAN_X_PASCAL)
     plan = plan_partition(int(offsets[-1]), max(1, left_seg.size), max_counter_mem_bytes=2**30)
-    ws = WorkspaceArena(enabled=arena)
     dest, new_off = partition_segments(
         device,
         offsets,
@@ -69,18 +68,18 @@ def _check_case(offsets, side, left_seg, right_seg, n_new):
     right_seg = np.asarray(right_seg, dtype=np.int64)
     want_dest, want_off = _oracle(offsets, side, left_seg, right_seg, n_new)
 
-    legacy_dest, legacy_off = _run(offsets, side, left_seg, right_seg, n_new, arena=False)
-    arena_dest, arena_off = _run(offsets, side, left_seg, right_seg, n_new, arena=True)
-    assert np.array_equal(legacy_dest, want_dest)
-    assert np.array_equal(legacy_off, want_off)
-    assert np.array_equal(arena_dest, want_dest)
-    assert np.array_equal(arena_off, want_off)
+    # the arena's second run starts from the buffers its first run left
+    arena = WorkspaceArena()
+    for ws in (None, arena, arena):
+        dest, new_off = _run(offsets, side, left_seg, right_seg, n_new, ws=ws)
+        assert np.array_equal(dest, want_dest)
+        assert np.array_equal(new_off, want_off)
 
     # trash mode: dropped elements scatter to the single slot past the end
     dropped = want_dest < 0
-    for arena in (False, True):
+    for ws in (None, arena):
         trash_dest, trash_off = _run(
-            offsets, side, left_seg, right_seg, n_new, arena=arena, trash=True
+            offsets, side, left_seg, right_seg, n_new, ws=ws, trash=True
         )
         assert np.array_equal(trash_off, want_off)
         assert np.array_equal(trash_dest[~dropped], want_dest[~dropped])
@@ -137,7 +136,7 @@ class TestAdversarialLayouts:
         """Relative source order survives into every new segment."""
         offsets = np.array([0, 8], dtype=np.int64)
         side = np.array([0, 1, 0, 0, 1, 0, 1, 0], dtype=np.int8)
-        dest, new_off = _run(offsets, side, np.array([0]), np.array([1]), 2, arena=True)
+        dest, new_off = _run(offsets, side, np.array([0]), np.array([1]), 2)
         left_sources = np.flatnonzero(side == 0)
         right_sources = np.flatnonzero(side == 1)
         # invert: out[dest[i]] = i for kept elements
@@ -197,7 +196,7 @@ def test_fuzz_matches_oracle_with_and_without_arena(case):
 
 def test_arena_reuses_buffers_across_calls():
     """Repeated partitions on one arena allocate once, then reuse."""
-    ws = WorkspaceArena(enabled=True)
+    ws = WorkspaceArena()
     device = GpuDevice(TITAN_X_PASCAL)
     offsets = np.array([0, 40], dtype=np.int64)
     plan = plan_partition(40, 1, max_counter_mem_bytes=2**30)

@@ -225,18 +225,6 @@ def test_rle_on_off_identity(problem, direct):
     assert models_equal(on, off)
 
 
-@given(adversarial_problem(), st.sampled_from(["never", "always", "paper"]))
-@SETTINGS
-def test_arena_on_off_identity(problem, rle_policy):
-    """The workspace arena is a pure allocation strategy: serialized models
-    must be byte-identical with it on and off."""
-    X, _, _, y, _ = problem
-    p = GBDTParams(n_trees=2, max_depth=4, rle_policy=rle_policy)
-    on = GPUGBDTTrainer(p, use_arena=True).fit(X, y)
-    off = GPUGBDTTrainer(p, use_arena=False).fit(X, y)
-    assert on.to_json() == off.to_json()
-
-
 @given(adversarial_problem(), st.sampled_from([4, 16]))
 @SETTINGS
 def test_hist_subtraction_on_off_identity(problem, max_bins):

@@ -60,6 +60,15 @@ class TestFig7Example:
         with pytest.raises(ValueError):
             split_runs_direct(dev(), rle, np.zeros(5, np.int8), np.array([0]), np.array([1]), 2)
 
+    def test_map_past_new_segments_rejected(self):
+        """Same typed error as ``partition_segments`` for the same maps."""
+        rle = make_state([2.0, 1.0], np.array([0, 2]))
+        side = np.array([0, 1], dtype=np.int8)
+        with pytest.raises(ValueError, match="past n_new_segments"):
+            split_runs_direct(dev(), rle, side, np.array([0]), np.array([5]), 2)
+        with pytest.raises(ValueError, match="past n_new_segments"):
+            element_partition(dev(), np.array([0, 2]), side, np.array([0]), np.array([5]), 2)
+
 
 class TestEquivalenceWithDecompression:
     def _both(self, values, offsets, side, left_seg, right_seg, n_new):

@@ -268,6 +268,17 @@ class TestLayoutHelpers:
         with pytest.raises(ValueError):
             SegmentLayout(np.zeros(5, dtype=np.int64), 2, 3)
 
+    def test_short_instance_array_rejected(self):
+        """One instance id per value, checked up front like the RLE path."""
+        values = np.array([3.0, 2.0, 1.0])
+        layout = SegmentLayout(np.array([0, 3]), 1, 1)
+        g = h = np.ones(3)
+        with pytest.raises(ValueError, match="instance array"):
+            find_best_splits_sparse(
+                GpuDevice(TITAN_X_PASCAL), values, np.array([0, 1]), layout, g, h,
+                np.array([3.0]), np.array([3.0]), np.array([3]), lambda_=1.0,
+            )
+
 
 @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)

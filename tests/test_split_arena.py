@@ -1,12 +1,12 @@
-"""Exact split finding with the workspace arena on and off, across chunks.
+"""Exact split finding across score chunks, against a per-segment loop.
 
-The arena branches of ``find_best_splits_sparse`` / ``find_best_splits_rle``
-score candidates ``split._SCORE_CHUNK`` at a time and broadcast per-segment
-constants with ``np.repeat`` over each chunk's slice of every segment.  The
-legacy branches score the whole level in one go, so agreement on every
-``NodeBestSplits`` field is the differential check.  The chunk constant is
-patched small so that levels span many chunks, segments straddle chunk
-edges, and chunks start inside runs of repeated values.
+``find_best_splits_sparse`` / ``find_best_splits_rle`` score candidates
+``split._SCORE_CHUNK`` at a time and broadcast per-segment constants with
+``np.repeat`` over each chunk's slice of every segment.  The oracle below
+walks every segment's candidates in a plain Python loop, so agreement on
+every ``NodeBestSplits`` field, bit for bit, is the check.  The chunk
+constant is patched small so that levels span many chunks, segments
+straddle chunk edges, and chunks start inside runs of repeated values.
 """
 
 from unittest import mock
@@ -15,12 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import GBDTParams, GPUGBDTTrainer
 from repro.core import split
-from repro.core.split import SegmentLayout, find_best_splits_rle, find_best_splits_sparse
+from repro.core.split import (
+    SegmentLayout,
+    eq2_gain,
+    find_best_splits_rle,
+    find_best_splits_sparse,
+    quantize_gain,
+)
 from repro.core.workspace import WorkspaceArena
-from repro.data import encode_segments, make_dataset
+from repro.data import encode_segments
 from repro.gpusim import TITAN_X_PASCAL, GpuDevice
+from repro.gpusim.primitives import segmented_inclusive_cumsum, segmented_sum
 
 SETTINGS = settings(
     max_examples=60,
@@ -64,22 +70,96 @@ def node_major_level(rng, n_rows, n_attrs, n_nodes, levels, density):
     )
 
 
-def both_ways(find, first, inst, layout, g, h, node_g, node_h, node_n, chunk):
-    out = []
-    for ws in (None, WorkspaceArena(enabled=True)):
+def loop_best_splits(vals, cand_g, cand_h, cand_offsets, cand_pos, elem_offsets,
+                     layout, node_g, node_h, node_n, lambda_=1.0):
+    """Per-segment reference split search (the oracle).
+
+    Candidates are entries (sparse) or runs (RLE), segmented by
+    ``cand_offsets``; ``cand_pos`` is each candidate's first element and
+    ``elem_offsets`` the element segmentation.  Only the prefix sums come
+    from a kernel, ``segmented_inclusive_cumsum``, which
+    ``tests/test_primitives.py`` checks on its own.  A candidate is a cut
+    when it is not its segment's first and its value differs from its
+    predecessor's; interior candidates come in order, then the
+    present|missing boundary, and strictly greater gains win, so the first
+    maximum is kept (in each segment, then over a node's attributes).
+    """
+    dev = GpuDevice(TITAN_X_PASCAL)
+    cg = segmented_inclusive_cumsum(dev, cand_g, cand_offsets)
+    ch = segmented_inclusive_cumsum(dev, cand_h, cand_offsets)
+    d = layout.n_attrs
+    none = (-np.inf, -1, -1, -1, np.nan, False, 0.0, 0.0, 0)
+    rows = []
+    for j in range(layout.n_nodes):
+        G, H = node_g[j], node_h[j]
+        node_best = none
+        for a in range(d):
+            s = j * d + a
+            lo, hi = cand_offsets[s], cand_offsets[s + 1]
+            e_lo, e_hi = elem_offsets[s], elem_offsets[s + 1]
+            seg_g = cg[hi - 1] if hi > lo else 0.0
+            seg_h = ch[hi - 1] if hi > lo else 0.0
+            miss_g, miss_h, miss_n = G - seg_g, H - seg_h, node_n[j] - (e_hi - e_lo)
+            best = none
+            for i in range(lo + 1, hi):
+                if vals[i] == vals[i - 1]:
+                    continue
+                gl, hl = cg[i] - cand_g[i], ch[i] - cand_h[i]
+                mr = float(quantize_gain(eq2_gain(gl, hl, G, H, lambda_)))
+                ml = float(quantize_gain(eq2_gain(gl + miss_g, hl + miss_h, G, H, lambda_)))
+                left = ml >= mr
+                if max(ml, mr) > best[0]:
+                    best = (
+                        max(ml, mr), a, s, cand_pos[i], (vals[i - 1] + vals[i]) / 2.0, left,
+                        gl + (miss_g if left else 0.0), hl + (miss_h if left else 0.0),
+                        cand_pos[i] - e_lo + (miss_n if left else 0),
+                    )
+            if miss_n > 0 and e_hi > e_lo:
+                gain = float(quantize_gain(eq2_gain(seg_g, seg_h, G, H, lambda_)))
+                if gain > best[0]:
+                    best = (gain, a, s, e_hi, np.nextafter(vals[hi - 1], -np.inf), False,
+                            seg_g, seg_h, e_hi - e_lo)
+            if best[0] > node_best[0]:
+                node_best = best
+        rows.append(node_best)
+    dtypes = (np.float64, np.int64, np.int64, np.int64, np.float64, bool,
+              np.float64, np.float64, np.int64)
+    return {f: np.array([r[k] for r in rows], dtype=t)
+            for k, (f, t) in enumerate(zip(FIELDS, dtypes))}
+
+
+def sparse_oracle(values, inst, layout, g, h, node_g, node_h, node_n):
+    offsets = layout.offsets
+    return loop_best_splits(values, g[inst], h[inst], offsets, np.arange(values.size),
+                            offsets, layout, node_g, node_h, node_n)
+
+
+def rle_oracle(rle, inst, layout, g, h, node_g, node_h, node_n):
+    dev = GpuDevice(TITAN_X_PASCAL)
+    run_elems = np.append(rle.run_starts(), inst.size)
+    return loop_best_splits(
+        rle.run_values, segmented_sum(dev, g[inst], run_elems),
+        segmented_sum(dev, h[inst], run_elems), rle.run_offsets, rle.run_starts(),
+        layout.offsets, layout, node_g, node_h, node_n,
+    )
+
+
+def check(find, oracle, first, inst, layout, g, h, node_g, node_h, node_n, chunk):
+    """The kernel equals the oracle without a workspace and twice on one
+    arena (the second call starts from the first one's buffers)."""
+    want = oracle(first, inst, layout, g, h, node_g, node_h, node_n)
+    ws = WorkspaceArena()
+    for workspace in (None, ws, ws):
         with mock.patch.object(split, "_SCORE_CHUNK", chunk):
-            out.append(find(
+            got = find(
                 GpuDevice(TITAN_X_PASCAL), first, inst, layout, g, h, node_g, node_h, node_n,
-                lambda_=1.0, workspace=ws,
-            ))
-    return out
-
-
-def assert_same(legacy, arena):
-    for f in FIELDS:
-        a, b = getattr(legacy, f), getattr(arena, f)
-        assert a.dtype == b.dtype, f
-        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), f
+                lambda_=1.0, workspace=workspace,
+            )
+        for f in FIELDS:
+            a, b = want[f], getattr(got, f)
+            assert a.dtype == b.dtype, f
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), f
+    return got
 
 
 @st.composite
@@ -105,17 +185,17 @@ def straddles(offsets, chunk):
 
 @given(level_case())
 @SETTINGS
-def test_sparse_arena_matches_legacy_across_chunks(case):
+def test_sparse_matches_loop_oracle_across_chunks(case):
     (values, inst, layout, *stats), chunk = case
-    assert_same(*both_ways(find_best_splits_sparse, values, inst, layout, *stats, chunk))
+    check(find_best_splits_sparse, sparse_oracle, values, inst, layout, *stats, chunk)
 
 
 @given(level_case())
 @SETTINGS
-def test_rle_arena_matches_legacy_across_chunks(case):
+def test_rle_matches_loop_oracle_across_chunks(case):
     (values, inst, layout, *stats), chunk = case
     rle = encode_segments(values, layout.offsets)
-    assert_same(*both_ways(find_best_splits_rle, rle, inst, layout, *stats, chunk))
+    check(find_best_splits_rle, rle_oracle, rle, inst, layout, *stats, chunk)
 
 
 @pytest.mark.parametrize("chunk", [3, 7, 16])
@@ -132,20 +212,6 @@ def test_fixed_level_spans_chunks_with_every_edge_case(chunk):
     assert np.any(np.diff(offsets) == 0)  # empty segments
     assert np.any(stats[-1][layout.seg_node()] > np.diff(offsets))  # missing values
     assert rle.n_runs < values.size  # repeated values
-    legacy, arena = both_ways(find_best_splits_sparse, values, inst, layout, *stats, chunk)
-    assert_same(legacy, arena)
-    assert legacy.found[1:].all()
-    assert_same(*both_ways(find_best_splits_rle, rle, inst, layout, *stats, chunk))
-
-
-@pytest.mark.parametrize("rle_policy", ["never", "always"])
-def test_trainer_arena_identity_past_one_chunk(rle_policy):
-    """Whole fits at the shipped chunk size, on a level with more
-    candidates than one chunk holds."""
-    data = make_dataset("higgs", run_rows=1000)
-    assert data.X.nnz > split._SCORE_CHUNK
-    p = GBDTParams(n_trees=2, max_depth=4, rle_policy=rle_policy)
-    on = GPUGBDTTrainer(p, use_arena=True)
-    off = GPUGBDTTrainer(p, use_arena=False)
-    assert on.fit(data.X, data.y).to_json() == off.fit(data.X, data.y).to_json()
-    assert on.report.used_rle == (rle_policy == "always")
+    got = check(find_best_splits_sparse, sparse_oracle, values, inst, layout, *stats, chunk)
+    assert got.found[1:].all()
+    check(find_best_splits_rle, rle_oracle, rle, inst, layout, *stats, chunk)
