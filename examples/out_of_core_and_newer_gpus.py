@@ -16,7 +16,7 @@ the in-memory Titan X run dying with OOM, then both remedies working.
 
 import dataclasses
 
-from repro import GBDTParams, GPUGBDTTrainer, make_dataset, models_equal
+from repro import GBDTParams, make_dataset, models_equal
 from repro.bench.harness import run_gpu_gbdt
 from repro.ext.outofcore import OutOfCoreGBDTTrainer
 from repro.gpusim.device import A100_80GB, GIB, TITAN_X_PASCAL

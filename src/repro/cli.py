@@ -245,54 +245,6 @@ def _stream_main(argv: list[str]) -> int:
     return 0 if result.matches_inmem else 1
 
 
-def _serve_main(argv: list[str]) -> int:
-    """``gpu-gbdt serve demo``: multi-replica serving cluster under a burst
-    storm with a mid-storm rolling deploy (prints CLUSTER_* lines for CI)."""
-    parser = argparse.ArgumentParser(
-        prog="gpu-gbdt serve",
-        description="Serving cluster: async front door, admission control, "
-        "replica lifecycle, closed-loop load generation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    demo = sub.add_parser(
-        "demo", help="run a cluster, fire a burst storm, roll a deploy mid-storm"
-    )
-    demo.add_argument(
-        "--quick", action="store_true", help="smoke-scale model and storm"
-    )
-    demo.add_argument(
-        "--replicas", type=int, default=3, help="replica count (default 3)"
-    )
-    demo.add_argument(
-        "--router",
-        choices=("round-robin", "least-loaded", "hash"),
-        default="least-loaded",
-        help="routing policy (default least-loaded)",
-    )
-    demo.add_argument(
-        "--seed", type=int, default=7, help="load-generator seed (default 7)"
-    )
-    demo.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="export the merged per-replica Chrome trace (ui.perfetto.dev)",
-    )
-    args = parser.parse_args(argv)
-
-    from .serve.cluster.demo import run_serve_demo
-
-    result = run_serve_demo(
-        quick=args.quick,
-        replicas=args.replicas,
-        router=args.router,
-        seed=args.seed,
-        trace_path=args.trace,
-    )
-    print(result.text)
-    return 0 if result.dropped == 0 else 1
-
-
 def _obs_main(argv: list[str]) -> int:
     """``gpu-gbdt obs report``: run an instrumented training and print the
     wall-vs-modeled phase breakdown, optionally exporting trace/metrics."""
@@ -512,8 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         return _dist_main(argv[1:])
     if argv and argv[0] == "runs":
         return _runs_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
     if argv and argv[0] == "stream":
         return _stream_main(argv[1:])
     parser = argparse.ArgumentParser(

@@ -274,9 +274,8 @@ class GpuDevice:
     ) -> Transfer:
         """Record disk IO (block spill/fetch), costed against :attr:`disk`.
 
-        ``phase`` overrides the phase-stack label: the prefetch pipeline
-        issues these from a background thread, which must not read the main
-        thread's phase stack mid-mutation.
+        ``phase`` overrides the phase-stack label: the block store books all
+        its IO under ``stream_io``, whatever phase the trainer is in.
         """
         t = Transfer(
             name=name,

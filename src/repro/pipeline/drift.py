@@ -23,7 +23,7 @@ is how the retrain controller's decisions become observable.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

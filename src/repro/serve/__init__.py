@@ -18,18 +18,13 @@ has to answer prediction requests as fast as the host allows:
     metrics, and an overload story (shed to a per-row fallback or reject).
 ``feature_cache``
     :class:`FeatureCache` -- version-keyed LRU prediction cache whose
-    hit/miss/eviction counters land on the shared obs registry with a
-    ``replica`` label.
+    hit/miss/eviction counters land on the shared obs registry.
 ``registry``
     :class:`ModelRegistry` -- content-addressed model versions layered on the
     ``to_json``/``from_json`` round-trip, with hot swap and rollback.
 ``stats``
     :class:`ServingStats` -- latency percentiles, throughput and shed/reject
     counters, JSON-safe for the regression harness.
-``cluster``
-    Multi-replica tier: front door with admission control and pluggable
-    routing, replica lifecycle (warm-up/drain/rolling deploy), and the
-    closed-loop load generator.
 """
 
 from .batch_core import BatchQueue

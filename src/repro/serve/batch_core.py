@@ -3,14 +3,9 @@
 :class:`BatchQueue` is the policy kernel extracted from the original
 ``MicroBatcher``: it decides *what is queued*, *when a batch is due*, and
 *which items leave together* -- and nothing else.  It never touches a model,
-a clock, a thread, or a metric, so the same core can be driven by
-
-* the synchronous single-process :class:`~repro.serve.batcher.MicroBatcher`
-  (``poll``/``drain`` on the caller's thread),
-* the cluster front door's event-driven simulator (service times come from a
-  :class:`~repro.serve.cluster.frontdoor.ServiceModel`, batches complete at
-  ``t_take + service``), and
-* real per-replica worker threads (each pulls batches in a loop).
+a clock, a thread, or a metric; the
+:class:`~repro.serve.batcher.MicroBatcher` binds it to all of those and
+drives it with ``poll``/``drain`` on the caller's thread.
 
 Deadline contract (the first-request anchor)
 --------------------------------------------
@@ -79,40 +74,6 @@ class BatchQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def next_deadline(self) -> Optional[float]:
-        """When the current head's max-wait expires (None when empty).
-
-        Anchored to the oldest queued item's enqueue time -- later pushes
-        never move it.  Event-driven transports schedule their next service
-        tick off this.
-        """
-        with self._lock:
-            if not self._queue:
-                return None
-            return self._queue[0][1] + self.max_wait
-
-    def ready_at(self) -> Optional[float]:
-        """Absolute instant the current head batch becomes due (None when
-        empty): the enqueue time of the ``max_batch``-th item when a full
-        batch is queued, else the head's max-wait expiry.  Event-driven
-        transports use this to schedule service starts exactly."""
-        with self._lock:
-            if not self._queue:
-                return None
-            if len(self._queue) >= self.max_batch:
-                return self._queue[self.max_batch - 1][1]
-            return self._queue[0][1] + self.max_wait
-
-    def ready(self, now: float) -> bool:
-        """True when a batch is due: a full ``max_batch`` is queued, or the
-        oldest item has waited at least ``max_wait``."""
-        with self._lock:
-            if not self._queue:
-                return False
-            if len(self._queue) >= self.max_batch:
-                return True
-            return now - self._queue[0][1] >= self.max_wait
-
     def take_ready(self, now: float) -> Optional[List[Tuple[Any, float]]]:
         """Pop one due batch (oldest first, at most ``max_batch`` items);
         None when nothing is due yet."""
@@ -128,8 +89,8 @@ class BatchQueue:
             return self._pop_locked()
 
     def take(self) -> List[Tuple[Any, float]]:
-        """Pop up to ``max_batch`` items unconditionally (drain / shutdown /
-        replica drain paths ignore readiness)."""
+        """Pop up to ``max_batch`` items unconditionally (drain and shutdown
+        ignore readiness)."""
         with self._lock:
             return self._pop_locked()
 

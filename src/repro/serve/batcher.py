@@ -21,10 +21,10 @@ decomposed into two steps so any serving loop can drive it:
     predict the batch, resolve its handles at ``now``, charge the simulated
     device, and record stats.
 
-``poll``/``drain`` compose the two on the caller's thread (the single-process
-serving loop); the cluster front door instead takes a batch at simulated
-time ``t`` and completes it at ``t + service_time`` so queue wait *and*
-service time both land in the latency distribution.
+``poll``/``drain`` compose the two on the caller's thread; a driver that
+models service time can instead take a batch at ``t`` and complete it at
+``t + service_time`` so queue wait *and* service time both land in the
+latency distribution.
 
 Between polls the queue is the only buffer, and when it reaches ``max_queue``
 the batcher degrades gracefully instead of growing without bound:
@@ -36,7 +36,7 @@ the batcher degrades gracefully instead of growing without bound:
 An optional :class:`~repro.serve.feature_cache.FeatureCache` short-circuits
 repeated feature vectors; it is keyed to the active model version,
 invalidated on hot swap, and its hit/miss/eviction counters land on the
-shared :mod:`repro.obs` registry labelled by replica.  A simulated
+shared :mod:`repro.obs` registry.  A simulated
 :class:`~repro.gpusim.kernel.GpuDevice` may ride along: every completed
 batch is charged through the Section III-D prediction-kernel cost model.
 
@@ -66,10 +66,6 @@ __all__ = ["Batch", "BatchPolicy", "MicroBatcher", "PendingPrediction", "QueueFu
 
 #: what `take_ready` hands back: ``(row, t_enqueue, handle)`` triples
 Batch = List[Tuple[np.ndarray, float, "PendingPrediction"]]
-
-#: a source may also be a 0-arg callable resolving to ``(flat, version)`` --
-#: the cluster replica uses this to pin a specific registry version
-SourceResolver = Callable[[], Tuple[FlatEnsemble, Optional[str]]]
 
 
 class QueueFull(RuntimeError):
@@ -139,9 +135,7 @@ class MicroBatcher:
         A :class:`FlatEnsemble` to serve, a :class:`ModelRegistry` whose
         active version (of ``model_name``) is resolved at every submit/flush
         -- so a hot swap takes effect on the *next* batch, and every request
-        within one batch is served by a single consistent version -- or a
-        0-arg callable returning ``(flat, version)`` (how a cluster replica
-        pins one registry version independently of the active pointer).
+        within one batch is served by a single consistent version.
     policy:
         Flush/overload/caching policy.
     stats:
@@ -152,29 +146,20 @@ class MicroBatcher:
     clock:
         0-arg callable returning seconds; every public method also accepts an
         explicit ``now`` for simulated time.
-    replica:
-        Label for the shared cache counters (``serve_cache_*_total``); the
-        cluster names its replicas, standalone batchers stay ``"solo"``.
     """
 
     def __init__(
         self,
-        source: FlatEnsemble | ModelRegistry | SourceResolver,
+        source: FlatEnsemble | ModelRegistry,
         *,
         model_name: str = DEFAULT_NAME,
         policy: BatchPolicy | None = None,
         stats: ServingStats | None = None,
         device: GpuDevice | None = None,
         clock: Callable[[], float] = time.monotonic,
-        replica: str = "solo",
     ) -> None:
-        if not isinstance(source, (FlatEnsemble, ModelRegistry)) and not callable(
-            source
-        ):
-            raise TypeError(
-                "source must be a FlatEnsemble, a ModelRegistry, or a callable "
-                "returning (flat, version)"
-            )
+        if not isinstance(source, (FlatEnsemble, ModelRegistry)):
+            raise TypeError("source must be a FlatEnsemble or a ModelRegistry")
         self._source = source
         self._model_name = model_name
         self.policy = policy if policy is not None else BatchPolicy()
@@ -186,7 +171,7 @@ class MicroBatcher:
             max_wait=self.policy.max_wait,
             max_queue=self.policy.max_queue,
         )
-        self.cache = FeatureCache(self.policy.cache_size, replica=replica)
+        self.cache = FeatureCache(self.policy.cache_size)
 
     # -------------------------------------------------------------- resolving
     def _resolve(self) -> Tuple[FlatEnsemble, Optional[str]]:
@@ -194,10 +179,8 @@ class MicroBatcher:
         if isinstance(self._source, ModelRegistry):
             active = self._source.active(self._model_name)
             flat, version = active.flat, active.version
-        elif isinstance(self._source, FlatEnsemble):
-            flat, version = self._source, None
         else:
-            flat, version = self._source()
+            flat, version = self._source, None
         self.cache.sync_version(version)
         return flat, version
 
@@ -244,7 +227,7 @@ class MicroBatcher:
         handle: PendingPrediction | None = None,
     ) -> PendingPrediction:
         """Serve one row immediately through the degraded per-row fallback
-        (the overload path; also what cluster admission control sheds to)."""
+        (the overload path)."""
         now = self._clock() if now is None else now
         row = np.asarray(row, dtype=np.float64).reshape(-1)
         handle = handle if handle is not None else PendingPrediction()
@@ -274,7 +257,7 @@ class MicroBatcher:
 
         Latency recorded per request is ``now - t_enqueue`` -- the driving
         loop decides whether ``now`` is the take instant (synchronous
-        ``poll``) or take + modeled service time (the cluster simulator).
+        ``poll``) or take + modeled service time.
         Returns the number of rows served.
         """
         if not batch:

@@ -2,17 +2,16 @@
 
 The cache used to live as an ``OrderedDict`` plus ad-hoc hit/miss counters
 buried inside the batcher and :class:`~repro.serve.stats.ServingStats`.
-Once N replicas each own a batcher, per-instance counters stop composing --
-the cluster view needs one ``serve_cache_hits_total{replica=...}`` family it
-can aggregate and export.  :class:`FeatureCache` owns both concerns:
+:class:`FeatureCache` owns both concerns:
 
 * the LRU map itself, keyed by the feature vector's bytes and invalidated
   whenever the serving model version changes (a stale prediction can never
   be served across a hot swap);
 * hit/miss/eviction accounting, recorded **twice** -- as plain instance
   attributes (``cache.hits``) for summaries and deterministic tests, and as
-  labelled counters on the process-global :mod:`repro.obs` registry so every
-  replica's cache lands in the same Prometheus/JSONL export.
+  ``serve_cache_*_total`` counters on the process-global :mod:`repro.obs`
+  registry, so cache behaviour lands in the same Prometheus/JSONL export as
+  every other metric.
 
 A ``capacity`` of 0 disables the cache entirely: lookups miss without
 counting and stores are dropped, matching the original batcher's
@@ -30,38 +29,28 @@ __all__ = ["FeatureCache"]
 
 
 class FeatureCache:
-    """LRU ``feature-bytes -> prediction`` map for one serving replica.
+    """LRU ``feature-bytes -> prediction`` map for one batcher.
 
     Parameters
     ----------
     capacity:
         Maximum resident entries (0 disables the cache).
-    replica:
-        Label value for the shared ``serve_cache_*_total`` counters, so a
-        cluster's caches stay distinguishable after aggregation.  The
-        single-process batcher uses the default ``"solo"``.
     """
 
-    def __init__(self, capacity: int, *, replica: str = "solo") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
-        self.replica = str(replica)
         self._entries: "OrderedDict[bytes, float]" = OrderedDict()
         self._version: Optional[str] = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         reg = get_registry()
-        self._hits_total = reg.counter(
-            "serve_cache_hits_total", "prediction cache hits", replica=self.replica
-        )
-        self._misses_total = reg.counter(
-            "serve_cache_misses_total", "prediction cache misses", replica=self.replica
-        )
+        self._hits_total = reg.counter("serve_cache_hits_total", "prediction cache hits")
+        self._misses_total = reg.counter("serve_cache_misses_total", "prediction cache misses")
         self._evictions_total = reg.counter(
-            "serve_cache_evictions_total", "prediction cache LRU evictions",
-            replica=self.replica,
+            "serve_cache_evictions_total", "prediction cache LRU evictions"
         )
 
     # -------------------------------------------------------------- inspection
@@ -116,6 +105,6 @@ class FeatureCache:
 
     def __repr__(self) -> str:
         return (
-            f"FeatureCache(replica={self.replica!r}, size={len(self._entries)}/"
-            f"{self.capacity}, hits={self.hits}, misses={self.misses})"
+            f"FeatureCache(size={len(self._entries)}/{self.capacity}, "
+            f"hits={self.hits}, misses={self.misses})"
         )

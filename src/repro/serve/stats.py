@@ -2,8 +2,7 @@
 
 Cache accounting does **not** live here: hit/miss/eviction counters belong to
 :class:`~repro.serve.feature_cache.FeatureCache`, which records them on the
-process-global :mod:`repro.obs` registry with a ``replica`` label so a
-cluster's caches aggregate into one exported family.
+process-global :mod:`repro.obs` registry.
 
 One :class:`ServingStats` instance rides along with a
 :class:`~repro.serve.batcher.MicroBatcher`; every request outcome is recorded

@@ -37,7 +37,10 @@ pass reverses the previous one), and each pass starts on the blocks the
 last pass left resident.  Only the prefetch worker calls :meth:`get`, in
 pass order, and pinned blocks are always the newest, so the eviction
 victim is always the oldest block: the fetch sequence, and so the modeled
-disk traffic, does not depend on thread timing.
+disk traffic, does not depend on thread timing.  Nor does the ledger order:
+the worker's gets (:meth:`get_deferring_io`) hand their disk transfers back
+instead of recording them, and the pipeline records them (:meth:`charge`)
+when the trainer takes the block, between the trainer's own ledger entries.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +72,9 @@ BLOCK_MAGIC = "repro-blk-v1"
 #: gpusim phase label for all block-store disk traffic, so phase reports
 #: separate modeled IO time from modeled compute time
 IO_PHASE = "stream_io"
+
+#: one deferred disk transfer: ``(name, bytes, "read" | "write")``
+DiskIO = Tuple[str, int, str]
 
 
 class TornBlockError(RuntimeError):
@@ -256,6 +262,8 @@ class BlockStore:
         #: :meth:`get` calls so far: one per block per pass over the store
         self.get_calls = 0
         self._materializer: Optional[Callable[[int], ColumnBlock]] = None
+        #: where :meth:`get_deferring_io` collects disk transfers while it runs
+        self._deferred: Optional[List[DiskIO]] = None
         self._lock = threading.RLock()
 
     # ---------------------------------------------------------------- public
@@ -301,6 +309,25 @@ class BlockStore:
             if pin:
                 self._pins[block_id] = self._pins.get(block_id, 0) + 1
             return block
+
+    def get_deferring_io(
+        self, block_id: int, transfers: List[DiskIO], *, pin: bool = False
+    ) -> ColumnBlock:
+        """:meth:`get`, but the disk transfers it causes -- its fetch and the
+        spills its evictions force -- are appended to ``transfers`` instead
+        of going to the device ledger; :meth:`charge` records them later."""
+        with self._lock:
+            self._deferred = transfers
+            try:
+                return self.get(block_id, pin=pin)
+            finally:
+                self._deferred = None
+
+    def charge(self, transfers: List[DiskIO]) -> None:
+        """Record transfers :meth:`get_deferring_io` deferred on the device."""
+        if self.device is not None:
+            for name, nbytes, direction in transfers:
+                self.device.disk_transfer(name, nbytes, direction, phase=IO_PHASE)
 
     def release(self, block_id: int) -> None:
         """Drop one pin (prefetch consumer done with the block)."""
@@ -351,6 +378,12 @@ class BlockStore:
         if self._resident > self.peak_resident_bytes:
             self.peak_resident_bytes = self._resident
 
+    def _disk_io(self, name: str, nbytes: int, direction: str) -> None:
+        if self._deferred is not None:
+            self._deferred.append((name, nbytes, direction))
+        else:
+            self.charge([(name, nbytes, direction)])
+
     def _drop(self, block_id: int) -> None:
         block = self._cache.pop(block_id, None)
         if block is not None:
@@ -370,10 +403,7 @@ class BlockStore:
         self._counter(
             "blocks_spilled_total", "column blocks written to the disk tier"
         ).inc(1)
-        if self.device is not None:
-            self.device.disk_transfer(
-                "spill_block", len(raw), "write", phase=IO_PHASE
-            )
+        self._disk_io("spill_block", len(raw), "write")
 
     def _fetch(self, block_id: int) -> ColumnBlock:
         path = self.block_path(block_id)
@@ -386,10 +416,7 @@ class BlockStore:
             if raw is not None:
                 try:
                     block = ColumnBlock.from_bytes(raw)
-                    if self.device is not None:
-                        self.device.disk_transfer(
-                            "fetch_block", len(raw), "read", phase=IO_PHASE
-                        )
+                    self._disk_io("fetch_block", len(raw), "read")
                     self._counter(
                         "blocks_fetched_total",
                         "column blocks read back from the disk tier",

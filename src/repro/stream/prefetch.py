@@ -17,7 +17,9 @@ Two views of the overlap are recorded:
 * **modeled** -- every fetch/spill is a ``stream_io``-phase disk transfer
   in the gpusim ledger, so :func:`modeled_overlap` can compare the serial
   makespan (io + compute) against the pipelined bound
-  ``max(io, compute)`` from the same ledger the PCIe accounting uses.
+  ``max(io, compute)`` from the same ledger the PCIe accounting uses.  The
+  worker hands each fetch's transfers over with its block and the consumer
+  records them on taking it, so the ledger order repeats from run to run.
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ class PrefetchPipeline:
 
     def __iter__(self) -> Iterator[ColumnBlock]:
         store = self.store
-        q: "queue.Queue[tuple[int, ColumnBlock] | None]" = queue.Queue(
-            maxsize=self.depth
-        )
+        # items are (kind, block id, block or error, deferred disk IO)
+        q: "queue.Queue[tuple]" = queue.Queue(maxsize=self.depth)
         stop = threading.Event()
+        #: disk IO of a fetch the worker could not hand over
+        unsent: list = []
         reg = get_registry()
         hits = reg.counter(
             "prefetch_hits_total", "blocks already fetched when the consumer asked"
@@ -78,18 +81,22 @@ class PrefetchPipeline:
             return False
 
         def worker() -> None:
+            io: list = []
             try:
                 for bid in self.block_ids:
                     if stop.is_set():
                         return
-                    block = store.get(bid, pin=True)
-                    if not _put(("block", bid, block)):
+                    io = []
+                    block = store.get_deferring_io(bid, io, pin=True)
+                    if not _put(("block", bid, block, io)):
                         store.release(bid)
+                        unsent.extend(io)
                         return
             except BaseException as exc:  # surface in the consumer thread
-                _put(("error", exc))
+                if not _put(("error", None, exc, io)):
+                    unsent.extend(io)
                 return
-            _put(("done", None))
+            _put(("done", None, None, []))
 
         thread = threading.Thread(
             target=worker, name="stream-prefetch", daemon=True
@@ -105,28 +112,33 @@ class PrefetchPipeline:
                     t0 = time.perf_counter()
                     item = q.get()
                     waits.inc(time.perf_counter() - t0)
-                if item[0] == "done":
+                kind, bid, payload, io = item
+                # the fetch's disk IO enters the ledger now, in consumer
+                # order, not whenever the worker thread happened to run
+                store.charge(io)
+                if kind == "done":
                     return
-                if item[0] == "error":
-                    raise item[1]
-                _, bid, block = item
+                if kind == "error":
+                    raise payload
                 try:
-                    yield block
+                    yield payload
                 finally:
                     store.release(bid)
         finally:
             stop.set()
             # join BEFORE draining: the worker bails out of its timed put
-            # once stop is set, so this is bounded -- and afterwards nothing
-            # can enqueue behind the drain's back
-            thread.join(timeout=5.0)
-            while True:  # drop pins of anything still queued
+            # once stop is set, so this ends as soon as its current get
+            # does -- and afterwards nothing can enqueue behind the drain
+            thread.join()
+            while True:  # drop pins of anything still queued, charge its IO
                 try:
-                    item = q.get_nowait()
+                    kind, bid, _, io = q.get_nowait()
                 except queue.Empty:
                     break
-                if item[0] == "block":
-                    store.release(item[1])
+                store.charge(io)
+                if kind == "block":
+                    store.release(bid)
+            store.charge(unsent)
 
 
 def modeled_overlap(device: GpuDevice) -> dict[str, float]:

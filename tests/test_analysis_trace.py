@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, GpuDevice, TITAN_X_PASCAL

@@ -9,7 +9,7 @@ import pytest
 from repro import GBDTParams, GPUGBDTTrainer, GpuDevice, TITAN_X_PASCAL
 from repro.approx import HistogramGBDTTrainer, build_bins
 from repro.approx.quantile import bin_column_values
-from repro.data import CSRMatrix, build_sorted_columns, make_dataset
+from repro.data import CSRMatrix, build_sorted_columns
 from repro.metrics import rmse
 from repro.obs import Tracer, use_tracer
 from tests.conftest import random_csr

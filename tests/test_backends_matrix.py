@@ -4,7 +4,7 @@ relationships between them hold (identity, approximation, drift)."""
 import numpy as np
 import pytest
 
-from repro import BACKENDS, GBDTParams, GradientBoostedTrees, models_equal
+from repro import BACKENDS, GBDTParams, GradientBoostedTrees
 from repro.gpusim.device import A100_80GB, TITAN_X_PASCAL
 from repro.gpusim.kernel import GpuDevice
 

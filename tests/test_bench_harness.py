@@ -1,6 +1,5 @@
 """Tests for the experiment harness and report formatting."""
 
-import numpy as np
 import pytest
 
 from repro import GBDTParams

@@ -1,6 +1,5 @@
 """Tests for the CPU cost model and the xgbst-1/xgbst-40 runners."""
 
-import numpy as np
 import pytest
 
 from repro import GBDTParams, GpuDevice, TITAN_X_PASCAL

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import GBDTParams
-from repro.ext.crossval import CVResult, cross_validate, kfold_indices
+from repro.ext.crossval import cross_validate, kfold_indices
 
 
 class TestKFoldIndices:

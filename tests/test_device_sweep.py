@@ -1,7 +1,5 @@
 """Cross-device test: the P100/K20 validation note of Section IV."""
 
-import pytest
-
 from repro import GBDTParams, TESLA_K20, TESLA_P100, TITAN_X_PASCAL
 from repro.bench.experiments import run_device_sweep
 from repro.bench.harness import run_gpu_gbdt

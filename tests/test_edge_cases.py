@@ -3,7 +3,6 @@ the segment machinery (empty columns, all-missing columns, single values,
 extreme sparsity, deep trees on tiny data)."""
 
 import numpy as np
-import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, models_equal
 from repro.cpu.exact_greedy import ReferenceTrainer

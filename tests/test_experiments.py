@@ -1,6 +1,5 @@
 """Smoke tests for every table/figure driver at quick scale."""
 
-import numpy as np
 import pytest
 
 from repro.bench import experiments as ex

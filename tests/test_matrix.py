@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.matrix import CSCMatrix, CSRMatrix, DenseMatrix
+from repro.data.matrix import CSRMatrix, DenseMatrix
 
 
 @pytest.fixture

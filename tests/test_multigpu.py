@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, models_equal

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import GBDTParams, GPUGBDTTrainer, GpuDevice, TITAN_X_PASCAL, models_equal
+from repro import GBDTParams, GPUGBDTTrainer, models_equal
 from repro.bench.harness import run_gpu_gbdt
 from repro.ext.outofcore import OutOfCoreGBDTTrainer, plan_column_groups
 from repro.gpusim.memory import DeviceOutOfMemory

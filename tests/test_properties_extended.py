@@ -3,7 +3,6 @@ multi-GPU, out-of-core, sampling and histogram trainers must all agree
 with their references under randomized problems."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import GBDTParams, GPUGBDTTrainer, models_equal

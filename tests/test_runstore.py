@@ -141,6 +141,8 @@ class TestFlattenAndDirection:
             ("scaling[workers=4].comm_steps", "lower"),
             ("rows[workload=medium].speedup", "higher"),
             ("throughput_rows_per_s", "higher"),
+            ("goodput_qps", "higher"),
+            ("p99_ms", "lower"),
             ("repeats", None),
             ("n_trees", None),
         ],

@@ -7,7 +7,6 @@ from repro import GBDTParams, GPUGBDTTrainer, GpuDevice, TITAN_X_PASCAL
 from repro.core.booster_model import GBDTModel
 from repro.serve import (
     BatchPolicy,
-    FlatEnsemble,
     MicroBatcher,
     ModelRegistry,
     PendingPrediction,
@@ -168,8 +167,7 @@ class TestCache:
         flat, rows = serving
         with use_registry(MetricsRegistry()) as reg:
             policy = BatchPolicy(max_batch=4, max_wait=1.0, cache_size=2)
-            mb = MicroBatcher(flat, policy=policy, clock=FakeClock(),
-                              replica="r7")
+            mb = MicroBatcher(flat, policy=policy, clock=FakeClock())
             for r in rows[:4]:
                 mb.submit(r)
             mb.drain()
@@ -178,9 +176,9 @@ class TestCache:
                 (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
                 for s in reg.collect()
             }
-        assert samples[("serve_cache_hits_total", (("replica", "r7"),))] == 1
-        assert samples[("serve_cache_misses_total", (("replica", "r7"),))] == 4
-        assert samples[("serve_cache_evictions_total", (("replica", "r7"),))] == 2
+        assert samples[("serve_cache_hits_total", ())] == 1
+        assert samples[("serve_cache_misses_total", ())] == 4
+        assert samples[("serve_cache_evictions_total", ())] == 2
 
 
 # ----------------------------------------------------------- registry + swap
@@ -398,19 +396,8 @@ class TestBatchCore:
         clock.advance(0.0002)  # t=5.1ms: head has waited 5.1ms >= 5ms
         assert mb.poll() == 2, "late arrival extended the head's wait window"
         assert first.done and late.done
-        # and the core reports the anchor, not a re-armed deadline
-        assert mb.queue.next_deadline() is None
-
-    def test_next_deadline_anchored_to_head(self):
-        from repro.serve import BatchQueue
-
-        q = BatchQueue(max_batch=8, max_wait=0.01, max_queue=16)
-        assert q.next_deadline() is None and q.ready_at() is None
-        q.push("a", 1.0)
-        q.push("b", 1.005)
-        assert q.next_deadline() == pytest.approx(1.01)  # head + max_wait
-        assert q.ready_at() == pytest.approx(1.01)
-        assert not q.ready(1.009) and q.ready(1.01)
+        # and that one flush took both, leaving nothing queued
+        assert len(mb.queue) == 0
 
     def test_ready_at_full_batch_is_fill_instant(self):
         from repro.serve import BatchQueue
@@ -420,7 +407,6 @@ class TestBatchCore:
             q.push(i, t)
         q.push(3, 4.0)
         # due the moment the 3rd item arrived, not when the 4th did
-        assert q.ready_at() == pytest.approx(3.5)
         batch = q.take_ready(3.5)
         assert [item for item, _ in batch] == [0, 1, 2]
         assert len(q) == 1

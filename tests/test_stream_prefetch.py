@@ -91,6 +91,30 @@ def test_over_budget_pin_set_raises_in_consumer(tmp_path):
     assert store._pins == {}
 
 
+def test_abandoned_pass_charges_every_fetch_once(tmp_path):
+    """The worker's disk reads enter the ledger when the consumer takes a
+    block; a pass stopped early still records the reads of the blocks the
+    worker fetched ahead, each exactly once."""
+    import time
+
+    from repro.gpusim.kernel import GpuDevice
+
+    device = GpuDevice()
+    store = BlockStore(tmp_path, 1 << 20, device=device)
+    for i in range(6):
+        store.put(_block(i))
+    store.flush()  # every block on disk, so every get is a fetch
+    reg = MetricsRegistry(max_label_sets=64)
+    with use_registry(reg):
+        for b in PrefetchPipeline(store, range(6), depth=3):
+            if b.block_id == 1:
+                time.sleep(0.2)  # let the worker fill the queue and block
+                break
+    fetches = [t for t in device.ledger.transfers if t.name == "fetch_block"]
+    assert len(fetches) == reg.get("blocks_fetched_total").value == 6
+    assert store._pins == {}
+
+
 def test_depth_validation(store):
     with pytest.raises(ValueError):
         PrefetchPipeline(store, [0], depth=0)

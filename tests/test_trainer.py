@@ -16,7 +16,6 @@ from repro import (
     models_equal,
 )
 from repro.cpu.exact_greedy import ReferenceTrainer
-from repro.data import make_dataset, table1_example
 from repro.metrics import rmse
 
 ABLATION_GRID = list(itertools.product([True, False], repeat=3))
