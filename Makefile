@@ -27,12 +27,12 @@ experiments:
 experiments-quick:
 	$(PYTHON) -m repro all --quick
 
-baseline:  ## save the current numeric results for regression tracking
-	mkdir -p results
-	$(PYTHON) -m repro all --save results/baseline.json
+baseline:  ## pin the current numeric results as the experiments reference run
+	$(PYTHON) -m repro all && $(PYTHON) -m repro runs submit --bench experiments --pin
 
-compare:  ## compare against the saved baseline
-	$(PYTHON) -m repro all --compare results/baseline.json
+compare:  ## record a run and gate it against the pinned reference (exit 1 on drift)
+	$(PYTHON) -m repro all && $(PYTHON) -m repro runs submit --bench experiments \
+	    && $(PYTHON) -m repro runs gate --bench experiments
 
 experiments-md:  ## regenerate EXPERIMENTS.md from full-scale runs
 	$(PYTHON) scripts/generate_experiments_md.py

@@ -1,10 +1,12 @@
 """Benchmark: hot-path wall-clock time of the training loop.
 
 Unlike the figure/table benchmarks (modeled seconds), this one measures
-real wall time of cold exact fits, asserting that a warm refit on the same
-trainer (its workspace arena full of the first fit's buffers) serializes
-byte-identically, and that the medium workload's arena holds exactly the
-pinned bytes.  ``--quick-bench`` runs only the tiny smoke workload.
+real wall time of cold exact fits.  It asserts the payload's invariants
+(warm refits and sibling subtraction byte-identical, GOSS holdout RMSE
+within 1.5x, subtraction cutting modeled ``find_split`` time on gated
+workloads -- see :meth:`repro.bench.hotpath.HotpathResult.invariants`)
+and that the medium workload's arena holds exactly the pinned bytes.
+``--quick-bench`` runs only the tiny smoke workload.
 """
 
 import json
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.hotpath import run_hotpath, write_hotpath_json
+from repro.bench.hotpath import run_hotpath
+from repro.obs.runstore import failed_invariants
 
 from conftest import print_result
 
@@ -26,16 +29,7 @@ def test_hotpath(benchmark, quick):
         iterations=1,
     )
     print_result(result, "Hot path -- wall-clock", bench="hotpath")
-
-    path = write_hotpath_json(result)
-    print(f"[hotpath json -> {path}]")
-
-    # stale arena buffers must never change the trees, at any scale
-    for row in result.rows:
-        assert row.identical_models, row.workload
-    # neither may sibling subtraction in the histogram trainer
-    for row in result.hist_rows:
-        assert row.identical_models, f"{row.workload} (subtraction)"
+    assert not failed_invariants(result.payload())
 
     if not quick:
         baseline = json.loads(
@@ -45,12 +39,4 @@ def test_hotpath(benchmark, quick):
         medium = result.row("medium")
         assert medium.arena_reserved_bytes == pinned, (
             f"medium arena holds {medium.arena_reserved_bytes} B, pinned {pinned} B"
-        )
-        # subtraction must actually cut the find_split phase where it is on
-        # (modeled device seconds: deterministic, unlike the wall numbers)
-        hist_medium = result.hist_row("medium")
-        assert hist_medium.find_split_model_speedup > 1.0, (
-            "subtraction did not reduce modeled find_split time: "
-            f"{hist_medium.find_split_model_full_s:.6f}s -> "
-            f"{hist_medium.find_split_model_subtract_s:.6f}s"
         )

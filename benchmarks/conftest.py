@@ -42,12 +42,11 @@ def quick(request) -> bool:
 def emit_bench_metrics(result, name: str) -> Path:
     """Write ``result`` as the structured ``BENCH_<name>.json`` document the
     run store consumes; returns the file path.  Results that render their
-    own payload (``.payload()``) keep their phase breakdown; anything else
-    goes through :func:`repro.bench.regress.to_payload`."""
+    own payload (``.payload()``) keep their phase breakdown and invariants;
+    anything else goes through :func:`repro.bench.output.to_payload`."""
     import dataclasses
 
-    from repro.bench.output import write_bench_json
-    from repro.bench.regress import to_payload
+    from repro.bench.output import to_payload, write_bench_json
 
     if hasattr(result, "payload") and callable(result.payload):
         payload = result.payload()

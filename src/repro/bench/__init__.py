@@ -20,7 +20,7 @@ from .experiments import (
 )
 from .harness import RunResult, dense_scales, run_cpu_baseline, run_gpu_gbdt, run_xgb_gpu
 from .pricing import normalized_ratio, performance_price_ratio
-from .regress import compare_results, load_results, save_results, to_payload
+from .output import to_payload
 from .report import PAPER_BANDS, format_series, format_table
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
     "run_xgb_gpu",
     "normalized_ratio",
     "performance_price_ratio",
-    "compare_results",
-    "load_results",
-    "save_results",
     "to_payload",
     "PAPER_BANDS",
     "format_series",

@@ -22,6 +22,10 @@ Two experiments on one fixed synthetic workload:
   level past the root, byte-identically (``tests/test_dist_trainer.py``
   pins the exact analytic saving).
 
+The payload's ``invariants`` dict states what must hold on every run (see
+:meth:`DistBenchResult.invariants`); ``main`` exits 1 and the run store
+refuses the run when one is false.
+
 Run via pytest (``benchmarks/bench_dist.py``) or directly::
 
     PYTHONPATH=src python -m repro.bench.distbench
@@ -40,7 +44,9 @@ from ..core.params import GBDTParams
 from ..dist import DistributedHistTrainer
 from ..ext.multigpu import MultiGpuGBDTTrainer
 from ..gpusim.timeline import profile
+from ..obs.runstore import failed_invariants
 from .hotpath import make_hotpath_data
+from .output import to_payload, write_bench_json
 
 __all__ = [
     "DistBenchResult",
@@ -48,7 +54,6 @@ __all__ = [
     "ScalingRow",
     "SubtractionRow",
     "run_dist_bench",
-    "write_dist_json",
 ]
 
 #: fixed workload: rows x cols, trees, depth (quick shrinks rows and W set)
@@ -160,6 +165,30 @@ class DistBenchResult:
                 )
         return "\n".join(lines)
 
+    def invariants(self) -> Dict[str, bool]:
+        """What every run must show: sharding and subtraction leave the
+        trees byte-identical, subtraction cuts the allreduce payload below
+        0.9x, and data-parallel moves less than attribute-parallel."""
+        comm = {r.layout: r.comm_mb for r in self.layouts}
+        inv = {
+            "subtraction_rows_present": bool(self.subtraction),
+            "data_parallel_comm_below_attribute_parallel": (
+                comm["data-parallel"] < comm["attribute-parallel"]
+            ),
+        }
+        for r in self.scaling:
+            inv[f"scaling_identical[workers={r.workers}]"] = r.identical_model
+        for s in self.subtraction:
+            inv[f"subtraction_identical[workers={s.workers}]"] = s.identical_model
+            inv[f"subtraction_ratio_below_0.9[workers={s.workers}]"] = s.ratio < 0.9
+        return inv
+
+    def payload(self) -> Dict:
+        """The ``BENCH_dist.json`` document: every table plus the invariants."""
+        doc = to_payload(dataclasses.asdict(self))
+        doc["invariants"] = self.invariants()
+        return doc
+
 
 def run_dist_bench(quick: bool = False) -> DistBenchResult:
     """Run both experiments; see the module docstring."""
@@ -264,23 +293,6 @@ def run_dist_bench(quick: bool = False) -> DistBenchResult:
     )
 
 
-def write_dist_json(result: DistBenchResult, path=None):
-    """Write ``BENCH_dist.json`` (standard location unless ``path`` given)."""
-    from .output import write_bench_json
-    from .regress import to_payload
-
-    payload: Dict = to_payload(dataclasses.asdict(result))
-    if path is None:
-        return write_bench_json("dist", payload)
-    import json
-    from pathlib import Path
-
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
-    return p
-
-
 def main(argv: List[str] | None = None) -> int:
     import argparse
 
@@ -292,15 +304,11 @@ def main(argv: List[str] | None = None) -> int:
     args = ap.parse_args(argv)
     result = run_dist_bench(quick=args.quick)
     print(result.text)
-    print(f"[-> {write_dist_json(result, args.out)}]")
-    if not all(r.identical_model for r in result.scaling):
-        print("ERROR: sharding changed the trees")
-        return 1
-    if not all(s.identical_model for s in result.subtraction):
-        print("ERROR: histogram subtraction changed the trees")
-        return 1
-    if not all(s.ratio < 1.0 for s in result.subtraction):
-        print("ERROR: subtraction did not shrink the collective payload")
+    payload = result.payload()
+    print(f"[-> {write_bench_json('dist', payload, args.out)}]")
+    broken = failed_invariants(payload)
+    if broken:
+        print(f"ERROR: invariants failed: {', '.join(broken)}")
         return 1
     return 0
 

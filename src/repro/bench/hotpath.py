@@ -21,7 +21,7 @@ Three fixed synthetic workloads:
     Many small levels (informational: Python per-call overhead dominates).
 
 Every exact row also refits on the trainer whose arena the timed fit left
-full: ``identical_models`` asserts the warm refit serializes
+full: ``identical_models`` records whether the warm refit serializes
 **byte-identically** to the cold fit, so stale buffer contents never leak
 into a model.
 
@@ -31,6 +31,10 @@ subtraction (exact -- byte-identity asserted) vs. GOSS sampling (holdout
 RMSE ratio reported, gated by ``tests/test_goss.py``), with per-fit
 ``find_split``-phase wall seconds so the JSON shows the subtraction trick
 cutting the histogram-build phase on the gated workload.
+
+The payload's ``invariants`` dict states what must hold on every run (see
+:meth:`HotpathResult.invariants`); ``main`` exits 1 and the run store
+refuses the run when one is false.
 
 Run via pytest (``benchmarks/bench_hotpath.py``) or directly::
 
@@ -44,9 +48,7 @@ location (repo root, or ``$BENCH_METRICS_DIR`` -- see
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -57,7 +59,8 @@ from ..core.trainer import GPUGBDTTrainer
 from ..data.matrix import CSRMatrix
 from ..metrics import rmse
 from ..obs import Tracer, use_tracer
-from ..obs.runstore import PHASES
+from ..obs.runstore import PHASES, failed_invariants
+from .output import to_payload, write_bench_json
 
 __all__ = [
     "HOTPATH_WORKLOADS",
@@ -68,7 +71,6 @@ __all__ = [
     "run_hist_workload",
     "run_hotpath",
     "run_workload",
-    "write_hotpath_json",
 ]
 
 
@@ -225,24 +227,35 @@ class HotpathResult:
                 return r
         raise KeyError(workload)
 
-    def hist_row(self, workload: str) -> HistWorkloadResult:
-        for r in self.hist_rows:
-            if r.workload == workload:
-                return r
-        raise KeyError(workload)
+    def invariants(self) -> Dict[str, bool]:
+        """What every run must show: warm refits and sibling subtraction
+        leave the trees byte-identical, GOSS stays within 1.5x of the
+        full-data holdout RMSE, and on gated workloads subtraction cuts the
+        modeled ``find_split`` time."""
+        inv = {"hist_rows_present": bool(self.hist_rows)}
+        for r in self.rows:
+            inv[f"warm_refit_identical[{r.workload}]"] = r.identical_models
+        for h in self.hist_rows:
+            inv[f"subtraction_identical[{h.workload}]"] = h.identical_models
+            inv[f"goss_rmse_ratio_below_1.5[{h.workload}]"] = h.goss_rmse_ratio < 1.5
+            if h.gated:
+                inv[f"subtraction_cuts_modeled_find_split[{h.workload}]"] = (
+                    h.find_split_model_speedup > 1.0
+                )
+        return inv
 
     def payload(self) -> Dict:
-        """The ``BENCH_hotpath.json`` document: per-workload rows plus a
-        top-level phase breakdown (summed across workloads) that the run
-        store's gate uses for regression attribution."""
-        from .regress import to_payload
-
+        """The ``BENCH_hotpath.json`` document: per-workload rows, the
+        invariants, and a top-level phase breakdown (summed across
+        workloads) that the run store's gate uses for regression
+        attribution."""
         # asdict first: to_payload's cleaner keeps scalars/containers only
         # and would silently drop the nested WorkloadResult dataclasses
         doc = to_payload(dataclasses.asdict(self))
         doc["phases"] = {
             p: sum(r.phases.get(p, 0.0) for r in self.rows) for p in PHASES
         }
+        doc["invariants"] = self.invariants()
         return doc
 
 
@@ -376,22 +389,6 @@ def run_hotpath(
     return HotpathResult(rows=rows, repeats=repeats, hist_rows=hist_rows)
 
 
-def write_hotpath_json(result: HotpathResult, path: str | Path | None = None) -> Path:
-    """Write ``BENCH_hotpath.json``: one document with per-workload rows.
-
-    ``path=None`` uses the standard bench output location
-    (:func:`repro.bench.output.bench_output_path`).
-    """
-    from .output import bench_output_path
-
-    path = Path(path) if path is not None else bench_output_path("hotpath")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(result.payload(), indent=1, sort_keys=True), encoding="utf-8"
-    )
-    return path
-
-
 def main(argv: List[str] | None = None) -> int:
     import argparse
 
@@ -406,26 +403,11 @@ def main(argv: List[str] | None = None) -> int:
     args = ap.parse_args(argv)
     result = run_hotpath(args.workloads, repeats=args.repeats)
     print(result.text)
-    bad = [f"{r.workload} (warm refit)" for r in result.rows if not r.identical_models]
-    bad += [
-        f"{h.workload} (subtraction)"
-        for h in result.hist_rows
-        if not h.identical_models
-    ]
-    print(f"[-> {write_hotpath_json(result, args.out)}]")
-    if bad:
-        print(f"ERROR: the trees changed on: {', '.join(bad)}")
-        return 1
-    slow = [
-        h.workload
-        for h in result.hist_rows
-        if h.gated and h.find_split_model_speedup <= 1.0
-    ]
-    if slow:
-        print(
-            "ERROR: subtraction did not reduce modeled find_split time on "
-            f"gated workloads: {', '.join(slow)}"
-        )
+    payload = result.payload()
+    print(f"[-> {write_bench_json('hotpath', payload, args.out)}]")
+    broken = failed_invariants(payload)
+    if broken:
+        print(f"ERROR: invariants failed: {', '.join(broken)}")
         return 1
     return 0
 

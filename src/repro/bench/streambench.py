@@ -7,6 +7,10 @@ cache-engagement counters plus the modeled io-vs-compute overlap.  Results
 land in ``BENCH_stream.json`` (standard location, see
 :func:`repro.bench.output.write_bench_json`) with run-store-stable metric
 names so ``gpu-gbdt runs submit|gate`` can trend and regression-gate them.
+Its ``invariants`` dict states what must hold on every run: each model
+byte-identical, each configuration's peak residency within its cache
+budget, and at least one configuration spilling; ``main`` exits 1 and the
+run store refuses the run when one is false.
 
 Run with ``python -m repro.bench.streambench [--quick]``.
 """
@@ -22,6 +26,7 @@ from ..data.datasets import make_dataset
 from ..gpusim.costmodel import phase_times
 from ..gpusim.kernel import GpuDevice
 from ..obs import MetricsRegistry, use_registry
+from ..obs.runstore import failed_invariants
 from ..pipeline.checkpoint import model_digest
 from ..stream import StreamingHistTrainer
 from ..stream.prefetch import modeled_overlap
@@ -70,7 +75,6 @@ def run_stream_bench(quick: bool = False) -> Dict[str, Any]:
     ref_digest = model_digest(reference)
 
     configs: List[Dict[str, Any]] = []
-    all_identical = True
     for cfg in _grid(quick):
         device = GpuDevice()
         registry = MetricsRegistry(max_label_sets=4096)
@@ -85,8 +89,6 @@ def run_stream_bench(quick: bool = False) -> Dict[str, Any]:
             )
             model = trainer.fit(ds.X, ds.y)
         wall_s = time.perf_counter() - t0
-        identical = model.to_json() == ref_json
-        all_identical = all_identical and identical
         overlap = modeled_overlap(device)
         row: Dict[str, Any] = {
             "name": (
@@ -96,7 +98,7 @@ def run_stream_bench(quick: bool = False) -> Dict[str, Any]:
             "block_rows": cfg["block_rows"],
             "cache_budget_bytes": cfg["budget"],
             "rle": cfg["rle"],
-            "identical": identical,
+            "identical": model.to_json() == ref_json,
             "n_blocks": len(trainer._block_ids),
             "wall_s": wall_s,
             "peak_resident_bytes": trainer.store_.peak_resident_bytes,
@@ -113,6 +115,14 @@ def run_stream_bench(quick: bool = False) -> Dict[str, Any]:
     phases = {
         p: t for p, t in phase_times(device.spec, device.ledger, device.disk).items()
     }
+    invariants = {
+        "all_identical": all(r["identical"] for r in configs),
+        "some_config_spilled": any(r["blocks_spilled_total"] > 0 for r in configs),
+    }
+    for r in configs:
+        invariants[f"peak_within_budget[{r['name']}]"] = (
+            r["peak_resident_bytes"] <= r["cache_budget_bytes"]
+        )
 
     return {
         "workload": {
@@ -123,9 +133,9 @@ def run_stream_bench(quick: bool = False) -> Dict[str, Any]:
             "quick": quick,
         },
         "reference": {"digest": ref_digest, "inmem_wall_s": inmem_wall_s},
-        "all_identical": all_identical,
         "configs": configs,
         "phases": phases,
+        "invariants": invariants,
     }
 
 
@@ -150,7 +160,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"overlap {row['overlap_speedup']:.2f}x, wall {row['wall_s']:.2f}s"
         )
     print(f"[wrote {path}]")
-    return 0 if payload["all_identical"] else 1
+    broken = failed_invariants(payload)
+    if broken:
+        print(f"ERROR: invariants failed: {', '.join(broken)}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess test

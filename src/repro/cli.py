@@ -16,7 +16,11 @@ Usage::
     python -m repro stream demo       # out-of-core training past device memory
     python -m repro runs submit       # record a BENCH_*.json into the store
     python -m repro runs diff -2 -1   # per-metric deltas between two runs
-    python -m repro runs gate         # rolling-baseline perf regression gate
+    python -m repro runs gate         # regression gate (pinned or rolling)
+
+Every experiment run also writes its numbers to ``BENCH_experiments.json``;
+``runs submit --bench experiments [--pin]`` records them, and ``runs gate
+--bench experiments`` checks them against the pinned full-scale reference.
 
 ``gpu-gbdt`` (the installed console script) is an alias for ``python -m
 repro``.
@@ -342,7 +346,8 @@ def _runs_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="gpu-gbdt runs",
         description="Append-only benchmark run store: submit BENCH_*.json "
-        "results, list/diff runs across commits, gate against a rolling baseline.",
+        "results, list/diff runs across commits, gate against a pinned run "
+        "or a rolling baseline.",
     )
     parser.add_argument(
         "--store", metavar="DIR", default=None, help="run-store root (default results/runs)"
@@ -360,6 +365,9 @@ def _runs_main(argv: list[str]) -> int:
         help="result payload (default: BENCH_<bench>.json at the standard location)",
     )
     p_submit.add_argument("--note", default="", help="free-form annotation")
+    p_submit.add_argument(
+        "--pin", action="store_true", help="make this run the bench's gate reference"
+    )
 
     p_list = sub.add_parser("list", help="list submitted runs")
     p_list.add_argument("--bench", default=None, help="bench name (default: all)")
@@ -374,12 +382,13 @@ def _runs_main(argv: list[str]) -> int:
     )
 
     p_gate = sub.add_parser(
-        "gate", help="regression-check the newest run vs the rolling baseline"
+        "gate", help="regression-check the newest run (vs pinned, else rolling)"
     )
     p_gate.add_argument("--bench", default="hotpath", help="bench name (default hotpath)")
     p_gate.add_argument("--window", type=int, default=5, help="baseline run count")
     p_gate.add_argument(
-        "--rel-tol", type=float, default=0.25, help="relative tolerance (default 0.25)"
+        "--rel-tol", type=float, default=None,
+        help="relative tolerance (default 0.05 vs a pinned run, else 0.25)",
     )
     p_gate.add_argument(
         "--abs-tol", type=float, default=1e-4, help="absolute tolerance floor"
@@ -401,8 +410,13 @@ def _runs_main(argv: list[str]) -> int:
             print(f"ERROR: no result file at {path} -- run the bench first")
             return 2
         payload = json.loads(path.read_text(encoding="utf-8"))
-        rec = store.submit(args.bench, payload, note=args.note)
-        print(f"[submitted {args.bench} run {rec.run_id} -> {rec.path}]")
+        try:
+            rec = store.submit(args.bench, payload, note=args.note, pinned=args.pin)
+        except ValueError as exc:
+            print(f"ERROR: {exc}")
+            return 1
+        pin = " (pinned)" if rec.pinned else ""
+        print(f"[submitted {args.bench} run {rec.run_id}{pin} -> {rec.path}]")
         return 0
 
     if args.command == "list":
@@ -439,15 +453,17 @@ def _runs_main(argv: list[str]) -> int:
         return 0
 
     # gate
-    if os.environ.get("REPRO_SKIP_PERF") == "1":
-        print(f"gate[{args.bench}]: SKIPPED (REPRO_SKIP_PERF=1)")
-        return 0
     report = store.gate(
         args.bench,
         window=args.window,
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
     )
+    # the escape hatch is for noisy wall clocks; a pinned run holds modeled,
+    # deterministic numbers, so its gate always runs
+    if report.pinned is None and os.environ.get("REPRO_SKIP_PERF") == "1":
+        print(f"gate[{args.bench}]: SKIPPED (REPRO_SKIP_PERF=1)")
+        return 0
     print(report.text)
     return 0 if report.ok else 1
 
@@ -486,24 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="also append the regenerated tables to this file",
     )
-    parser.add_argument(
-        "--save",
-        metavar="JSON",
-        default=None,
-        help="save the numeric results as a JSON document (regression tracking)",
-    )
-    parser.add_argument(
-        "--compare",
-        metavar="JSON",
-        default=None,
-        help="compare the numeric results against a previously saved document",
-    )
-    parser.add_argument(
-        "--rtol",
-        type=float,
-        default=0.05,
-        help="relative drift tolerance for --compare (default 0.05)",
-    )
     args = parser.parse_args(argv)
 
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
@@ -528,23 +526,17 @@ def main(argv: list[str] | None = None) -> int:
         with Path(args.out).open("a", encoding="utf-8") as fh:
             fh.write("\n\n".join(chunks) + "\n")
         print(f"[appended {len(chunks)} experiment(s) to {args.out}]")
-    if args.save:
-        from .bench.regress import save_results
+    from . import __version__
+    from .bench.output import to_payload, write_bench_json
 
-        save_results(args.save, results, meta={"quick": args.quick})
-        print(f"[saved numeric results to {args.save}]")
-    if args.compare:
-        from .bench.regress import compare_results, load_results, to_payload
-
-        old_doc = load_results(args.compare)
-        new_doc = {"experiments": {k: to_payload(v) for k, v in results.items()}}
-        drifts = compare_results(old_doc, new_doc, rtol=args.rtol)
-        if drifts:
-            print(f"[{len(drifts)} drift(s) vs {args.compare}]")
-            for d in drifts:
-                print(f"  {d}")
-            return 1
-        print(f"[no drift beyond rtol={args.rtol} vs {args.compare}]")
+    path = write_bench_json(
+        "experiments",
+        {
+            "meta": {"quick": args.quick, "version": __version__},
+            "experiments": {k: to_payload(v) for k, v in results.items()},
+        },
+    )
+    print(f"[numeric results -> {path}]")
     return 0
 
 

@@ -24,17 +24,22 @@ On top of the store sit three queries, exposed as
     their name-ish field -- ``workload``/``layout``/``workers`` -- so the
     comparison survives workload-set reordering).
 ``gate``
-    a noise-aware regression check of the newest run against the
-    **median of the last K** prior runs.  A metric fails only when it
-    moves beyond ``max(rel_tol * |median|, abs_tol)`` in its *bad*
-    direction (``_s``/``bytes``-like metrics: up is bad;
-    ``speedup``/``throughput``-like: down is bad; anything else is
-    reported but never fails).  A failure is attributed to the training
-    phase (``setup``/``gradients``/``find_split``/``split_node``) whose
-    share of the phase breakdown grew the most.
+    a regression check of the newest run: against the bench's newest
+    **pinned** run (``runs submit --pin``), every shared numeric leaf in
+    either direction; otherwise, noise-aware, against the **median of the
+    last K** prior runs in each metric's *bad* direction (see
+    :meth:`RunStore.gate`).  A failure is attributed to the training phase
+    (``setup``/``gradients``/``find_split``/``split_node``) whose share of
+    the phase breakdown grew the most.
 ``history``
     the trend table behind ``python -m repro obs history`` (see
     :mod:`repro.obs.history`).
+
+A bench payload states its own correctness claims once, as an
+``"invariants": {name: bool}`` dict (models byte-identical, a saving
+actually saved, ...).  The bench's CLI and its pytest wrapper fail on a
+false one, and :meth:`RunStore.submit` refuses to record it, so a broken
+run never becomes anyone's baseline.
 """
 
 from __future__ import annotations
@@ -62,8 +67,10 @@ __all__ = [
     "RunStore",
     "default_store_root",
     "env_fingerprint",
+    "failed_invariants",
     "flatten_metrics",
     "metric_direction",
+    "pinned_findings",
 ]
 
 RUN_FORMAT = "repro-run-v1"
@@ -157,6 +164,13 @@ def flatten_metrics(payload: Any, prefix: str = "") -> Dict[str, float]:
     return out  # strings / None: not metrics
 
 
+def failed_invariants(payload: Any) -> List[str]:
+    """Names of the false entries of a bench payload's ``"invariants"``
+    dict (empty when all hold, or when the payload declares none)."""
+    declared = payload.get("invariants", {}) if isinstance(payload, dict) else {}
+    return sorted(name for name, held in declared.items() if not held)
+
+
 def metric_direction(key: str) -> Optional[str]:
     """``"lower"`` (up is a regression), ``"higher"``, or ``None`` (neutral:
     trended and diffed, but never gated)."""
@@ -182,6 +196,8 @@ class RunRecord:
     metrics: Dict[str, Any]
     note: str
     path: Path
+    #: the bench's reference run: ``gate`` compares against it, both ways
+    pinned: bool = False
 
     @property
     def seq(self) -> int:
@@ -229,21 +245,44 @@ class MetricDelta:
 
 @dataclasses.dataclass(frozen=True)
 class GateFinding:
-    """One gated metric's verdict against the rolling baseline."""
+    """One gated metric's verdict against the baseline (rolling median,
+    or a pinned run's value when ``direction`` is None: drift either way
+    counts)."""
 
     key: str
     baseline: float
     value: float
     band: float
-    direction: str
+    direction: Optional[str]
     regressed: bool
 
     def __str__(self) -> str:
-        state = "REGRESSED" if self.regressed else "ok"
+        rel = (self.value - self.baseline) / max(abs(self.baseline), 1e-12)
+        better = f", {self.direction} is better" if self.direction else ""
         return (
-            f"{self.key}: {self.value:.6g} vs median {self.baseline:.6g}"
-            f" (band +/-{self.band:.3g}, {self.direction} is better) {state}"
+            f"{self.key}: {self.baseline:.6g} -> {self.value:.6g} ({rel:+.1%},"
+            f" band +/-{self.band:.3g}{better})"
+            f" {'REGRESSED' if self.regressed else 'ok'}"
         )
+
+
+def pinned_findings(
+    pinned: Dict[str, float], fresh: Dict[str, float], rel_tol: float
+) -> List[GateFinding]:
+    """Every numeric leaf shared by two flattened payloads, failing when
+    ``|new - old| > rel_tol * max(|old|, |new|)``; leaves only one side
+    has are ignored (a partial rerun gates only what it recomputed)."""
+    findings = []
+    for key in sorted(set(pinned) & set(fresh)):
+        old, new = pinned[key], fresh[key]
+        band = rel_tol * max(abs(old), abs(new), 1e-12)
+        findings.append(
+            GateFinding(
+                key=key, baseline=old, value=new, band=band, direction=None,
+                regressed=abs(new - old) > band,
+            )
+        )
+    return findings
 
 
 @dataclasses.dataclass
@@ -262,6 +301,8 @@ class GateReport:
     culprit_phase: Optional[str] = None
     #: per-phase relative growth vs the baseline median (diagnostic)
     phase_growth: Dict[str, float] = dataclasses.field(default_factory=dict)
+    #: run id of the pinned reference (None: rolling-median baseline)
+    pinned: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -276,15 +317,19 @@ class GateReport:
         if self.skipped:
             return f"gate[{self.bench}]: SKIPPED ({self.skipped})"
         assert self.run is not None
-        head = (
-            f"gate[{self.bench}]: run {self.run.run_id}"
-            f" vs median of last {self.baseline_runs}"
-            f" (rel_tol={self.rel_tol:.0%}, abs_tol={self.abs_tol:g})"
+        against = (
+            f"pinned run {self.pinned} (either direction"
+            if self.pinned
+            else f"median of last {self.baseline_runs} (abs_tol={self.abs_tol:g}"
         )
-        lines = [head]
-        shown = self.regressions if not self.ok else self.findings
-        for f in shown:
-            lines.append(f"  {f}")
+        lines = [
+            f"gate[{self.bench}]: run {self.run.run_id} vs {against},"
+            f" rel_tol={self.rel_tol:.0%})"
+        ]
+        if self.ok and self.pinned:
+            lines.append(f"  {len(self.findings)} shared metrics within band")
+        else:
+            lines += [f"  {f}" for f in (self.findings if self.ok else self.regressions)]
         if self.culprit_phase:
             lines.append(
                 f"  culprit phase: {self.culprit_phase} "
@@ -323,16 +368,24 @@ class RunStore:
         *,
         phases: Optional[Dict[str, float]] = None,
         note: str = "",
+        pinned: bool = False,
     ) -> RunRecord:
         """Record one run as a new immutable envelope; returns the record.
 
         ``phases`` defaults to a ``"phases"`` key embedded in the metrics
         payload (the hotpath/dist benches put their span breakdown there),
         so submitting a ``BENCH_*.json`` file straight from disk keeps the
-        phase attribution.
+        phase attribution.  ``pinned`` marks the run as the bench's
+        reference for :meth:`gate`.  A payload with a false invariant is
+        refused (``ValueError``).
         """
         if not re.fullmatch(r"[A-Za-z0-9_.-]+", bench):
             raise ValueError(f"invalid bench name: {bench!r}")
+        broken = failed_invariants(metrics)
+        if broken:
+            raise ValueError(
+                f"{bench}: refusing a run whose invariants failed: {broken}"
+            )
         if phases is None:
             embedded = metrics.get("phases") if isinstance(metrics, dict) else None
             phases = dict(embedded) if isinstance(embedded, dict) else {}
@@ -348,6 +401,7 @@ class RunStore:
             "phases": {str(k): float(v) for k, v in (phases or {}).items()},
             "metrics": metrics,
             "note": note,
+            "pinned": pinned,
         }
         payload = json.dumps(doc, sort_keys=True)
         envelope = {
@@ -381,6 +435,7 @@ class RunStore:
             metrics=doc.get("metrics", {}),
             note=str(doc.get("note", "")),
             path=path,
+            pinned=bool(doc.get("pinned", False)),
         )
 
     def _load(self, path: Path) -> Optional[RunRecord]:
@@ -459,39 +514,72 @@ class RunStore:
         bench: str,
         *,
         window: int = 5,
-        rel_tol: float = 0.25,
+        rel_tol: Optional[float] = None,
         abs_tol: float = 1e-4,
         min_history: int = 2,
     ) -> GateReport:
-        """Check the newest run against the median of the previous ``window``.
+        """Check the newest run against the newest earlier pinned run, or,
+        when there is none, the median of the previous ``window``.
 
-        The tolerance band is ``max(rel_tol * |median|, abs_tol)`` per
-        metric -- wall-clock benches are noisy, so the default band is
-        generous; CI tightens nothing, it only catches step changes.  With
-        fewer than ``min_history`` prior runs the gate passes as skipped
-        (a rolling baseline needs history before it means anything).
+        Against a pinned run, every shared numeric leaf must stay within
+        ``rel_tol`` (default 0.05) of it, both ways (see
+        :func:`pinned_findings`).  Against the rolling median, a metric
+        fails when it moves beyond ``max(rel_tol * |median|, abs_tol)``
+        (default ``rel_tol`` 0.25: wall clocks are noisy) in its bad
+        direction (see :func:`metric_direction`; neutral metrics never
+        fail).  With fewer than ``min_history`` prior runs the rolling gate
+        passes as skipped.
         """
         runs = self.runs(bench)
+        pins = [r for r in runs[:-1] if r.pinned]
+        if rel_tol is None:
+            rel_tol = 0.05 if pins else 0.25
         if not runs:
             return GateReport(
                 bench, None, 0, window, rel_tol, abs_tol, [],
                 skipped="no runs submitted",
             )
         newest, history = runs[-1], runs[:-1][-window:]
-        if len(history) < min_history:
+        if pins:
+            history = pins[-1:]
+            findings = pinned_findings(
+                history[0].flat_metrics(), newest.flat_metrics(), rel_tol
+            )
+        elif len(history) < min_history:
             return GateReport(
                 bench, newest, len(history), window, rel_tol, abs_tol, [],
                 skipped=f"only {len(history)} prior run(s), need {min_history}",
             )
+        else:
+            findings = self._rolling_findings(newest, history, rel_tol, abs_tol)
 
-        new_metrics = newest.flat_metrics()
+        report = GateReport(
+            bench, newest, len(history), window, rel_tol, abs_tol, findings,
+            pinned=history[0].run_id if pins else None,
+        )
+        if not report.ok:
+            report.phase_growth, report.culprit_phase = self._attribute_phase(
+                newest, history
+            )
+            get_registry().counter(
+                "runstore_gate_failures_total",
+                "run-store gate failures",
+                bench=bench,
+            ).inc()
+        return report
+
+    @staticmethod
+    def _rolling_findings(
+        newest: RunRecord, history: List[RunRecord], rel_tol: float, abs_tol: float
+    ) -> List[GateFinding]:
+        """Directional metrics of ``newest`` vs the median of ``history``."""
         baselines: Dict[str, List[float]] = {}
         for r in history:
             for k, v in r.flat_metrics().items():
                 baselines.setdefault(k, []).append(v)
 
         findings: List[GateFinding] = []
-        for key, value in sorted(new_metrics.items()):
+        for key, value in sorted(newest.flat_metrics().items()):
             direction = metric_direction(key)
             series = baselines.get(key)
             if direction is None or not series:
@@ -507,20 +595,7 @@ class RunStore:
                     direction=direction, regressed=regressed,
                 )
             )
-
-        report = GateReport(
-            bench, newest, len(history), window, rel_tol, abs_tol, findings
-        )
-        if not report.ok:
-            report.phase_growth, report.culprit_phase = self._attribute_phase(
-                newest, history
-            )
-            get_registry().counter(
-                "runstore_gate_failures_total",
-                "rolling-baseline perf gate failures",
-                bench=bench,
-            ).inc()
-        return report
+        return findings
 
     @staticmethod
     def _attribute_phase(

@@ -221,16 +221,10 @@ class MicroBatcher:
         return handle
 
     def shed(
-        self,
-        row: np.ndarray,
-        now: float | None = None,
-        handle: PendingPrediction | None = None,
+        self, row: np.ndarray, now: float, handle: PendingPrediction
     ) -> PendingPrediction:
         """Serve one row immediately through the degraded per-row fallback
         (the overload path)."""
-        now = self._clock() if now is None else now
-        row = np.asarray(row, dtype=np.float64).reshape(-1)
-        handle = handle if handle is not None else PendingPrediction()
         with span("serve_shed", queue_depth=len(self.queue)):
             flat, version = self._resolve()
             handle.degraded = True

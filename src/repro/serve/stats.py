@@ -6,8 +6,9 @@ process-global :mod:`repro.obs` registry.
 
 One :class:`ServingStats` instance rides along with a
 :class:`~repro.serve.batcher.MicroBatcher`; every request outcome is recorded
-here, and :meth:`ServingStats.summary` emits a JSON-safe dict the regression
-harness (:mod:`repro.bench.regress`) can persist and diff.
+here, and :meth:`ServingStats.summary` emits a JSON-safe dict that a bench
+payload can carry into the run store (:mod:`repro.obs.runstore`) to diff
+and gate.
 
 The counters and percentile math live in the shared observability primitives
 (:mod:`repro.obs.metrics_registry`): latencies and batch sizes go into

@@ -1,10 +1,13 @@
-"""Run-store tests: envelopes, torn-file skip, diff, rolling gate, CLI.
+"""Run-store tests: envelopes, torn-file skip, diff, pinned and rolling
+gates, invariants, CLI.
 
 The store is the longitudinal perf record, so the properties under test are
 integrity ones: a submitted run reads back exactly, a torn file is skipped
 (never trusted, never fatal), diffs key list metrics by name (stable under
-workload reordering), and the rolling-baseline gate fails only on genuine
-step changes -- attributed to the phase that moved.
+workload reordering), the rolling-baseline gate fails only on genuine step
+changes -- attributed to the phase that moved --, a pinned run is
+reproduced leaf for leaf, and a run with a false invariant is never
+recorded.
 """
 
 import json
@@ -17,6 +20,7 @@ from repro.obs.history import build_history, sparkline
 from repro.obs.runstore import (
     PHASES,
     RunStore,
+    failed_invariants,
     flatten_metrics,
     metric_direction,
 )
@@ -230,6 +234,99 @@ class TestGate:
         assert store.gate("hotpath").ok
 
 
+# -------------------------------------------------------------- pinned gate
+def series_doc(vals):
+    """An experiments document shaped like ``BENCH_experiments.json``."""
+    return {
+        "meta": {"quick": False},
+        "experiments": {"e": {"xs": [1, 2, 3], "series": {"s": list(vals)}}},
+    }
+
+
+class TestPinnedGate:
+    """Against a pinned run every shared numeric leaf is gated, both ways."""
+
+    def gate(self, tmp_path, old, new, **kw):
+        store, _ = make_store(tmp_path)
+        store.submit("experiments", old, pinned=True)
+        store.submit("experiments", new)
+        return store.gate("experiments", **kw)
+
+    def test_no_drift_when_identical(self, tmp_path):
+        report = self.gate(tmp_path, series_doc([1, 2, 3.0]), series_doc([1, 2, 3.0]))
+        assert report.ok and "PASS" in report.text
+        assert report.pinned == "000001-deadbeefca" and report.rel_tol == 0.05
+        assert len(report.findings) == 6  # xs and series leaves, all shared
+
+    def test_small_drift_within_tolerance(self, tmp_path):
+        report = self.gate(
+            tmp_path, series_doc([1.0, 2.0, 3.0]), series_doc([1.01, 2.0, 3.0])
+        )
+        assert report.ok
+
+    def test_large_drift_reported_with_path(self, tmp_path):
+        report = self.gate(
+            tmp_path, series_doc([1.0, 2.0, 3.0]), series_doc([2.0, 2.0, 3.0])
+        )
+        assert not report.ok and "FAIL" in report.text
+        (drift,) = report.regressions
+        assert drift.key == "experiments.e.series.s[0]"
+        assert "->" in str(drift) and drift.key in report.text
+
+    def test_band_is_relative_to_larger_magnitude(self, tmp_path):
+        # |1.5 - 1.0| / max(1.0, 1.5) = 1/3
+        old, new = {"x": 1.0}, {"x": 1.5}
+        assert self.gate(tmp_path / "a", old, new, rel_tol=0.34).ok
+        assert not self.gate(tmp_path / "b", old, new, rel_tol=0.33).ok
+
+    def test_missing_keys_ignored(self, tmp_path):
+        report = self.gate(
+            tmp_path, {"experiments": {"e": {"a": 1.0}}},
+            {"experiments": {"e": {"b": 1.0}}},
+        )
+        assert report.ok and report.findings == []
+
+    def test_bools_not_treated_as_numbers(self, tmp_path):
+        report = self.gate(
+            tmp_path, {"experiments": {"e": {"flag": True}}},
+            {"experiments": {"e": {"flag": False}}},
+        )
+        assert report.ok and report.findings == []
+
+    def test_neutral_leaf_drifting_down_fails(self, tmp_path):
+        # the rolling gate never fails a direction-neutral leaf, and never
+        # fails an improvement; a pinned modeled number must reproduce
+        old, new = {"n_rows": 100.0, "t_s": 1.0}, {"n_rows": 90.0, "t_s": 0.5}
+        assert metric_direction("n_rows") is None
+        report = self.gate(tmp_path, old, new)
+        assert sorted(f.key for f in report.regressions) == ["n_rows", "t_s"]
+
+    def test_newest_pinned_run_is_the_reference(self, tmp_path):
+        store, _ = make_store(tmp_path)
+        store.submit("experiments", {"x": 1.0}, pinned=True)
+        ref = store.submit("experiments", {"x": 2.0}, pinned=True)
+        store.submit("experiments", {"x": 2.0})
+        report = store.gate("experiments")
+        assert report.ok and report.pinned == ref.run_id
+
+
+# --------------------------------------------------------------- invariants
+class TestInvariants:
+    def test_failed_invariants_lists_false_names(self):
+        doc = {"invariants": {"b_identical": False, "a_ratio": False, "ok": True}}
+        assert failed_invariants(doc) == ["a_ratio", "b_identical"]
+        assert failed_invariants({"rows": []}) == []
+
+    def test_submit_refuses_false_invariant(self, tmp_path):
+        store, _ = make_store(tmp_path)
+        bad = dict(payload(), invariants={"identical_models": False})
+        with pytest.raises(ValueError, match="identical_models"):
+            store.submit("hotpath", bad)
+        assert store.runs("hotpath") == []
+        good = dict(payload(), invariants={"identical_models": True})
+        assert store.submit("hotpath", good).metrics["invariants"]
+
+
 # ------------------------------------------------------------------ history
 class TestHistory:
     def test_sparkline_shapes(self):
@@ -287,6 +384,46 @@ class TestRunsCli:
         # REPRO_SKIP_PERF honors CI's noisy-runner escape hatch
         monkeypatch.setenv("REPRO_SKIP_PERF", "1")
         assert cli_main(["runs", "--store", store_dir, "gate"]) == 0
+
+    def test_pin_then_gate_clean(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BENCH_METRICS_DIR", str(tmp_path))
+        store = ["runs", "--store", str(tmp_path / "store")]
+        assert cli_main(["crossover", "--quick"]) == 0
+        assert cli_main(store + ["submit", "--bench", "experiments", "--pin"]) == 0
+        assert cli_main(["crossover", "--quick"]) == 0
+        assert cli_main(store + ["submit", "--bench", "experiments"]) == 0
+        assert cli_main(store + ["gate", "--bench", "experiments"]) == 0
+        out = capsys.readouterr().out
+        assert "(pinned)" in out and "vs pinned run 000001" in out
+        assert "PASS" in out
+
+    def test_gate_flags_drifted_submit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BENCH_METRICS_DIR", str(tmp_path))
+        store = ["runs", "--store", str(tmp_path / "store")]
+        assert cli_main(["crossover", "--quick"]) == 0
+        assert cli_main(store + ["submit", "--bench", "experiments", "--pin"]) == 0
+        path = tmp_path / "BENCH_experiments.json"
+        doc = json.loads(path.read_text())
+        doc["experiments"]["crossover"]["series"]["GPU-GBDT (s)"][0] *= 10
+        path.write_text(json.dumps(doc))
+        assert cli_main(store + ["submit", "--bench", "experiments"]) == 0
+        assert cli_main(store + ["gate", "--bench", "experiments"]) == 1
+        assert "GPU-GBDT (s)" in capsys.readouterr().out
+        # modeled numbers are deterministic: the noisy-runner escape hatch
+        # does not skip a pinned gate
+        monkeypatch.setenv("REPRO_SKIP_PERF", "1")
+        assert cli_main(store + ["gate", "--bench", "experiments"]) == 1
+
+    def test_submit_refuses_false_invariant(self, tmp_path, capsys):
+        f = tmp_path / "BENCH_dist.json"
+        f.write_text(json.dumps({"invariants": {"ratio_below_0.9": False}}))
+        store = tmp_path / "store"
+        rc = cli_main(
+            ["runs", "--store", str(store), "submit", "--bench", "dist",
+             "--file", str(f)]
+        )
+        assert rc == 1 and "ratio_below_0.9" in capsys.readouterr().out
+        assert not list(store.glob("dist/*.json"))
 
     def test_submit_missing_file_errors(self, tmp_path):
         rc = cli_main(

@@ -161,7 +161,7 @@ class TestCache:
         mb.poll()
         assert mb.cache.hits == 0 and mb.cache.misses == 0
 
-    def test_shared_obs_counters_carry_replica_label(self, serving):
+    def test_shared_obs_counters_count_hits_misses_evictions(self, serving):
         from repro.obs import MetricsRegistry, use_registry
 
         flat, rows = serving
@@ -377,7 +377,7 @@ class TestStats:
             p._resolve(2.0, None, 0.0)
 
 
-# --------------------------------------------------- transport-agnostic core
+# ---------------------------------------------------- batch scheduling core
 class TestBatchCore:
     def test_late_arrival_does_not_extend_deadline(self, serving):
         """Regression (first-request-anchored deadline): a request arriving
@@ -399,7 +399,7 @@ class TestBatchCore:
         # and that one flush took both, leaving nothing queued
         assert len(mb.queue) == 0
 
-    def test_ready_at_full_batch_is_fill_instant(self):
+    def test_full_batch_is_due_at_fill_instant(self):
         from repro.serve import BatchQueue
 
         q = BatchQueue(max_batch=3, max_wait=10.0, max_queue=16)
@@ -420,8 +420,9 @@ class TestBatchCore:
         assert len(q) == 2
 
     def test_take_ready_complete_split_controls_latency(self, serving):
-        """The cluster transport completes batches at take + service time;
-        the recorded latency must include both queue wait and service."""
+        """A driver that models service time completes a batch at take +
+        service time; the recorded latency must include both queue wait
+        and service."""
         flat, rows = serving
         mb = MicroBatcher(
             flat, policy=BatchPolicy(max_batch=2, max_wait=1.0), clock=FakeClock()
@@ -431,7 +432,7 @@ class TestBatchCore:
         batch = mb.take_ready(0.001)  # full batch due at second arrival
         assert batch is not None and len(batch) == 2
         assert mb.take_ready(0.001) is None
-        mb.complete(batch, now=0.004)  # transport adds 3ms service
+        mb.complete(batch, now=0.004)  # 3ms of modeled service
         assert h1.t_done == h2.t_done == 0.004
         # recorded latencies span queue wait + service: 4ms and 3ms
         assert mb.stats.percentile(100) == pytest.approx(0.004, abs=1e-9)
