@@ -37,20 +37,22 @@ are indistinguishable from full-precision training -- and because integer
 sums are order-independent, the row-sharded data-parallel trainer
 (:mod:`repro.dist`) that ring-allreduces the same tables is **byte-identical**
 to this trainer for any worker count.
+
+The boosting rounds are the shared :class:`~repro.core.boosting.
+BoostingDriver` loop; this family supplies ``_setup`` (quantize into the
+entry stream), ``_sample`` (GOSS, or every row) and ``_grow_tree`` (quantize
+the round's gradients, then the grow loop above).
 """
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from ..core.booster_model import GBDTModel, validate_fit
+from ..core.boosting import BoostingDriver
 from ..core.params import GBDTParams
 from ..core.sampling import GossSample, goss_sample
 from ..core.smartgd import GradientComputer
 from ..core.tree import DecisionTree
-from ..core.workspace import WorkspaceArena
 from ..data.matrix import CSRMatrix
 from ..data.sorted_columns import build_sorted_columns
 from ..gpusim.kernel import GpuDevice
@@ -63,7 +65,6 @@ from .histops import (
     plan_sibling_builds,
     scan_histograms,
     subtract_child_histogram,
-    subtract_enabled_default,
 )
 from .quantile import BinSpec, bin_column_values, build_bins
 
@@ -81,7 +82,7 @@ _LEAF = np.dtype(
 )
 
 
-class HistogramGBDTTrainer:
+class HistogramGBDTTrainer(BoostingDriver):
     """LightGBM-style histogram trainer (the paper's "approximate" rival).
 
     Parameters mirror :class:`~repro.core.trainer.GPUGBDTTrainer`; the extra
@@ -90,10 +91,10 @@ class HistogramGBDTTrainer:
     ``use_subtraction`` enables the sibling-subtraction trick (build only
     the smaller child's histogram per sibling pair, derive the other as
     ``parent - built``; see :mod:`repro.approx.histops`).  It is exact in
-    fixed point, so models are **byte-identical** with the knob on or off;
-    ``REPRO_SUBTRACT=0`` flips the default.  The per-level histogram tables
-    (and gradient buffers) live in a reusable
-    :class:`~repro.core.workspace.WorkspaceArena` (``self.arena``).
+    fixed point, so models are **byte-identical** with the knob on or off.
+    The per-level histogram tables (and gradient buffers) live in the
+    trainer's reusable :class:`~repro.core.workspace.WorkspaceArena`
+    (``self.workspace``).
 
     ``grow_policy`` selects which open leaves the one grow loop splits:
     ``"depthwise"`` splits all of them (a level at a time, with sibling
@@ -109,9 +110,14 @@ class HistogramGBDTTrainer:
     pinned by a differential accuracy gate instead (``tests/test_goss.py``).
     ``subsample`` and ``colsample_bytree`` are rejected: this family does
     not implement them.
+
+    ``fit`` is the shared :class:`~repro.core.boosting.BoostingDriver`
+    loop: ``init_model`` appends ``params.n_trees`` trees, and a resumed
+    fit is bit-identical to uninterrupted training, GOSS or not.
     """
 
     GROW_POLICIES = ("depthwise", "lossguide")
+    backend = "histogram"
 
     def __init__(
         self,
@@ -122,7 +128,7 @@ class HistogramGBDTTrainer:
         row_scale: float = 1.0,
         grow_policy: str = "depthwise",
         max_leaves: int = 0,
-        use_subtraction: bool | None = None,
+        use_subtraction: bool = True,
     ) -> None:
         if max_bins < 2:
             raise ValueError("max_bins must be >= 2")
@@ -130,95 +136,33 @@ class HistogramGBDTTrainer:
             raise ValueError(f"grow_policy must be one of {self.GROW_POLICIES}")
         if max_leaves < 0:
             raise ValueError("max_leaves must be >= 0 (0 = unbounded)")
-        self.params = params if params is not None else GBDTParams()
-        self.device = device if device is not None else GpuDevice()
-        self.max_bins = int(max_bins)
-        self.row_scale = float(row_scale)
-        self.grow_policy = grow_policy
-        self.max_leaves = int(max_leaves)
-        self.arena = WorkspaceArena()
-        self.use_subtraction = (
-            subtract_enabled_default()
-            if use_subtraction is None
-            else bool(use_subtraction)
-        )
-        self.bins_: BinSpec | None = None
-        self._resume: List[DecisionTree] = []
-        self._round_goss: GossSample | None = None
-
-    # ------------------------------------------------------------------- fit
-    def fit(
-        self, X: CSRMatrix, y: np.ndarray, *, init_model: GBDTModel | None = None
-    ) -> GBDTModel:
-        """Quantize once, then train ``params.n_trees`` histogram trees.
-
-        With ``init_model`` boosting resumes from the given ensemble:
-        margins are replayed in boosting order and the per-round GOSS
-        sampling index continues from ``init_model.n_trees``, so resumed
-        training is bit-identical to uninterrupted training (sampled or
-        not) -- the warm-start replay tests assert byte-equal models.
-        """
-        p = self.params
-        device = self.device
-        y = validate_fit(X, y, p, init_model)
-        n = X.shape[0]
-        if p.subsample < 1.0 or p.colsample_bytree < 1.0:
+        super().__init__(params, device, row_scale)
+        if self.params.subsample < 1.0 or self.params.colsample_bytree < 1.0:
             raise ValueError(
                 "subsample and colsample_bytree are not implemented by the "
                 "histogram trainers; sample rows with GOSS (goss_a < 1) instead"
             )
-        self._resume = [] if init_model is None else list(init_model.trees)
+        self.max_bins = int(max_bins)
+        self.grow_policy = grow_policy
+        self.max_leaves = int(max_leaves)
+        self.use_subtraction = bool(use_subtraction)
+        self.bins_: BinSpec | None = None
 
-        base = self._base_score(y)
-        self._nrows = self._global_rows(n)
-
-        with device.phase("setup"), span("setup"):
-            spec, ent_inst, ent_gbin, ent_attr, bin_offset = self._setup_entries(X)
-            self.bins_ = spec
-
-        gc = GradientComputer(
-            device, p.loss_fn, y, use_smartgd=p.use_smartgd, row_scale=self.row_scale,
-            X=X, workspace=self.arena,
-        )
-        # base may be globally computed (distributed); overwrite the local one
-        gc.yhat[:] = base
-        self._warm_start(gc)
-
-        trees: List[DecisionTree] = list(self._initial_trees())
-        for round_ in range(len(trees), p.n_trees):
-            self._round_start(round_)
-            with device.phase("gradients"):
-                g, h = gc.compute()
-                # GOSS draws on the *raw* gradients, keyed by the global
-                # round index, so warm-start resume replays the identical
-                # sample; reweighting happens before the fixed-point shift
-                # is chosen so amplified magnitudes stay representable
-                goss = goss_sample(p.seed, round_, g, p.goss_a, p.goss_b)
-                if goss is not None:
-                    goss_weighted_gradients(
-                        g, h, goss.inst_mask, goss.amplified, goss.factor
-                    )
-                    get_registry().counter(
-                        "goss_rows_kept_total",
-                        "rows participating in GOSS-sampled boosting rounds",
-                    ).inc(goss.n_kept)
-                self._round_goss = goss
-            shift = self._round_shift(g, h)
-            gq, hq = quantize_gradients(g, h, shift)
-            tree = self._grow_tree(
-                X, gq, hq, shift, ent_inst, ent_gbin, ent_attr, bin_offset, spec, gc
-            )
-            if goss is not None:
-                # sampled-out rows never reached a leaf; route them by
-                # traversal so yhat (hence the next round's gradients)
-                # covers every instance
-                gc.apply_tree_to(tree, np.flatnonzero(~goss.inst_mask))
-            gc.on_tree_finished(tree)
-            trees.append(tree)
-            self._round_end(round_, trees)
-        self._round_goss = None
-        self.arena.publish_metrics()
-        return GBDTModel(trees=trees, params=p, base_score=base)
+    def _sample(self, round_: int, g: np.ndarray, h: np.ndarray) -> GossSample:
+        """GOSS on the *raw* gradients, keyed by the global round index (so a
+        warm start replays the identical draw); the reweighting happens
+        before the fixed-point shift is chosen, so amplified magnitudes stay
+        representable.  Every row when GOSS is off."""
+        p = self.params
+        goss = goss_sample(p.seed, round_, g, p.goss_a, p.goss_b)
+        if goss is None:
+            return GossSample(np.ones(g.size, dtype=bool), np.zeros(g.size, dtype=bool), 1.0)
+        goss_weighted_gradients(g, h, goss.inst_mask, goss.amplified, goss.factor)
+        get_registry().counter(
+            "goss_rows_kept_total",
+            "rows participating in GOSS-sampled boosting rounds",
+        ).inc(goss.n_kept)
+        return goss
 
     # ------------------------------------------------------------- tree grow
     @staticmethod
@@ -244,21 +188,18 @@ class HistogramGBDTTrainer:
     def _grow_tree(
         self,
         X: CSRMatrix,
-        gq: np.ndarray,
-        hq: np.ndarray,
-        shift: int,
-        ent_inst: np.ndarray,
-        ent_gbin: np.ndarray,
-        ent_attr: np.ndarray,
-        bin_offset: np.ndarray,
-        spec: BinSpec,
+        g: np.ndarray,
+        h: np.ndarray,
         gc: GradientComputer,
+        sample: GossSample,
+        entries: tuple,
     ) -> DecisionTree:
         """Grow one tree over an insertion-ordered list of open leaves.
 
-        Each step scores the open leaves not yet scored in one
-        :meth:`_find_splits` call, settles those that cannot split (no
-        candidate, gain <= ``gamma``), and splits the ones
+        The round's gradients are first quantized onto the fixed-point grid
+        of :meth:`_round_shift`.  Each step scores the open leaves not yet
+        scored in one :meth:`_find_splits` call, settles those that cannot
+        split (no candidate, gain <= ``gamma``), and splits the ones
         :meth:`_choose_leaves` picks, appending their children.  Leaves at
         ``max_depth`` are never scored; they and whatever is still open
         when growth stops (lossguide's ``max_leaves``) settle at the end.
@@ -272,21 +213,19 @@ class HistogramGBDTTrainer:
         """
         p = self.params
         device = self.device
-        n = X.shape[0]
+        spec = self.bins_
+        bin_offset = spec.bin_offset
         total_bins = int(bin_offset[-1])
         lossguide = self.grow_policy == "lossguide"
         subtracting = self.use_subtraction and not lossguide
+        shift = self._round_shift(g, h)
+        gq, hq = quantize_gradients(g, h, shift)
 
-        goss = self._round_goss
-        if goss is None:
-            inst2local = np.zeros(n, dtype=np.int64)
-            root_gq, root_hq, root_n = self._root_sums(gq, hq, n)
-        else:
-            # excluded rows start settled (-1): they touch no histogram, no
-            # node count, and receive their leaf value by traversal later.
-            # Their (g, h) were zeroed, so full-array sums stay correct.
-            inst2local = np.where(goss.inst_mask, 0, -1).astype(np.int64)
-            root_gq, root_hq, root_n = self._root_sums(gq, hq, goss.n_kept)
+        # rows GOSS left out start settled (-1): they touch no histogram, no
+        # node count, and receive their leaf value by traversal later.
+        # Their (g, h) were zeroed, so full-array sums stay correct.
+        inst2local = np.where(sample.inst_mask, 0, -1).astype(np.int64)
+        root_gq, root_hq, root_n = self._root_sums(gq, hq, sample.n_kept)
         tree = DecisionTree()
         tree.add_root(root_n)
         leaves = np.zeros(1, dtype=_LEAF)
@@ -320,7 +259,7 @@ class HistogramGBDTTrainer:
         if p.max_depth > 0 and not capped():
             with device.phase("find_split"):
                 _, built = self._route_and_accumulate(
-                    gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
+                    gq, hq, *entries, inst2local, total_bins,
                     batch_of=np.zeros(1, dtype=np.int64),
                 )
 
@@ -344,7 +283,7 @@ class HistogramGBDTTrainer:
             can_split = splittable()
             unsplittable = leaves["scored"] & ~can_split
 
-            with device.phase("split_node"):
+            with device.phase("split_node"), span("split_node"):
                 if unsplittable.any():
                     settle(unsplittable)
                 chosen = self._choose_leaves(leaves, can_split)
@@ -398,7 +337,7 @@ class HistogramGBDTTrainer:
                         build_locals = plan[0]
                         parent_ctx = (*tables, batch_of[chosen], *plan)
                 inst2local, built = self._route_and_accumulate(
-                    gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
+                    gq, hq, *entries, inst2local, total_bins,
                     route=(attr_of, gcut_of, side_of, new_local_of),
                     batch_of=next_batch, build_locals=build_locals,
                 )
@@ -443,9 +382,9 @@ class HistogramGBDTTrainer:
                 "hist.subtract", depth=depth, derived=int(derive_locals.size)
             ):
                 parity = depth & 1
-                t_gq = self.arena.buf2d(f"hist/gq/{parity}", n_active, total_bins, np.int64)
-                t_hq = self.arena.buf2d(f"hist/hq/{parity}", n_active, total_bins, np.int64)
-                t_c = self.arena.buf2d(f"hist/c/{parity}", n_active, total_bins, np.int64)
+                t_gq = self.workspace.buf2d(f"hist/gq/{parity}", n_active, total_bins, np.int64)
+                t_hq = self.workspace.buf2d(f"hist/hq/{parity}", n_active, total_bins, np.int64)
+                t_c = self.workspace.buf2d(f"hist/c/{parity}", n_active, total_bins, np.int64)
                 t_gq[build_locals] = hist_gq
                 t_hq[build_locals] = hist_hq
                 t_c[build_locals] = hist_c
@@ -480,7 +419,8 @@ class HistogramGBDTTrainer:
 
     # -------------------------------------------------- distribution hooks
     # Every quantity whose value must be *global* for the grown trees to be
-    # well-defined flows through one of these methods.  The single-process
+    # well-defined flows through one of these methods (or the driver's
+    # ``_base_score`` / ``_global_rows``).  The single-process
     # trainer computes them locally; the row-sharded worker trainer of
     # :mod:`repro.dist` overrides them with collectives.  Because the
     # surrounding grow loop is shared (not duplicated), W-worker training is
@@ -488,15 +428,15 @@ class HistogramGBDTTrainer:
     # return the same values (exact integer/max reductions), and everything
     # downstream is the same code.
 
-    def _setup_entries(self, X: CSRMatrix):
+    def _setup(self, X: CSRMatrix) -> tuple:
         """Quantize the training matrix into the per-entry stream.
 
-        Returns ``(spec, ent_inst, ent_gbin, ent_attr, bin_offset)``.  The
-        in-memory trainer materializes the full ``(instance id, global bin,
-        attribute)`` arrays on the device; the out-of-core trainer
-        (:mod:`repro.stream.trainer`) overrides this to build spillable
-        row-range blocks instead and returns ``None`` entry handles, with
-        :meth:`_entry_chunks` iterating its block store.
+        Sets ``bins_`` and returns the entry handles ``(ent_inst, ent_gbin,
+        ent_attr)``.  The in-memory trainer materializes the full (instance
+        id, global bin, attribute) arrays on the device; the out-of-core
+        trainer (:mod:`repro.stream.trainer`) overrides this to build
+        spillable row-range blocks instead and returns ``None`` handles,
+        with :meth:`_entry_chunks` iterating its block store.
         """
         device = self.device
         n, d = X.shape
@@ -536,7 +476,8 @@ class HistogramGBDTTrainer:
             "level_histograms",
             total_bins * device.seg_scale * 4 * 16,
         )
-        return spec, ent_inst, ent_gbin, ent_attr, bin_offset
+        self.bins_ = spec
+        return ent_inst, ent_gbin, ent_attr
 
     def _entry_chunks(self, ent_inst, ent_gbin, ent_attr, n):
         """The entry stream as ``(instance id, global bin, attribute, lo, hi)``
@@ -635,14 +576,6 @@ class HistogramGBDTTrainer:
                 )
         return new, tables
 
-    def _base_score(self, y: np.ndarray) -> float:
-        """Model base score (global mean/odds of the full training set)."""
-        return self.params.loss_fn.base_score(y)
-
-    def _global_rows(self, n: int) -> int:
-        """Total training rows across all shards."""
-        return n
-
     def _bin_spec(self, cols) -> BinSpec:
         """Global quantile cuts (sketch allgather + merge when sharded)."""
         return build_bins(cols, self.max_bins)
@@ -650,7 +583,7 @@ class HistogramGBDTTrainer:
     def _round_shift(self, g: np.ndarray, h: np.ndarray) -> int:
         """Fixed-point shift from the *global* gradient extrema."""
         return choose_shift(
-            float(np.max(np.abs(g))), float(np.max(np.abs(h))), self._nrows
+            float(np.max(np.abs(g))), float(np.max(np.abs(h))), self._global_rows(g.size)
         )
 
     def _root_sums(self, gq: np.ndarray, hq: np.ndarray, n: int):
@@ -660,18 +593,3 @@ class HistogramGBDTTrainer:
     def _reduce_histograms(self, hist_gq, hist_hq, hist_c):
         """Combine per-shard histogram tables (ring allreduce when sharded)."""
         return hist_gq, hist_hq, hist_c
-
-    def _initial_trees(self) -> List[DecisionTree]:
-        """Ensemble to resume from (checkpoint recovery when sharded)."""
-        return list(self._resume)
-
-    def _warm_start(self, gc: GradientComputer) -> None:
-        """Seed predictions with :meth:`_initial_trees` margins."""
-        if self._resume:
-            gc.warm_start(self._resume)
-
-    def _round_start(self, round_: int) -> None:
-        """Per-round synchronization / fault-injection point."""
-
-    def _round_end(self, round_: int, trees: List[DecisionTree]) -> None:
-        """Post-round bookkeeping (periodic checkpointing when sharded)."""

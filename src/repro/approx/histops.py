@@ -59,7 +59,6 @@ __all__ = [
     "plan_sibling_builds",
     "scan_histograms",
     "subtract_child_histogram",
-    "subtract_enabled_default",
     "leaf_values",
 ]
 
@@ -67,14 +66,6 @@ __all__ = [
 #: :func:`scan_histograms`; bounds its temporaries independently of the
 #: level's node count
 _SCAN_CELLS = 1 << 16
-
-
-def subtract_enabled_default() -> bool:
-    """Whether new histogram trainers use sibling subtraction
-    (``REPRO_SUBTRACT=0`` disables)."""
-    import os
-
-    return os.environ.get("REPRO_SUBTRACT", "1") != "0"
 
 
 def accumulate_histograms(

@@ -116,8 +116,7 @@ class GradientBoostedTrees:
             Warm start: resume boosting from an existing ensemble instead of
             from scratch.  ``params.n_trees`` *new* trees are appended, and
             the result is bit-identical to one uninterrupted training of
-            ``init_model.n_trees + params.n_trees`` trees (supported by the
-            ``gpu-gbdt`` and ``cpu-reference`` backends).
+            ``init_model.n_trees + params.n_trees`` trees.
         eval_set:
             Optional ``(X_val, y_val)`` pair.  When given, a per-round
             validation curve is recorded in ``self.eval_history_``.
@@ -134,41 +133,24 @@ class GradientBoostedTrees:
         y = np.asarray(y, dtype=np.float64)
         self.eval_history_ = None
         self.best_iteration_ = None
-        if init_model is not None and self.backend not in ("gpu-gbdt", "cpu-reference"):
-            raise ValueError(
-                f"backend {self.backend!r} does not support warm-start (init_model)"
-            )
         with span("fit", backend=self.backend, n_rows=Xc.n_rows, n_cols=Xc.n_cols):
-            if self.backend == "gpu-gbdt":
-                from .trainer import GPUGBDTTrainer
+            from ..approx.histogram_trainer import HistogramGBDTTrainer
+            from ..cpu.exact_greedy import ReferenceTrainer
+            from ..cpu.gpu_xgboost import DenseGpuXgboostTrainer
+            from .trainer import GPUGBDTTrainer
 
-                if self.device is None:
-                    self.device = GpuDevice()
-                trainer = GPUGBDTTrainer(self.params, self.device, row_scale=self.row_scale)
-                self.model_ = trainer.fit(Xc, y, init_model=init_model)
-                self.report_ = trainer.report
-            elif self.backend == "cpu-reference":
-                from ..cpu.exact_greedy import ReferenceTrainer
-
+            if self.backend == "cpu-reference":
                 trainer = ReferenceTrainer(self.params)
-                self.model_ = trainer.fit(Xc, y, init_model=init_model)
-                self.report_ = None
-            elif self.backend == "xgb-gpu-dense":
-                from ..cpu.gpu_xgboost import DenseGpuXgboostTrainer
-
+            else:
                 if self.device is None:
                     self.device = GpuDevice()
-                trainer = DenseGpuXgboostTrainer(self.params, self.device, row_scale=self.row_scale)
-                self.model_ = trainer.fit(Xc, y)
-                self.report_ = trainer.report
-            else:  # histogram
-                from ..approx.histogram_trainer import HistogramGBDTTrainer
-
-                if self.device is None:
-                    self.device = GpuDevice()
-                trainer = HistogramGBDTTrainer(self.params, self.device, row_scale=self.row_scale)
-                self.model_ = trainer.fit(Xc, y)
-                self.report_ = None
+                trainer = {
+                    "gpu-gbdt": GPUGBDTTrainer,
+                    "xgb-gpu-dense": DenseGpuXgboostTrainer,
+                    "histogram": HistogramGBDTTrainer,
+                }[self.backend](self.params, self.device, row_scale=self.row_scale)
+            self.model_ = trainer.fit(Xc, y, init_model=init_model)
+            self.report_ = getattr(trainer, "report", None)
 
         if eval_set is not None:
             Xv, yv = eval_set

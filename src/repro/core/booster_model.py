@@ -203,6 +203,8 @@ def validate_fit(
     y: np.ndarray,
     params: GBDTParams,
     init_model: GBDTModel | None = None,
+    *,
+    base_score=None,
 ) -> np.ndarray:
     """The one fit-input boundary every trainer calls; returns ``y`` as float64.
 
@@ -211,6 +213,8 @@ def validate_fit(
     no attribute, and an ``init_model`` whose base score or learning rate
     differs from this fit's (resumed rounds would not match uninterrupted
     training) or that splits on an attribute ``X`` does not have.
+    ``base_score(y)`` gives this fit's base score (default: the loss's; a
+    row-sharded worker's is the whole training set's).
     """
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
@@ -223,7 +227,7 @@ def validate_fit(
     if d < 1:
         raise ValueError("need at least 1 attribute")
     if init_model is not None:
-        base = params.loss_fn.base_score(y)
+        base = (base_score or params.loss_fn.base_score)(y)
         if init_model.base_score != base:
             raise ValueError(
                 f"init_model.base_score={init_model.base_score!r} does not match "

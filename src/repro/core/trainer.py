@@ -1,5 +1,9 @@
-"""The GPU-GBDT training loop: Algorithm 1 on the simulated device.
+"""The GPU-GBDT exact trainer: Algorithm 1 on the simulated device.
 
+The round loop is the shared :class:`~repro.core.boosting.BoostingDriver`;
+this module supplies its exact-family parts: ``_setup`` sorts, compresses
+and uploads the columns, ``_sample`` is the uniform row/column draw of
+:func:`~repro.core.sampling.sample_tree`, and ``_grow_tree`` grows one tree.
 Per boosting round the trainer:
 
 1. computes gradients (SmartGD or traversal, :mod:`repro.core.smartgd`);
@@ -33,7 +37,6 @@ all switch combinations and against the independent CPU reference.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import List, Tuple
 
 import numpy as np
@@ -44,7 +47,7 @@ from ..data.sorted_columns import SortedColumns, build_sorted_columns
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.primitives import bincount_sum
 from ..obs import get_registry, span
-from .booster_model import GBDTModel, validate_fit
+from .boosting import BoostingDriver, TrainReport
 from .params import GBDTParams
 from .partition import partition_segments, plan_partition
 from .rle_split import split_runs_direct, split_runs_with_decompression
@@ -55,28 +58,6 @@ from .tree import DecisionTree
 from .workspace import IDX_DTYPE, WorkspaceArena
 
 __all__ = ["ColumnShard", "GPUGBDTTrainer", "TrainReport"]
-
-
-@dataclasses.dataclass
-class TrainReport:
-    """Side information from a training run."""
-
-    used_rle: bool
-    compression_ratio: float
-    n_nodes_total: int
-    n_leaves_total: int
-    #: per-tree node counts, in boosting order
-    tree_sizes: list = dataclasses.field(default_factory=list)
-    #: deepest leaf over the whole ensemble
-    max_depth_seen: int = 0
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.tree_sizes)
-
-    @property
-    def mean_tree_size(self) -> float:
-        return float(sum(self.tree_sizes) / len(self.tree_sizes)) if self.tree_sizes else 0.0
 
 
 @dataclasses.dataclass
@@ -172,7 +153,7 @@ def _combine_winners(
     return merged, owner
 
 
-class GPUGBDTTrainer:
+class GPUGBDTTrainer(BoostingDriver):
     """Train a GBDT on the simulated GPU.
 
     Parameters
@@ -189,7 +170,13 @@ class GPUGBDTTrainer:
         XGBoost baseline allocates it (n x d cells + node-interleaved
         gradient copies) instead of GPU-GBDT's sparse/RLE layout.  Used by
         :mod:`repro.cpu.gpu_xgboost`.
+
+    ``fit`` is the shared :class:`~repro.core.boosting.BoostingDriver`
+    loop; GOSS (``goss_a < 1``) is rejected here, it is a histogram-family
+    sampler.
     """
+
+    backend = "gpu-gbdt"
 
     def __init__(
         self,
@@ -199,20 +186,19 @@ class GPUGBDTTrainer:
         row_scale: float = 1.0,
         dense_memory_model: bool = False,
     ) -> None:
-        self.params = params if params is not None else GBDTParams()
-        self.device = device if device is not None else GpuDevice()
-        self.row_scale = float(row_scale)
+        super().__init__(params, device, row_scale)
+        if self.params.goss_a < 1.0:
+            raise ValueError(
+                "GOSS (goss_a < 1) is only implemented by the histogram "
+                "trainer; the exact trainer supports uniform subsample="
+            )
         self.dense_memory_model = dense_memory_model
-        #: persistent across fit calls: buffers warm up on the first tree and
-        #: are reused for every level of every round thereafter
-        self.workspace = WorkspaceArena()
+        if dense_memory_model:
+            self.backend = "xgb-gpu-dense"
         #: one arena per shard; shard 0 shares the trainer's
         self._shard_arenas = [self.workspace]
-        self.report: TrainReport | None = None
-
-    def elapsed_seconds(self) -> float:
-        """Modeled device seconds spent so far."""
-        return self.device.elapsed_seconds()
+        #: the run-wide RLE decision, made in setup
+        self.used_rle = False
 
     # ----------------------------------------------------------------- setup
     def _register_memory(self, X: CSRMatrix, used_rle: bool, rle: RunLengthColumns | None) -> None:
@@ -287,17 +273,34 @@ class GPUGBDTTrainer:
         self._register_memory(X, used_rle, base_rle)
         return [ColumnShard(device, np.arange(X.n_cols, dtype=np.int64), cols, base_rle)], used_rle
 
+    def _setup(self, X: CSRMatrix) -> List[ColumnShard]:
+        shards, self.used_rle = self._build_shards(X)
+        self._n_cols = X.n_cols
+        while len(self._shard_arenas) < len(shards):
+            self._shard_arenas.append(WorkspaceArena())
+        for shard, arena in zip(shards, self._shard_arenas):
+            shard.workspace = arena
+        return shards
+
+    def _sample(self, round_: int, g: np.ndarray, h: np.ndarray) -> TreeSample:
+        p = self.params
+        return sample_tree(
+            p.seed, round_, g.size, self._n_cols, p.subsample, p.colsample_bytree
+        )
+
+    def _compression(self, shards: List[ColumnShard]) -> Tuple[bool, float]:
+        runs = [s.base_rle for s in shards if self.used_rle]
+        n_runs = sum(r.n_runs for r in runs)
+        ratio = sum(r.n_elements for r in runs) / n_runs if n_runs else 1.0
+        get_registry().gauge(
+            "train_compression_ratio", "RLE compression ratio of the last run"
+        ).set(ratio)
+        return self.used_rle, ratio
+
     # ------------------------------------------------------------------ hooks
-    # Distribution and streaming plug in here; the single-GPU trainer moves
-    # nothing between devices, so every hook but the routing charge is a
-    # no-op.
-    def _round_span_attrs(self) -> dict:
-        """Extra attributes for each ``boost_round`` span."""
-        return {}
-
-    def _share_gradients(self, n: int) -> None:
-        """After the round's gradients are computed on ``device``."""
-
+    # Multi-GPU and out-of-core plug in here (next to the round hooks of
+    # BoostingDriver); the single-GPU trainer moves nothing between
+    # devices, so every hook but the routing charge is a no-op.
     def _page_in(self, shard: ColumnShard) -> None:
         """Before a shard's lists are read (split finding, partitioning)."""
 
@@ -318,141 +321,20 @@ class GPUGBDTTrainer:
     def _page_out(self, shard: ColumnShard) -> None:
         """After a shard's lists are partitioned."""
 
-    # ------------------------------------------------------------------- fit
-    def fit(
-        self,
-        X: CSRMatrix,
-        y: np.ndarray,
-        *,
-        init_model: GBDTModel | None = None,
-    ) -> GBDTModel:
-        """Train ``params.n_trees`` *additional* trees on ``(X, y)``.
-
-        With ``init_model`` boosting resumes from the given ensemble: its
-        margins seed ``yhat`` (replayed in boosting order, so every float
-        add happens in the same sequence as uninterrupted training) and the
-        per-round sampling index continues from ``init_model.n_trees``.
-        Under the repo's determinism guarantees, ``fit(k trees)`` followed
-        by ``fit(m trees, init_model=...)`` is **bit-identical** to a single
-        ``fit(k + m trees)`` -- the differential tests assert byte-equal
-        ``to_json`` payloads.  The returned model contains the resumed trees
-        followed by the new ones.
-        """
-        with span(
-            "train",
-            backend="gpu-gbdt" if not self.dense_memory_model else "xgb-gpu-dense",
-            n_trees=self.params.n_trees,
-            n_rows=X.n_rows,
-            n_cols=X.n_cols,
-            warm_start_trees=0 if init_model is None else init_model.n_trees,
-        ):
-            return self._fit(X, y, init_model)
-
-    def _fit(
-        self, X: CSRMatrix, y: np.ndarray, init_model: GBDTModel | None = None
-    ) -> GBDTModel:
-        p = self.params
-        device = self.device
-        y = validate_fit(X, y, p, init_model)
-        n, d = X.shape
-        if p.goss_a < 1.0:
-            raise ValueError(
-                "GOSS (goss_a < 1) is only implemented by the histogram "
-                "trainer; the exact trainer supports uniform subsample="
-            )
-        init_trees: List[DecisionTree] = [] if init_model is None else list(init_model.trees)
-        round_offset = len(init_trees)
-
-        with device.phase("setup"), span("setup"):
-            shards, used_rle = self._build_shards(X)
-        while len(self._shard_arenas) < len(shards):
-            self._shard_arenas.append(WorkspaceArena())
-        for shard, arena in zip(shards, self._shard_arenas):
-            shard.workspace = arena
-
-        gc = GradientComputer(
-            device,
-            p.loss_fn,
-            y,
-            use_smartgd=p.use_smartgd,
-            row_scale=self.row_scale,
-            X=X,
-            workspace=self.workspace,
-        )
-        if init_trees:
-            with device.phase("gradients"):
-                gc.warm_start(init_trees)
-
-        registry = get_registry()
-        rounds_total = registry.counter(
-            "train_rounds_total", "boosting rounds completed"
-        )
-        nodes_total = registry.counter("train_nodes_total", "tree nodes grown")
-        leaves_total = registry.counter("train_leaves_total", "leaves finalized")
-        round_seconds = registry.histogram(
-            "train_round_seconds", "wall-clock seconds per boosting round"
-        )
-
-        trees: List[DecisionTree] = []
-        n_nodes_total = 0
-        n_leaves_total = 0
-        for t in range(p.n_trees):
-            # global boosting-round index: resumed rounds continue the
-            # sampling sequence exactly where the init model stopped
-            t_idx = round_offset + t
-            t_round = time.perf_counter()
-            with span("boost_round", tree=t_idx, **self._round_span_attrs()):
-                with device.phase("gradients"), span("gradients"):
-                    g, h = gc.compute()
-                self._share_gradients(n)
-                sample = sample_tree(
-                    p.seed, t_idx, n, d, p.subsample, p.colsample_bytree
-                )
-                tree = self._grow_tree(X, g, h, shards, used_rle, gc, sample)
-                if not sample.inst_mask.all():
-                    gc.apply_tree_to(tree, np.flatnonzero(~sample.inst_mask))
-                gc.on_tree_finished(tree)
-            trees.append(tree)
-            n_nodes_total += tree.n_nodes
-            n_leaves_total += tree.n_leaves
-            rounds_total.inc()
-            nodes_total.inc(tree.n_nodes)
-            leaves_total.inc(tree.n_leaves)
-            round_seconds.observe(time.perf_counter() - t_round)
-        runs = [s.base_rle for s in shards if used_rle]
-        n_runs = sum(r.n_runs for r in runs)
-        ratio = sum(r.n_elements for r in runs) / n_runs if n_runs else 1.0
-        registry.gauge(
-            "train_compression_ratio", "RLE compression ratio of the last run"
-        ).set(ratio)
-        self.workspace.publish_metrics()
-
-        self.report = TrainReport(
-            used_rle=used_rle,
-            compression_ratio=ratio,
-            n_nodes_total=n_nodes_total,
-            n_leaves_total=n_leaves_total,
-            tree_sizes=[t.n_nodes for t in trees],
-            max_depth_seen=max((t.max_depth() for t in trees), default=0),
-        )
-        return GBDTModel(
-            trees=init_trees + trees, params=p, base_score=p.loss_fn.base_score(y)
-        )
-
     # ------------------------------------------------------------- tree grow
     def _grow_tree(
         self,
         X: CSRMatrix,
         g: np.ndarray,
         h: np.ndarray,
-        shards: List[ColumnShard],
-        used_rle: bool,
         gc: GradientComputer,
         sample: TreeSample,
+        shards: List[ColumnShard],
     ) -> DecisionTree:
         p = self.params
         device = self.device
         ws = self.workspace
+        used_rle = self.used_rle
         n, d = X.shape
 
         tree = DecisionTree()

@@ -79,7 +79,9 @@ class DenseGpuXgboostTrainer:
         self.row_scale = float(row_scale)
         self.report: TrainReport | None = None
 
-    def fit(self, X: CSRMatrix, y: np.ndarray) -> GBDTModel:
+    def fit(
+        self, X: CSRMatrix, y: np.ndarray, *, init_model: GBDTModel | None = None
+    ) -> GBDTModel:
         """Densify, then train; may raise ``DeviceOutOfMemory`` during setup
         exactly as the real plugin aborts on large datasets."""
         Xd = densify(X)
@@ -89,6 +91,6 @@ class DenseGpuXgboostTrainer:
             row_scale=self.row_scale,
             dense_memory_model=True,
         )
-        model = trainer.fit(Xd, y)
+        model = trainer.fit(Xd, y, init_model=init_model)
         self.report = trainer.report
         return model

@@ -62,7 +62,6 @@ from ..approx.quantile import (
 )
 from ..core.booster_model import GBDTModel, validate_fit
 from ..core.params import GBDTParams
-from ..core.smartgd import GradientComputer
 from ..core.tree import DecisionTree
 from ..data.matrix import CSRMatrix
 from ..gpusim.device import DeviceSpec, TITAN_X_PASCAL
@@ -76,7 +75,13 @@ __all__ = ["DistributedHistTrainer"]
 
 
 class _WorkerTrainer(HistogramGBDTTrainer):
-    """One rank's trainer: the shared grow loop + collective reduction hooks."""
+    """One rank's trainer: the shared grow loop + collective reduction hooks.
+
+    Rank 0 speaks for the job: it alone checkpoints and records the
+    ``train_*`` metrics, so each round counts once.
+    """
+
+    backend = "dist"
 
     def __init__(
         self,
@@ -86,20 +91,21 @@ class _WorkerTrainer(HistogramGBDTTrainer):
         max_bins: int,
         n_global: int,
         base: float,
-        init_trees: List[DecisionTree],
+        n_total: int,
         store: Optional[CheckpointStore],
         checkpoint_every: int,
         row_scale: float,
-        use_subtraction: bool | None = None,
+        use_subtraction: bool,
     ) -> None:
         super().__init__(
             params, coll.device, max_bins=max_bins, row_scale=row_scale,
             use_subtraction=use_subtraction,
         )
         self.coll = coll
+        self.records_train_metrics = coll.rank == 0
         self._n_global = int(n_global)
         self._base = float(base)
-        self._init = init_trees
+        self._n_total = int(n_total)
         self._store = store
         self._every = max(1, int(checkpoint_every))
 
@@ -138,22 +144,13 @@ class _WorkerTrainer(HistogramGBDTTrainer):
         reduced = self.coll.allreduce_sum(stacked)
         return reduced[0], reduced[1], reduced[2]
 
-    # --------------------------------------------------- resume / checkpoints
-    def _initial_trees(self) -> List[DecisionTree]:
-        return list(self._init)
-
-    def _warm_start(self, gc: GradientComputer) -> None:
-        if self._init:
-            gc.warm_start(self._init)
-
+    # ------------------------------------------------------------ checkpoints
     def _round_start(self, round_: int) -> None:
         self.coll.fault_point(round_)
 
     def _round_end(self, round_: int, trees: List[DecisionTree]) -> None:
-        if (
-            self._store is not None
-            and self.coll.rank == 0
-            and (len(trees) % self._every == 0 or len(trees) == self.params.n_trees)
+        if self._store is not None and (
+            len(trees) % self._every == 0 or len(trees) == self._n_total
         ):
             model = GBDTModel(
                 trees=list(trees), params=self.params, base_score=self._base
@@ -198,7 +195,7 @@ class DistributedHistTrainer:
         checkpoint_every: int = 1,
         row_scale: float = 1.0,
         work_scale: float = 1.0,
-        use_subtraction: bool | None = None,
+        use_subtraction: bool = True,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -249,7 +246,7 @@ class DistributedHistTrainer:
         # every shard needs >= 2 rows for the local trainer's fit
         workers = max(1, min(self.n_workers, n // 2))
         faults = self.faults
-        init_trees: List[DecisionTree] = []
+        init: GBDTModel | None = None
         self.attempts_ = []
 
         while True:
@@ -259,24 +256,25 @@ class DistributedHistTrainer:
                 GpuDevice(self.spec, work_scale=self.work_scale)
                 for _ in range(workers)
             ]
-            resumed_round = len(init_trees)
-            captured_init = init_trees
+            resumed_round = 0 if init is None else init.n_trees
+            # a resumed attempt appends the rounds the checkpoint lacks
+            params = p.replace(n_trees=p.n_trees - resumed_round)
 
-            def worker(coll: Collective) -> GBDTModel:
+            def worker(coll: Collective, params=params, init=init) -> GBDTModel:
                 X_local, y_local = parts[coll.rank]
                 trainer = _WorkerTrainer(
-                    p,
+                    params,
                     coll,
                     max_bins=self.max_bins,
                     n_global=n,
                     base=base,
-                    init_trees=captured_init,
+                    n_total=p.n_trees,
                     store=store if coll.rank == 0 else None,
                     checkpoint_every=self.checkpoint_every,
                     row_scale=self.row_scale,
                     use_subtraction=self.use_subtraction,
                 )
-                return trainer.fit(X_local, y_local)
+                return trainer.fit(X_local, y_local, init_model=init)
 
             parent = get_tracer()
             tracers = [
@@ -324,7 +322,7 @@ class DistributedHistTrainer:
                 ).inc(len(failure.failed_ranks))
                 if survivors < 1 or len(self.attempts_) > self.n_workers:
                     raise
-                init_trees = self._restore(store)
+                init = self._restore(store)
                 workers = survivors
                 faults = None  # injected faults are one-shot
 
@@ -335,20 +333,21 @@ class DistributedHistTrainer:
             raise RuntimeError(
                 f"rank models diverged: {sorted(digests)}"
             )  # pragma: no cover - guarded by design
-        self.model_ = models[0]
+        # a resumed attempt trained with the remainder's params
+        self.model_ = dataclasses.replace(models[0], params=p)
         return self.model_
 
-    def _restore(self, store: Optional[CheckpointStore]) -> List[DecisionTree]:
-        """Trees to warm-start the retry from (empty = from scratch)."""
+    def _restore(self, store: Optional[CheckpointStore]) -> Optional[GBDTModel]:
+        """The model to warm-start the retry from (None = from scratch)."""
         if store is None:
-            return []
+            return None
         ckpt = store.latest(params=self.params)
-        if ckpt is None:
-            return []
+        if ckpt is None or ckpt.round >= self.params.n_trees:
+            return None
         get_registry().counter(
             "dist_recoveries_total", "checkpoint restores after worker failure"
         ).inc()
-        return ckpt.restore_model(self.params).trees
+        return ckpt.restore_model(self.params)
 
     # ------------------------------------------------------------- reporting
     def elapsed_seconds(self) -> float:

@@ -77,6 +77,8 @@ def build_column_shard(
 class MultiGpuGBDTTrainer(GPUGBDTTrainer):
     """Attribute-parallel GBDT training over ``n_devices`` simulated GPUs."""
 
+    backend = "multigpu"
+
     def __init__(
         self,
         params: GBDTParams | None = None,
@@ -94,7 +96,6 @@ class MultiGpuGBDTTrainer(GPUGBDTTrainer):
             for _ in range(n_devices)
         ]
         super().__init__(params, self.devices[0], row_scale=row_scale)
-        self.used_rle = False
 
     @property
     def n_devices(self) -> int:

@@ -98,6 +98,8 @@ class OutOfCoreGBDTTrainer(GPUGBDTTrainer):
         roughly half the device memory (lists + working buffers).
     """
 
+    backend = "outofcore"
+
     def __init__(
         self,
         params: GBDTParams | None = None,
@@ -119,7 +121,6 @@ class OutOfCoreGBDTTrainer(GPUGBDTTrainer):
             else spec.global_mem_bytes * 0.5
         )
         self.n_groups_: int | None = None
-        self.used_rle = False
 
     # ------------------------------------------------------------------ hooks
     def _build_shards(self, X: CSRMatrix) -> Tuple[List[ColumnShard], bool]:

@@ -247,7 +247,7 @@ class MetricDelta:
 class GateFinding:
     """One gated metric's verdict against the baseline (rolling median,
     or a pinned run's value when ``direction`` is None: drift either way
-    counts)."""
+    counts).  The ``meta.quick`` finding carries the two runs' flags."""
 
     key: str
     baseline: float
@@ -257,6 +257,8 @@ class GateFinding:
     regressed: bool
 
     def __str__(self) -> str:
+        if self.key == "meta.quick":
+            return f"meta.quick: pinned {self.baseline} vs run {self.value} (scale mismatch)"
         rel = (self.value - self.baseline) / max(abs(self.baseline), 1e-12)
         better = f", {self.direction} is better" if self.direction else ""
         return (
@@ -523,12 +525,13 @@ class RunStore:
 
         Against a pinned run, every shared numeric leaf must stay within
         ``rel_tol`` (default 0.05) of it, both ways (see
-        :func:`pinned_findings`).  Against the rolling median, a metric
-        fails when it moves beyond ``max(rel_tol * |median|, abs_tol)``
-        (default ``rel_tol`` 0.25: wall clocks are noisy) in its bad
-        direction (see :func:`metric_direction`; neutral metrics never
-        fail).  With fewer than ``min_history`` prior runs the rolling gate
-        passes as skipped.
+        :func:`pinned_findings`), unless the two runs' ``meta.quick``
+        differ: then that scale mismatch is the one finding.  Against the
+        rolling median, a metric fails when it moves beyond
+        ``max(rel_tol * |median|, abs_tol)`` (default ``rel_tol`` 0.25: wall
+        clocks are noisy) in its bad direction (see :func:`metric_direction`;
+        neutral metrics never fail).  With fewer than ``min_history`` prior
+        runs the rolling gate passes as skipped.
         """
         runs = self.runs(bench)
         pins = [r for r in runs[:-1] if r.pinned]
@@ -542,8 +545,16 @@ class RunStore:
         newest, history = runs[-1], runs[:-1][-window:]
         if pins:
             history = pins[-1:]
-            findings = pinned_findings(
-                history[0].flat_metrics(), newest.flat_metrics(), rel_tol
+            old_q, new_q = (
+                (r.metrics.get("meta") or {}).get("quick") for r in (history[0], newest)
+            )
+            # a quick and a full-scale run share leaf names, not scale
+            findings = (
+                [GateFinding("meta.quick", old_q, new_q, 0.0, None, True)]
+                if old_q != new_q
+                else pinned_findings(
+                    history[0].flat_metrics(), newest.flat_metrics(), rel_tol
+                )
             )
         elif len(history) < min_history:
             return GateReport(

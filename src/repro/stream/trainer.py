@@ -6,7 +6,7 @@ only its entry-source hooks, so the one histogram grow loop -- split
 scanning, GOSS, sibling subtraction, leaf finalization -- is the *same
 code*:
 
-``_setup_entries``
+``_setup``
     instead of materializing the full quantized entry stream on the device,
     rows are cut into ``block_rows``-sized chunks.  Pass 1 sketches each
     chunk's columns in one call (:func:`~repro.approx.quantile.sketch_columns`)
@@ -102,6 +102,8 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
     Growth is depthwise: there is no ``grow_policy`` or ``max_leaves``.
     """
 
+    backend = "stream"
+
     def __init__(
         self,
         params: GBDTParams | None = None,
@@ -114,7 +116,7 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
         use_rle: bool = True,
         max_bins: int = 64,
         row_scale: float = 1.0,
-        use_subtraction: bool | None = None,
+        use_subtraction: bool = True,
     ) -> None:
         if block_rows < 1:
             raise ValueError("block_rows must be >= 1")
@@ -140,7 +142,8 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
     def fit(
         self, X: CSRMatrix, y: np.ndarray, *, init_model: GBDTModel | None = None
     ) -> GBDTModel:
-        """In-memory ``fit`` over a fresh block store; cleans up spills."""
+        """The shared boosting loop over a fresh block store; cleans up
+        spills."""
         tmp = None
         if self.spill_dir is None:
             tmp = tempfile.mkdtemp(prefix="repro-stream-")
@@ -192,7 +195,7 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
             use_rle=self.use_rle,
         )
 
-    def _setup_entries(self, X: CSRMatrix):
+    def _setup(self, X: CSRMatrix) -> tuple:
         device = self.device
         n = X.shape[0]
         self._chunks = [
@@ -238,7 +241,8 @@ class StreamingHistTrainer(HistogramGBDTTrainer):
             "level_histograms",
             total_bins * device.seg_scale * 4 * 16,
         )
-        return spec, None, None, None, bin_offset
+        self.bins_ = spec
+        return None, None, None
 
     def _blocks(self) -> PrefetchPipeline:
         """The next pass over the store, reversing the previous pass's

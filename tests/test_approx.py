@@ -232,7 +232,7 @@ class TestLossguideGrowth:
         assert digest == self.PINNED[(max_leaves, max_depth)]
 
     def test_pinned_warm_start_digest(self, susy_small):
-        """fit(2) then fit(4, init_model=...) (n_trees is the total)."""
+        """fit(2) then fit(2, init_model=...) (n_trees is the trees added)."""
         ds = susy_small
 
         def trainer(n_trees):
@@ -242,7 +242,7 @@ class TestLossguideGrowth:
             )
 
         half = trainer(2).fit(ds.X, ds.y)
-        model = trainer(4).fit(ds.X, ds.y, init_model=half)
+        model = trainer(2).fit(ds.X, ds.y, init_model=half)
         digest = hashlib.sha256(model.to_json().encode()).hexdigest()
         assert digest == self.PINNED_WARM
 

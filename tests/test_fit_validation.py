@@ -94,6 +94,7 @@ def test_warm_start_within_columns_still_accepted(ds):
     """The attribute check rejects only attributes ``X`` lacks."""
     one = GBDTParams(n_trees=1, max_depth=2, seed=3)
     base = HistogramGBDTTrainer(one).fit(ds.X, ds.y)
-    resumed = HistogramGBDTTrainer(PARAMS).fit(ds.X, ds.y, init_model=base)
+    rest = PARAMS.replace(n_trees=PARAMS.n_trees - 1)
+    resumed = HistogramGBDTTrainer(rest).fit(ds.X, ds.y, init_model=base)
     full = HistogramGBDTTrainer(PARAMS).fit(ds.X, ds.y)
     assert resumed.to_json() == full.to_json()

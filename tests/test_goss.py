@@ -104,7 +104,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("policy", POLICIES, ids=list(POLICIES))
     def test_warm_start_replay_identity(self, covtype_small, policy):
-        """fit(k) then fit(k+m, init_model=...) == fit(k+m) bit-for-bit:
+        """fit(k) then fit(m, init_model=...) == fit(k+m) bit-for-bit:
         the GOSS draw is keyed by the *global* round index and the resumed
         margins replay exactly, so the resumed rounds see identical
         gradients, draw identical samples, and grow identical trees."""
@@ -114,9 +114,9 @@ class TestDeterminism:
         half = HistogramGBDTTrainer(
             PARAMS.replace(n_trees=3), max_bins=32, **kw
         ).fit(ds.X, ds.y)
-        resumed = HistogramGBDTTrainer(PARAMS, max_bins=32, **kw).fit(
-            ds.X, ds.y, init_model=half
-        )
+        resumed = HistogramGBDTTrainer(
+            PARAMS.replace(n_trees=PARAMS.n_trees - 3), max_bins=32, **kw
+        ).fit(ds.X, ds.y, init_model=half)
         assert resumed.to_json() == one_shot.to_json()
 
     def test_warm_start_identity_without_goss(self, covtype_small):
@@ -125,7 +125,7 @@ class TestDeterminism:
         p = GBDTParams(n_trees=6, max_depth=4, seed=7)
         one_shot = HistogramGBDTTrainer(p, max_bins=32).fit(ds.X, ds.y)
         half = HistogramGBDTTrainer(p.replace(n_trees=3), max_bins=32).fit(ds.X, ds.y)
-        resumed = HistogramGBDTTrainer(p, max_bins=32).fit(
+        resumed = HistogramGBDTTrainer(p.replace(n_trees=3), max_bins=32).fit(
             ds.X, ds.y, init_model=half
         )
         assert resumed.to_json() == one_shot.to_json()

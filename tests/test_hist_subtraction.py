@@ -28,7 +28,6 @@ from repro.approx.histops import (
     accumulate_histograms,
     plan_sibling_builds,
     subtract_child_histogram,
-    subtract_enabled_default,
 )
 from repro.data import CSRMatrix, make_dataset
 from repro.obs import MetricsRegistry, use_registry
@@ -228,14 +227,3 @@ def test_subtraction_actually_engages():
 
 def test_subtraction_off_never_subtracts():
     assert _fit_counting_skips(False) == 0
-
-
-def test_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_SUBTRACT", "0")
-    assert subtract_enabled_default() is False
-    assert HistogramGBDTTrainer(GBDTParams()).use_subtraction is False
-    monkeypatch.delenv("REPRO_SUBTRACT")
-    assert subtract_enabled_default() is True
-    # explicit knob beats the environment
-    monkeypatch.setenv("REPRO_SUBTRACT", "0")
-    assert HistogramGBDTTrainer(GBDTParams(), use_subtraction=True).use_subtraction

@@ -7,7 +7,10 @@ import time
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, GpuDevice, models_equal
+from repro.approx.histogram_trainer import HistogramGBDTTrainer
 from repro.data import make_dataset
+from repro.dist import DistributedHistTrainer
+from repro.ext.multigpu import MultiGpuGBDTTrainer
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -16,6 +19,7 @@ from repro.obs import (
     use_tracer,
 )
 from repro.obs.report import PHASES
+from repro.stream import StreamingHistTrainer
 
 
 def train_once(*, tracing: bool, rows: int = 300, trees: int = 4):
@@ -37,18 +41,63 @@ class TestDifferential:
         assert len(tracer_off) == 0
         assert models_equal(m_on, m_off, rtol=0.0, atol=0.0)
 
-    def test_training_records_expected_phases_and_metrics(self):
-        _, tracer, registry = train_once(tracing=True)
-        agg = tracer.aggregate()
-        for phase in PHASES:
-            assert phase in agg, f"missing phase span {phase!r}"
-        assert agg["boost_round"].count == 4
-        # per-phase spans nest inside the round/train spans
-        assert agg["train"].count == 1
-        assert agg["train"].total >= agg["boost_round"].total
-        assert registry.counter("train_rounds_total").value == 4
-        assert registry.get("train_round_seconds").count == 4
-        assert registry.gauge("train_compression_ratio").value > 0
+
+#: every trainer family, each fitting through the one boosting driver
+CONTRACT_TRAINERS = {
+    "exact": lambda p: GPUGBDTTrainer(p),
+    "multigpu": lambda p: MultiGpuGBDTTrainer(p, n_devices=2),
+    "hist-depthwise": lambda p: HistogramGBDTTrainer(p),
+    "hist-lossguide": lambda p: HistogramGBDTTrainer(
+        p, grow_policy="lossguide", max_leaves=8
+    ),
+    "stream": lambda p: StreamingHistTrainer(p, block_rows=100),
+    "dist": lambda p: DistributedHistTrainer(p, n_workers=2, backend="sim"),
+}
+
+
+class TestTrainingContract:
+    """One span tree and one metric set for every trainer: ``train`` holds
+    ``setup`` and one ``boost_round`` per tree, and every round holds
+    ``gradients``, ``find_split`` and ``split_node``."""
+
+    @pytest.mark.parametrize("kind", list(CONTRACT_TRAINERS))
+    def test_span_tree_and_metrics(self, kind):
+        n_trees = 4
+        tracer = Tracer(enabled=True)
+        registry = MetricsRegistry(max_label_sets=1024)
+        with use_tracer(tracer), use_registry(registry):
+            ds = make_dataset("covtype", run_rows=300, seed=11)
+            trainer = CONTRACT_TRAINERS[kind](GBDTParams(n_trees=n_trees, max_depth=5))
+            trainer.fit(ds.X, ds.y)
+        # a distributed fit records one span tree per rank
+        tracers = trainer.rank_tracers_ if kind == "dist" else [tracer]
+        for tr in tracers:
+            spans = tr.finished()
+            by_id = {s.span_id: s for s in spans}
+
+            def under(name, parent):
+                found = [s for s in spans if s.name == name]
+                assert found, f"{kind}: no {name!r} span"
+                assert {by_id[s.parent_id].name for s in found} == {parent}, name
+                return found
+
+            (train,) = [s for s in spans if s.name == "train"]
+            root = by_id.get(train.parent_id)
+            assert (root and root.name) == ("dist.worker" if kind == "dist" else None)
+            assert under("setup", "train")
+            rounds = under("boost_round", "train")
+            assert len(rounds) == n_trees
+            for phase in ("gradients", "find_split", "split_node"):
+                inside = {s.parent_id for s in under(phase, "boost_round")}
+                assert inside == {r.span_id for r in rounds}, phase
+            agg = tr.aggregate()
+            for phase in PHASES:
+                assert phase in agg, f"missing phase span {phase!r}"
+            assert agg["train"].total >= agg["boost_round"].total
+        assert registry.counter("train_rounds_total").value == n_trees
+        assert registry.get("train_round_seconds").count == n_trees
+        if kind in ("exact", "multigpu"):
+            assert registry.gauge("train_compression_ratio").value > 0
 
 
 class TestOverhead:

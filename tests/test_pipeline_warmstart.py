@@ -75,12 +75,18 @@ def test_round_by_round_equals_one_shot(covtype_small):
     assert model.to_json() == one_shot.to_json()
 
 
-def test_facade_forwards_init_model(covtype_small):
+@pytest.mark.parametrize("backend", ["gpu-gbdt", "histogram"])
+def test_facade_forwards_init_model(covtype_small, backend):
     ds = covtype_small
-    head = GradientBoostedTrees(_params(2)).fit(ds.X, ds.y).model_
-    full = GradientBoostedTrees(_params(4)).fit(ds.X, ds.y).model_
-    resumed = GradientBoostedTrees(_params(2)).fit(ds.X, ds.y, init_model=head).model_
-    assert resumed.to_json() == full.to_json()
+
+    def est(n_trees):
+        return GradientBoostedTrees(_params(n_trees), backend=backend)
+
+    head = est(2).fit(ds.X, ds.y).model_
+    full = est(4).fit(ds.X, ds.y).model_
+    resumed = est(2).fit(ds.X, ds.y, init_model=head)
+    assert resumed.model_.to_json() == full.to_json()
+    assert resumed.report_.n_trees == 2
 
 
 def test_resume_rejects_wrong_learning_rate(covtype_small):

@@ -301,6 +301,17 @@ class TestPinnedGate:
         report = self.gate(tmp_path, old, new)
         assert sorted(f.key for f in report.regressions) == ["n_rows", "t_s"]
 
+    def test_quick_run_against_full_pin_is_a_scale_mismatch(self, tmp_path):
+        """A quick run is not gated leaf by leaf against a full-scale pin:
+        the one finding names ``meta.quick`` on both sides."""
+        quick = dict(series_doc([0.5, 1.0, 1.5]), meta={"quick": True})
+        report = self.gate(tmp_path, series_doc([1, 2, 3.0]), quick)
+        assert not report.ok and "FAIL" in report.text
+        (finding,) = report.findings
+        assert finding.key == "meta.quick"
+        assert (finding.baseline, finding.value) == (False, True)
+        assert "pinned False vs run True" in report.text
+
     def test_newest_pinned_run_is_the_reference(self, tmp_path):
         store, _ = make_store(tmp_path)
         store.submit("experiments", {"x": 1.0}, pinned=True)

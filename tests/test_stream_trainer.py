@@ -90,11 +90,12 @@ class TestByteIdentity:
         assert reg.get("blocks_fetched_total").value > 0
 
     def test_warm_start_identical(self, ds, params, reference):
-        base = HistogramGBDTTrainer(params).fit(ds.X, ds.y)
-        ref2 = HistogramGBDTTrainer(params).fit(ds.X, ds.y, init_model=base)
-        t = StreamingHistTrainer(params, block_rows=75, cache_budget_bytes=1 << 18)
+        """fit(1) in memory, then 1 more tree streamed == fit(2) in memory."""
+        head = params.replace(n_trees=1)
+        base = HistogramGBDTTrainer(head).fit(ds.X, ds.y)
+        t = StreamingHistTrainer(head, block_rows=75, cache_budget_bytes=1 << 18)
         got = t.fit(ds.X, ds.y, init_model=base)
-        assert got.to_json() == ref2.to_json()
+        assert got.to_json() == reference.to_json()
 
     def test_digest_matches_reference(self, ds, params, reference):
         t = StreamingHistTrainer(params, block_rows=64, cache_budget_bytes=1 << 18)
