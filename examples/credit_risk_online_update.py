@@ -8,7 +8,7 @@ too slow to react to fraud.
 This example simulates the rolling-window loop: every "hour" a batch of new
 transactions arrives, the window slides, and the model is refreshed.  Each
 refresh is served three ways -- **warm-start** boosting a few more rounds
-onto the serving ensemble (the `repro.pipeline` refresh path), retraining
+onto the serving ensemble (`fit(..., init_model=)`), retraining
 from scratch on the simulated Titan X, and retraining on the 40-thread CPU
 model -- so the output shows how many refreshes per hour each strategy
 sustains.

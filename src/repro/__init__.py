@@ -39,6 +39,7 @@ from .data import (
     table1_example,
 )
 from .dist import DistributedHistTrainer, FaultPlan, LinkSpec
+from .dist.checkpoint import CheckpointStore
 from .gpusim import (
     TESLA_K20,
     TESLA_P100,
@@ -58,12 +59,6 @@ from .obs import (
     traced,
     use_registry,
     use_tracer,
-)
-from .pipeline import (
-    CheckpointStore,
-    ContinualController,
-    DriftMonitor,
-    RetrainPolicy,
 )
 from .serve import (
     BatchPolicy,
@@ -124,9 +119,6 @@ __all__ = [
     "ModelRegistry",
     "ServingStats",
     "CheckpointStore",
-    "ContinualController",
-    "DriftMonitor",
-    "RetrainPolicy",
     "MetricsRegistry",
     "Tracer",
     "get_registry",

@@ -55,8 +55,6 @@ __all__ = [
     "run_thread_sweep",
     "ServingBenchResult",
     "run_serving_bench",
-    "PipelineBenchResult",
-    "run_pipeline_bench",
 ]
 
 #: datasets whose speedup series the sensitivity studies track (a dense, a
@@ -846,150 +844,3 @@ def run_serving_bench(quick: bool = False) -> ServingBenchResult:
         n_trees=n_trees,
     )
 
-
-# ================================================== pipeline bench ==========
-@dataclasses.dataclass
-class PipelineBenchResult:
-    """Warm-start refresh vs from-scratch retrain over a sliding window."""
-
-    rows: List[Dict]
-    #: modeled device seconds summed over all refreshes, per strategy
-    warm_total_s: float
-    scratch_total_s: float
-    speedup: float
-    #: how many refreshes each strategy sustains per hour of device time
-    refreshes_per_hour_warm: float
-    refreshes_per_hour_scratch: float
-    #: train(k) + resume(m) byte-identical to train(k+m) (differential guard)
-    warmstart_bitidentical: bool
-    n_refreshes: int
-    base_trees: int
-    refresh_trees: int
-
-    @property
-    def text(self) -> str:
-        headers = [
-            "refresh", "warm (ms)", "scratch (ms)", "trees",
-            "val warm", "val scratch",
-        ]
-        body = [
-            [
-                r["refresh"], r["warm_ms"], r["scratch_ms"], r["trees"],
-                r["val_warm"], r["val_scratch"],
-            ]
-            for r in self.rows
-        ]
-        table = format_table(
-            headers,
-            body,
-            title=(
-                f"Pipeline bench -- {self.n_refreshes} sliding-window "
-                f"refreshes (+{self.refresh_trees} trees vs {self.base_trees} "
-                "from scratch)"
-            ),
-        )
-        return table + (
-            f"\nmodeled device seconds: warm-start {self.warm_total_s:.4f} vs "
-            f"from-scratch {self.scratch_total_s:.4f} ({self.speedup:.1f}x)"
-            f"\nrefresh budget: {self.refreshes_per_hour_warm:,.0f}/hour warm-start "
-            f"vs {self.refreshes_per_hour_scratch:,.0f}/hour from-scratch"
-            f"\nwarm-start bit-identity (train(k)+resume(m) == train(k+m)): "
-            f"{self.warmstart_bitidentical}"
-        )
-
-
-def run_pipeline_bench(quick: bool = False) -> PipelineBenchResult:
-    """Benchmark the continual-training pipeline (:mod:`repro.pipeline`).
-
-    The Section IV-E(i) scenario -- a model refreshed as new data arrives --
-    served two ways:
-
-    1. **warm-start** -- keep the serving ensemble and boost
-       ``refresh_trees`` more rounds on the current window
-       (``fit(..., init_model=)``), the way the
-       :class:`~repro.pipeline.ContinualController` refreshes;
-    2. **from-scratch** -- retrain the full ``base_trees``-round model on
-       the current window each time.
-
-    Both strategies are charged on the simulated device, so the comparison
-    is modeled kernel time, not Python overhead.  The result also carries
-    the differential guard the pipeline rests on: boosting ``k`` rounds,
-    serializing, and resuming ``m`` more is byte-identical to boosting
-    ``k + m`` rounds in one run.
-    """
-    from ..core.booster import as_csr
-    from ..core.booster_model import GBDTModel
-    from ..core.trainer import GPUGBDTTrainer
-    from ..gpusim.kernel import GpuDevice
-
-    ds = make_dataset("covtype", run_rows=400 if quick else 1200, seed=17)
-    base_trees = 8 if quick else 40
-    refresh_trees = 2 if quick else 5
-    n_refreshes = 3 if quick else 6
-    params = GBDTParams(n_trees=base_trees, max_depth=4, seed=5)
-
-    # -- differential guard: resume-through-JSON is bit-identical ----------
-    k = base_trees // 2
-    full = GPUGBDTTrainer(params, GpuDevice()).fit(ds.X, ds.y)
-    head = GPUGBDTTrainer(params.replace(n_trees=k), GpuDevice()).fit(ds.X, ds.y)
-    head = GBDTModel.from_json(head.to_json(), params=params.replace(n_trees=k))
-    resumed = GPUGBDTTrainer(
-        params.replace(n_trees=base_trees - k), GpuDevice()
-    ).fit(ds.X, ds.y, init_model=head)
-    bitidentical = resumed.to_json() == full.to_json()
-
-    # -- sliding-window refreshes ------------------------------------------
-    dense = ds.X.to_dense(fill=np.nan).values
-    X_val = ds.X_test.to_dense(fill=np.nan).values
-    window = 200 if quick else 600
-    stride = max((dense.shape[0] - window) // max(n_refreshes, 1), 1)
-
-    def val_loss(model) -> float:
-        return float(params.loss_fn.value(ds.y_test, model.predict(X_val)))
-
-    # the base model is a cost common to both strategies -- not timed
-    warm_model = GPUGBDTTrainer(params, GpuDevice()).fit(
-        as_csr(dense[:window]), ds.y[:window]
-    )
-
-    rows: List[Dict] = []
-    warm_total = scratch_total = 0.0
-    for i in range(1, n_refreshes + 1):
-        lo = min(i * stride, dense.shape[0] - window)
-        Xw, yw = dense[lo : lo + window], ds.y[lo : lo + window]
-
-        dev_w = GpuDevice()
-        warm_model = GPUGBDTTrainer(
-            params.replace(n_trees=refresh_trees), dev_w
-        ).fit(as_csr(Xw), yw, init_model=warm_model)
-        warm_s = dev_w.elapsed_seconds()
-
-        dev_s = GpuDevice()
-        scratch_model = GPUGBDTTrainer(params, dev_s).fit(as_csr(Xw), yw)
-        scratch_s = dev_s.elapsed_seconds()
-
-        warm_total += warm_s
-        scratch_total += scratch_s
-        rows.append(
-            {
-                "refresh": i,
-                "warm_ms": warm_s * 1e3,
-                "scratch_ms": scratch_s * 1e3,
-                "trees": warm_model.n_trees,
-                "val_warm": val_loss(warm_model),
-                "val_scratch": val_loss(scratch_model),
-            }
-        )
-
-    return PipelineBenchResult(
-        rows=rows,
-        warm_total_s=warm_total,
-        scratch_total_s=scratch_total,
-        speedup=scratch_total / warm_total if warm_total else float("inf"),
-        refreshes_per_hour_warm=3600.0 / (warm_total / n_refreshes),
-        refreshes_per_hour_scratch=3600.0 / (scratch_total / n_refreshes),
-        warmstart_bitidentical=bitidentical,
-        n_refreshes=n_refreshes,
-        base_trees=base_trees,
-        refresh_trees=refresh_trees,
-    )

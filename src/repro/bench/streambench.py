@@ -21,13 +21,13 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..approx.histogram_trainer import HistogramGBDTTrainer
+from ..core.booster_model import model_digest
 from ..core.params import GBDTParams
 from ..data.datasets import make_dataset
 from ..gpusim.costmodel import phase_times
 from ..gpusim.kernel import GpuDevice
 from ..obs import MetricsRegistry, use_registry
 from ..obs.runstore import failed_invariants
-from ..pipeline.checkpoint import model_digest
 from ..stream import StreamingHistTrainer
 from ..stream.prefetch import modeled_overlap
 

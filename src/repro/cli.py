@@ -11,7 +11,6 @@ Usage::
     python -m repro table2 --quick    # tiny smoke-scale run
     python -m repro obs report        # instrumented run + phase breakdown
     python -m repro obs history       # trend report over the run store
-    python -m repro pipeline demo     # continual-training loop on a stream
     python -m repro dist demo         # row-sharded data-parallel training
     python -m repro stream demo       # out-of-core training past device memory
     python -m repro runs submit       # record a BENCH_*.json into the store
@@ -51,60 +50,7 @@ EXPERIMENTS: Dict[str, Callable[[bool], object]] = {
     "multigpu": lambda quick: experiments.run_multigpu_scaling(quick),
     "threads": lambda quick: experiments.run_thread_sweep(quick),
     "serve-bench": lambda quick: experiments.run_serving_bench(quick),
-    "pipeline-bench": lambda quick: experiments.run_pipeline_bench(quick),
 }
-
-
-def _pipeline_main(argv: list[str]) -> int:
-    """``gpu-gbdt pipeline demo``: run the continual-training loop, with
-    optional fault-injected checkpoint kill (exit 3) and resume."""
-    parser = argparse.ArgumentParser(
-        prog="gpu-gbdt pipeline",
-        description="Continual-training pipeline: warm-start refreshes, "
-        "crash-safe checkpoints, drift-triggered retrains with rollback.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    demo = sub.add_parser(
-        "demo", help="drive the whole loop on a simulated drifting stream"
-    )
-    demo.add_argument(
-        "--quick", action="store_true", help="smoke-scale rows and tree count"
-    )
-    demo.add_argument(
-        "--ckpt-dir",
-        metavar="DIR",
-        default=None,
-        help="checkpoint directory (a fresh temp dir when omitted)",
-    )
-    demo.add_argument(
-        "--kill-at-round",
-        type=int,
-        metavar="K",
-        default=None,
-        help="simulate a hard kill during the round-K checkpoint write (exit 3)",
-    )
-    demo.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume base training from the newest valid checkpoint in --ckpt-dir",
-    )
-    args = parser.parse_args(argv)
-
-    from .ioutil import SimulatedCrash
-    from .pipeline.demo import run_pipeline_demo
-
-    try:
-        result = run_pipeline_demo(
-            quick=args.quick,
-            ckpt_dir=args.ckpt_dir,
-            kill_at_round=args.kill_at_round,
-            resume=args.resume,
-        )
-    except SimulatedCrash as crash:
-        print(f"[{crash}]")
-        return 3
-    print(result.text)
-    return 0
 
 
 def _dist_main(argv: list[str]) -> int:
@@ -474,8 +420,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "obs":
         return _obs_main(argv[1:])
-    if argv and argv[0] == "pipeline":
-        return _pipeline_main(argv[1:])
     if argv and argv[0] == "dist":
         return _dist_main(argv[1:])
     if argv and argv[0] == "runs":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from typing import List
 
@@ -12,7 +13,35 @@ from ..data.matrix import CSRMatrix, DenseMatrix
 from .params import GBDTParams
 from .tree import DecisionTree, trees_equal
 
-__all__ = ["GBDTModel", "models_equal", "validate_fit"]
+__all__ = [
+    "GBDTModel",
+    "canonical_model_payload",
+    "model_digest",
+    "models_equal",
+    "validate_fit",
+]
+
+
+def _dense_rows(
+    X: CSRMatrix | DenseMatrix | np.ndarray, trees: List[DecisionTree]
+) -> np.ndarray:
+    """Rows to predict as a dense float64 array (absent CSR entries: NaN).
+
+    Raises the same ``ValueError`` as :meth:`FlatEnsemble.predict` when
+    ``X`` has fewer columns than ``trees`` test.
+    """
+    if isinstance(X, CSRMatrix):
+        dense = X.to_dense(fill=np.nan).values
+    elif isinstance(X, DenseMatrix):
+        dense = X.values
+    else:
+        dense = np.asarray(X, dtype=np.float64)
+    need = max((max(t.attr, default=-1) for t in trees), default=-1) + 1
+    if dense.shape[1] < need:
+        raise ValueError(
+            f"input has {dense.shape[1]} features, ensemble tests up to {need}"
+        )
+    return dense
 
 
 @dataclasses.dataclass
@@ -77,12 +106,7 @@ class GBDTModel:
         (sigmoid for logistic; identity for MSE).
         """
         use = self.trees if n_trees is None else self.trees[: max(0, n_trees)]
-        if isinstance(X, CSRMatrix):
-            dense = X.to_dense(fill=np.nan).values
-        elif isinstance(X, DenseMatrix):
-            dense = X.values
-        else:
-            dense = np.asarray(X, dtype=np.float64)
+        dense = _dense_rows(X, use)
         if (
             n_trees is None
             and len(use) >= 2
@@ -110,12 +134,7 @@ class GBDTModel:
         through the flattened ensemble, whose different summation order is
         fine for serving but not for resuming.
         """
-        if isinstance(X, CSRMatrix):
-            dense = X.to_dense(fill=np.nan).values
-        elif isinstance(X, DenseMatrix):
-            dense = X.values
-        else:
-            dense = np.asarray(X, dtype=np.float64)
+        dense = _dense_rows(X, self.trees)
         out = np.full(dense.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
             out += tree.predict(dense)
@@ -124,12 +143,7 @@ class GBDTModel:
     def staged_predict(self, X) -> "np.ndarray":
         """``(n_trees, n_rows)`` matrix of cumulative predictions -- one row
         per boosting round (Fig. 10b's error-vs-budget curves)."""
-        if isinstance(X, CSRMatrix):
-            dense = X.to_dense(fill=np.nan).values
-        elif isinstance(X, DenseMatrix):
-            dense = X.values
-        else:
-            dense = np.asarray(X, dtype=np.float64)
+        dense = _dense_rows(X, self.trees)
         out = np.empty((self.n_trees, dense.shape[0]), dtype=np.float64)
         acc = np.full(dense.shape[0], self.base_score, dtype=np.float64)
         for t, tree in enumerate(self.trees):
@@ -190,6 +204,25 @@ class GBDTModel:
         return np.array([metric(y, staged[t]) for t in range(self.n_trees)])
 
 
+def canonical_model_payload(model: GBDTModel) -> str:
+    """Deterministic model JSON (sorted keys, no spaces): the form the
+    serving registry stores and checkpoints carry."""
+    return json.dumps(
+        json.loads(model.to_json()), sort_keys=True, separators=(",", ":")
+    )
+
+
+def model_digest(model_or_payload: GBDTModel | str) -> str:
+    """12-hex content digest of a model or of its canonical payload; the
+    :class:`~repro.serve.ModelRegistry` version id of the same model."""
+    payload = (
+        model_or_payload
+        if isinstance(model_or_payload, str)
+        else canonical_model_payload(model_or_payload)
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
 def models_equal(a: GBDTModel, b: GBDTModel, **tol) -> bool:
     """Tree-by-tree structural equality (the Table II 'identical trees'
     check between GPU-GBDT and the CPU reference)."""
@@ -208,14 +241,21 @@ def validate_fit(
 ) -> np.ndarray:
     """The one fit-input boundary every trainer calls; returns ``y`` as float64.
 
-    Rejects a label vector of the wrong size, non-finite labels (one NaN
-    would otherwise come back as an all-NaN model), fewer than 2 rows or
-    no attribute, and an ``init_model`` whose base score or learning rate
-    differs from this fit's (resumed rounds would not match uninterrupted
-    training) or that splits on an attribute ``X`` does not have.
+    Rejects an ``X`` that is not a :class:`CSRMatrix` (``TypeError``; the
+    facade converts through ``as_csr``), a label vector of the wrong size,
+    non-finite labels (one NaN would otherwise come back as an all-NaN
+    model), fewer than 2 rows or no attribute, and an ``init_model`` whose
+    base score or learning rate differs from this fit's (resumed rounds
+    would not match uninterrupted training) or that splits on an attribute
+    ``X`` does not have.
     ``base_score(y)`` gives this fit's base score (default: the loss's; a
     row-sharded worker's is the whole training set's).
     """
+    if not isinstance(X, CSRMatrix):
+        raise TypeError(
+            f"X must be a CSRMatrix, not {type(X).__name__}; convert it with "
+            "repro.as_csr"
+        )
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     if y.size != n:

@@ -1,9 +1,10 @@
 """Distributed data-parallel GBDT training (row shards + collectives).
 
 See :mod:`repro.dist.comms` for the collective layer (simulated and real
-threaded backends, fault injection) and :mod:`repro.dist.trainer` for the
+threaded backends, fault injection), :mod:`repro.dist.trainer` for the
 row-sharded histogram trainer whose W-worker models are byte-identical to
-single-process training.
+single-process training, and :mod:`repro.dist.checkpoint` for the
+checkpoint store its crash recovery resumes from.
 """
 
 from .comms import (

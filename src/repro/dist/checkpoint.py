@@ -1,13 +1,18 @@
 """Crash-safe training checkpoints: atomic writes, checksums, param digests.
 
+The crash recovery of :class:`~repro.dist.trainer.DistributedHistTrainer`
+rests on this store: rank 0 checkpoints between rounds, and after a worker
+failure the driver restores the newest checkpoint and retries.  Every
+checkpoint is written and read inside one ``fit``, in a directory of its
+own that the fit removes when it ends.
+
 A checkpoint freezes a boosting run between rounds: the model payload (the
 same canonical JSON the registry content-addresses), the number of boosting
 rounds completed, and a digest of every hyper-parameter that shapes tree
 growth.  Because warm-start boosting is bit-identical to uninterrupted
-training (:meth:`repro.core.trainer.GPUGBDTTrainer.fit` with
-``init_model=``), "resume from the last checkpoint" reproduces the exact
-model an uninterrupted run would have produced -- the fault-injection tests
-assert equal content digests.
+training (``fit`` with ``init_model=`` on every trainer), "resume from the
+last checkpoint" reproduces the exact model an uninterrupted run would have
+produced -- the fault-injection tests assert equal content digests.
 
 Safety properties
 -----------------
@@ -41,9 +46,9 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..core.booster_model import GBDTModel
+from ..core.booster_model import GBDTModel, canonical_model_payload, model_digest
 from ..core.params import GBDTParams
-from ..ioutil import SimulatedCrash, atomic_write_text
+from ..ioutil import atomic_write_text
 from ..obs import get_registry, span
 
 __all__ = [
@@ -53,9 +58,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointMismatch",
     "CheckpointStore",
-    "SimulatedCrash",
     "load_checkpoint",
-    "model_digest",
     "params_digest",
     "write_checkpoint",
 ]
@@ -74,25 +77,6 @@ class CheckpointCorrupt(CheckpointError):
 
 class CheckpointMismatch(CheckpointError):
     """The checkpoint was written under different training parameters."""
-
-
-def canonical_model_payload(model: GBDTModel) -> str:
-    """Deterministic model JSON -- byte-identical to the serving registry's
-    content-addressed form, so checkpoint and registry digests agree."""
-    return json.dumps(
-        json.loads(model.to_json()), sort_keys=True, separators=(",", ":")
-    )
-
-
-def model_digest(model_or_payload: GBDTModel | str) -> str:
-    """12-hex content digest; equals the :class:`~repro.serve.ModelRegistry`
-    version id of the same model."""
-    payload = (
-        model_or_payload
-        if isinstance(model_or_payload, str)
-        else canonical_model_payload(model_or_payload)
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 def params_digest(params: GBDTParams) -> str:
@@ -266,22 +250,3 @@ class CheckpointStore:
                 "corrupt/truncated checkpoints skipped during recovery",
             ).inc(skipped)
         return found
-
-    def prune(self, keep_last: int = 3) -> int:
-        """Drop all but the newest ``keep_last`` checkpoints; returns the
-        number removed (orphaned ``*.tmp`` files are removed too)."""
-        if keep_last < 1:
-            raise ValueError("keep_last must be >= 1")
-        removed = 0
-        for round_ in self.rounds()[:-keep_last]:
-            try:
-                self.path_for(round_).unlink()
-                removed += 1
-            except OSError:
-                pass
-        for tmp in self.directory.glob("*.tmp"):
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-        return removed

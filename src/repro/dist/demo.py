@@ -16,9 +16,9 @@ import tempfile
 from typing import List, Optional
 
 from ..approx.histogram_trainer import HistogramGBDTTrainer
+from ..core.booster_model import model_digest
 from ..core.params import GBDTParams
 from ..data.datasets import make_dataset
-from ..pipeline.checkpoint import model_digest
 from .comms import FaultPlan
 from .trainer import DistributedHistTrainer
 

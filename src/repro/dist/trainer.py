@@ -36,17 +36,21 @@ all reductions are exact and order-independent, so the W-worker model is
 test suite asserts serialized-model equality under both backends.
 
 Fault tolerance: rank 0 checkpoints the growing ensemble every
-``checkpoint_every`` rounds through :class:`repro.pipeline.checkpoint.
+``checkpoint_every`` rounds through :class:`repro.dist.checkpoint.
 CheckpointStore`.  When an injected (or real) fault kills workers, the
 surviving driver restores the newest checkpoint, re-shards the rows over
 the survivors, warm-starts boosting from the restored trees (bit-identical
 replay), and continues -- landing on the same final model digest as an
 uninterrupted run, because the grown trees are shard-count-independent.
+Each ``fit`` checkpoints into a fresh ``fit-*`` directory under
+``checkpoint_dir``, removed when the fit returns or raises, so a retry
+only ever resumes that fit's own trees.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tempfile
 from pathlib import Path
 from typing import List, Optional
 
@@ -60,7 +64,7 @@ from ..approx.quantile import (
     merge_sketches,
     sketch_columns,
 )
-from ..core.booster_model import GBDTModel, validate_fit
+from ..core.booster_model import GBDTModel, model_digest, validate_fit
 from ..core.params import GBDTParams
 from ..core.tree import DecisionTree
 from ..data.matrix import CSRMatrix
@@ -68,7 +72,7 @@ from ..gpusim.device import DeviceSpec, TITAN_X_PASCAL
 from ..gpusim.kernel import GpuDevice
 from ..obs import Tracer, get_registry, get_tracer, span
 from ..obs.export import export_merged_chrome_trace
-from ..pipeline.checkpoint import CheckpointStore, model_digest
+from .checkpoint import CheckpointStore
 from .comms import Collective, FaultPlan, LinkSpec, WorkerFailure, run_spmd
 
 __all__ = ["DistributedHistTrainer"]
@@ -233,16 +237,22 @@ class DistributedHistTrainer:
 
     # ------------------------------------------------------------------- fit
     def fit(self, X: CSRMatrix, y: np.ndarray) -> GBDTModel:
-        p = self.params
-        y = validate_fit(X, y, p)
-        n = X.shape[0]
+        y = validate_fit(X, y, self.params)
+        if self.checkpoint_dir is None:
+            return self._fit(X, y, None)
+        # a directory of this fit's own: a retry must never resume the
+        # trees of another fit that shared checkpoint_dir
+        root = Path(self.checkpoint_dir)
+        root.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix="fit-", dir=root) as directory:
+            return self._fit(X, y, CheckpointStore(directory))
 
+    def _fit(
+        self, X: CSRMatrix, y: np.ndarray, store: Optional[CheckpointStore]
+    ) -> GBDTModel:
+        p = self.params
+        n = X.shape[0]
         base = p.loss_fn.base_score(y)
-        store = (
-            CheckpointStore(self.checkpoint_dir)
-            if self.checkpoint_dir is not None
-            else None
-        )
         # every shard needs >= 2 rows for the local trainer's fit
         workers = max(1, min(self.n_workers, n // 2))
         faults = self.faults

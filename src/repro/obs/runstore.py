@@ -348,7 +348,7 @@ class RunStore:
     """Append-only store of benchmark runs under ``root/<bench>/``.
 
     ``clock`` and ``commit_resolver`` are injectable for deterministic
-    tests (mirroring the ``ContinualController`` pattern).
+    tests.
     """
 
     def __init__(

@@ -14,14 +14,12 @@ another host predicts identically to the one published here.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import threading
 from typing import Dict, List
 
 import numpy as np
 
-from ..core.booster_model import GBDTModel
+from ..core.booster_model import GBDTModel, canonical_model_payload, model_digest
 from ..obs import get_registry, span
 from .flat_model import FlatEnsemble
 
@@ -43,13 +41,6 @@ class ModelVersion:
     def restore(self) -> GBDTModel:
         """Rebuild the full :class:`GBDTModel` from the stored payload."""
         return GBDTModel.from_json(self.payload)
-
-
-def canonical_payload(model: GBDTModel) -> str:
-    """Deterministic JSON for content addressing (sorted keys, no spaces)."""
-    return json.dumps(
-        json.loads(model.to_json()), sort_keys=True, separators=(",", ":")
-    )
 
 
 class ModelRegistry:
@@ -77,8 +68,8 @@ class ModelRegistry:
         value is non-finite: such a model cannot predict anything right.
         """
         with span("registry_publish", model=name):
-            payload = canonical_payload(model)
-            version = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+            payload = canonical_model_payload(model)
+            version = model_digest(payload)
             with self._lock:
                 if version not in self._versions.get(name, {}):
                     restored = GBDTModel.from_json(payload, params=model.params)

@@ -16,13 +16,13 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..approx.histogram_trainer import HistogramGBDTTrainer
+from ..core.booster_model import model_digest
 from ..core.params import GBDTParams
 from ..data.datasets import make_dataset
 from ..gpusim.device import TITAN_X_PASCAL
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.memory import DeviceOutOfMemory
 from ..obs import MetricsRegistry, use_registry
-from ..pipeline.checkpoint import model_digest
 from .prefetch import modeled_overlap
 from .trainer import StreamingHistTrainer
 

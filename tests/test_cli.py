@@ -32,20 +32,7 @@ class TestMain:
         assert set(EXPERIMENTS) == {
             "table2", "fig8a", "fig8b", "fig9", "fig10a", "fig10b", "cases", "devices",
             "approx", "crossover", "multigpu", "threads", "serve-bench",
-            "pipeline-bench",
         }
-
-    def test_pipeline_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            main(["pipeline"])
-
-    def test_pipeline_kill_maps_to_exit_3(self, tmp_path, capsys):
-        rc = main(
-            ["pipeline", "demo", "--quick", "--ckpt-dir", str(tmp_path),
-             "--kill-at-round", "1"]
-        )
-        assert rc == 3
-        assert "simulated kill" in capsys.readouterr().out
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
-"""Crash-safety tests for the checkpoint store and atomic writer.
+"""Crash-safety tests for the dist trainer's checkpoint store and the
+atomic writer.
 
 Fault injection at every step of the atomic write proves a kill never
 leaves a partial destination file; checksum and params guards prove a
@@ -11,15 +12,15 @@ import numpy as np
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer
-from repro.ioutil import SimulatedCrash, atomic_write_text
-from repro.pipeline import (
+from repro.core.booster_model import model_digest
+from repro.dist.checkpoint import (
     CheckpointCorrupt,
     CheckpointMismatch,
     CheckpointStore,
     load_checkpoint,
-    model_digest,
     params_digest,
 )
+from repro.ioutil import SimulatedCrash, atomic_write_text
 
 
 @pytest.fixture
@@ -158,16 +159,6 @@ class TestStoreRecovery:
             store.save(model, params, round_=2, fault_hook=hook)
         ck = store.latest(params)
         assert ck is not None and ck.round == 1
-
-    def test_prune_keeps_newest_and_clears_tmp(self, tmp_path, model, params):
-        store = CheckpointStore(tmp_path)
-        for r in range(1, 6):
-            store.save(model, params, round_=r)
-        (tmp_path / "ckpt-000002.json.abc.tmp").write_text("orphan")
-        removed = store.prune(keep_last=2)
-        assert removed == 3
-        assert store.rounds() == [4, 5]
-        assert not list(tmp_path.glob("*.tmp"))
 
 
 # ------------------------------------------------- resume == uninterrupted

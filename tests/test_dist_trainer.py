@@ -18,11 +18,11 @@ from repro.approx.quantile import (
     merge_sketches,
     sketch_columns,
 )
+from repro.core.booster_model import model_digest
 from repro.data import make_dataset
 from repro.data.sorted_columns import build_sorted_columns
 from repro.dist import DistributedHistTrainer, FaultPlan, WorkerFailure
 from repro.obs import MetricsRegistry, use_registry
-from repro.pipeline.checkpoint import model_digest
 
 from tests.conftest import random_csr
 
@@ -146,6 +146,30 @@ class TestCrashRecovery:
         model = trainer.fit(ds.X, ds.y)
         assert model.to_json() == reference.to_json()
         assert trainer.attempts_[1].resumed_round == 0
+
+    def test_retry_never_resumes_another_fits_checkpoints(self, tmp_path):
+        """Two fits share ``checkpoint_dir``: the second fit's retry resumes
+        its own round-1 checkpoint, not the first fit's three trees, and
+        each fit removes its checkpoints when it ends."""
+        first = make_dataset("covtype", run_rows=200, seed=1)
+        second = make_dataset("covtype", run_rows=200, seed=2)
+        DistributedHistTrainer(
+            PARAMS.replace(n_trees=3),
+            n_workers=2,
+            max_bins=MAX_BINS,
+            checkpoint_dir=tmp_path,
+        ).fit(first.X, first.y)
+        trainer = DistributedHistTrainer(
+            PARAMS,
+            n_workers=2,
+            max_bins=MAX_BINS,
+            faults=FaultPlan(kill_rank=1, kill_round=1),
+            checkpoint_dir=tmp_path,
+        )
+        model = trainer.fit(second.X, second.y)
+        assert trainer.attempts_[1].resumed_round == 1
+        assert model.to_json() == _single_model(second).to_json()
+        assert list(tmp_path.iterdir()) == []
 
     def test_crash_without_checkpoint_dir_still_recovers(self, covtype_small):
         ds = covtype_small

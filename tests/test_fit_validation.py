@@ -98,3 +98,33 @@ def test_warm_start_within_columns_still_accepted(ds):
     resumed = HistogramGBDTTrainer(rest).fit(ds.X, ds.y, init_model=base)
     full = HistogramGBDTTrainer(PARAMS).fit(ds.X, ds.y)
     assert resumed.to_json() == full.to_json()
+
+
+@pytest.mark.parametrize("name", list(TRAINERS))
+@pytest.mark.parametrize("kind", ["dense-matrix", "ndarray"])
+def test_non_csr_X_raises_type_error(ds, name, kind):
+    """``fit`` takes a ``CSRMatrix``; anything else is a ``TypeError`` at
+    the boundary, not an ``AttributeError`` from inside setup."""
+    X = ds.X.to_dense(fill=np.nan)
+    if kind == "ndarray":
+        X = X.values
+    trainer = TRAINERS[name](PARAMS)
+    with pytest.raises(TypeError, match="CSRMatrix"):
+        trainer.fit(X, ds.y)
+    assert getattr(trainer, "model_", None) is None
+
+
+@pytest.mark.parametrize("n_rows", [1, 2000], ids=["per-tree", "flat"])
+def test_predict_too_few_columns_matches_flat_ensemble(ds, n_rows):
+    """Every model predict path and the serving ensemble reject a
+    too-narrow input with the same ``ValueError``."""
+    model = GPUGBDTTrainer(GBDTParams(n_trees=3, max_depth=3)).fit(ds.X, ds.y)
+    need = max(max(t.attr) for t in model.trees) + 1
+    narrow = np.zeros((n_rows, need - 1))
+    msg = f"input has {need - 1} features, ensemble tests up to {need}"
+    for predict in (
+        model.predict, model.predict_margin, model.staged_predict,
+        model.flatten().predict,
+    ):
+        with pytest.raises(ValueError, match=msg):
+            predict(narrow)

@@ -1,6 +1,6 @@
 """Differential tests for warm-start boosting.
 
-The pipeline's load-bearing guarantee: training ``k`` rounds, serializing,
+The guarantee dist crash recovery rests on: training ``k`` rounds, serializing,
 and resuming ``m`` more rounds produces a model **byte-identical** (same
 ``to_json`` text, same content digest) to training ``k + m`` rounds in one
 run -- across RLE/non-RLE layouts, row/column sampling, and on both the GPU
@@ -12,9 +12,8 @@ import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer
 from repro.core.booster import GradientBoostedTrees
-from repro.core.booster_model import GBDTModel
+from repro.core.booster_model import GBDTModel, model_digest
 from repro.cpu.exact_greedy import ReferenceTrainer
-from repro.pipeline import model_digest
 
 CONFIGS = [
     pytest.param({"use_rle": True}, id="rle"),

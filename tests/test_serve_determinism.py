@@ -8,8 +8,8 @@ same data twice yields byte-identical payloads.
 import numpy as np
 
 from repro import GBDTParams, GPUGBDTTrainer, models_equal, trees_equal
+from repro.core.booster_model import canonical_model_payload
 from repro.serve import ModelRegistry
-from repro.serve.registry import canonical_payload
 
 
 def _train(ds, seed: int, n_trees: int = 5, max_depth: int = 4):
@@ -29,7 +29,7 @@ class TestTrainingDeterminism:
         a = _train(susy_small, seed=7)
         b = _train(susy_small, seed=7)
         assert a.to_json() == b.to_json()
-        assert canonical_payload(a) == canonical_payload(b)
+        assert canonical_model_payload(a) == canonical_model_payload(b)
 
     def test_subsampled_training_still_deterministic(self, covtype_small):
         """The seed drives row/column sampling; same seed, same subsample."""

@@ -20,13 +20,13 @@ import numpy as np
 import pytest
 
 from repro.approx.histogram_trainer import HistogramGBDTTrainer
+from repro.core.booster_model import model_digest
 from repro.core.params import GBDTParams
 from repro.data import CSRMatrix, make_dataset
 from repro.gpusim.device import TITAN_X_PASCAL
 from repro.gpusim.kernel import GpuDevice
 from repro.gpusim.memory import DeviceOutOfMemory
 from repro.obs import MetricsRegistry, use_registry
-from repro.pipeline.checkpoint import model_digest
 from repro.stream import StreamingHistTrainer
 from repro.stream.blockstore import BlockStore
 from repro.stream.prefetch import PrefetchPipeline
