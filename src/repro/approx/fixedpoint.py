@@ -2,7 +2,7 @@
 
 Histogram training reduces per-instance gradient pairs into per-(node,
 attribute, bin) cells.  In float64 the cell value depends on the *order* of
-the additions -- a monolithic ``np.bincount`` folds entries in sorted-column
+the additions -- a monolithic scatter-add folds entries in sorted-column
 order, while W row-sharded workers fold their own entries and then combine
 partials over a ring.  Floating-point addition is not associative, so the
 two foldings disagree in the last ulps, and a "distributed == single-worker"
@@ -12,14 +12,14 @@ The fix is the one production systems use for deterministic/distributed
 histogram consistency (LightGBM's quantized training, SQL engines' decimal
 aggregates): quantize each instance's ``(g_i, h_i)`` **once per round** onto
 a fixed-point grid and accumulate *integers*.  Integer addition is exact and
-associative, so every summation order -- monolithic bincount, per-shard
-partials, ring-allreduce chunks -- produces the same cell values, and every
+associative, so every summation order -- monolithic scatter-add, stream
+blocks, per-shard partials, ring-allreduce chunks -- produces the same cell values, and every
 float derived from them (gains, leaf weights) is identical everywhere.
 
 The grid is chosen per round from the global gradient magnitudes so that
 
-* the total of ``n`` quantized values cannot overflow the 51 safe mantissa
-  bits (sums stay exact even when staged through float64 ``bincount``), and
+* the total of ``n`` quantized values stays below ``2**50``, so every
+  int64 sum, and its float64 conversion in the split scan, is exact, and
 * resolution is the finest power of two that satisfies that bound, capped at
   ``2**-GRAD_SHIFT_CAP`` (~9e-13 absolute -- far below the float32 gain
   quantization that decides splits, see :mod:`repro.core.split`).
@@ -39,8 +39,8 @@ __all__ = ["GRAD_SHIFT_CAP", "choose_shift", "quantize_gradients", "inv_scale"]
 #: finest fixed-point resolution ever used: 2**-40 per unit
 GRAD_SHIFT_CAP = 40
 
-#: quantized totals must stay below 2**_SAFE_SUM_BITS so sums remain exact
-#: even when accumulated as float64 (bincount) before the int64 cast
+#: quantized totals must stay below 2**_SAFE_SUM_BITS so sums stay exact
+#: when the split scan converts them to float64
 _SAFE_SUM_BITS = 50
 
 _NON_FINITE = (

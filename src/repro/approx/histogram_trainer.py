@@ -230,9 +230,17 @@ class HistogramGBDTTrainer(BoostingDriver):
         tree.add_root(root_n)
         leaves = np.zeros(1, dtype=_LEAF)
         leaves["gq"], leaves["hq"], leaves["n"] = root_gq, root_hq, root_n
-        # last scored batch's full tables + which of its locals split + the
-        # sibling build plan: the subtraction parents of the next level
+        # last scored batch's level tables + which of its locals split: the
+        # subtraction parents of the next level
         parent_ctx = None
+
+        def level_tables(depth: int, n_active: int) -> tuple:
+            # one arena set per depth parity: a level's tables stay intact
+            # as its children's subtraction parents while those are built
+            return tuple(
+                self.workspace.buf2d(f"hist/{k}/{depth & 1}", n_active, total_bins, np.int64)
+                for k in ("gq", "hq", "c")
+            )
 
         def capped() -> bool:
             # lossguide stops once the tree holds max_leaves leaves
@@ -254,13 +262,15 @@ class HistogramGBDTTrainer(BoostingDriver):
             gc.on_leaves(ids, values[inst2local[ids]])
             inst2local[ids] = -1
 
-        # tables of the leaves the next step scores, built by the last pass
-        built = None
+        # tables of the leaves the next step scores and which of their rows
+        # the last pass built (the others are derived by subtraction)
+        tables = build_locals = None
         if p.max_depth > 0 and not capped():
+            tables, build_locals = level_tables(0, 1), np.zeros(1, dtype=np.int64)
             with device.phase("find_split"):
-                _, built = self._route_and_accumulate(
-                    gq, hq, *entries, inst2local, total_bins,
-                    batch_of=np.zeros(1, dtype=np.int64),
+                self._route_and_accumulate(
+                    gq, hq, *entries, inst2local,
+                    batch=(np.zeros(1, dtype=np.int64), tables, build_locals),
                 )
 
         while not capped():
@@ -272,8 +282,8 @@ class HistogramGBDTTrainer(BoostingDriver):
                 with device.phase("find_split"), span(
                     "find_split", depth=depth, nodes=todo.size
                 ):
-                    best, tables = self._find_splits(
-                        built, shift, bin_offset, leaves["gq"][todo],
+                    best = self._find_splits(
+                        tables, build_locals, shift, bin_offset, leaves["gq"][todo],
                         leaves["hq"][todo], leaves["n"][todo],
                         parent=parent_ctx, depth=depth,
                     )
@@ -328,18 +338,20 @@ class HistogramGBDTTrainer(BoostingDriver):
                 # max_depth or the split reached lossguide's cap; depthwise,
                 # their locals (2j, 2j+1) pair under this batch's local
                 # batch_of[chosen[j]] and only the smaller one is built
-                next_batch = build_locals = parent_ctx = None
+                next_batch = parent_ctx = None
                 if children["depth"][0] < p.max_depth and not capped():
-                    next_batch = np.full(leaves.size, -1, dtype=np.int64)
-                    next_batch[kept.size:] = np.arange(2 * k)
+                    batch_local = np.full(leaves.size, -1, dtype=np.int64)
+                    batch_local[kept.size:] = np.arange(2 * k)
                     if subtracting:
-                        plan = plan_sibling_builds(children["n"])
-                        build_locals = plan[0]
-                        parent_ctx = (*tables, batch_of[chosen], *plan)
-                inst2local, built = self._route_and_accumulate(
-                    gq, hq, *entries, inst2local, total_bins,
-                    route=(attr_of, gcut_of, side_of, new_local_of),
-                    batch_of=next_batch, build_locals=build_locals,
+                        build_locals, derive_locals = plan_sibling_builds(children["n"])
+                        parent_ctx = (tables, batch_of[chosen], derive_locals)
+                    else:
+                        build_locals = np.arange(2 * k)
+                    tables = level_tables(int(children["depth"][0]), 2 * k)
+                    next_batch = (batch_local, tables, build_locals)
+                inst2local = self._route_and_accumulate(
+                    gq, hq, *entries, inst2local,
+                    route=(attr_of, gcut_of, side_of, new_local_of), batch=next_batch,
                 )
 
         still_open = ~leaves["scored"] | splittable()
@@ -349,52 +361,46 @@ class HistogramGBDTTrainer(BoostingDriver):
 
     # ---------------------------------------------------------- split search
     def _find_splits(
-        self, built, shift, bin_offset, node_gq, node_hq, node_n,
+        self, tables, build_locals, shift, bin_offset, node_gq, node_hq, node_n,
         parent=None, depth=0,
     ):
         """Reduce, complete and scan one batch of leaves' histograms.
 
-        ``built`` holds this shard's tables of the batch, already
-        accumulated by :meth:`_route_and_accumulate`.  The shared kernels of
+        ``tables`` are the batch's level tables ``(hist_gq, hist_hq,
+        hist_c)``, full ``(n_active, total_bins)`` arena views whose rows
+        ``build_locals`` hold this shard's sums, accumulated by
+        :meth:`_route_and_accumulate`.  The shared kernels of
         :mod:`repro.approx.histops` (also driven, with a ring allreduce in
         between, by :mod:`repro.dist.trainer`) do the rest, plus this
         device's cost charges.
 
         ``parent`` carries the previous level's *global* tables, the locals
-        that split and the sibling build plan ``(p_gq, p_hq, p_c,
-        split_locals, build_locals, derive_locals)``: then ``built`` holds
-        only the smaller child of each sibling pair -- roughly halving both
-        the scatter work and, distributed, the allreduce payload -- and the
-        sibling is derived exactly as ``parent - built`` into arena tables
-        ping-ponged by level parity.  Returns ``(scan_results, (hist_gq,
-        hist_hq, hist_c))`` with the tables always full ``(n_active,
-        total_bins)``.
+        that split and the derived locals ``(p_tables, split_locals,
+        derive_locals)``: then ``build_locals`` holds only the smaller child
+        of each sibling pair -- roughly halving both the scatter work and,
+        distributed, the allreduce payload -- and each sibling row is
+        derived in place as ``parent_row - built_row``.  Returns the scan
+        results; the tables are complete and global afterwards.
         """
         device = self.device
         p = self.params
         n_active = node_n.size
         total_bins = int(bin_offset[-1])
 
-        hist_gq, hist_hq, hist_c = self._reduce_histograms(*built)
+        self._reduce_histograms(tables, build_locals)
         if parent is not None:
-            p_gq, p_hq, p_c, parent_locals, build_locals, derive_locals = parent
+            (p_gq, p_hq, p_c), parent_locals, derive_locals = parent
+            hist_gq, hist_hq, hist_c = tables
             with span(
                 "hist.subtract", depth=depth, derived=int(derive_locals.size)
             ):
-                parity = depth & 1
-                t_gq = self.workspace.buf2d(f"hist/gq/{parity}", n_active, total_bins, np.int64)
-                t_hq = self.workspace.buf2d(f"hist/hq/{parity}", n_active, total_bins, np.int64)
-                t_c = self.workspace.buf2d(f"hist/c/{parity}", n_active, total_bins, np.int64)
-                t_gq[build_locals] = hist_gq
-                t_hq[build_locals] = hist_hq
-                t_c[build_locals] = hist_c
                 # pair j's parent row: both operands are global tables, so
                 # the derived sibling is the global histogram, exactly
-                sib = subtract_child_histogram(
-                    p_gq[parent_locals], p_hq[parent_locals], p_c[parent_locals],
-                    hist_gq, hist_hq, hist_c,
-                )
-                t_gq[derive_locals], t_hq[derive_locals], t_c[derive_locals] = sib
+                for pl, bl, dl in zip(parent_locals, build_locals, derive_locals):
+                    subtract_child_histogram(
+                        p_gq[pl], p_hq[pl], p_c[pl], hist_gq[bl], hist_hq[bl], hist_c[bl],
+                        out=(hist_gq[dl], hist_hq[dl], hist_c[dl]),
+                    )
                 device.launch(
                     "subtract_sibling_histograms",
                     elements=derive_locals.size * total_bins,
@@ -405,7 +411,6 @@ class HistogramGBDTTrainer(BoostingDriver):
                     "subtract_skipped_total",
                     "sibling histograms derived by subtraction instead of built",
                 ).inc(int(derive_locals.size))
-            hist_gq, hist_hq, hist_c = t_gq, t_hq, t_c
         device.launch(
             "scan_histograms_for_best_split",
             elements=n_active * total_bins,
@@ -413,9 +418,8 @@ class HistogramGBDTTrainer(BoostingDriver):
             coalesced_bytes=n_active * total_bins * 32,
         )
         return scan_histograms(
-            hist_gq, hist_hq, hist_c, node_gq, node_hq, node_n,
-            bin_offset, shift, p.lambda_,
-        ), (hist_gq, hist_hq, hist_c)
+            *tables, node_gq, node_hq, node_n, bin_offset, shift, p.lambda_,
+        )
 
     # -------------------------------------------------- distribution hooks
     # Every quantity whose value must be *global* for the grown trees to be
@@ -484,15 +488,15 @@ class HistogramGBDTTrainer(BoostingDriver):
         chunks, each holding every entry of rows ``[lo, hi)``.
 
         In memory it is one chunk over rows ``[0, n)``; the streaming
-        trainer yields its row-range blocks.  Int64 scatter-adds commute and
-        each instance owns at most one entry per attribute, so any chunking
-        gives the same tables and routing.
+        trainer yields its row-range blocks.  Every chunk scatter-adds into
+        the same level tables; int64 adds commute and each instance owns at
+        most one entry per attribute, so any chunking gives the same tables
+        and routing.
         """
         yield ent_inst, ent_gbin, ent_attr, 0, n
 
     def _route_and_accumulate(
-        self, gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
-        route=None, batch_of=None, build_locals=None,
+        self, gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, route=None, batch=None,
     ):
         """One walk of the entry stream: route rows, then build histograms.
 
@@ -502,32 +506,32 @@ class HistogramGBDTTrainer(BoostingDriver):
         as a global bin (bins at or above it go right), the side (0 = left,
         1 = right) its rows without that attribute take, and each leaf's
         position after the split -- a splitting leaf's left child; the
-        others add side 0.  ``batch_of`` maps the positions after routing
-        to the next scored batch (-1 = not in it; ``None``: accumulate
-        nothing); ``build_locals`` lists the batch locals to build, all of
-        them when ``None``.
+        others add side 0.  ``batch`` (``None``: accumulate nothing) is
+        ``(batch_of, tables, build_locals)``: ``batch_of`` maps the
+        positions after routing to the next scored batch (-1 = not in it),
+        ``tables`` are that batch's level tables and ``build_locals`` the
+        rows to build; they are zeroed here, the other rows left to
+        subtraction.
 
         A chunk covers whole rows, so its entries decide the new positions
         of exactly its rows ``[lo, hi)`` -- rows without entries keep their
         default side -- and those rows' entries are then added to the
-        tables of the leaves they landed in.  Accumulation is charged to
-        the ``find_split`` phase and routing to ``split_node``.  Returns
-        ``(inst2local, tables)``; ``tables`` is ``None`` with no
-        ``batch_of``, else ``(hist_gq, hist_hq, hist_c)`` with one row per
-        built local.
+        table rows of the leaves they landed in.  Accumulation is charged
+        to the ``find_split`` phase and routing to ``split_node``.  Returns
+        the new ``inst2local``.
         """
         device = self.device
         n = inst2local.size
-        if batch_of is not None:
-            n_batch = int(batch_of.max()) + 1
-            if build_locals is None:
-                build_locals = np.arange(n_batch)
-            # batch local -> table row; the extra last slot maps -1 to -1
-            build_of = np.full(n_batch + 1, -1, dtype=np.int64)
-            build_of[build_locals] = np.arange(build_locals.size)
-            row_of = np.append(build_of[batch_of], -1)  # settled rows (-1) -> -1
-            n_build = build_locals.size
-            inst2build = np.empty(n, dtype=np.int64)
+        if batch is not None:
+            batch_of, tables, build_locals = batch
+            for t in tables:
+                t[build_locals] = 0
+            # batch local -> table row, -1 unless built; the extra last slot
+            # maps -1 (not in the batch, or settled) to -1
+            row_of = np.full(tables[0].shape[0] + 1, -1, dtype=np.int64)
+            row_of[build_locals] = build_locals
+            row_of = np.append(row_of[batch_of], -1)
+            inst2row = np.empty(n, dtype=np.int64)
         new = inst2local
         if route is not None:
             attr_of, gcut_of, side_of, new_local_of = route
@@ -536,7 +540,6 @@ class HistogramGBDTTrainer(BoostingDriver):
             row_attr = np.append(attr_of, -2)[inst2local]
             side = side_of[inst2local]
             new = np.empty_like(inst2local)
-        tables = None
         for c_inst, c_gbin, c_attr, lo, hi in self._entry_chunks(
             ent_inst, ent_gbin, ent_attr, n
         ):
@@ -546,18 +549,11 @@ class HistogramGBDTTrainer(BoostingDriver):
                 side[inst] = c_gbin[sel] >= gcut_of[inst2local[inst]]
                 old = inst2local[lo:hi]
                 new[lo:hi] = np.where(old >= 0, new_local_of[old] + side[lo:hi], -1)
-            if batch_of is None:
+            if batch is None:
                 continue
-            inst2build[lo:hi] = row_of[new[lo:hi]]
+            inst2row[lo:hi] = row_of[new[lo:hi]]
             with device.phase("find_split"):
-                *chunk, n_live = accumulate_histograms(
-                    gq, hq, c_inst, c_gbin, inst2build, n_build, total_bins
-                )
-                if tables is None:
-                    tables = chunk
-                else:
-                    for t, c in zip(tables, chunk):
-                        t += c
+                n_live = accumulate_histograms(gq, hq, c_inst, c_gbin, inst2row, tables)
                 device.launch(
                     "accumulate_histograms",
                     elements=n_live,
@@ -574,7 +570,7 @@ class HistogramGBDTTrainer(BoostingDriver):
                     coalesced_bytes=n * self.row_scale * 9,
                     scale=False,
                 )
-        return new, tables
+        return new
 
     def _bin_spec(self, cols) -> BinSpec:
         """Global quantile cuts (sketch allgather + merge when sharded)."""
@@ -590,6 +586,6 @@ class HistogramGBDTTrainer(BoostingDriver):
         """Global root statistics ``(sum gq, sum hq, rows)``."""
         return int(gq.sum()), int(hq.sum()), n
 
-    def _reduce_histograms(self, hist_gq, hist_hq, hist_c):
-        """Combine per-shard histogram tables (ring allreduce when sharded)."""
-        return hist_gq, hist_hq, hist_c
+    def _reduce_histograms(self, tables, rows):
+        """Make rows ``rows`` of the level ``tables`` global, in place (a
+        ring allreduce when sharded; one shard's sums already are)."""

@@ -6,9 +6,9 @@ row-sharded workers) drive the same functions:
 
 * :func:`accumulate_histograms` -- per-(node, attribute, bin) int64 sums of
   the fixed-point gradients (:mod:`repro.approx.fixedpoint`) over whatever
-  entry subset the caller owns.  Integer sums are associative, so local
-  histograms ring-allreduced across workers equal the monolithic bincount
-  **exactly**.
+  entry subset the caller owns, scatter-added in place into the caller's
+  level tables.  Integer sums are associative, so local histograms
+  ring-allreduced across workers equal the monolithic sums **exactly**.
 * :func:`plan_sibling_builds` / :func:`subtract_child_histogram` -- the
   sibling-subtraction trick (Mitchell et al., GPU XGBoost): a level's
   active nodes arrive in (left, right) sibling pairs whose instance sets
@@ -20,7 +20,9 @@ row-sharded workers) drive the same functions:
   byte-identical models while skipping roughly half the accumulation work
   per level (and, distributed, halving the histogram allreduce payload:
   only built children are reduced; siblings are derived locally from the
-  already-global parent tables).
+  already-global parent tables).  A derived sibling is written straight
+  into its row of the level table, so no level allocates tables of its
+  own.
 * :func:`scan_histograms` -- the best split of every node of a level in
   one vectorized pass over the occupied cells of the (already global)
   histograms.  It is a pure
@@ -73,38 +75,32 @@ def accumulate_histograms(
     hq: np.ndarray,
     ent_inst: np.ndarray,
     ent_gbin: np.ndarray,
-    inst2local: np.ndarray,
-    n_active: int,
-    total_bins: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Int64 (node, global-bin) gradient/hessian/count tables.
+    inst2row: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> int:
+    """Scatter-add entries into int64 (table row, global-bin) tables in place.
 
     ``gq, hq`` are the fixed-point gradients of the caller's instances;
-    entries whose instance is settled (``inst2local < 0``) are skipped.
-    Returns ``(hist_gq, hist_hq, hist_c, n_live)`` with the tables shaped
-    ``(n_active, total_bins)``.  The float64 staging inside ``bincount`` is
-    exact because :func:`repro.approx.fixedpoint.choose_shift` bounds every
-    possible total below 2**50.
+    ``inst2row`` maps each instance to the row of ``tables = (hist_gq,
+    hist_hq, hist_c)`` its entries add to, and entries whose instance maps
+    to -1 (settled, or in a node derived by subtraction) are skipped.  The
+    tables must be C-contiguous ``(rows, total_bins)`` arrays -- the
+    caller's level tables, whose target rows it zeroed first.  Every sum
+    is an exact int64 ``np.add.at``, so calls over any split of the
+    entries (stream blocks, worker shards) add up to the same tables.
+    Returns how many entries were added.
     """
-    ent_node = inst2local[ent_inst]
-    live = ent_node >= 0
-    idx = ent_node[live] * total_bins + ent_gbin[live]
-    size = n_active * total_bins
+    hist_gq, hist_hq, hist_c = tables
+    if not all(t.flags.c_contiguous for t in tables):
+        raise ValueError("histogram tables must be C-contiguous")
+    ent_row = inst2row[ent_inst]
+    live = np.flatnonzero(ent_row >= 0)
     inst_live = ent_inst[live]
-    hist_gq = (
-        np.bincount(idx, weights=gq[inst_live].astype(np.float64), minlength=size)
-        .astype(np.int64)
-        .reshape(n_active, total_bins)
-    )
-    hist_hq = (
-        np.bincount(idx, weights=hq[inst_live].astype(np.float64), minlength=size)
-        .astype(np.int64)
-        .reshape(n_active, total_bins)
-    )
-    hist_c = (
-        np.bincount(idx, minlength=size).astype(np.int64).reshape(n_active, total_bins)
-    )
-    return hist_gq, hist_hq, hist_c, int(live.sum())
+    idx = ent_row[live] * hist_gq.shape[1] + ent_gbin[live]
+    np.add.at(hist_gq.reshape(-1), idx, gq[inst_live])
+    np.add.at(hist_hq.reshape(-1), idx, hq[inst_live])
+    np.add.at(hist_c.reshape(-1), idx, 1)
+    return int(live.size)
 
 
 def plan_sibling_builds(
@@ -140,27 +136,23 @@ def subtract_child_histogram(
     child_gq: np.ndarray,
     child_hq: np.ndarray,
     child_c: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    *,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sibling histogram by exact int64 subtraction: ``parent - child``.
+    """Sibling histogram by exact int64 subtraction: ``out = parent - child``.
 
     Every input is an exact fixed-point sum over a node's instances and a
     node's instance set is the disjoint union of its children's, so the
     subtraction reproduces the sibling's accumulated table bit-for-bit --
-    no floats are involved at any point.  ``out`` optionally provides
-    destination arrays (arena buffers); fresh arrays are allocated
-    otherwise.
+    no floats are involved at any point.  ``out`` is the destination
+    ``(gq, hq, c)``; the trainer passes the derived node's rows of its
+    level tables, so a sibling is written where it is scanned.
 
     Raises ``ValueError`` if any count would go negative -- that means the
     supplied child is not a child of the supplied parent, and silently
     returning garbage histograms would corrupt split decisions downstream.
     """
-    if out is None:
-        sib_gq = np.empty_like(parent_gq)
-        sib_hq = np.empty_like(parent_hq)
-        sib_c = np.empty_like(parent_c)
-    else:
-        sib_gq, sib_hq, sib_c = out
+    sib_gq, sib_hq, sib_c = out
     np.subtract(parent_gq, child_gq, out=sib_gq)
     np.subtract(parent_hq, child_hq, out=sib_hq)
     np.subtract(parent_c, child_c, out=sib_c)
@@ -168,7 +160,7 @@ def subtract_child_histogram(
         raise ValueError(
             "negative sibling count: child histogram is not contained in parent"
         )
-    return sib_gq, sib_hq, sib_c
+    return out
 
 
 def _row_chunks(kept: np.ndarray, budget: int):

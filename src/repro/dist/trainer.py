@@ -15,20 +15,21 @@ hook                distributed implementation
                     the identical global cuts
 ``_round_shift``    allreduce-max of the local gradient extrema
 ``_root_sums``      allreduce-sum of int64 root statistics
-``_reduce_``        ring allreduce of the stacked int64 histogram tables;
-``histograms``      the split scan then runs on *global* tables, so every
-                    worker takes the identical decision with no winner
-                    broadcast (comm volume is O(bins), not O(rows))
+``_reduce_``        ring allreduce of the built rows of the int64 level
+``histograms``      tables, written back in place; the split scan then
+                    runs on *global* tables, so every worker takes the
+                    identical decision with no winner broadcast (comm
+                    volume is O(bins), not O(rows))
 ==================  =====================================================
 
 With sibling subtraction on (the default, see
 :mod:`repro.approx.histops`) the shared grow loop hands
-``_reduce_histograms`` only the **smaller child** of each sibling pair, so
-the per-level allreduce payload roughly halves; every rank then derives
-the sibling locally as ``parent - built`` from the previous level's
-already-global tables.  Both operands being global keeps the derivation
-exact and rank-identical -- subtraction is inherited through the hook with
-no distributed-specific code.
+``_reduce_histograms`` only the **smaller child** of each sibling pair (the
+built rows of the level tables), so the per-level allreduce payload roughly
+halves; every rank then derives the sibling row in place as ``parent -
+built`` from the previous level's already-global tables.  Both operands
+being global keeps the derivation exact and rank-identical -- subtraction
+is inherited through the hook with no distributed-specific code.
 
 Because gradients are fixed-point quantized (:mod:`repro.approx.fixedpoint`)
 all reductions are exact and order-independent, so the W-worker model is
@@ -143,10 +144,11 @@ class _WorkerTrainer(HistogramGBDTTrainer):
         )
         return int(totals[0]), int(totals[1]), int(totals[2])
 
-    def _reduce_histograms(self, hist_gq, hist_hq, hist_c):
-        stacked = np.stack([hist_gq, hist_hq, hist_c])
-        reduced = self.coll.allreduce_sum(stacked)
-        return reduced[0], reduced[1], reduced[2]
+    def _reduce_histograms(self, tables, rows):
+        # payload (3, len(rows), total_bins): only the built rows travel
+        reduced = self.coll.allreduce_sum(np.stack([t[rows] for t in tables]))
+        for t, r in zip(tables, reduced):
+            t[rows] = r
 
     # ------------------------------------------------------------ checkpoints
     def _round_start(self, round_: int) -> None:

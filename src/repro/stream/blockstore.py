@@ -159,12 +159,20 @@ class ColumnBlock:
     def entries(
         self, bin_offset: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense ``(ent_inst, ent_gbin, ent_attr)`` of this block."""
-        if self.gbin_lengths is not None:
-            ent_gbin = np.repeat(self.gbin_values, self.gbin_lengths)
-        else:
+        """Dense ``(ent_inst, ent_gbin, ent_attr)`` of this block.
+
+        An RLE block looks each attribute up once per run, not per entry:
+        every entry of a run shares its bin, hence its attribute.
+        """
+        if self.gbin_lengths is None:
             ent_gbin = self.gbin_values
-        return self.ent_inst, ent_gbin, attrs_from_gbin(ent_gbin, bin_offset)
+            return self.ent_inst, ent_gbin, attrs_from_gbin(ent_gbin, bin_offset)
+        run_attr = attrs_from_gbin(self.gbin_values, bin_offset)
+        return (
+            self.ent_inst,
+            np.repeat(self.gbin_values, self.gbin_lengths),
+            np.repeat(run_attr, self.gbin_lengths),
+        )
 
     # ------------------------------------------------------------- envelope
     def to_bytes(self) -> bytes:

@@ -278,3 +278,28 @@ class TestSubtractionCommVolume:
         _, _, bytes_off = self._fit(ds, False)
         ratio = bytes_on / bytes_off
         assert 0.5 <= ratio < 0.9
+
+    #: (comm_bytes, comm_steps) of one fixed fit per (backend, subtraction),
+    #: pinned from the implementation that allreduced freshly stacked
+    #: tables; moving the reduction into the level tables changes neither
+    PINNED_COMM = {
+        ("sim", True): (995008.0000000001, 294),
+        ("sim", False): (1837407.9999999998, 294),
+        ("threaded", True): (995136.0, 270),
+        ("threaded", False): (1837536.0, 270),
+    }
+
+    @pytest.mark.parametrize("backend, use_subtraction", sorted(PINNED_COMM))
+    def test_comm_volume_pinned(self, covtype_small, backend, use_subtraction):
+        trainer = DistributedHistTrainer(
+            PARAMS,
+            n_workers=self.W,
+            max_bins=MAX_BINS,
+            backend=backend,
+            use_subtraction=use_subtraction,
+        )
+        model = trainer.fit(covtype_small.X, covtype_small.y)
+        assert model_digest(model) == "f663cc86f34e"
+        assert (trainer.comm_bytes(), trainer.comm_steps()) == self.PINNED_COMM[
+            backend, use_subtraction
+        ]

@@ -42,6 +42,10 @@ FUZZ = settings(
 
 
 # ------------------------------------------------------------- kernel level
+def _outs(shape):
+    return tuple(np.empty(shape, dtype=np.int64) for _ in range(3))
+
+
 class TestSubtractKernel:
     def test_parent_minus_child_is_sibling(self):
         rng = np.random.default_rng(0)
@@ -50,7 +54,8 @@ class TestSubtractKernel:
         cl = rng.integers(0, 50, size=(4, 17), dtype=np.int64)
         cr = rng.integers(0, 50, size=(4, 17), dtype=np.int64)
         sib = subtract_child_histogram(
-            left + right, left * 2 + right * 2, cl + cr, left, left * 2, cl
+            left + right, left * 2 + right * 2, cl + cr, left, left * 2, cl,
+            out=_outs((4, 17)),
         )
         np.testing.assert_array_equal(sib[0], right)
         np.testing.assert_array_equal(sib[1], right * 2)
@@ -71,7 +76,9 @@ class TestSubtractKernel:
         parent = np.zeros((1, 4), dtype=np.int64)
         child = np.ones((1, 4), dtype=np.int64)
         with pytest.raises(ValueError, match="negative sibling count"):
-            subtract_child_histogram(parent, parent, parent, child, child, child)
+            subtract_child_histogram(
+                parent, parent, parent, child, child, child, out=_outs((1, 4))
+            )
 
     @given(
         st.integers(1, 6),  # sibling pairs
@@ -88,7 +95,7 @@ class TestSubtractKernel:
         lc = rng.integers(0, 1000, size=(pairs, bins), dtype=np.int64)
         rc = rng.integers(0, 1000, size=(pairs, bins), dtype=np.int64)
         sib = subtract_child_histogram(
-            lgq + rgq, rgq + lgq, lc + rc, lgq, rgq, lc
+            lgq + rgq, rgq + lgq, lc + rc, lgq, rgq, lc, out=_outs((pairs, bins))
         )
         np.testing.assert_array_equal(sib[0], rgq)
         np.testing.assert_array_equal(sib[1], lgq)
@@ -122,34 +129,32 @@ class _OracleTrainer(HistogramGBDTTrainer):
 
     The entry pass that routes a level's rows also builds the next batch's
     tables, so the reference is taken there -- from the pass's own output
-    rows, over every batch local -- and checked when the batch is scored.
+    rows, over every batch local, into fresh zeroed tables -- and checked
+    against the level tables once the batch is scored.
     """
 
     levels_checked = 0
     levels_subtracted = 0
 
     def _route_and_accumulate(
-        self, gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
-        route=None, batch_of=None, build_locals=None,
+        self, gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, route=None, batch=None,
     ):
-        inst2local, built = super()._route_and_accumulate(
-            gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, total_bins,
-            route=route, batch_of=batch_of, build_locals=build_locals,
+        inst2local = super()._route_and_accumulate(
+            gq, hq, ent_inst, ent_gbin, ent_attr, inst2local, route=route, batch=batch,
         )
-        if batch_of is not None:
+        if batch is not None:
+            batch_of, tables, _ = batch
             inst2batch = np.append(batch_of, -1)[inst2local]
-            self._ref = accumulate_histograms(
-                gq, hq, ent_inst, ent_gbin, inst2batch,
-                int(batch_of.max()) + 1, total_bins,
-            )[:3]
-        return inst2local, built
+            self._ref = tuple(np.zeros_like(t) for t in tables)
+            accumulate_histograms(gq, hq, ent_inst, ent_gbin, inst2batch, self._ref)
+        return inst2local
 
     def _find_splits(
-        self, built, shift, bin_offset, node_gq, node_hq, node_n,
+        self, tables, build_locals, shift, bin_offset, node_gq, node_hq, node_n,
         parent=None, depth=0,
     ):
-        results, tables = super()._find_splits(
-            built, shift, bin_offset, node_gq, node_hq, node_n,
+        results = super()._find_splits(
+            tables, build_locals, shift, bin_offset, node_gq, node_hq, node_n,
             parent=parent, depth=depth,
         )
         for got, want in zip(tables, self._ref):
@@ -158,7 +163,7 @@ class _OracleTrainer(HistogramGBDTTrainer):
         self.levels_checked += 1
         if parent is not None:
             self.levels_subtracted += 1
-        return results, tables
+        return results
 
 
 def test_every_level_matches_independent_full_build():

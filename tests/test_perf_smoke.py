@@ -11,6 +11,9 @@ Two kinds of gate read ``results/perf_baseline.json``:
   budgets on the ``smoke`` and ``medium`` workloads.  These can be skipped
   on constrained or shared machines with ``REPRO_SKIP_PERF=1``.
 
+The histogram trainer's allocation gate (always on) needs no baseline:
+its bound is derived from the data's bin count.
+
 ``docs/performance.md`` documents how to refresh the baseline after an
 intentional change.
 """
@@ -24,8 +27,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import GBDTParams
+from repro.approx.histogram_trainer import HistogramGBDTTrainer
 from repro.bench.hotpath import HOTPATH_WORKLOADS, make_hotpath_data, run_workload
 from repro.core.trainer import GPUGBDTTrainer
+from repro.data import make_dataset
 
 wall_clock = pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_PERF") == "1",
@@ -49,11 +55,9 @@ def test_baseline_document_shape(baseline):
     assert medium["arena_reserved_bytes"] > 0 and medium["warm_fit_peak_bytes"] > 0
 
 
-def test_medium_warm_refit_allocation_gate(baseline):
-    """A second fit on the same trainer reuses the first fit's arena."""
-    spec = HOTPATH_WORKLOADS["medium"]
-    X, y = make_hotpath_data(spec.n_rows, spec.n_cols)
-    trainer = GPUGBDTTrainer(spec.params())
+def _warm_refit(trainer, X, y):
+    """Fit twice; the second fit's ``tracemalloc`` peak above its start and
+    the arena allocations and grows it made.  Asserts the models agree."""
     cold = trainer.fit(X, y).to_json()
     ws = trainer.workspace
     allocs, grows = ws.n_allocs, ws.n_grows
@@ -71,7 +75,18 @@ def test_medium_warm_refit_allocation_gate(baseline):
             tracemalloc.stop()
 
     assert warm == cold
-    assert (ws.n_allocs - allocs, ws.n_grows - grows) == (0, 0)
+    return peak, (ws.n_allocs - allocs, ws.n_grows - grows)
+
+
+def test_medium_warm_refit_allocation_gate(baseline):
+    """A second fit on the same trainer reuses the first fit's arena."""
+    spec = HOTPATH_WORKLOADS["medium"]
+    X, y = make_hotpath_data(spec.n_rows, spec.n_cols)
+    trainer = GPUGBDTTrainer(spec.params())
+    peak, new_allocs = _warm_refit(trainer, X, y)
+    ws = trainer.workspace
+
+    assert new_allocs == (0, 0)
     pinned = baseline["workloads"]["medium"]
     assert ws.reserved_bytes == pinned["arena_reserved_bytes"], (
         f"arena holds {ws.reserved_bytes} B after a medium fit, pinned "
@@ -81,6 +96,33 @@ def test_medium_warm_refit_allocation_gate(baseline):
     assert peak <= budget, (
         f"warm medium refit peaked at {peak} B, budget {budget:.0f} B "
         f"(pinned {pinned['warm_fit_peak_bytes']} B; docs/performance.md)"
+    )
+
+
+#: the histogram refit's transient peak, in units of one node's level
+#: tables (3 int64 tables of ``total_bins`` cells).  The level tables are
+#: arena buffers, so what a refit allocates is the split scan's chunk
+#: temporaries (bounded by ``histops._SCAN_CELLS``, not by the level's
+#: width) and per-pass entry arrays: 10.3 units here.  Dense per-level
+#: accumulation and sibling tables built outside the arena peak at 18.9
+#: (26.9 without subtraction).
+HIST_PEAK_NODE_TABLES = 12
+
+
+@pytest.mark.parametrize("use_subtraction", [True, False], ids=["sub", "nosub"])
+def test_hist_warm_refit_allocation_gate(use_subtraction):
+    """A histogram refit builds every level inside the arena's level tables."""
+    ds = make_dataset("e2006", run_rows=3000, seed=1)
+    trainer = HistogramGBDTTrainer(
+        GBDTParams(n_trees=2, max_depth=6), use_subtraction=use_subtraction
+    )
+    peak, new_allocs = _warm_refit(trainer, ds.X, ds.y)
+    assert new_allocs == (0, 0)
+    node_tables = 3 * int(trainer.bins_.bin_offset[-1]) * 8
+    budget = HIST_PEAK_NODE_TABLES * node_tables
+    assert peak <= budget, (
+        f"warm histogram refit peaked at {peak} B = {peak / node_tables:.1f} "
+        f"node table sets, budget {HIST_PEAK_NODE_TABLES}"
     )
 
 

@@ -76,6 +76,22 @@ class TestEnvelope:
         want = np.repeat([0, 2, 3], [4, 5, 6])
         np.testing.assert_array_equal(attrs, want)
 
+    @pytest.mark.parametrize("n", [0, 1, 200], ids=["empty", "one", "many"])
+    @pytest.mark.parametrize("use_rle", [True, False], ids=["rle", "dense"])
+    def test_entries_match_per_entry_attr_lookup(self, use_rle, n):
+        bin_offset = np.array([0, 4, 4, 9, 15], dtype=np.int64)  # empty attr 1
+        rng = np.random.default_rng(n)
+        gbin = np.sort(rng.integers(0, 15, n)).astype(np.int64)
+        inst = rng.permutation(n).astype(np.int64)
+        blk = ColumnBlock.build(0, 0, n, inst, gbin, use_rle=use_rle)
+        assert blk.is_rle == use_rle
+        got_inst, got_gbin, got_attr = blk.entries(bin_offset)
+        np.testing.assert_array_equal(got_inst, inst)
+        np.testing.assert_array_equal(got_gbin, gbin)
+        want = attrs_from_gbin(gbin, bin_offset)
+        assert got_attr.dtype == want.dtype
+        np.testing.assert_array_equal(got_attr, want)
+
     @pytest.mark.parametrize(
         "damage",
         [
