@@ -419,6 +419,7 @@ class HistogramGBDTTrainer(BoostingDriver):
         )
         return scan_histograms(
             *tables, node_gq, node_hq, node_n, bin_offset, shift, p.lambda_,
+            workspace=self.workspace,
         )
 
     # -------------------------------------------------- distribution hooks

@@ -54,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.split import eq2_gain, quantize_gain
+from ..core.workspace import WorkspaceArena
 from .fixedpoint import inv_scale
 
 __all__ = [
@@ -185,6 +186,8 @@ def scan_histograms(
     bin_offset: np.ndarray,
     shift: int,
     lambda_: float,
+    *,
+    workspace: WorkspaceArena | None = None,
 ):
     """Best split per node from global histogram tables, one pass per level.
 
@@ -213,8 +216,11 @@ def scan_histograms(
     ``attr = cut = -1``.  Rows go in chunks of at most ``_SCAN_CELLS``
     candidates (a single row may exceed it), found from occupancy masks of
     at most ``4 * _SCAN_CELLS`` bytes, so temporaries do not grow with
-    ``n_active``.  Floats appear only at the gain evaluation, so any two
-    callers holding the same tables compute bit-identical results.
+    ``n_active``.  The candidate gain buffers are views into ``workspace``
+    (a fresh :class:`~repro.core.workspace.WorkspaceArena` when omitted),
+    so a trainer's refit reuses them.  Floats appear only at the gain
+    evaluation, so any two callers holding the same tables compute
+    bit-identical results.
 
     Returns ``(best_gain, best_attr, best_cut, best_dir, best_lgq,
     best_lhq, best_ln)`` -- left-child statistics stay in fixed point so the
@@ -300,9 +306,12 @@ def scan_histograms(
 
     # candidate buffers for eq2_gain's bit-identical allocation-free path; a
     # chunk holds at most _SCAN_CELLS candidates unless it is a single row
+    ws = workspace if workspace is not None else WorkspaceArena()
     size = min(n_active * total_bins, max(_SCAN_CELLS, total_bins))
-    buf_mr, buf_ml, s1, s2 = (np.empty(size) for _ in range(4))
-    f32 = np.empty(size, dtype=np.float32)
+    buf_mr, buf_ml, s1, s2 = (
+        ws.buf(f"scan/{k}", size, np.float64) for k in ("mr", "ml", "s1", "s2")
+    )
+    f32 = ws.buf("scan/f32", size, np.float32)
     # occupancy masks take one byte per cell: a block of 4 * _SCAN_CELLS
     # cells costs half of one int64 candidate array
     block = max(1, 4 * _SCAN_CELLS // max(total_bins, 1))

@@ -691,6 +691,19 @@ class ServingBenchResult:
     n_requests: int
     n_trees: int
 
+    def invariants(self) -> Dict[str, bool]:
+        """What every run must show: micro-batching beats per-request
+        serving tenfold, the flat sweep never loses badly to the per-tree
+        loop, everything served matches the per-tree loop, the device was
+        charged, and no request was turned away."""
+        return {
+            "speedup_vs_per_request_at_least_10": self.speedup_vs_per_request >= 10.0,
+            "speedup_batch_vs_loop_above_0.8": self.speedup_batch_vs_loop > 0.8,
+            "max_abs_dev_below_1e-6": self.max_abs_dev < 1e-6,
+            "modeled_gpu_seconds_positive": self.modeled_gpu_seconds > 0.0,
+            "none_rejected": self.metrics["rejected"] == 0,
+        }
+
     def payload(self) -> Dict:
         """Structured run-store payload (stable ``flatten_metrics`` paths:
         rows are keyed by ``name``, so reordering never renames a metric)."""
@@ -705,6 +718,7 @@ class ServingBenchResult:
                 "max_abs_dev": self.max_abs_dev,
                 "modeled_gpu_seconds": self.modeled_gpu_seconds,
             },
+            "invariants": self.invariants(),
         }
 
     @property
@@ -725,8 +739,7 @@ class ServingBenchResult:
         return table + (
             f"\nbatched path: p50={m['p50_ms']:.3g} ms  p95={m['p95_ms']:.3g} ms  "
             f"p99={m['p99_ms']:.3g} ms (queue wait, simulated arrivals)"
-            f"\ncache: {int(m['cache_hits'])} hits / {int(m['cache_misses'])} misses "
-            f"({m['cache_hit_rate']:.1%}); shed={int(m['shed'])} rejected={int(m['rejected'])}"
+            f"\nshed={int(m['shed'])} rejected={int(m['rejected'])}"
             f"\nspeedup: micro-batched vs per-request loop {self.speedup_vs_per_request:.1f}x; "
             f"flat batch vs per-tree loop on one full batch {self.speedup_batch_vs_loop:.2f}x"
             f"\nmax |flat - per-tree| deviation {self.max_abs_dev:.3g}; "
@@ -746,8 +759,7 @@ def run_serving_bench(quick: bool = False) -> ServingBenchResult:
        the whole stream as a single matrix;
     3. **micro-batched** -- the :class:`~repro.serve.MicroBatcher` fed
        request by request (simulated arrival clock, real prediction work),
-       with a prediction cache and a simulated device charging the
-       Section III-D kernels.
+       with a simulated device charging the Section III-D kernels.
     """
     import time as _time
 
@@ -765,10 +777,6 @@ def run_serving_bench(quick: bool = False) -> ServingBenchResult:
 
     rng = np.random.default_rng(33)
     requests = rng.normal(size=(n_requests, ds.X.n_cols))
-    # ~10% of requests repeat a recently seen feature vector (cache food:
-    # close enough behind to still be resident in the LRU)
-    for i in rng.integers(1, n_requests, size=n_requests // 10):
-        requests[i] = requests[i - min(i, int(rng.integers(1, 400)))]
 
     # -- path 1: per-request per-tree loop, sampled ------------------------
     sample = min(n_requests, 100 if quick else 300)
@@ -794,9 +802,7 @@ def run_serving_bench(quick: bool = False) -> ServingBenchResult:
 
     # -- path 3: micro-batched serving of the stream -----------------------
     arrival_gap = 20e-6  # simulated 50k req/s arrival process
-    policy = BatchPolicy(
-        max_batch=256, max_wait=0.002, max_queue=4096, cache_size=1024
-    )
+    policy = BatchPolicy(max_batch=256, max_wait=0.002, max_queue=4096)
     device = GpuDevice()
     batcher = MicroBatcher(registry, policy=policy, device=device)
     now = 0.0
@@ -825,17 +831,9 @@ def run_serving_bench(quick: bool = False) -> ServingBenchResult:
         row("flat ensemble, one batch", flat_batch_s),
         row("micro-batched (serve path)", batched_s),
     ]
-    # cache accounting moved onto the batcher's FeatureCache (obs-labelled);
-    # merge it back into the summary the bench reports and asserts on
-    metrics = batcher.stats.summary(duration=batched_s)
-    metrics.update(
-        cache_hits=batcher.cache.hits,
-        cache_misses=batcher.cache.misses,
-        cache_hit_rate=batcher.cache.hit_rate,
-    )
     return ServingBenchResult(
         rows=rows,
-        metrics=metrics,
+        metrics=batcher.stats.summary(duration=batched_s),
         speedup_vs_per_request=per_request_s * n_requests / batched_s,
         speedup_batch_vs_loop=loop_batch_s / flat_batch_s,
         max_abs_dev=max_abs_dev,

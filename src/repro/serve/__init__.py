@@ -9,16 +9,12 @@ has to answer prediction requests as fast as the host allows:
     contiguous NumPy arrays, so a whole batch is routed through *all* trees
     with one level-wise sweep (the layout Mitchell et al. use for GPU
     prediction, applied host-side).
-``batch_core``
-    :class:`BatchQueue` -- the transport-agnostic batching kernel: bounded
-    FIFO + first-request-anchored max-wait deadline, no model/clock/thread
-    policy baked in.
 ``batcher``
-    :class:`MicroBatcher` -- the transport binding the core to a model,
-    metrics, and an overload story (shed to a per-row fallback or reject).
-``feature_cache``
-    :class:`FeatureCache` -- version-keyed LRU prediction cache whose
-    hit/miss/eviction counters land on the shared obs registry.
+    :class:`MicroBatcher` -- one bounded, locked request queue with a
+    first-request-anchored max-wait deadline, bound to a model source,
+    metrics and an overload story (shed to a per-row fallback or reject).
+    ``submit`` refuses rows too narrow for the active model, so one bad
+    request never fails a batch.
 ``registry``
     :class:`ModelRegistry` -- content-addressed model versions layered on the
     ``to_json``/``from_json`` round-trip, with hot swap and rollback.
@@ -27,17 +23,13 @@ has to answer prediction requests as fast as the host allows:
     counters, JSON-safe for the regression harness.
 """
 
-from .batch_core import BatchQueue
 from .batcher import BatchPolicy, MicroBatcher, PendingPrediction, QueueFull
-from .feature_cache import FeatureCache
 from .flat_model import FlatEnsemble
 from .registry import ModelRegistry, ModelVersion
 from .stats import ServingStats
 
 __all__ = [
     "BatchPolicy",
-    "BatchQueue",
-    "FeatureCache",
     "FlatEnsemble",
     "MicroBatcher",
     "ModelRegistry",

@@ -1,19 +1,26 @@
-"""Micro-batching request transport over the pure :class:`BatchQueue` core.
+"""Micro-batching request transport for the flattened ensemble.
 
 Single-row prediction requests are expensive to serve one by one (every call
 pays the full per-tree dispatch overhead); batches amortize it.  The
-:class:`MicroBatcher` accumulates requests in a bounded
-:class:`~repro.serve.batch_core.BatchQueue` and flushes a batch through the
+:class:`MicroBatcher` keeps a bounded, locked FIFO of
+``(row, t_enqueue, handle)`` triples and flushes a batch through the
 :class:`~repro.serve.flat_model.FlatEnsemble` when either
 
 * ``max_batch`` requests are waiting, or
-* the oldest request has waited ``max_wait`` seconds (the deadline is
-  anchored to the *first* queued request -- late arrivals join the batch
-  but never extend the wait; see :mod:`repro.serve.batch_core`).
+* the oldest request has waited ``max_wait`` seconds.
 
-The queue/deadline policy lives in the core; this class is the *transport*
-binding it to a model, a clock, metrics, and an overload story.  Flushing is
-decomposed into two steps so any serving loop can drive it:
+The max-wait deadline is anchored to the **first** queued request: a late
+arrival joins the flush but never extends the wait of the requests already
+queued.  No per-push deadline is stored -- it is derived from the head's
+enqueue time -- so the anchor cannot drift under a steady trickle of
+arrivals (``test_late_arrival_does_not_extend_deadline`` pins it).
+
+``submit`` is the input boundary: a row narrower than the active ensemble's
+``n_features`` raises ``FlatEnsemble.predict``'s ``ValueError`` and is never
+queued, so one malformed request cannot fail the flush it would have joined.
+Wider rows serve; a batch mixing widths keeps the columns all its rows have.
+
+Flushing is decomposed into two steps so any serving loop can drive it:
 
 ``take_ready(now)``
     pop one due batch (or None) -- pure scheduling, no prediction work;
@@ -33,31 +40,27 @@ the batcher degrades gracefully instead of growing without bound:
   scalar per-row fallback (higher unit cost, zero queue wait, never lost);
 * ``overload="reject"`` applies backpressure by raising :class:`QueueFull`.
 
-An optional :class:`~repro.serve.feature_cache.FeatureCache` short-circuits
-repeated feature vectors; it is keyed to the active model version,
-invalidated on hot swap, and its hit/miss/eviction counters land on the
-shared :mod:`repro.obs` registry.  A simulated
-:class:`~repro.gpusim.kernel.GpuDevice` may ride along: every completed
-batch is charged through the Section III-D prediction-kernel cost model.
-
-The clock is injectable (``clock=`` or explicit ``now=`` arguments), so
-batching policy is testable with a simulated clock and usable with
-``time.monotonic`` in a real loop.
+A simulated :class:`~repro.gpusim.kernel.GpuDevice` may ride along: every
+completed batch is charged through the Section III-D prediction-kernel cost
+model.  The clock is injectable (``clock=`` or explicit ``now=`` arguments),
+so batching policy is testable with a simulated clock and usable with
+``time.monotonic`` in a real loop.  The queue is locked, so many producers
+may ``submit`` while one consumer polls.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.predictor import charge_prediction_kernels
 from ..gpusim.kernel import GpuDevice
 from ..obs import span
-from .batch_core import BatchQueue
-from .feature_cache import FeatureCache
 from .flat_model import FlatEnsemble
 from .registry import DEFAULT_NAME, ModelRegistry
 from .stats import ServingStats
@@ -82,31 +85,28 @@ class BatchPolicy:
     max_wait: float = 0.002
     #: bounded queue depth; submissions beyond it degrade or reject
     max_queue: int = 2048
-    #: feature-hash prediction cache entries (0 disables the cache)
-    cache_size: int = 0
     #: "degrade" (serve overflow per-row immediately) or "reject" (QueueFull)
     overload: str = "degrade"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1 or self.max_queue < 1:
             raise ValueError("max_batch and max_queue must be positive")
-        if self.max_wait < 0 or self.cache_size < 0:
-            raise ValueError("max_wait and cache_size must be non-negative")
+        if self.max_wait < 0:
+            raise ValueError("max_wait must be non-negative")
         if self.overload not in ("degrade", "reject"):
             raise ValueError(f"unknown overload policy {self.overload!r}")
 
 
 class PendingPrediction:
     """Handle returned by :meth:`MicroBatcher.submit`; resolved exactly once
-    when its batch completes (or immediately: cache hit / degraded path)."""
+    when its batch completes (or immediately on the degraded path)."""
 
-    __slots__ = ("done", "value", "version", "cache_hit", "degraded", "t_done")
+    __slots__ = ("done", "value", "version", "degraded", "t_done")
 
     def __init__(self) -> None:
         self.done = False
         self.value: float | None = None
         self.version: str | None = None
-        self.cache_hit = False
         self.degraded = False
         #: completion time on the batcher's clock (None until resolved)
         self.t_done: float | None = None
@@ -137,9 +137,7 @@ class MicroBatcher:
         -- so a hot swap takes effect on the *next* batch, and every request
         within one batch is served by a single consistent version.
     policy:
-        Flush/overload/caching policy.
-    stats:
-        Metrics sink (a fresh :class:`ServingStats` when omitted).
+        Flush/overload policy.
     device:
         Optional simulated GPU; each completed batch charges the prediction
         kernels so modeled serving cost accumulates in its ledger.
@@ -154,7 +152,6 @@ class MicroBatcher:
         *,
         model_name: str = DEFAULT_NAME,
         policy: BatchPolicy | None = None,
-        stats: ServingStats | None = None,
         device: GpuDevice | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -163,26 +160,20 @@ class MicroBatcher:
         self._source = source
         self._model_name = model_name
         self.policy = policy if policy is not None else BatchPolicy()
-        self.stats = stats if stats is not None else ServingStats()
+        self.stats = ServingStats()
         self.device = device
         self._clock = clock
-        self.queue = BatchQueue(
-            max_batch=self.policy.max_batch,
-            max_wait=self.policy.max_wait,
-            max_queue=self.policy.max_queue,
-        )
-        self.cache = FeatureCache(self.policy.cache_size)
+        self._lock = threading.Lock()
+        #: queued ``(row, t_enqueue, handle)`` triples, oldest first
+        self.queue: Deque[Tuple[np.ndarray, float, PendingPrediction]] = deque()
 
     # -------------------------------------------------------------- resolving
     def _resolve(self) -> Tuple[FlatEnsemble, Optional[str]]:
-        """Active ensemble + version id; drops the cache on version change."""
+        """Active ensemble + version id."""
         if isinstance(self._source, ModelRegistry):
             active = self._source.active(self._model_name)
-            flat, version = active.flat, active.version
-        else:
-            flat, version = self._source, None
-        self.cache.sync_version(version)
-        return flat, version
+            return active.flat, active.version
+        return self._source, None
 
     @property
     def queue_depth(self) -> int:
@@ -192,33 +183,27 @@ class MicroBatcher:
     def submit(self, row: np.ndarray, now: float | None = None) -> PendingPrediction:
         """Enqueue one feature vector; returns its result handle.
 
-        Completes immediately on a cache hit or (under overload) through the
-        degraded per-row path; otherwise the handle resolves at the flush
-        that includes it.
+        Raises ``ValueError`` (queueing nothing) when the row has fewer
+        entries than the active ensemble tests.  Under overload the handle
+        completes immediately through the degraded per-row path; otherwise
+        it resolves at the flush that includes it.
         """
         now = self._clock() if now is None else now
         self.stats.note_time(now)
         row = np.asarray(row, dtype=np.float64).reshape(-1)
-
-        if self.cache.enabled:
-            flat, version = self._resolve()
-            cached = self.cache.lookup(row.tobytes(), version)
-            if cached is not None:
-                handle = PendingPrediction()
-                handle.cache_hit = True
-                handle._resolve(cached, version, now)
-                self.stats.record_request(0.0)
-                return handle
+        self._resolve()[0].check_width(row.size)
 
         handle = PendingPrediction()
-        if not self.queue.push((row, handle), now):
-            if self.policy.overload == "reject":
-                self.stats.record_reject()
-                raise QueueFull(
-                    f"queue at max_queue={self.policy.max_queue}; request rejected"
-                )
-            return self.shed(row, now, handle)
-        return handle
+        with self._lock:
+            queued = len(self.queue) < self.policy.max_queue
+            if queued:
+                self.queue.append((row, now, handle))
+        if queued:
+            return handle
+        if self.policy.overload == "reject":
+            self.stats.record_reject()
+            raise QueueFull(f"queue at max_queue={self.policy.max_queue}; request rejected")
+        return self.shed(row, now, handle)
 
     def shed(
         self, row: np.ndarray, now: float, handle: PendingPrediction
@@ -237,14 +222,24 @@ class MicroBatcher:
         """Pop one due batch (max-batch reached or max-wait expired); None
         when nothing is due.  Pure scheduling -- no prediction work."""
         now = self._clock() if now is None else now
-        taken = self.queue.take_ready(now)
-        if taken is None:
-            return None
-        return [(row, t_enq, handle) for (row, handle), t_enq in taken]
+        with self._lock:
+            if not self.queue:
+                return None
+            if (
+                len(self.queue) < self.policy.max_batch
+                and now - self.queue[0][1] < self.policy.max_wait
+            ):
+                return None
+            return self._pop_locked()
 
     def take(self) -> Batch:
         """Pop up to one batch unconditionally (drain paths)."""
-        return [(row, t_enq, handle) for (row, handle), t_enq in self.queue.take()]
+        with self._lock:
+            return self._pop_locked()
+
+    def _pop_locked(self) -> Batch:
+        n = min(len(self.queue), self.policy.max_batch)
+        return [self.queue.popleft() for _ in range(n)]
 
     def complete(self, batch: Batch, now: float | None = None) -> int:
         """Predict ``batch`` and resolve its handles at time ``now``.
@@ -258,7 +253,11 @@ class MicroBatcher:
             return 0
         now = self._clock() if now is None else now
         with span("serve_flush", batch=len(batch), queued=len(self.queue)):
-            rows = np.stack([row for row, _, _ in batch])
+            try:
+                rows = np.stack([row for row, _, _ in batch])
+            except ValueError:  # rows of different widths: keep the shared columns
+                width = min(row.size for row, _, _ in batch)
+                rows = np.stack([row[:width] for row, _, _ in batch])
             flat, version = self._resolve()
             values = flat.predict(rows)
             if self.device is not None:
@@ -270,10 +269,9 @@ class MicroBatcher:
                 )
             self.stats.note_time(now)
             self.stats.record_batch(len(batch))
-            for (row, t_enq, handle), value in zip(batch, values):
+            for (_, t_enq, handle), value in zip(batch, values):
                 handle._resolve(value, version, now)
                 self.stats.record_request(max(0.0, now - t_enq))
-                self.cache.store(row.tobytes(), float(value))
         return len(batch)
 
     def poll(self, now: float | None = None) -> int:
@@ -291,6 +289,6 @@ class MicroBatcher:
         """Flush everything still queued (shutdown / end of bench)."""
         now = self._clock() if now is None else now
         flushed = 0
-        while len(self.queue):
+        while self.queue:
             flushed += self.complete(self.take(), now)
         return flushed

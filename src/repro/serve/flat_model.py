@@ -224,11 +224,7 @@ class FlatEnsemble:
         """
         dense = _as_dense(X)
         n = dense.shape[0]
-        if self.n_features and dense.shape[1] < self.n_features:
-            raise ValueError(
-                f"input has {dense.shape[1]} features, ensemble tests up to "
-                f"{self.n_features}"
-            )
+        self.check_width(dense.shape[1])
         out = np.full(n, self.base_score, dtype=np.float64)
         if n == 0 or self.n_trees == 0:
             return out
@@ -238,6 +234,14 @@ class FlatEnsemble:
                 hi = min(n, lo + chunk)
                 out[lo:hi] += self._route_block(dense[lo:hi])
         return out
+
+    def check_width(self, n_cols: int) -> None:
+        """Raise ``ValueError`` when rows of ``n_cols`` entries are too
+        narrow for the attributes this ensemble tests."""
+        if n_cols < self.n_features:
+            raise ValueError(
+                f"input has {n_cols} features, ensemble tests up to {self.n_features}"
+            )
 
     def _route_block(self, dense: np.ndarray) -> np.ndarray:
         """Sum of leaf values over all trees for one row block (no base)."""
@@ -292,18 +296,6 @@ class FlatEnsemble:
                 nid = int(left[nid]) + (not go_left)
             total += float(value[nid])
         return total
-
-    def predict_row(self, cols: np.ndarray, vals: np.ndarray) -> float:
-        """Single sparse row (``cols`` sorted ascending; absent = missing)."""
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        # entries beyond the last tested attribute can't affect routing but
-        # must not crash the scatter
-        width = max(self.n_features, int(cols[-1]) + 1 if cols.size else 0)
-        row = np.full(width, np.nan)
-        if cols.size:
-            row[cols] = vals
-        return self.predict_one(row)
 
 
 def _pack_tree(tree: "DecisionTree", *, offset: int) -> dict[str, np.ndarray]:

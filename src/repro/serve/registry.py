@@ -65,7 +65,10 @@ class ModelRegistry:
         Re-publishing identical content is a no-op apart from (optionally)
         activating the existing version.  Raises ``ValueError``, registering
         and activating nothing, when the model's base score or any leaf
-        value is non-finite: such a model cannot predict anything right.
+        value is non-finite, or a split threshold is NaN or ``+inf`` (then
+        ``x > thr`` never holds and no present value goes left): such a
+        model cannot predict anything right.  ``-inf`` stays legal, the
+        exact boundary cut below the smallest finite value.
         """
         with span("registry_publish", model=name):
             payload = canonical_model_payload(model)
@@ -78,6 +81,12 @@ class ModelRegistry:
                         raise ValueError(
                             f"refusing to publish model {name!r}: non-finite "
                             "base score or leaf value"
+                        )
+                    thr = flat.threshold[flat.step == 1]
+                    if np.isnan(thr).any() or (thr == np.inf).any():
+                        raise ValueError(
+                            f"refusing to publish model {name!r}: non-finite "
+                            "split threshold (NaN or +inf)"
                         )
                     self._seq += 1
                     self._versions.setdefault(name, {})[version] = ModelVersion(

