@@ -9,7 +9,7 @@ from typing import List
 
 import numpy as np
 
-from ..data.matrix import CSRMatrix, DenseMatrix
+from ..data.matrix import CSRMatrix, DenseMatrix, dense_rows
 from .params import GBDTParams
 from .tree import DecisionTree, trees_equal
 
@@ -22,26 +22,9 @@ __all__ = [
 ]
 
 
-def _dense_rows(
-    X: CSRMatrix | DenseMatrix | np.ndarray, trees: List[DecisionTree]
-) -> np.ndarray:
-    """Rows to predict as a dense float64 array (absent CSR entries: NaN).
-
-    Raises the same ``ValueError`` as :meth:`FlatEnsemble.predict` when
-    ``X`` has fewer columns than ``trees`` test.
-    """
-    if isinstance(X, CSRMatrix):
-        dense = X.to_dense(fill=np.nan).values
-    elif isinstance(X, DenseMatrix):
-        dense = X.values
-    else:
-        dense = np.asarray(X, dtype=np.float64)
-    need = max((max(t.attr, default=-1) for t in trees), default=-1) + 1
-    if dense.shape[1] < need:
-        raise ValueError(
-            f"input has {dense.shape[1]} features, ensemble tests up to {need}"
-        )
-    return dense
+def _dense_rows(X: CSRMatrix | DenseMatrix | np.ndarray, trees: List[DecisionTree]) -> np.ndarray:
+    """Rows to predict with ``trees`` (:func:`~repro.data.matrix.dense_rows`)."""
+    return dense_rows(X, max((max(t.attr, default=-1) for t in trees), default=-1) + 1)
 
 
 @dataclasses.dataclass

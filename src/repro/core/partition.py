@@ -23,15 +23,16 @@ exceeds the counter budget, the kernel must process the data in multiple
 passes (re-reading its input each time), which is how the ablation's
 slowdown arises without aborting the run.
 
-The *functional* scatter itself is
-:func:`repro.gpusim.primitives.two_way_partition` generalized to an
-arbitrary old-segment -> new-segment mapping (:func:`partition_segments`),
-so the trainer can keep the new layout node-major.
+On the host, :func:`split_sides` reads the sides once into ascending lists
+of left-going and right-going elements; :func:`partition_segments` counts
+each (old segment, side) group by ``searchsorted`` of those lists and
+returns the gather permutation of the new, node-major layout -- no sort.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,8 @@ from ..obs import traced
 from .workspace import IDX_DTYPE, WorkspaceArena
 
 __all__ = [
-    "PartitionPlan", "plan_partition", "partition_segments", "check_segment_maps",
-    "COUNTER_BYTES",
+    "PartitionPlan", "plan_partition", "SideLists", "split_sides",
+    "partition_segments", "check_segment_maps", "COUNTER_BYTES",
 ]
 
 #: bytes per histogram counter (a 32-bit count)
@@ -112,29 +113,99 @@ def plan_partition(
     )
 
 
+class SideLists(NamedTuple):
+    """Ascending indices of the left-going elements, then of the
+    right-going ones; elements in neither list are dropped."""
+
+    idx: np.ndarray
+    n_left: int
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.idx[: self.n_left]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.idx[self.n_left :]
+
+    def checked(self, n: int) -> "SideLists":
+        """Validated over ``n`` elements (each list assumed ascending)."""
+        sides = SideLists(np.asarray(self.idx, dtype=IDX_DTYPE), int(self.n_left))
+        if not 0 <= sides.n_left <= sides.idx.size <= n or any(
+            part.size and (part[0] < 0 or part[-1] >= n) for part in (sides.left, sides.right)
+        ):
+            raise ValueError("side lists must index at most n elements in [0, n)")
+        return sides
+
+
+def split_sides(side: np.ndarray, workspace: WorkspaceArena | None = None) -> SideLists:
+    """Per-element sides (``0`` left, ``1`` right, else dropped) read once
+    into :class:`SideLists`."""
+    ws = workspace if workspace is not None else WorkspaceArena()
+    side = np.asarray(side, dtype=np.int8)
+    n = side.size
+    # both masks end to end: one flatnonzero, faster than two plus a copy
+    mask = ws.buf("sides/mask", 2 * n, bool)
+    np.equal(side, 0, out=mask[:n])
+    np.equal(side, 1, out=mask[n:])
+    idx = np.flatnonzero(mask).astype(IDX_DTYPE, copy=False)
+    n_left = int(np.searchsorted(idx, n))
+    idx[n_left:] -= n
+    return SideLists(idx, n_left)
+
+
 def check_segment_maps(
     left_seg: np.ndarray, right_seg: np.ndarray, n_old: int, n_new: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate old-segment -> new-segment maps; returns them as int64.
 
     Each map needs one entry per old segment, and every target must be
-    ``-1`` (side dropped) or below ``n_new``.
+    ``-1`` (side dropped) or below ``n_new``.  The maps must be injective:
+    a new segment receives at most one (old segment, side) group.
     """
     left_seg = np.asarray(left_seg, dtype=IDX_DTYPE)
     right_seg = np.asarray(right_seg, dtype=IDX_DTYPE)
     if left_seg.size != n_old or right_seg.size != n_old:
         raise ValueError("segment maps must have one entry per old segment")
-    for m in (left_seg, right_seg):
-        if m.size and m.max() >= n_new:
-            raise ValueError("segment map points past n_new_segments")
+    targets = np.concatenate((left_seg, right_seg))
+    if targets.size and (targets.max() >= n_new or targets.min() < -1):
+        raise ValueError("segment map points past n_new_segments")
+    targets = targets[targets >= 0]
+    if targets.size and np.bincount(targets).max() > 1:
+        raise ValueError("segment maps send two groups to one new segment")
     return left_seg, right_seg
+
+
+def _group_gather(
+    offsets: np.ndarray, sides: SideLists, left_seg: np.ndarray, right_seg: np.ndarray,
+    n_new: int, ws: WorkspaceArena,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(pos, new_offsets)``: new position ``i`` holds ``sides.idx[pos[i]]``.
+
+    Segment ``s``'s left group is ``idx[lcut[s]:lcut[s + 1]]`` with
+    ``lcut = searchsorted(left list, offsets)`` (right likewise), so group
+    sizes and starts need no pass over the elements; new segment ``j``
+    takes the one group mapped to it, in source order (Fig. 2).
+    """
+    size = np.zeros(n_new, dtype=IDX_DTYPE)
+    start = np.zeros(n_new, dtype=IDX_DTYPE)
+    for part, base, seg_map in ((sides.left, 0, left_seg), (sides.right, sides.n_left, right_seg)):
+        cut = np.searchsorted(part, offsets) + base
+        mapped = seg_map >= 0
+        size[seg_map[mapped]] = np.diff(cut)[mapped]
+        start[seg_map[mapped]] = cut[:-1][mapped]
+    new_offsets = np.zeros(n_new + 1, dtype=IDX_DTYPE)
+    np.cumsum(size, out=new_offsets[1:])
+    pos = np.repeat(start - new_offsets[:-1], size)
+    pos += ws.arange(pos.size)
+    return pos, new_offsets
 
 
 @traced("partition")
 def partition_segments(
     device: GpuDevice,
     offsets: np.ndarray,
-    side: np.ndarray,
+    sides: SideLists,
     left_seg: np.ndarray,
     right_seg: np.ndarray,
     n_new_segments: int,
@@ -143,94 +214,54 @@ def partition_segments(
     bytes_per_element: int = 16,
     name: str = "histogram_partition",
     workspace: WorkspaceArena | None = None,
-    drop_to_trash: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Order-preserving scatter of every old segment into mapped children.
+    """Order-preserving split of every old segment into mapped children.
 
-    Every element gets its new segment as a sort key -- the left or right
-    target by ``side``, and ``n_new_segments`` (a trash key past the last
-    segment) when dropped -- and one stable LSD radix sort over 16-bit
-    digits orders the keys.  A stable sort keeps each (old segment, side)
-    group in source order, which is the Fig. 2 invariant; ``dest`` is the
-    inverse permutation and ``new_offsets`` comes from ``bincount``.  Keys
-    stay ``uint16`` up to 65,535 new segments; wider keys take one more
-    stable pass per further 16-bit digit.  The device is charged for the
-    paper's histogram/scan/scatter kernel (:func:`_charge_partition`).
+    ``perm`` lists the source element of every new position, each (old
+    segment, side) group whole and in source order -- the Fig. 2
+    invariant.  The device is charged for the paper's histogram/scan/
+    scatter kernel (:func:`_charge_partition`).
 
     Parameters
     ----------
     offsets:
-        Current segmentation (``S + 1`` entries).
-    side:
-        Per-element: ``0`` left child, ``1`` right child, ``-1`` dropped
-        (elements of nodes that became leaves).
+        Current segmentation (``S + 1`` entries) of the elements.
+    sides:
+        The left-going and right-going elements (:func:`split_sides`);
+        the rest (in nodes that became leaves) are dropped.
     left_seg, right_seg:
         ``(S,)`` new-segment index receiving each old segment's left/right
-        elements; ``-1`` means that side is dropped entirely.
+        elements; ``-1`` means that side is dropped entirely.  Injective:
+        no two groups share a new segment.
     n_new_segments:
         Size of the new segmentation.
     plan:
-        Cost plan from :func:`plan_partition` (functional result does not
-        depend on it; modeled time does, via the pass count and counter
-        traffic).
+        Cost plan from :func:`plan_partition` (the result does not depend
+        on it; modeled time does, via the passes and counter traffic).
     bytes_per_element:
         Payload moved per element across all arrays being scattered.
     workspace:
-        :class:`~repro.core.workspace.WorkspaceArena` backing the mask and
-        ``dest`` (a fresh arena when omitted).
-    drop_to_trash:
-        When True, dropped elements get ``dest == new_offsets[-1]`` (one
-        past the end) instead of ``-1``, so callers can scatter *without*
-        boolean compression by writing into a buffer with one trash slot.
+        :class:`~repro.core.workspace.WorkspaceArena` backing ``perm`` (a
+        fresh arena when omitted).
 
     Returns
     -------
-    dest:
-        Per-element destination (``-1`` if dropped, unless
-        ``drop_to_trash``).  Order within each ``(old segment, side)`` group
-        is preserved -- the Fig. 2 invariant.
+    perm:
+        ``(new_offsets[-1],)`` source element of each new position: the
+        caller gathers every payload array with ``x[perm]``.
     new_offsets:
-        ``(n_new_segments + 1,)`` segmentation of the scattered array.
+        ``(n_new_segments + 1,)`` segmentation of the gathered arrays.
     """
-    workspace = workspace if workspace is not None else WorkspaceArena()
-    side = np.asarray(side, dtype=np.int8)
-    n = side.size
+    ws = workspace if workspace is not None else WorkspaceArena()
+    offsets = np.asarray(offsets, dtype=IDX_DTYPE)
+    n = int(offsets[-1]) if offsets.size else 0
     offsets = check_offsets(offsets, n)
-    left_seg, right_seg = check_segment_maps(
-        left_seg, right_seg, offsets.size - 1, n_new_segments
-    )
-    trash = int(n_new_segments)
-    key_dtype = np.uint16 if trash <= 0xFFFF else IDX_DTYPE
-    lkey = np.where(left_seg >= 0, left_seg, trash).astype(key_dtype)
-    rkey = np.where(right_seg >= 0, right_seg, trash).astype(key_dtype)
-    lens = np.diff(offsets)
-
-    # key = left target, plus (right - left) where side is 1, plus
-    # (trash - left) where side is neither 0 nor 1 (-1 views as 255);
-    # branch-free (modular in uint16): masked writes over a random side
-    # pattern are several times slower
-    key = np.repeat(lkey, lens)
-    mask = workspace.buf(f"{name}/mask", n, bool)
-    key += np.repeat(rkey - lkey, lens) * np.equal(side, 1, out=mask)
-    key += np.repeat(trash - lkey, lens) * np.greater(side.view(np.uint8), 1, out=mask)
-
-    perm = np.argsort(key.astype(np.uint16, copy=False), kind="stable")
-    for shift in range(16, trash.bit_length(), 16):
-        digit = (key >> shift).astype(np.uint16)
-        perm = perm[np.argsort(digit[perm], kind="stable")]
-    dest = workspace.buf(f"{name}/dest", n, IDX_DTYPE)
-    dest[perm] = workspace.arange(n)
-    new_offsets = np.zeros(n_new_segments + 1, dtype=IDX_DTYPE)
-    np.cumsum(np.bincount(key, minlength=trash + 1)[:trash], out=new_offsets[1:])
-    # dropped elements sorted past the last segment: one slot or -1
-    kept = new_offsets[-1]
-    if drop_to_trash:
-        np.minimum(dest, kept, out=dest)
-    else:
-        np.copyto(dest, -1, where=dest >= kept)
-
+    sides = sides.checked(n)
+    maps = check_segment_maps(left_seg, right_seg, offsets.size - 1, n_new_segments)
+    pos, new_offsets = _group_gather(offsets, sides, *maps, n_new_segments, ws)
+    perm = np.take(sides.idx, pos, out=ws.buf(f"{name}/perm", pos.size, IDX_DTYPE))
     _charge_partition(device, n, plan, bytes_per_element, name)
-    return dest, new_offsets
+    return perm, new_offsets
 
 
 def _charge_partition(
@@ -240,14 +271,10 @@ def _charge_partition(
     histogram-count, counter-scan and stable-scatter kernel, whatever the
     host does to compute the same result."""
     # histogram pass(es) + scatter: the naive fixed workload may need
-    # several passes when its counters blow the memory budget.
-    # The scatter's destinations increase monotonically within each
-    # (segment, side) group, so most writes coalesce; only the interleaving
-    # between groups is irregular.
-    # traffic: one histogram read pass per `passes` (side byte + bookkeeping),
-    # one payload read and one payload write; destinations increase
-    # monotonically within each (segment, side) group so ~90% of the write
-    # coalesces
+    # several passes when its counters blow the memory budget.  Traffic: one
+    # histogram read pass per `passes` (side byte + bookkeeping), one payload
+    # read and one payload write; destinations increase monotonically within
+    # each (segment, side) group, so ~90% of the write coalesces
     device.launch(
         name,
         elements=n * plan.passes,

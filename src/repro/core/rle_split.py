@@ -16,7 +16,7 @@ Both produce identical run arrays (a property test asserts it); the Fig. 9
 "Directly Split RLE" ablation measures the cost difference.
 
 The *instance-id* array is not compressible and is partitioned by the
-shared order-preserving scatter regardless of strategy, so these functions
+shared order-preserving gather regardless of strategy, so these functions
 handle only the run (value, length) arrays.
 """
 
@@ -26,15 +26,10 @@ import numpy as np
 
 from ..data.rle import RunLengthColumns, encode_segments
 from ..gpusim.kernel import GpuDevice
-from ..gpusim.primitives import (
-    check_offsets,
-    segmented_inclusive_cumsum,
-    segmented_sum,
-    stream_compact,
-)
+from ..gpusim.primitives import check_offsets, stream_compact
 from ..obs import traced
-from .partition import check_segment_maps
-from .workspace import WorkspaceArena
+from .partition import SideLists, _group_gather, check_segment_maps
+from .workspace import IDX_DTYPE, WorkspaceArena
 
 __all__ = ["split_runs_direct", "split_runs_with_decompression"]
 
@@ -43,7 +38,7 @@ __all__ = ["split_runs_direct", "split_runs_with_decompression"]
 def split_runs_direct(
     device: GpuDevice,
     rle: RunLengthColumns,
-    side: np.ndarray,
+    sides: SideLists,
     left_seg: np.ndarray,
     right_seg: np.ndarray,
     n_new_segments: int,
@@ -53,120 +48,92 @@ def split_runs_direct(
 ) -> RunLengthColumns:
     """Directly split every run (Fig. 7).
 
+    A run's left length is the number of left-going elements inside its
+    element range, a ``searchsorted`` difference of the left list at the
+    run boundaries (the right length likewise), so no pass touches the
+    elements.  Runs of nonzero length form run-level side lists, and the
+    same group gather as the element partition places them.
+
     Parameters
     ----------
     rle:
         Current compressed values, segmented over ``S`` old segments.
-    side:
-        Per-*element* destination: 0 left, 1 right, -1 dropped.
+    sides:
+        The left-going and right-going *elements*
+        (:func:`~repro.core.partition.split_sides`).
     left_seg, right_seg:
         Old segment -> new segment maps (``-1`` = that side is dropped).
     n_new_segments:
         New segmentation size.
     workspace:
-        Arena backing the element-linear temporaries and the returned run
-        arrays (a fresh arena when omitted).
+        Arena backing the returned run arrays (a fresh arena when omitted).
     parity:
         Selects which of two output buffer generations to write (the caller
         alternates per level: the input ``rle`` still views the previous
         generation while this call fills the next one).
     """
-    n = int(rle.n_elements)
-    side = np.asarray(side, dtype=np.int8)
-    if side.size != n:
-        raise ValueError("side must have one entry per element")
-    left_seg, right_seg = check_segment_maps(
-        left_seg, right_seg, rle.run_offsets.size - 1, n_new_segments
-    )
-    ws = workspace if workspace is not None else WorkspaceArena()
-
+    n = rle.n_elements
     nr = rle.n_runs
-    # new run lengths from the instance-to-node mapping (one pass over the
-    # elements; this is the only element-linear work of the direct strategy)
-    elem_off = ws.buf("rled/eoff", nr + 1, np.int64)
-    elem_off[0] = 0
-    np.cumsum(rle.run_lengths, out=elem_off[1:])
-    acc = ws.buf("rled/acc", n, np.int64)
-    scan = ws.buf("rled/scan", n + 1, np.int64)
-    np.equal(side, 0, out=acc)
-    left_len = segmented_sum(device, acc, elem_off, name="rle_left_lengths", scratch=scan)
-    np.equal(side, 1, out=acc)
-    right_len = segmented_sum(device, acc, elem_off, name="rle_right_lengths", scratch=scan)
-    rid_seg = ws.seg_ids("rled/rid", rle.run_offsets, nr)  # run -> old segment
+    sides = sides.checked(n)
+    run_offsets = rle.run_offsets  # checked when the RunLengthColumns was built
+    maps = check_segment_maps(left_seg, right_seg, run_offsets.size - 1, n_new_segments)
+    ws = workspace if workspace is not None else WorkspaceArena()
+    pp = parity % 2
 
-    tgt_left = left_seg[rid_seg]
-    tgt_right = right_seg[rid_seg]
-    keep_left = (left_len > 0) & (tgt_left >= 0)
-    keep_right = (right_len > 0) & (tgt_right >= 0)
+    # each run's length on either side; its nonzero parts are the run lists
+    bounds = rle.run_elem_offsets
+    lens = [np.diff(np.searchsorted(part, bounds)) for part in (sides.left, sides.right)]
+    kept = [np.flatnonzero(side_len) for side_len in lens]
+    run_sides = SideLists(np.concatenate(kept), kept[0].size)
+    run_len = np.concatenate([side_len[k] for side_len, k in zip(lens, kept)])
+    pos, new_run_offsets = _group_gather(run_offsets, run_sides, *maps, n_new_segments, ws)
+    n_new_runs = pos.size
+    new_values = ws.buf(f"rled/vals/{pp}", n_new_runs, np.float64)
+    np.take(rle.run_values, run_sides.idx[pos], out=new_values)
+    new_lengths = np.take(run_len, pos, out=ws.buf(f"rled/lens/{pp}", n_new_runs, np.int64))
+    new_elem_offsets = ws.buf(f"rled/reo/{pp}", n_new_runs + 1, IDX_DTYPE)
+    new_elem_offsets[0] = 0
+    np.cumsum(new_lengths, out=new_elem_offsets[1:])
 
-    # per-(old segment, side) stable ranks among kept candidates; each new
-    # segment receives candidates of exactly one (old segment, side) pair,
-    # so this rank is the position within the new segment
-    keep64 = ws.buf("rled/keep64", nr, np.int64)
-    np.copyto(keep64, keep_left)
-    rank_left = ws.buf("rled/rank_l", nr, np.int64)
-    segmented_inclusive_cumsum(
-        device, keep64, rle.run_offsets, name="rle_compact_scan_l", out=rank_left
-    )
-    np.subtract(rank_left, 1, out=rank_left)
-    np.copyto(keep64, keep_right)
-    rank_right = ws.buf("rled/rank_r", nr, np.int64)
-    segmented_inclusive_cumsum(
-        device, keep64, rle.run_offsets, name="rle_compact_scan_r", out=rank_right
-    )
-    np.subtract(rank_right, 1, out=rank_right)
+    _charge_direct_split(device, n, nr, run_offsets.size, n_new_runs)
+    return RunLengthColumns(new_values, new_lengths, new_run_offsets, new_elem_offsets)
 
-    runs_per_new = ws.zeros("rled/rpn", n_new_segments, np.int64)
-    if keep_left.any():
-        np.add.at(runs_per_new, tgt_left[keep_left], 1)
-    if keep_right.any():
-        np.add.at(runs_per_new, tgt_right[keep_right], 1)
-    new_run_offsets = ws.buf(f"rled/roff/{parity % 2}", n_new_segments + 1, np.int64)
-    new_run_offsets[0] = 0
-    np.cumsum(runs_per_new, out=new_run_offsets[1:])
-    n_new_runs = int(new_run_offsets[-1])
 
-    new_values = ws.buf(f"rled/vals/{parity % 2}", n_new_runs, np.float64)
-    new_lengths = ws.buf(f"rled/lens/{parity % 2}", n_new_runs, np.int64)
-    dl = new_run_offsets[tgt_left[keep_left]] + rank_left[keep_left]
-    new_values[dl] = rle.run_values[keep_left]
-    new_lengths[dl] = left_len[keep_left]
-    dr = new_run_offsets[tgt_right[keep_right]] + rank_right[keep_right]
-    new_values[dr] = rle.run_values[keep_right]
-    new_lengths[dr] = right_len[keep_right]
-
-    # pre-allocate 2 runs per run, then the compaction write-out
-    device.launch(
-        "direct_split_rle_scatter",
-        elements=2 * nr,
-        flops_per_element=3.0,
-        coalesced_bytes=2 * nr * (8 + 8),
-        irregular_bytes=n_new_runs * 16,
-    )
-    return RunLengthColumns(
-        run_values=new_values, run_lengths=new_lengths, run_offsets=new_run_offsets
-    )
+def _charge_direct_split(
+    device: GpuDevice, n: int, nr: int, n_run_offsets: int, n_new_runs: int
+) -> None:
+    """The modeled device cost of Fig. 7, whatever the host does: per-run
+    left/right lengths from the instance-to-node mapping (the strategy's
+    only element-linear work), the compaction scans over the 2 runs
+    pre-allocated per run, and the compacted write-out."""
+    for name in ("rle_left_lengths", "rle_right_lengths"):
+        device.launch(name, n, flops_per_element=1.0, coalesced_bytes=n * 8 + 2 * (nr + 1) * 8)
+    for name in ("rle_compact_scan_l", "rle_compact_scan_r"):
+        device.launch(name, nr, flops_per_element=2.0,
+                      coalesced_bytes=2.0 * nr * 8 + n_run_offsets * 8)
+    device.launch("direct_split_rle_scatter", 2 * nr, flops_per_element=3.0,
+                  coalesced_bytes=2 * nr * (8 + 8), irregular_bytes=n_new_runs * 16)
 
 
 @traced("rle_split_decompress")
 def split_runs_with_decompression(
     device: GpuDevice,
     rle: RunLengthColumns,
-    dest: np.ndarray,
+    perm: np.ndarray,
     new_offsets: np.ndarray,
 ) -> RunLengthColumns:
     """Decompress -> scatter -> recompress (Fig. 6).
 
-    ``dest``/``new_offsets`` come from the element-level order-preserving
+    ``perm``/``new_offsets`` come from the element-level order-preserving
     partition the trainer already ran for the instance-id array, so the
-    scattered raw values land exactly where the sparse path would put them.
+    gathered raw values land exactly where the sparse path would put them.
     """
-    n = int(rle.n_elements)
-    dest = np.asarray(dest, dtype=np.int64)
-    if dest.size != n:
-        raise ValueError("dest must have one entry per element")
-    n_new = int(new_offsets[-1])
+    n = rle.n_elements
+    perm = np.asarray(perm, dtype=np.int64)
+    n_new = perm.size
     check_offsets(new_offsets, n_new)
+    if n_new and (perm.min() < 0 or perm.max() >= n):
+        raise ValueError("perm must index elements in [0, n)")
 
     # decompress (Fig. 6 middle row)
     raw = np.repeat(rle.run_values, rle.run_lengths)
@@ -176,10 +143,8 @@ def split_runs_with_decompression(
         flops_per_element=1.0,
         coalesced_bytes=n * 8 + rle.n_runs * 16,
     )
-    # order-preserving scatter of the raw values
-    keep = dest >= 0
-    new_vals = np.empty(n_new, dtype=np.float64)
-    new_vals[dest[keep]] = raw[keep]
+    # order-preserving move of the raw values
+    new_vals = raw[perm]
     device.launch(
         "rle_scatter_raw_values",
         elements=n,

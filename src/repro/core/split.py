@@ -28,8 +28,9 @@ Candidate semantics (shared with the CPU reference so trees are identical):
   present|missing with sides relabeled, so it is not enumerated.)
 * An interior candidate *before* element ``e`` sends elements ``< e`` left.
 * ``default_left = (gain with missing left) >= (gain with missing right)``.
-* Thresholds are midpoints of adjacent distinct values; the boundary
-  candidate uses ``nextafter(min_value, -inf)``.
+* Thresholds are midpoints of adjacent distinct values
+  (:func:`midpoint_thresholds`); the boundary candidate uses
+  ``nextafter(min_value, -inf)``.
 * Gains are **quantized to float32** before any comparison.  Different
   implementations sum gradients in different orders (a segmented scan's
   carry-cancellation vs. a per-node sequential scan), so algebraically-tied
@@ -47,16 +48,17 @@ import numpy as np
 from ..data.rle import RunLengthColumns
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.primitives import (
+    _segmented_argmax,
+    _segmented_inclusive_cumsum,
+    _segmented_sum,
     check_offsets,
     gather,
-    segmented_argmax,
-    segmented_inclusive_cumsum,
-    segmented_sum,
 )
 from .setkey import plan_segment_grid
 from .workspace import IDX_DTYPE, WorkspaceArena
 
-__all__ = ["SegmentLayout", "NodeBestSplits", "eq2_gain", "find_best_splits_sparse", "find_best_splits_rle"]
+__all__ = ["SegmentLayout", "NodeBestSplits", "eq2_gain", "midpoint_thresholds",
+           "find_best_splits_sparse", "find_best_splits_rle"]
 
 #: candidates scored per chunk by :func:`_score_candidates`, so the chunk's eight
 #: float temporaries stay in cache instead of growing with the level
@@ -226,6 +228,47 @@ def quantize_gain(
     return out
 
 
+def midpoint_thresholds(
+    hi: np.ndarray, lo: np.ndarray, *, out: np.ndarray | None = None,
+    skip: np.ndarray | None = None, scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Thresholds ``(hi + lo) / 2`` with ``lo <= thr < hi`` for every finite
+    pair ``hi > lo``, so ``x > thr`` sends ``hi`` left and ``lo`` right.
+
+    Only where the plain midpoint overflowed to ``±inf`` or rounded onto
+    ``hi`` (at the float edges) does it become ``hi / 2 + lo / 2``, or the
+    float below ``hi``.  ``skip`` marks pairs that are not cuts; ``out``
+    and the bool ``scratch`` are optional buffers.
+    """
+    hi = np.asarray(hi, dtype=np.float64)
+    lo = np.asarray(lo, dtype=np.float64)
+    out = np.empty(hi.shape) if out is None else out
+    with np.errstate(over="ignore"):
+        np.add(hi, lo, out=out)
+    np.divide(out, 2.0, out=out)
+    # one pass finds rounding onto hi and +inf; a midpoint below lo can
+    # only be -inf, which the minimum shows
+    ok = np.less(out, hi, out=scratch)
+    skip = np.zeros(1, bool) if skip is None else skip
+    if np.logical_or(ok, skip, out=ok).all() and out.min(initial=np.inf) > -np.inf:
+        return out
+    bad = np.flatnonzero(~((out < hi) & (out >= lo) | skip))
+    h = hi[bad]
+    thr = h / 2 + lo[bad] / 2
+    out[bad] = np.where(thr < h, thr, np.nextafter(h, -np.inf))
+    return out
+
+
+def _candidate_thresholds(ws: WorkspaceArena, values: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Each candidate's threshold between its value and the one before."""
+    n = values.size
+    prev = ws.buf("split/prev", n, np.float64)
+    prev[:1] = values[:1]
+    prev[1:] = values[:-1]
+    return midpoint_thresholds(prev, values, out=ws.buf("split/thr", n, np.float64),
+                               skip=skip, scratch=ws.buf("split/ok", n, bool))
+
+
 def _last_valid(cum: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment inclusive-scan value at the segment's last element
     (0 for empty segments)."""
@@ -330,7 +373,7 @@ def _select_splits(
 
     # -- interior candidates: segmented argmax with the SetKey grid ----------
     plan = plan_segment_grid(device.spec, max(S, 1), enabled=setkey_enabled, c=setkey_c)
-    best_gain, best_cand = segmented_argmax(
+    best_gain, best_cand = _segmented_argmax(
         device,
         cand_gain,
         cand_offsets,
@@ -389,7 +432,7 @@ def _select_splits(
     )
 
     # -- node-level reduce: best attribute per node (first max = lowest) -----
-    node_best_gain, node_best_seg = segmented_argmax(
+    node_best_gain, node_best_seg = _segmented_argmax(
         device, seg_gain, layout.node_offsets(), name="node_reduce_best_attr"
     )
     found = node_best_seg >= 0
@@ -441,10 +484,10 @@ def find_best_splits_sparse(
                        out=ws.buf("split/g_ent", n, np.float64))
         h_ent = gather(device, h, inst, name="gather_hessians",
                        out=ws.buf("split/h_ent", n, np.float64))
-        cg = segmented_inclusive_cumsum(device, g_ent, offsets, name="seg_prefix_sum_g",
-                                        out=ws.buf("split/cg", n, np.float64))
-        ch = segmented_inclusive_cumsum(device, h_ent, offsets, name="seg_prefix_sum_h",
-                                        out=ws.buf("split/ch", n, np.float64))
+        cg = _segmented_inclusive_cumsum(device, g_ent, offsets, name="seg_prefix_sum_g",
+                                         out=ws.buf("split/cg", n, np.float64))
+        ch = _segmented_inclusive_cumsum(device, h_ent, offsets, name="seg_prefix_sum_h",
+                                         out=ws.buf("split/ch", n, np.float64))
 
     seg_node = layout.seg_node()
     lens = np.diff(offsets)
@@ -474,13 +517,7 @@ def find_best_splits_sparse(
         miss_g, miss_h, lambda_,
     )
 
-    cand_thr = ws.buf("split/thr", n, np.float64)
-    if n:
-        prev = ws.buf("split/prev", n, np.float64)
-        prev[0] = values[0]
-        prev[1:] = values[:-1]
-        np.add(prev, values, out=cand_thr)
-        np.divide(cand_thr, 2.0, out=cand_thr)
+    cand_thr = _candidate_thresholds(ws, values, invalid)
     cand_elem_pos = ws.arange(n)
 
     device.launch(
@@ -547,13 +584,12 @@ def find_best_splits_rle(
     ws = workspace if workspace is not None else WorkspaceArena()
     n = inst.size
     offsets = check_offsets(layout.offsets, n)
-    if rle.n_elements != n:
-        raise ValueError("RLE element count must match the instance array")
+    if rle.n_elements != n or rle.run_offsets.size != offsets.size:
+        raise ValueError("RLE columns must match the instance array and the layout")
     n_runs = rle.n_runs
-    run_starts = rle.run_starts()
-    run_elem_offsets = ws.buf("split/reo", n_runs + 1, IDX_DTYPE)
-    run_elem_offsets[:n_runs] = run_starts
-    run_elem_offsets[n_runs] = n
+    run_offsets = rle.run_offsets  # checked when the RunLengthColumns was built
+    run_elem_offsets = rle.run_elem_offsets
+    run_starts = run_elem_offsets[:-1]
 
     with device.phase(device.current_phase):
         g_ent = gather(device, g, inst, name="gather_gradients",
@@ -562,22 +598,22 @@ def find_best_splits_rle(
                        out=ws.buf("split/h_ent", n, np.float64))
         # Fig. 5: aggregate gradients of instances sharing an attribute value
         sum_scratch = ws.buf("split/scan", n + 1, np.float64)
-        g_run = segmented_sum(device, g_ent, run_elem_offsets,
-                              name="rle_aggregate_g", scratch=sum_scratch)
-        h_run = segmented_sum(device, h_ent, run_elem_offsets,
-                              name="rle_aggregate_h", scratch=sum_scratch)
-        cgr = segmented_inclusive_cumsum(device, g_run, rle.run_offsets,
-                                         name="seg_prefix_sum_g_rle",
-                                         out=ws.buf("split/cg", n_runs, np.float64))
-        chr_ = segmented_inclusive_cumsum(device, h_run, rle.run_offsets,
-                                          name="seg_prefix_sum_h_rle",
-                                          out=ws.buf("split/ch", n_runs, np.float64))
+        g_run = _segmented_sum(device, g_ent, run_elem_offsets,
+                               name="rle_aggregate_g", scratch=sum_scratch)
+        h_run = _segmented_sum(device, h_ent, run_elem_offsets,
+                               name="rle_aggregate_h", scratch=sum_scratch)
+        cgr = _segmented_inclusive_cumsum(device, g_run, run_offsets,
+                                          name="seg_prefix_sum_g_rle",
+                                          out=ws.buf("split/cg", n_runs, np.float64))
+        chr_ = _segmented_inclusive_cumsum(device, h_run, run_offsets,
+                                           name="seg_prefix_sum_h_rle",
+                                           out=ws.buf("split/ch", n_runs, np.float64))
 
     seg_node = layout.seg_node()
     lens = np.diff(offsets)
 
-    seg_g = _last_valid(cgr, rle.run_offsets)
-    seg_h = _last_valid(chr_, rle.run_offsets)
+    seg_g = _last_valid(cgr, run_offsets)
+    seg_h = _last_valid(chr_, run_offsets)
     miss_g = node_g[seg_node] - seg_g
     miss_h = node_h[seg_node] - seg_h
     miss_n = node_n[seg_node] - lens
@@ -587,22 +623,17 @@ def find_best_splits_rle(
     hl = chr_
     np.subtract(chr_, h_run, out=hl)
 
+    invalid = ws.zeros("split/invalid", n_runs, bool)
     cand_gain, cand_dir = _score_candidates(
-        ws, gl, hl, ws.zeros("split/invalid", n_runs, bool), rle.run_offsets,
+        ws, gl, hl, invalid, run_offsets,
         node_g[seg_node], node_h[seg_node], miss_g, miss_h, lambda_,
     )
 
-    cand_thr = ws.buf("split/thr", n_runs, np.float64)
-    if n_runs:
-        prev = ws.buf("split/prev", n_runs, np.float64)
-        prev[0] = rle.run_values[0]
-        prev[1:] = rle.run_values[:-1]
-        np.add(prev, rle.run_values, out=cand_thr)
-        np.divide(cand_thr, 2.0, out=cand_thr)
+    cand_thr = _candidate_thresholds(ws, rle.run_values, invalid)
 
     # element count strictly above each run = its run start within the segment
     cand_nl = ws.buf("split/nl", n_runs, IDX_DTYPE)
-    np.subtract(run_starts, np.repeat(offsets[:-1], np.diff(rle.run_offsets)), out=cand_nl)
+    np.subtract(run_starts, np.repeat(offsets[:-1], np.diff(run_offsets)), out=cand_nl)
 
     device.launch(
         "compute_split_gains_rle",
@@ -611,10 +642,10 @@ def find_best_splits_rle(
         coalesced_bytes=n_runs * 8 * 6,
     )
 
-    run_lens_per_seg = np.diff(rle.run_offsets)
+    run_lens_per_seg = np.diff(run_offsets)
     seg_min_value = np.where(
         run_lens_per_seg > 0,
-        rle.run_values[np.maximum(rle.run_offsets[1:] - 1, 0)] if n_runs else 0.0,
+        rle.run_values[np.maximum(run_offsets[1:] - 1, 0)] if n_runs else 0.0,
         np.nan,
     )
 
@@ -627,7 +658,7 @@ def find_best_splits_rle(
         cand_gl=gl,
         cand_hl=hl,
         cand_nl=cand_nl,
-        cand_offsets=rle.run_offsets,
+        cand_offsets=run_offsets,
         seg_elem_offsets=offsets,
         seg_g=seg_g,
         seg_h=seg_h,

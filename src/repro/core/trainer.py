@@ -49,7 +49,7 @@ from ..gpusim.primitives import bincount_sum
 from ..obs import get_registry, span
 from .boosting import BoostingDriver, TrainReport
 from .params import GBDTParams
-from .partition import partition_segments, plan_partition
+from .partition import partition_segments, plan_partition, split_sides
 from .rle_split import split_runs_direct, split_runs_with_decompression
 from .sampling import TreeSample, sample_tree
 from .smartgd import GradientComputer
@@ -502,9 +502,8 @@ class GPUGBDTTrainer(BoostingDriver):
         left_seg = np.where(splitting_seg, child_base * d_used + seg_attr, -1)
         right_seg = np.where(splitting_seg, (child_base + 1) * d_used + seg_attr, -1)
 
-        inst_arr = shard.inst
-        side_ent = ws.buf("tree/side_ent", inst_arr.size, np.int8)
-        np.take(side_inst, inst_arr, out=side_ent)
+        side_ent = ws.buf("tree/side_ent", shard.inst.size, np.int8)
+        sides = split_sides(np.take(side_inst, shard.inst, out=side_ent), ws)
         plan = plan_partition(
             int(layout.n_elements * device.work_scale),
             k,
@@ -512,37 +511,25 @@ class GPUGBDTTrainer(BoostingDriver):
             use_custom_workload=p.use_custom_workload,
             fixed_thread_workload=p.fixed_thread_workload,
         )
-        # the decompression strategy consumes -1-coded drops, so the
-        # trash-slot scatter is reserved for the other code paths
-        use_trash = not used_rle or p.use_direct_rle
-        dest, new_offsets = partition_segments(
-            device, layout.offsets, side_ent, left_seg, right_seg, 2 * k * d_used, plan,
-            bytes_per_element=8 if used_rle else 16, workspace=ws, drop_to_trash=use_trash,
+        n_new_seg = 2 * k * d_used
+        perm, new_offsets = partition_segments(
+            device, layout.offsets, sides, left_seg, right_seg, n_new_seg, plan,
+            bytes_per_element=8 if used_rle else 16, workspace=ws,
         )
-        n_new = int(new_offsets[-1])
-        if use_trash:
-            # full-array stable scatter: dropped elements pile into the
-            # single trash slot past the end, no boolean compression
-            pp = depth % 2
-            new_inst = ws.buf(f"tree/inst/{pp}", n_new + 1, IDX_DTYPE)
-            new_inst[dest] = inst_arr
-            new_inst = new_inst[:n_new]
-            if used_rle:
-                shard.rle = split_runs_direct(
-                    device, shard.rle, side_ent, left_seg, right_seg, 2 * k * d_used,
-                    workspace=ws, parity=depth,
-                )
-            else:
-                val_buf = ws.buf(f"tree/vals/{pp}", n_new + 1, np.float64)
-                val_buf[dest] = shard.vals
-                shard.vals = val_buf[:n_new]
+        pp = depth % 2
+        shard.inst = np.take(shard.inst, perm, out=ws.buf(f"tree/inst/{pp}", perm.size, IDX_DTYPE))
+        if not used_rle:
+            shard.vals = np.take(
+                shard.vals, perm, out=ws.buf(f"tree/vals/{pp}", perm.size, np.float64)
+            )
+        elif p.use_direct_rle:
+            shard.rle = split_runs_direct(
+                device, shard.rle, sides, left_seg, right_seg, n_new_seg,
+                workspace=ws, parity=depth,
+            )
         else:
             # the paper's decompress-and-recompress ablation (Fig. 6)
-            keep = dest >= 0
-            new_inst = np.empty(n_new, dtype=np.int64)
-            new_inst[dest[keep]] = inst_arr[keep]
-            shard.rle = split_runs_with_decompression(device, shard.rle, dest, new_offsets)
-        shard.inst = new_inst
+            shard.rle = split_runs_with_decompression(device, shard.rle, perm, new_offsets)
         shard.layout = SegmentLayout(new_offsets, 2 * k, d_used)
 
     def _finalize_leaves(

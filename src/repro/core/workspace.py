@@ -142,27 +142,6 @@ class WorkspaceArena:
         """Like :meth:`buf` but zero-filled."""
         return self.full(name, size, dtype, 0)
 
-    def copy_in(self, name: str, src: np.ndarray) -> np.ndarray:
-        """A reusable copy of ``src`` (same dtype, same length)."""
-        out = self.buf(name, src.size, src.dtype)
-        np.copyto(out, src)
-        return out
-
-    def seg_ids(self, name: str, offsets: np.ndarray, n: int) -> np.ndarray:
-        """Element -> segment-id map for a segmentation, arena-backed.
-
-        Equivalent to ``np.repeat(np.arange(S), np.diff(offsets))`` but
-        computed by marking interior segment boundaries and prefix-summing
-        in place, so the only storage is the reused ``name`` buffer.
-        Handles empty segments (several marks accumulate on one element)
-        and trailing empty segments (marks at ``n`` are dropped).
-        """
-        out = self.zeros(name, n, IDX_DTYPE)
-        interior = offsets[1:-1]
-        np.add.at(out, interior[interior < n], 1)
-        np.cumsum(out, out=out)
-        return out
-
     def arange(self, size: int) -> np.ndarray:
         """A **read-only** view of ``[0, size)`` as :data:`IDX_DTYPE`.
 

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.booster_model import GBDTModel, validate_fit
 from ..core.params import GBDTParams
 from ..core.sampling import sample_tree
-from ..core.split import eq2_gain, quantize_gain
+from ..core.split import eq2_gain, midpoint_thresholds, quantize_gain
 from ..core.tree import DecisionTree
 from ..data.matrix import CSRMatrix
 
@@ -54,13 +54,8 @@ class _Node:
 
 
 def _guarded_midpoint(hi: float, lo: float) -> float:
-    """Midpoint of two distinct sorted values with ``lo <= thr < hi`` so the
-    predicate ``x > thr`` routes ``hi`` left and ``lo`` right even when the
-    midpoint rounds up to ``hi``."""
-    thr = (hi + lo) / 2.0
-    if thr >= hi:
-        thr = np.nextafter(hi, -np.inf)
-    return float(thr)
+    """:func:`~repro.core.split.midpoint_thresholds` of one pair."""
+    return float(midpoint_thresholds(np.array([hi]), np.array([lo]))[0])
 
 
 class ReferenceTrainer:

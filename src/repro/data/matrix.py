@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["DenseMatrix", "CSRMatrix", "CSCMatrix"]
+__all__ = ["DenseMatrix", "CSRMatrix", "CSCMatrix", "dense_rows"]
 
 
 class DenseMatrix:
@@ -313,3 +313,19 @@ class CSCMatrix:
 
     def __repr__(self) -> str:
         return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def dense_rows(X: CSRMatrix | DenseMatrix | np.ndarray, n_features: int) -> np.ndarray:
+    """``X`` as dense float64 rows to predict (absent CSR entries: NaN),
+    refused with ``ValueError`` unless 2-D and at least ``n_features`` wide."""
+    if isinstance(X, CSRMatrix):
+        dense = X.to_dense(fill=np.nan).values
+    elif isinstance(X, DenseMatrix):
+        dense = X.values
+    else:
+        dense = np.asarray(X, dtype=np.float64)
+        if dense.ndim != 2:
+            raise ValueError("expected a 2-D matrix of rows to predict")
+    if dense.shape[1] < n_features:
+        raise ValueError(f"input has {dense.shape[1]} features, ensemble tests up to {n_features}")
+    return dense

@@ -55,11 +55,15 @@ class RunLengthColumns:
         ``(S + 1,)`` int64 segmentation of the run arrays mirroring the
         original ``offsets`` over elements: segment ``s`` owns runs
         ``[run_offsets[s], run_offsets[s+1])``.
+    run_elem_offsets:
+        ``(n_runs + 1,)`` int64 segmentation of the elements by run; derived
+        from ``run_lengths`` unless its producer passes it (unchecked).
     """
 
     run_values: np.ndarray
     run_lengths: np.ndarray
     run_offsets: np.ndarray
+    run_elem_offsets: np.ndarray | None = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.run_values = np.asarray(self.run_values, dtype=np.float64)
@@ -70,6 +74,8 @@ class RunLengthColumns:
         if self.run_lengths.size and self.run_lengths.min() < 1:
             raise ValueError("runs must have length >= 1")
         check_offsets(self.run_offsets, self.run_values.size)
+        if self.run_elem_offsets is None:
+            self.run_elem_offsets = np.concatenate(([0], np.cumsum(self.run_lengths)))
 
     @property
     def n_runs(self) -> int:
@@ -77,7 +83,7 @@ class RunLengthColumns:
 
     @property
     def n_elements(self) -> int:
-        return int(self.run_lengths.sum())
+        return int(self.run_elem_offsets[-1])
 
     @property
     def compression_ratio(self) -> float:
@@ -86,12 +92,11 @@ class RunLengthColumns:
 
     def element_offsets(self) -> np.ndarray:
         """Reconstruct the per-segment *element* offsets (S + 1 entries)."""
-        ends = np.concatenate(([0], np.cumsum(self.run_lengths)))
-        return ends[self.run_offsets]
+        return self.run_elem_offsets[self.run_offsets]
 
     def run_starts(self) -> np.ndarray:
         """Element index where each run begins."""
-        return np.concatenate(([0], np.cumsum(self.run_lengths[:-1]))) if self.n_runs else np.empty(0, np.int64)
+        return self.run_elem_offsets[:-1]
 
     @property
     def nbytes_device(self) -> int:

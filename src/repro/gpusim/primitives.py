@@ -24,6 +24,8 @@ Conventions
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .kernel import GpuDevice
@@ -57,6 +59,19 @@ def check_offsets(offsets: np.ndarray, n: int) -> np.ndarray:
     return offsets
 
 
+def _checked(body):
+    """``body`` behind an ``offsets`` check: the public primitive.  Kernels
+    check their offsets once at entry and call the ``_`` bodies."""
+
+    @functools.wraps(body)
+    def checked(device, values, offsets, *args, **kwargs):
+        values = np.asarray(values)
+        return body(device, values, check_offsets(offsets, values.size), *args, **kwargs)
+
+    checked.__name__ = checked.__qualname__ = body.__name__[1:]
+    return checked
+
+
 def seg_ids(offsets: np.ndarray, n: int) -> np.ndarray:
     """Element -> segment-id map (int64 array of length ``n``)."""
     offsets = check_offsets(offsets, n)
@@ -80,7 +95,7 @@ def exclusive_cumsum(device: GpuDevice, values: np.ndarray, name: str = "exclusi
     return out
 
 
-def segmented_inclusive_cumsum(
+def _segmented_inclusive_cumsum(
     device: GpuDevice,
     values: np.ndarray,
     offsets: np.ndarray,
@@ -96,7 +111,6 @@ def segmented_inclusive_cumsum(
     """
     values = np.asarray(values)
     n = values.size
-    offsets = check_offsets(offsets, n)
     if values.dtype.kind in "biu":
         acc = values.astype(np.int64, copy=False)
     else:
@@ -121,7 +135,7 @@ def segmented_inclusive_cumsum(
     return out
 
 
-def segmented_sum(
+def _segmented_sum(
     device: GpuDevice,
     values: np.ndarray,
     offsets: np.ndarray,
@@ -138,7 +152,6 @@ def segmented_sum(
     """
     values = np.asarray(values)
     n = values.size
-    offsets = check_offsets(offsets, n)
     if values.dtype.kind in "iu":
         acc = values.astype(np.int64, copy=False)
         zero = np.int64(0)
@@ -166,7 +179,7 @@ def segmented_sum(
 
 
 # ---------------------------------------------------------------- reductions
-def segmented_argmax(
+def _segmented_argmax(
     device: GpuDevice,
     values: np.ndarray,
     offsets: np.ndarray,
@@ -182,7 +195,6 @@ def segmented_argmax(
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    offsets = check_offsets(offsets, n)
     n_seg = offsets.size - 1
     best_val = np.full(n_seg, -np.inf)
     best_idx = np.full(n_seg, -1, dtype=np.int64)
@@ -206,6 +218,11 @@ def segmented_argmax(
         blocks_scale=blocks_scale,
     )
     return best_val, best_idx
+
+
+segmented_inclusive_cumsum, segmented_sum, segmented_argmax = map(
+    _checked, (_segmented_inclusive_cumsum, _segmented_sum, _segmented_argmax)
+)
 
 
 def argmax_first(device: GpuDevice, values: np.ndarray, name: str = "reduce_argmax") -> int:

@@ -59,6 +59,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 import numpy as np
 
 from ..core.predictor import charge_prediction_kernels
+from ..data.matrix import dense_rows
 from ..gpusim.kernel import GpuDevice
 from ..obs import span
 from .flat_model import FlatEnsemble
@@ -99,13 +100,15 @@ class BatchPolicy:
 
 class PendingPrediction:
     """Handle returned by :meth:`MicroBatcher.submit`; resolved exactly once
-    when its batch completes (or immediately on the degraded path)."""
+    when its batch completes (or immediately on the degraded path), with a
+    value or with the error that failed its batch."""
 
-    __slots__ = ("done", "value", "version", "degraded", "t_done")
+    __slots__ = ("done", "value", "error", "version", "degraded", "t_done")
 
     def __init__(self) -> None:
         self.done = False
         self.value: float | None = None
+        self.error: Exception | None = None
         self.version: str | None = None
         self.degraded = False
         #: completion time on the batcher's clock (None until resolved)
@@ -114,13 +117,17 @@ class PendingPrediction:
     def result(self) -> float:
         if not self.done:
             raise RuntimeError("prediction not flushed yet (poll or drain the batcher)")
+        if self.error is not None:
+            raise self.error
         assert self.value is not None
         return self.value
 
-    def _resolve(self, value: float, version: str | None, now: float | None = None) -> None:
+    def _resolve(self, value: float | None, version: str | None, now: float | None = None,
+                 error: Exception | None = None) -> None:
         if self.done:
             raise RuntimeError("prediction resolved twice (duplicated response)")
-        self.value = float(value)
+        self.value = None if error is not None else float(value)
+        self.error = error
         self.version = version
         self.t_done = now
         self.done = True
@@ -191,7 +198,7 @@ class MicroBatcher:
         now = self._clock() if now is None else now
         self.stats.note_time(now)
         row = np.asarray(row, dtype=np.float64).reshape(-1)
-        self._resolve()[0].check_width(row.size)
+        dense_rows(row[None], self._resolve()[0].n_features)  # too narrow: ValueError
 
         handle = PendingPrediction()
         with self._lock:
@@ -246,7 +253,9 @@ class MicroBatcher:
 
         Latency recorded per request is ``now - t_enqueue`` -- the driving
         loop decides whether ``now`` is the take instant (synchronous
-        ``poll``) or take + modeled service time.
+        ``poll``) or take + modeled service time.  A batch too narrow for
+        the active ensemble (after a hot swap) fails every handle with the
+        ``ValueError`` and counts each request as rejected.
         Returns the number of rows served.
         """
         if not batch:
@@ -259,7 +268,13 @@ class MicroBatcher:
                 width = min(row.size for row, _, _ in batch)
                 rows = np.stack([row[:width] for row, _, _ in batch])
             flat, version = self._resolve()
-            values = flat.predict(rows)
+            try:
+                values = flat.predict(rows)
+            except ValueError as exc:
+                for _, _, handle in batch:
+                    handle._resolve(None, version, now, error=exc)
+                    self.stats.record_reject()
+                return 0
             if self.device is not None:
                 charge_prediction_kernels(
                     self.device,

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..data.matrix import CSRMatrix, DenseMatrix
+from ..data.matrix import CSRMatrix, DenseMatrix, dense_rows
 from ..obs import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -222,9 +222,8 @@ class FlatEnsemble:
         Dense ``nan`` cells and absent CSR entries are missing values routed
         by ``default_left`` -- identical semantics to the per-tree path.
         """
-        dense = _as_dense(X)
+        dense = dense_rows(X, self.n_features)
         n = dense.shape[0]
-        self.check_width(dense.shape[1])
         out = np.full(n, self.base_score, dtype=np.float64)
         if n == 0 or self.n_trees == 0:
             return out
@@ -234,14 +233,6 @@ class FlatEnsemble:
                 hi = min(n, lo + chunk)
                 out[lo:hi] += self._route_block(dense[lo:hi])
         return out
-
-    def check_width(self, n_cols: int) -> None:
-        """Raise ``ValueError`` when rows of ``n_cols`` entries are too
-        narrow for the attributes this ensemble tests."""
-        if n_cols < self.n_features:
-            raise ValueError(
-                f"input has {n_cols} features, ensemble tests up to {self.n_features}"
-            )
 
     def _route_block(self, dense: np.ndarray) -> np.ndarray:
         """Sum of leaf values over all trees for one row block (no base)."""
@@ -338,14 +329,3 @@ def _pack_tree(tree: "DecisionTree", *, offset: int) -> dict[str, np.ndarray]:
         "value": np.where(leaf, np.asarray(tree.value, dtype=np.float64)[order], 0.0),
         "depth": int(max(tree.depth)) if tree.depth else 0,
     }
-
-
-def _as_dense(X: CSRMatrix | DenseMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(X, CSRMatrix):
-        return X.to_dense(fill=np.nan).values
-    if isinstance(X, DenseMatrix):
-        return X.values
-    dense = np.asarray(X, dtype=np.float64)
-    if dense.ndim != 2:
-        raise ValueError("expected a 2-D matrix of rows to predict")
-    return dense

@@ -62,7 +62,7 @@ class ServingStats:
             self._shed.inc()
 
     def record_reject(self) -> None:
-        """One request turned away by backpressure."""
+        """One request turned away (backpressure, or too narrow after a swap)."""
         self._rejected.inc()
 
     def record_batch(self, size: int) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.partition import plan_partition, partition_segments
+from repro.core.partition import plan_partition, partition_segments, split_sides
 from repro.core.split import SegmentLayout
 from repro.core.workspace import IDX_DTYPE, WorkspaceArena
 from repro.gpusim.device import TITAN_X_PASCAL
@@ -62,7 +62,7 @@ def test_idx_dtype_is_int64():
 
 @pytest.mark.parametrize("arena", [False, True])
 def test_partition_widens_narrow_inputs(arena):
-    """int32 offsets/maps in -> int64 dest/offsets out, whether the caller
+    """int32 offsets/maps in -> int64 perm/offsets out, whether the caller
     passes an arena or the kernel makes its own."""
     device = GpuDevice(TITAN_X_PASCAL)
     offsets = np.array([0, 3, 5], dtype=np.int32)
@@ -70,21 +70,22 @@ def test_partition_widens_narrow_inputs(arena):
     left = np.array([0, 1], dtype=np.int32)
     right = np.array([2, 3], dtype=np.int32)
     plan = plan_partition(5, 2, max_counter_mem_bytes=2**30)
-    dest, new_off = partition_segments(
-        device, offsets, side, left, right, 4, plan,
-        workspace=WorkspaceArena() if arena else None,
+    ws = WorkspaceArena() if arena else None
+    sides = split_sides(side, ws)
+    assert sides.idx.dtype == np.int64
+    perm, new_off = partition_segments(
+        device, offsets, sides, left, right, 4, plan, workspace=ws,
     )
-    assert np.asarray(dest).dtype == np.int64
+    assert np.asarray(perm).dtype == np.int64
     assert np.asarray(new_off).dtype == np.int64
 
 
 def test_workspace_index_helpers_pin_int64():
     ws = WorkspaceArena()
     assert ws.arange(10).dtype == np.int64
-    offsets = np.array([0, 2, 2, 5], dtype=np.int32)
-    sid = ws.seg_ids("t/sid", offsets, 5)
-    assert sid.dtype == np.int64
-    assert list(sid) == [0, 0, 2, 2, 2]
+    sides = split_sides(np.array([1, 0, -1, 0, 1], dtype=np.int32), ws)
+    assert sides.idx.dtype == np.int64
+    assert list(sides.left) == [1, 3] and list(sides.right) == [0, 4]
 
 
 def test_segment_layout_descriptors_are_int64():
@@ -142,10 +143,12 @@ def test_segment_layout_offsets_past_int32_range():
 
 
 def test_arena_scatter_math_past_int32_range():
-    """dest = segment base + rank stays exact with bases beyond 2**31
-    (the arithmetic the fused partition performs per element)."""
-    seg_base = np.array([0, 2**31 + 3], dtype=IDX_DTYPE)
-    rank = np.array([5, 7], dtype=IDX_DTYPE)
-    dest = seg_base + rank
-    assert dest.dtype == np.int64
-    assert int(dest[1]) == 2**31 + 10
+    """pos = group source start - new segment start + position stays exact
+    with starts beyond 2**31 (the arithmetic the partition gather performs
+    per element)."""
+    src_start = np.array([0, 2**31 + 3], dtype=IDX_DTYPE)
+    new_start = np.array([0, 2**31 - 1], dtype=IDX_DTYPE)
+    position = np.array([5, 2**31 + 6], dtype=IDX_DTYPE)
+    pos = np.repeat(src_start - new_start, 1) + position
+    assert pos.dtype == np.int64
+    assert int(pos[1]) == 2**31 + 10

@@ -1,18 +1,19 @@
 """Order-preserving partition on adversarial segment layouts.
 
 ``partition_segments`` is the paper's Fig. 2/3 kernel: every old segment's
-elements scatter to left/right child segments *keeping their relative
-order*.  Its radix-sort implementation must agree with a plain-Python
-oracle element-for-element, without a workspace and on a caller's arena
-that earlier calls left dirty, including on degenerate layouts (empty
-segments, all-left, all-right, dropped sides, empty input, more new
-segments than a 16-bit sort key holds).
+elements move to left/right child segments *keeping their relative
+order*.  Its gather permutation, built from the side lists by
+``searchsorted``, must agree with a plain-Python oracle element-for-element,
+without a workspace and on a caller's arena that earlier calls left dirty,
+including on degenerate layouts (empty segments, all-left, all-right,
+dropped sides, empty input, more than 65,535 new segments).
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.partition import partition_segments, plan_partition
+from repro.core.partition import partition_segments, plan_partition, split_sides
 from repro.core.workspace import WorkspaceArena
 from repro.gpusim.device import TITAN_X_PASCAL
 from repro.gpusim.kernel import GpuDevice
@@ -25,8 +26,8 @@ SETTINGS = settings(
 
 
 def _oracle(offsets, side, left_seg, right_seg, n_new):
-    """Reference stable partition in plain Python."""
-    n = int(offsets[-1])
+    """Reference stable partition in plain Python: the buckets,
+    concatenated, are ``perm``."""
     buckets = [[] for _ in range(n_new)]
     for s in range(offsets.size - 1):
         for i in range(offsets[s], offsets[s + 1]):
@@ -35,30 +36,24 @@ def _oracle(offsets, side, left_seg, right_seg, n_new):
                 buckets[int(tgt)].append(i)
     new_offsets = np.zeros(n_new + 1, dtype=np.int64)
     np.cumsum([len(b) for b in buckets], out=new_offsets[1:])
-    dest = np.full(n, -1, dtype=np.int64)
-    pos = 0
-    for b in buckets:
-        for i in b:
-            dest[i] = pos
-            pos += 1
-    return dest, new_offsets
+    perm = np.array([i for b in buckets for i in b], dtype=np.int64)
+    return perm, new_offsets
 
 
-def _run(offsets, side, left_seg, right_seg, n_new, *, ws=None, trash=False):
+def _run(offsets, side, left_seg, right_seg, n_new, *, ws=None):
     device = GpuDevice(TITAN_X_PASCAL)
     plan = plan_partition(int(offsets[-1]), max(1, left_seg.size), max_counter_mem_bytes=2**30)
-    dest, new_off = partition_segments(
+    perm, new_off = partition_segments(
         device,
         offsets,
-        side,
+        split_sides(side, ws),
         left_seg,
         right_seg,
         n_new,
         plan,
         workspace=ws,
-        drop_to_trash=trash,
     )
-    return np.asarray(dest), np.asarray(new_off)
+    return np.array(perm), np.asarray(new_off)
 
 
 def _check_case(offsets, side, left_seg, right_seg, n_new):
@@ -66,24 +61,15 @@ def _check_case(offsets, side, left_seg, right_seg, n_new):
     side = np.asarray(side, dtype=np.int8)
     left_seg = np.asarray(left_seg, dtype=np.int64)
     right_seg = np.asarray(right_seg, dtype=np.int64)
-    want_dest, want_off = _oracle(offsets, side, left_seg, right_seg, n_new)
+    want_perm, want_off = _oracle(offsets, side, left_seg, right_seg, n_new)
 
     # the arena's second run starts from the buffers its first run left
     arena = WorkspaceArena()
     for ws in (None, arena, arena):
-        dest, new_off = _run(offsets, side, left_seg, right_seg, n_new, ws=ws)
-        assert np.array_equal(dest, want_dest)
+        perm, new_off = _run(offsets, side, left_seg, right_seg, n_new, ws=ws)
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, want_perm)
         assert np.array_equal(new_off, want_off)
-
-    # trash mode: dropped elements scatter to the single slot past the end
-    dropped = want_dest < 0
-    for ws in (None, arena):
-        trash_dest, trash_off = _run(
-            offsets, side, left_seg, right_seg, n_new, ws=ws, trash=True
-        )
-        assert np.array_equal(trash_off, want_off)
-        assert np.array_equal(trash_dest[~dropped], want_dest[~dropped])
-        assert np.all(trash_dest[dropped] == want_off[-1])
 
     # exact per-child counts
     for s in range(left_seg.size):
@@ -96,7 +82,7 @@ def _check_case(offsets, side, left_seg, right_seg, n_new):
         if right_seg[s] >= 0:
             j = right_seg[s]
             assert want_off[j + 1] - want_off[j] == n_right
-    return want_dest, want_off
+    return want_perm, want_off
 
 
 class TestAdversarialLayouts:
@@ -136,20 +122,27 @@ class TestAdversarialLayouts:
         """Relative source order survives into every new segment."""
         offsets = np.array([0, 8], dtype=np.int64)
         side = np.array([0, 1, 0, 0, 1, 0, 1, 0], dtype=np.int8)
-        dest, new_off = _run(offsets, side, np.array([0]), np.array([1]), 2)
+        perm, new_off = _run(offsets, side, np.array([0]), np.array([1]), 2)
         left_sources = np.flatnonzero(side == 0)
         right_sources = np.flatnonzero(side == 1)
-        # invert: out[dest[i]] = i for kept elements
-        out = np.empty(8, dtype=np.int64)
-        out[dest] = np.arange(8)
-        assert np.array_equal(out[new_off[0] : new_off[1]], left_sources)
-        assert np.array_equal(out[new_off[1] : new_off[2]], right_sources)
+        assert np.array_equal(perm[new_off[0] : new_off[1]], left_sources)
+        assert np.array_equal(perm[new_off[1] : new_off[2]], right_sources)
+
+    def test_non_injective_maps_raise(self):
+        """Two (segment, side) groups mapped to one new segment have no
+        order-preserving layout; the maps are refused."""
+        with pytest.raises(ValueError, match="two groups"):
+            _run(np.array([0, 2, 4]), np.array([0, 1, 0, 1]), np.array([0, 0]),
+                 np.array([1, 2]), 3)
+        with pytest.raises(ValueError, match="two groups"):
+            _run(np.array([0, 4]), np.array([0, 1, 0, 1]), np.array([1]),
+                 np.array([1]), 2)
 
 
 def test_more_new_segments_than_a_uint16_key_holds():
-    """70,000 new segments: keys need a second 16-bit radix digit.  The
-    new-segment ids are a random permutation, so segments whose ids share
-    the low digit are ordered by the high one alone."""
+    """70,000 new segments, more than a 16-bit id holds.  The new-segment
+    ids are a random permutation, so groups land far from their source
+    order."""
     rng = np.random.default_rng(7)
     n_seg = 35_000
     lengths = rng.integers(0, 4, size=n_seg)
@@ -204,7 +197,8 @@ def test_arena_reuses_buffers_across_calls():
     for _ in range(5):
         side = rng.choice(np.array([0, 1], dtype=np.int8), size=40)
         partition_segments(
-            device, offsets, side, np.array([0]), np.array([1]), 2, plan, workspace=ws
+            device, offsets, split_sides(side, ws), np.array([0]), np.array([1]), 2, plan,
+            workspace=ws,
         )
     assert ws.n_allocs < ws.n_requests
     assert ws.n_reuses > 0

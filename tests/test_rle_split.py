@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.partition import plan_partition, partition_segments
+from repro.core.partition import plan_partition, partition_segments, split_sides
 from repro.core.rle_split import split_runs_direct, split_runs_with_decompression
 from repro.data.rle import encode_segments
 from repro.gpusim import GpuDevice, TITAN_X_PASCAL
@@ -21,7 +21,13 @@ def make_state(values, offsets):
 
 def element_partition(device, offsets, side, left_seg, right_seg, n_new):
     plan = plan_partition(int(offsets[-1]), 1, max_counter_mem_bytes=2**30)
-    return partition_segments(device, offsets, side, left_seg, right_seg, n_new, plan)
+    return partition_segments(
+        device, offsets, split_sides(side), left_seg, right_seg, n_new, plan
+    )
+
+
+def split_direct(device, rle, side, left_seg, right_seg, n_new):
+    return split_runs_direct(device, rle, split_sides(side), left_seg, right_seg, n_new)
 
 
 class TestFig7Example:
@@ -33,7 +39,7 @@ class TestFig7Example:
         rle = make_state(values, offsets)
         #           3s: L, R, L     1s: R, R
         side = np.array([0, 1, 0, 1, 1], dtype=np.int8)
-        out = split_runs_direct(dev(), rle, side, np.array([0]), np.array([1]), 2)
+        out = split_direct(dev(), rle, side, np.array([0]), np.array([1]), 2)
         # left child: run (3.0, len 2); right child: (3.0, 1), (1.0, 2)
         assert list(out.run_values) == [3.0, 3.0, 1.0]
         assert list(out.run_lengths) == [2, 1, 2]
@@ -44,44 +50,58 @@ class TestFig7Example:
         values = [2.0, 2.0, 1.0]
         rle = make_state(values, np.array([0, 3]))
         side = np.array([0, 0, 0], dtype=np.int8)  # everything goes left
-        out = split_runs_direct(dev(), rle, side, np.array([0]), np.array([1]), 2)
+        out = split_direct(dev(), rle, side, np.array([0]), np.array([1]), 2)
         assert out.n_runs == 2  # no empty right-side runs survive
         assert list(out.run_offsets) == [0, 2, 2]
 
     def test_dropped_segment(self):
         rle = make_state([5.0, 5.0], np.array([0, 2]))
         side = np.array([-1, -1], dtype=np.int8)
-        out = split_runs_direct(dev(), rle, side, np.array([-1]), np.array([-1]), 1)
+        out = split_direct(dev(), rle, side, np.array([-1]), np.array([-1]), 1)
         assert out.n_runs == 0
         assert list(out.run_offsets) == [0, 0]
 
     def test_misaligned_side_rejected(self):
         rle = make_state([1.0], np.array([0, 1]))
         with pytest.raises(ValueError):
-            split_runs_direct(dev(), rle, np.zeros(5, np.int8), np.array([0]), np.array([1]), 2)
+            split_direct(dev(), rle, np.zeros(5, np.int8), np.array([0]), np.array([1]), 2)
 
     def test_map_past_new_segments_rejected(self):
         """Same typed error as ``partition_segments`` for the same maps."""
         rle = make_state([2.0, 1.0], np.array([0, 2]))
         side = np.array([0, 1], dtype=np.int8)
         with pytest.raises(ValueError, match="past n_new_segments"):
-            split_runs_direct(dev(), rle, side, np.array([0]), np.array([5]), 2)
+            split_direct(dev(), rle, side, np.array([0]), np.array([5]), 2)
         with pytest.raises(ValueError, match="past n_new_segments"):
             element_partition(dev(), np.array([0, 2]), side, np.array([0]), np.array([5]), 2)
+
+    def test_non_injective_maps_rejected(self):
+        """Both sides of one segment mapped to one new segment: refused
+        like ``partition_segments`` refuses it."""
+        rle = make_state([2.0, 1.0], np.array([0, 2]))
+        side = np.array([0, 1], dtype=np.int8)
+        with pytest.raises(ValueError, match="two groups"):
+            split_direct(dev(), rle, side, np.array([0]), np.array([0]), 1)
+        with pytest.raises(ValueError, match="two groups"):
+            element_partition(dev(), np.array([0, 2]), side, np.array([0]), np.array([0]), 1)
 
 
 class TestEquivalenceWithDecompression:
     def _both(self, values, offsets, side, left_seg, right_seg, n_new):
         rle = make_state(values, offsets)
-        direct = split_runs_direct(
+        direct = split_direct(
             dev(), rle, side, np.asarray(left_seg), np.asarray(right_seg), n_new
         )
         d2 = dev()
-        dest, new_off = element_partition(
+        perm, new_off = element_partition(
             d2, np.asarray(offsets, np.int64), side,
             np.asarray(left_seg), np.asarray(right_seg), n_new,
         )
-        via_decomp = split_runs_with_decompression(d2, rle, dest, new_off)
+        via_decomp = split_runs_with_decompression(d2, rle, perm, new_off)
+        # the direct split carries its run element offsets
+        assert np.array_equal(
+            direct.run_elem_offsets, np.concatenate(([0], np.cumsum(direct.run_lengths)))
+        )
         return direct, via_decomp
 
     def test_simple_case(self):
@@ -108,9 +128,7 @@ class TestEquivalenceWithDecompression:
         offsets = np.array(offsets, dtype=np.int64)
         n = values.size
         side = np.array(
-            [data.draw(st.sampled_from([0, 1]))] * 0
-            + [data.draw(st.sampled_from([0, 1])) for _ in range(n)],
-            dtype=np.int8,
+            [data.draw(st.sampled_from([0, 1, -1])) for _ in range(n)], dtype=np.int8
         )
         # node-major mapping: children of seg s -> 2s (L) and 2s+1 (R)
         left_seg = np.arange(n_seg) * 2
@@ -139,14 +157,14 @@ class TestCostShape:
         rle = make_state(values, offsets)
 
         d_direct = dev()
-        split_runs_direct(d_direct, rle, side, np.array([0]), np.array([1]), 2)
+        split_direct(d_direct, rle, side, np.array([0]), np.array([1]), 2)
 
         d_dec = dev()
-        dest, new_off = element_partition(
+        perm, new_off = element_partition(
             d_dec, offsets, side, np.array([0]), np.array([1]), 2
         )
         bytes_dec_before = d_dec.ledger.total_bytes
-        split_runs_with_decompression(d_dec, rle, dest, new_off)
+        split_runs_with_decompression(d_dec, rle, perm, new_off)
         bytes_dec = d_dec.ledger.total_bytes - bytes_dec_before
 
         assert d_direct.ledger.total_bytes < bytes_dec

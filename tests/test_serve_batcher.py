@@ -211,6 +211,39 @@ class TestRegistryServing:
         expected = model_b.flatten().predict(rows)
         assert [h.result() for h in handles] == list(expected)
 
+    def test_swap_to_model_wider_than_queued_rows_fails_their_batch(self):
+        """Rows queued under a model trained on 5 covtype columns cannot
+        serve under a swapped-in model of all 54: their handles resolve with the
+        ``ValueError``, each request counts as rejected, and a later batch
+        of full rows still serves."""
+        from repro import as_csr
+        from repro.data.datasets import make_dataset
+
+        ds = make_dataset("covtype", run_rows=250, seed=11)
+        dense = ds.X.to_dense(fill=np.nan).values
+        params = GBDTParams(n_trees=2, max_depth=3)
+        narrow = GPUGBDTTrainer(params).fit(as_csr(dense[:, :5]), ds.y)
+        wide = GPUGBDTTrainer(params).fit(ds.X, ds.y)
+        registry = ModelRegistry()
+        registry.publish(narrow)
+        mb = MicroBatcher(registry, policy=BatchPolicy(max_batch=64, max_wait=1.0),
+                          clock=FakeClock())
+        stranded = [mb.submit(row[:5]) for row in dense[:3]]
+        vw = registry.publish(wide)
+        width = registry.active().flat.n_features
+        assert width > 5
+        assert mb.drain() == 0
+        assert mb.queue_depth == 0
+        assert mb.stats.rejected == 3
+        for h in stranded:
+            assert h.done and h.version == vw
+            with pytest.raises(ValueError, match=f"ensemble tests up to {width}"):
+                h.result()
+        later = [mb.submit(row) for row in dense[3:5]]
+        assert mb.drain() == 2
+        expected = wide.flatten().predict(dense[3:5])
+        assert [h.result() for h in later] == list(expected)
+
     def test_rollback_restores_previous_version(self, susy_small):
         ds, model_a, model_b = self._two_models(susy_small)
         registry = ModelRegistry()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.partition import COUNTER_BYTES, partition_segments, plan_partition
+from repro.core.partition import COUNTER_BYTES, partition_segments, plan_partition, split_sides
 from repro.core.setkey import plan_segment_grid
 from repro.gpusim import GpuDevice, TITAN_X_PASCAL
 
@@ -98,36 +98,34 @@ class TestPartitionSegments:
         # left child of seg j -> new seg j; right child -> new seg 2 + j
         left_seg = np.array([0, 1])
         right_seg = np.array([2, 3])
-        dest, new_off = partition_segments(
-            d, offsets, side, left_seg, right_seg, 4, self._plan(5)
+        perm, new_off = partition_segments(
+            d, offsets, split_sides(side), left_seg, right_seg, 4, self._plan(5)
         )
         assert list(new_off) == [0, 2, 3, 4, 5]
-        out = np.empty(5, dtype=int)
-        out[dest] = np.arange(5)
         # new seg 0 = left of old seg 0 (elements 0, 2 in order)
-        assert list(out[0:2]) == [0, 2]
-        assert list(out[2:3]) == [4]  # left of old seg 1
-        assert list(out[3:4]) == [1]  # right of old seg 0
-        assert list(out[4:5]) == [3]  # right of old seg 1
+        assert list(perm[0:2]) == [0, 2]
+        assert list(perm[2:3]) == [4]  # left of old seg 1
+        assert list(perm[3:4]) == [1]  # right of old seg 0
+        assert list(perm[4:5]) == [3]  # right of old seg 1
 
     def test_dropped_side_maps(self):
         d = GpuDevice(TITAN_X_PASCAL)
         offsets = np.array([0, 4])
         side = np.array([0, 1, 0, 1], dtype=np.int8)
-        dest, new_off = partition_segments(
-            d, offsets, side, np.array([0]), np.array([-1]), 1, self._plan(4)
+        perm, new_off = partition_segments(
+            d, offsets, split_sides(side), np.array([0]), np.array([-1]), 1, self._plan(4)
         )
         assert list(new_off) == [0, 2]
-        assert dest[1] == -1 and dest[3] == -1
+        assert list(perm) == [0, 2]  # elements 1 and 3 are dropped
 
     def test_dropped_elements(self):
         d = GpuDevice(TITAN_X_PASCAL)
         offsets = np.array([0, 3])
         side = np.array([0, -1, 1], dtype=np.int8)
-        dest, new_off = partition_segments(
-            d, offsets, side, np.array([0]), np.array([1]), 2, self._plan(3)
+        perm, new_off = partition_segments(
+            d, offsets, split_sides(side), np.array([0]), np.array([1]), 2, self._plan(3)
         )
-        assert dest[1] == -1
+        assert list(perm) == [0, 2]  # element 1 is dropped
         assert list(new_off) == [0, 1, 2]
 
     def test_passes_multiply_recorded_work(self):
@@ -139,8 +137,9 @@ class TestPartitionSegments:
         import dataclasses
 
         many = dataclasses.replace(one, passes=8)
-        partition_segments(d1, offsets, side, np.array([0]), np.array([1]), 2, one)
-        partition_segments(d8, offsets, side, np.array([0]), np.array([1]), 2, many)
+        sides = split_sides(side)
+        partition_segments(d1, offsets, sides, np.array([0]), np.array([1]), 2, one)
+        partition_segments(d8, offsets, sides, np.array([0]), np.array([1]), 2, many)
         k1 = [k for k in d1.ledger.kernels if k.name == "histogram_partition"][0]
         k8 = [k for k in d8.ledger.kernels if k.name == "histogram_partition"][0]
         assert k8.work.elements == 8 * k1.work.elements
@@ -150,6 +149,6 @@ class TestPartitionSegments:
         d = GpuDevice(TITAN_X_PASCAL)
         with pytest.raises(ValueError):
             partition_segments(
-                d, np.array([0, 1]), np.array([0], dtype=np.int8),
+                d, np.array([0, 1]), split_sides(np.array([0], dtype=np.int8)),
                 np.array([5]), np.array([0]), 2, self._plan(1),
             )
