@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.split import midpoint_thresholds
 from ..data.sorted_columns import SortedColumns
 
 __all__ = [
@@ -175,9 +176,11 @@ def build_bins_from_sketches(sk: ColumnSketch, max_bins: int = 64) -> BinSpec:
     column with ``L`` entries and more groups is cut at the first group
     boundary at or after entry ``(k * L) // max_bins``, for ``k = 1 ..
     max_bins - 1`` (clipped to the column's last boundary), once per
-    distinct boundary.  The edge of the cut after group ``p`` is the
-    midpoint of ``values[p]`` and ``values[p + 1]``, guarded below
-    ``values[p]``; within a column the edges come out descending.
+    distinct boundary.  The edge of the cut after group ``p`` is
+    :func:`~repro.core.split.midpoint_thresholds` of ``values[p]`` and
+    ``values[p + 1]``, so it lies in ``[values[p + 1], values[p])`` even at
+    the float edges; within a column the edges come out strictly
+    descending.
 
     ``build_bins_from_sketches(merge_sketches(shard_sketches))`` equals
     :func:`build_bins` on the unsharded data exactly, for any sharding.
@@ -203,16 +206,9 @@ def build_bins_from_sketches(sk: ColumnSketch, max_bins: int = 64) -> BinSpec:
         prev = np.searchsorted(gstart, targets, side="left") - 1
         cut[np.minimum(prev, (goffs[m + 1] - 2)[:, None]).ravel()] = True
     p = np.flatnonzero(cut)
-    col = np.searchsorted(goffs, p, side="right") - 1
-    with np.errstate(over="ignore"):  # midpoints of values near -max are -inf
-        edge = np.minimum((v[p] + v[p + 1]) / 2.0, np.nextafter(v[p], -np.inf))
-    # the equi-mass branch keeps each distinct edge once (only a -inf tail
-    # can repeat); the every-boundary branch keeps them as produced
-    keep = np.ones(p.size, dtype=bool)
-    keep[1:] = ~((edge[1:] == edge[:-1]) & (col[1:] == col[:-1]) & many[col[1:]])
     return BinSpec(
-        flat=edge[keep],
-        offsets=np.searchsorted(p[keep], goffs, side="left"),
+        flat=midpoint_thresholds(v[p], v[p + 1]),
+        offsets=np.searchsorted(p, goffs, side="left"),
         max_bins=max_bins,
     )
 

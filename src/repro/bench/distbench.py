@@ -3,7 +3,7 @@
 Two experiments on one fixed synthetic workload:
 
 * **Scaling curve** -- :class:`~repro.dist.DistributedHistTrainer` at
-  W ∈ {1, 2, 4, 8} workers (sim backend).  Reports each run's modeled
+  W ∈ {1, 2, 4, 8} workers.  Reports each run's modeled
   makespan (slowest rank's device), speedup over W=1, collective payload
   bytes and ring steps -- and asserts every W produces the byte-identical
   serialized model to the single-process histogram trainer (a benchmark
@@ -128,7 +128,7 @@ class DistBenchResult:
         hdr = f"{'workers':>8} {'modeled (ms)':>13} {'speedup':>8} {'comm (MB)':>10} {'steps':>7}  identical"
         lines = [
             f"data-parallel scaling -- {self.n_rows} rows x {self.n_cols} attrs, "
-            f"{self.n_trees} trees (sim backend)",
+            f"{self.n_trees} trees",
             hdr,
             "-" * len(hdr),
         ]
@@ -207,7 +207,7 @@ def run_dist_bench(quick: bool = False) -> DistBenchResult:
     phases: Dict[str, float] = {}
     for w in worker_counts:
         trainer = DistributedHistTrainer(
-            params, n_workers=w, max_bins=_MAX_BINS, backend="sim",
+            params, n_workers=w, max_bins=_MAX_BINS,
             work_scale=_SCALE, row_scale=_SCALE,
         )
         model = trainer.fit(X, y)
@@ -264,7 +264,7 @@ def run_dist_bench(quick: bool = False) -> DistBenchResult:
         models = {}
         for use_sub in (False, True):
             t = DistributedHistTrainer(
-                params, n_workers=w, max_bins=_MAX_BINS, backend="sim",
+                params, n_workers=w, max_bins=_MAX_BINS,
                 use_subtraction=use_sub,
             )
             models[use_sub] = t.fit(X, y)

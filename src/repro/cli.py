@@ -70,12 +70,6 @@ def _dist_main(argv: list[str]) -> int:
     )
     demo.add_argument("--workers", type=int, default=4, help="worker count (default 4)")
     demo.add_argument(
-        "--backend",
-        choices=("sim", "threaded"),
-        default="sim",
-        help="comms backend: modeled ring cost (sim) or real threads (threaded)",
-    )
-    demo.add_argument(
         "--trees", type=int, default=None, help="boosting rounds (default 8, quick 4)"
     )
     demo.add_argument(
@@ -125,7 +119,6 @@ def _dist_main(argv: list[str]) -> int:
     result = run_dist_demo(
         quick=args.quick,
         workers=args.workers,
-        backend=args.backend,
         trees=args.trees,
         kill_worker=args.kill_worker,
         kill_round=args.kill_round,

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..data.rle import RunLengthColumns, encode_segments
 from ..gpusim.kernel import GpuDevice
-from ..gpusim.primitives import check_offsets, stream_compact
+from ..gpusim.primitives import check_offsets
 from ..obs import traced
 from .partition import SideLists, _group_gather, check_segment_maps
 from .workspace import IDX_DTYPE, WorkspaceArena
@@ -154,7 +154,13 @@ def split_runs_with_decompression(
     )
     # recompress (Fig. 6 bottom row): boundary detection + compaction
     out = encode_segments(new_vals, new_offsets)
-    _, _ = stream_compact(device, np.ones(max(n_new, 1), dtype=bool), name="rle_recompress_compact")
+    m = max(n_new, 1)  # prefix-sum compaction over the boundary flags
+    device.launch(
+        "rle_recompress_compact",
+        elements=m,
+        flops_per_element=2.0,
+        coalesced_bytes=m * (1 + 8 + 8),
+    )
     device.launch(
         "rle_recompress",
         elements=n_new,

@@ -1,7 +1,8 @@
 """Distributed data-parallel GBDT training (row shards + collectives).
 
-See :mod:`repro.dist.comms` for the collective layer (simulated and real
-threaded backends, fault injection), :mod:`repro.dist.trainer` for the
+See :mod:`repro.dist.comms` for the collective layer (one rendezvous
+:class:`~repro.dist.comms.Collective` charging a ring-step cost table,
+fault injection), :mod:`repro.dist.trainer` for the
 row-sharded histogram trainer whose W-worker models are byte-identical to
 single-process training, and :mod:`repro.dist.checkpoint` for the
 checkpoint store its crash recovery resumes from.
@@ -12,8 +13,6 @@ from .comms import (
     CollectiveStats,
     FaultPlan,
     LinkSpec,
-    SimulatedCollective,
-    ThreadedCollective,
     WorkerCrash,
     WorkerFailure,
     run_spmd,
@@ -26,8 +25,6 @@ __all__ = [
     "DistributedHistTrainer",
     "FaultPlan",
     "LinkSpec",
-    "SimulatedCollective",
-    "ThreadedCollective",
     "WorkerCrash",
     "WorkerFailure",
     "run_spmd",

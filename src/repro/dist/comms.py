@@ -4,25 +4,20 @@ The paper's future work (Section VI) names multi-GPU / cluster training;
 the production path for it is row-sharded data parallelism over allreduced
 histograms (Mitchell et al. 2018, Zhang et al. 2017).  This module provides
 the collectives that design needs -- ``allreduce_sum``, ``allreduce_max``,
-``allgather``, ``broadcast``, ``barrier`` -- behind one SPMD abstraction
-with two interchangeable backends:
+``allgather``, ``broadcast``, ``barrier`` -- as one SPMD class,
+:class:`Collective`.
 
-``SimulatedCollective`` (``backend="sim"``)
-    Ranks run on threads but every collective is a *rendezvous*: all ranks
-    deposit, synchronize, and then each computes the reduction locally in
-    rank order (deterministic; exact for the int64 payloads the trainer
-    moves).  Communication cost is charged to each rank's
-    :class:`~repro.gpusim.kernel.GpuDevice` ledger using ring-step
-    accounting -- a ring allreduce of ``B`` bytes across ``W`` ranks costs
-    every rank ``2(W-1)`` steps of ``B/W`` bytes over its link -- so the
-    cost model produces a modeled scaling curve.
-
-``ThreadedCollective`` (``backend="threaded"``)
-    A real message-passing implementation: per-ring-edge FIFO queues between
-    in-process worker threads, a genuine ring reduce-scatter + allgather for
-    ``allreduce_sum``, ring block rotation for ``allgather``, and a chain
-    relay for ``broadcast``.  Collectives are exercised under true
-    concurrency; blocked-receive time is measured as wait seconds.
+Ranks run on threads and every collective is a *rendezvous*: all ranks
+deposit, synchronize, and then each computes the reduction locally in rank
+order (deterministic; exact for the int64 payloads the trainer moves).
+Communication cost is charged to each rank's
+:class:`~repro.gpusim.kernel.GpuDevice` ledger by one ring-step table --
+a ring allreduce of ``B`` bytes across ``W`` ranks costs every rank
+``2(W-1)`` steps of ``B/W`` bytes over its link -- so the cost model
+produces a modeled scaling curve.  Time a rank spends blocked in a
+rendezvous is measured on its clock as wait seconds, and a rendezvous that
+does not fill within ``recv_timeout_s`` raises :class:`CollectiveTimeout`
+instead of hanging the world.
 
 Link cost is expressed in "equivalent PCIe bytes": one
 :class:`~repro.gpusim.kernel.Transfer` is recorded per collective whose
@@ -34,7 +29,8 @@ what the obs counters (``collective_bytes_total`` etc.) and per-rank
 Fault injection lives here because faults *manifest* in the comms layer: a
 :class:`FaultPlan` can kill a rank at a round boundary (``WorkerCrash``;
 surviving ranks observe ``WorkerFailure`` at their next collective) or
-stall a straggler rank.  :func:`run_spmd` is the driver: it spawns one
+stall a straggler rank (a modeled link stall, never a real sleep).
+:func:`run_spmd` is the driver: it spawns one
 thread per rank, runs the same function everywhere, and converts a crashed
 world into a single :class:`WorkerFailure` naming the failed ranks so the
 caller can reshard and retry.
@@ -43,7 +39,6 @@ caller can reshard and retry.
 from __future__ import annotations
 
 import dataclasses
-import queue
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -61,18 +56,13 @@ __all__ = [
     "CollectiveTimeout",
     "FaultPlan",
     "LinkSpec",
-    "SimulatedCollective",
-    "ThreadedCollective",
     "WorkerCrash",
     "WorkerFailure",
     "run_spmd",
 ]
 
-#: seconds a threaded receive waits between checks of the failure flag
-_RECV_POLL_S = 0.05
-
-#: give up a threaded receive entirely after this long (a deadlocked test
-#: should fail loudly, not hang the suite)
+#: give up a rendezvous that has not filled after this long (a deadlocked
+#: test should fail loudly, not hang the suite)
 _RECV_TIMEOUT_S = 60.0
 
 
@@ -102,16 +92,16 @@ class WorkerFailure(RuntimeError):
 
 
 class CollectiveTimeout(RuntimeError):
-    """A blocked receive gave up: carries rank, op, and elapsed seconds.
+    """A rendezvous gave up waiting: carries rank, op, and elapsed seconds.
 
-    This is a *real* failure (deadlock, lost peer without a fault event),
+    This is a *real* failure (deadlock, a rank that skipped a collective),
     not an injected fault -- :func:`run_spmd` fails the world and re-raises
     it as itself so it is never mistaken for a planned :class:`WorkerCrash`.
     """
 
     def __init__(self, rank: int, op: str, elapsed_s: float) -> None:
         super().__init__(
-            f"rank {rank}: receive timed out in {op} after {elapsed_s:.1f}s"
+            f"rank {rank}: timed out in {op} after {elapsed_s:.1f}s"
         )
         self.rank = int(rank)
         self.op = op
@@ -138,8 +128,7 @@ class FaultPlan:
     ``kill_rank`` raises :class:`WorkerCrash` in that rank when it reaches
     the fault point of ``kill_round``.  ``straggler_rank`` stalls that rank
     by ``straggler_delay_s`` at every round's fault point (or only at
-    ``straggler_round`` if given): real ``sleep`` under the threaded
-    backend, a modeled link stall under the simulated one.
+    ``straggler_round`` if given), modeled as a link stall on its ledger.
     """
 
     kill_rank: Optional[int] = None
@@ -171,6 +160,9 @@ class _Rendezvous:
     broken flag, so e.g. rank 0's end-of-round checkpoint always happens
     when every rank finished the round.  Only incomplete generations break
     (as :class:`threading.BrokenBarrierError`, matching the stdlib type).
+    A generation that does not fill within ``timeout`` seconds raises
+    :class:`TimeoutError` and breaks the rendezvous, as the stdlib barrier
+    does: its peers can never complete it.
     """
 
     def __init__(self, parties: int) -> None:
@@ -180,7 +172,7 @@ class _Rendezvous:
         self.broken = False
         self.cond = threading.Condition()
 
-    def wait(self) -> None:
+    def wait(self, timeout: Optional[float] = None) -> None:
         with self.cond:
             if self.broken:
                 raise threading.BrokenBarrierError
@@ -191,8 +183,12 @@ class _Rendezvous:
                 self.generation += 1
                 self.cond.notify_all()
                 return
-            while self.generation == gen and not self.broken:
-                self.cond.wait()
+            if not self.cond.wait_for(
+                lambda: self.generation != gen or self.broken, timeout
+            ):
+                self.broken = True
+                self.cond.notify_all()
+                raise TimeoutError
             if self.generation == gen:  # broke before this generation filled
                 raise threading.BrokenBarrierError
 
@@ -209,16 +205,13 @@ class _World:
         self.world_size = world_size
         self.barrier = _Rendezvous(world_size)
         self.slots: List[Any] = [None] * world_size
-        self.queues = [queue.Queue() for _ in range(world_size)]
         self.failed: set[int] = set()
-        self.fail_event = threading.Event()
         self.lock = threading.Lock()
 
     def fail(self, rank: int) -> None:
         """Mark ``rank`` dead and wake every blocked peer."""
         with self.lock:
             self.failed.add(int(rank))
-        self.fail_event.set()
         self.barrier.abort()
 
     def failed_snapshot(self) -> frozenset:
@@ -229,12 +222,12 @@ class _World:
 class Collective:
     """One rank's handle on the world: SPMD collectives + fault points.
 
-    Subclasses implement the five collectives; payloads the trainer moves
-    are int64/float64 ndarrays (reductions) or small picklable objects
-    (allgather/broadcast of sketches and models).
+    Payloads the trainer moves are int64/float64 ndarrays (reductions) or
+    small picklable objects (allgather/broadcast of sketches and models).
+    Results are computed identically on every rank by reducing the deposited
+    contributions in rank order, so every collective is deterministic by
+    construction; the gpusim ledger carries the comm cost.
     """
-
-    backend = "abstract"
 
     def __init__(
         self,
@@ -280,9 +273,7 @@ class Collective:
         self.seq += 1
         self.last_op = (op, self.seq)
         tracer = self.tracer if self.tracer is not None else current_tracer()
-        return tracer.span(
-            f"dist.{op}", backend=self.backend, seq=self.seq, **attrs
-        )
+        return tracer.span(f"dist.{op}", seq=self.seq, **attrs)
 
     def flight_snapshot(self, reason: str) -> Dict[str, Any]:
         """Freeze this rank's state for the failure report: the last
@@ -326,7 +317,12 @@ class Collective:
             raise WorkerCrash(self.rank, round_)
 
     def _stall(self, seconds: float) -> None:
-        raise NotImplementedError
+        """Model a straggler as an equivalent link stall on this rank."""
+        if self.device is not None:
+            pcie_bps = self.device.spec.pcie_bandwidth_gbs * 1e9
+            nbytes = max(0.0, seconds - PCIE_LATENCY_S) * pcie_bps
+            self.device.transfer("straggler_stall", nbytes, scale=False)
+        self._note_wait("straggler", seconds)
 
     # ----------------------------------------------------------- accounting
     def _charge(self, op: str, nbytes: float, steps: int) -> None:
@@ -339,12 +335,12 @@ class Collective:
         reg.counter(
             "collective_bytes_total",
             "payload bytes moved by collective ops (per rank)",
-            backend=self.backend, op=op,
+            op=op,
         ).inc(nbytes)
         reg.counter(
             "collective_steps_total",
             "ring/chain steps executed by collective ops (per rank)",
-            backend=self.backend, op=op,
+            op=op,
         ).inc(steps)
         if self.device is not None and steps > 0:
             self.device.transfer(
@@ -366,66 +362,47 @@ class Collective:
         get_registry().counter(
             "collective_wait_seconds_total",
             "time ranks spent blocked or stalled in collectives",
-            backend=self.backend, op=op, rank=self.rank,
+            op=op, rank=self.rank,
         ).inc(seconds)
 
-    # ----------------------------------------------------------- interface
-    def allreduce_sum(self, arr: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def allreduce_max(self, arr: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def allgather(self, obj: Any, nbytes: Optional[float] = None) -> List[Any]:
-        raise NotImplementedError
-
-    def broadcast(self, obj: Any, root: int = 0, nbytes: Optional[float] = None) -> Any:
-        raise NotImplementedError
-
-    def barrier(self) -> None:
-        raise NotImplementedError
-
-
-def _payload_bytes(obj: Any, hint: Optional[float]) -> float:
-    if hint is not None:
-        return float(hint)
-    if isinstance(obj, np.ndarray):
-        return float(obj.nbytes)
-    return 64.0  # small control message
-
-
-class SimulatedCollective(Collective):
-    """Rendezvous collectives with modeled ring-step link cost.
-
-    Results are computed identically on every rank by reducing the deposited
-    contributions in rank order, so the backend is deterministic by
-    construction; the gpusim ledger carries the comm cost.
-    """
-
-    backend = "sim"
-
     # ------------------------------------------------------------ exchange
-    def _wait_rendezvous(self) -> None:
-        try:
-            self.world.barrier.wait()
-        except threading.BrokenBarrierError:
-            self.flight_snapshot("rendezvous broken by peer failure")
-            raise WorkerFailure(self.world.failed_snapshot()) from None
+    def _exchange(self, payload: Any, op: str) -> List[Any]:
+        """All ranks deposit, then all ranks see every deposit.
 
-    def _exchange(self, payload: Any) -> List[Any]:
-        """All ranks deposit, then all ranks see every deposit."""
+        The time blocked in the two rendezvous is metered as ``op`` wait;
+        a peer failure surfaces as :class:`WorkerFailure`, a rendezvous
+        that does not fill within ``recv_timeout_s`` as
+        :class:`CollectiveTimeout`.
+        """
         w = self.world
         w.slots[self.rank] = payload
-        self._wait_rendezvous()  # everyone deposited
-        out = list(w.slots)
-        self._wait_rendezvous()  # everyone read; slots reusable
+        t0 = self.clock()
+        try:
+            w.barrier.wait(self.recv_timeout_s)  # everyone deposited
+            out = list(w.slots)
+            w.barrier.wait(self.recv_timeout_s)  # everyone read; slots reusable
+        except threading.BrokenBarrierError:
+            self._note_wait(op, self.clock() - t0)
+            self.flight_snapshot("rendezvous broken by peer failure")
+            raise WorkerFailure(w.failed_snapshot()) from None
+        except TimeoutError:
+            elapsed = self.clock() - t0
+            self._note_wait(op, elapsed)
+            get_registry().counter(
+                "collective_timeout_total",
+                "rendezvous that gave up waiting (deadlock suspected)",
+                op=op, rank=self.rank,
+            ).inc()
+            self.flight_snapshot(f"timed out in {op}")
+            raise CollectiveTimeout(self.rank, op, elapsed) from None
+        self._note_wait(op, self.clock() - t0)
         return out
 
     # ---------------------------------------------------------- collectives
     def allreduce_sum(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
         with self._op_span("allreduce_sum", nbytes=arr.nbytes):
-            parts = self._exchange(arr)
+            parts = self._exchange(arr, "allreduce")
             out = np.zeros_like(arr)
             for part in parts:  # rank order: deterministic (exact for int64)
                 out = out + part
@@ -438,7 +415,7 @@ class SimulatedCollective(Collective):
     def allreduce_max(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
         with self._op_span("allreduce_max", nbytes=arr.nbytes):
-            parts = self._exchange(arr)
+            parts = self._exchange(arr, "allreduce")
             out = parts[0]
             for part in parts[1:]:  # max is exact and order-independent
                 out = np.maximum(out, part)
@@ -450,7 +427,7 @@ class SimulatedCollective(Collective):
     def allgather(self, obj: Any, nbytes: Optional[float] = None) -> List[Any]:
         own = _payload_bytes(obj, nbytes)
         with self._op_span("allgather", nbytes=own):
-            parts = self._exchange((obj, own))
+            parts = self._exchange((obj, own), "allgather")
         W = self.world_size
         if W > 1:
             # ring allgather: every rank forwards all blocks but its own
@@ -460,7 +437,7 @@ class SimulatedCollective(Collective):
 
     def broadcast(self, obj: Any, root: int = 0, nbytes: Optional[float] = None) -> Any:
         with self._op_span("broadcast"):
-            parts = self._exchange((obj, _payload_bytes(obj, nbytes)))
+            parts = self._exchange((obj, _payload_bytes(obj, nbytes)), "broadcast")
         out, size = parts[root]
         if self.world_size > 1:
             # chain relay: every rank but the tail forwards the payload once
@@ -469,163 +446,29 @@ class SimulatedCollective(Collective):
 
     def barrier(self) -> None:
         with self._op_span("barrier"):
-            self._exchange(None)
+            self._exchange(None, "barrier")
         if self.world_size > 1:
             self._charge("barrier", 8.0 * (self.world_size - 1), self.world_size - 1)
 
-    def _stall(self, seconds: float) -> None:
-        """Model a straggler as an equivalent link stall on this rank."""
-        if self.device is not None:
-            pcie_bps = self.device.spec.pcie_bandwidth_gbs * 1e9
-            nbytes = max(0.0, seconds - PCIE_LATENCY_S) * pcie_bps
-            self.device.transfer("straggler_stall", nbytes, scale=False)
-        self._note_wait("straggler", seconds)
 
-
-class ThreadedCollective(Collective):
-    """Real ring collectives over per-edge FIFO queues between threads.
-
-    Rank ``r`` sends to ``(r+1) % W`` and receives from ``(r-1) % W``.
-    Every rank executes the same sequence of collectives (SPMD program
-    order) and each edge's queue is FIFO, so messages of consecutive
-    collectives can never be confused even though ranks drift in time.
-    """
-
-    backend = "threaded"
-
-    # ------------------------------------------------------------ messaging
-    def _send(self, payload: Any) -> None:
-        self.world.queues[(self.rank + 1) % self.world_size].put(payload)
-
-    def _recv(self, op: str) -> Any:
-        q = self.world.queues[self.rank]
-        t0 = self.clock()
-        while True:
-            try:
-                msg = q.get(timeout=_RECV_POLL_S)
-                self._note_wait(op, self.clock() - t0)
-                return msg
-            except queue.Empty:
-                elapsed = self.clock() - t0
-                if self.world.fail_event.is_set():
-                    self._note_wait(op, elapsed)
-                    self.flight_snapshot("receive interrupted by peer failure")
-                    raise WorkerFailure(self.world.failed_snapshot()) from None
-                if elapsed > self.recv_timeout_s:
-                    self._note_wait(op, elapsed)
-                    get_registry().counter(
-                        "collective_timeout_total",
-                        "blocked receives that gave up (deadlock suspected)",
-                        backend=self.backend, op=op, rank=self.rank,
-                    ).inc()
-                    self.flight_snapshot(f"receive timed out in {op}")
-                    raise CollectiveTimeout(self.rank, op, elapsed)
-
-    # ---------------------------------------------------------- collectives
-    def allreduce_sum(self, arr: np.ndarray) -> np.ndarray:
-        a = np.asarray(arr)
-        W = self.world_size
-        if W == 1:
-            return a.copy()
-        with self._op_span("allreduce_sum", nbytes=a.nbytes):
-            flat = a.reshape(-1).copy()
-            chunks: List[np.ndarray] = list(np.array_split(flat, W))
-            sent = 0.0
-            # ring reduce-scatter: after W-1 steps rank r holds the fully
-            # reduced chunk (r+1) % W
-            for step in range(W - 1):
-                send_idx = (self.rank - step) % W
-                recv_idx = (self.rank - step - 1) % W
-                self._send(chunks[send_idx])
-                sent += chunks[send_idx].nbytes
-                incoming = self._recv("allreduce")
-                chunks[recv_idx] = chunks[recv_idx] + incoming
-            # ring allgather of the reduced chunks
-            for step in range(W - 1):
-                send_idx = (self.rank - step + 1) % W
-                self._send(chunks[send_idx])
-                sent += chunks[send_idx].nbytes
-                chunks[(self.rank - step) % W] = self._recv("allreduce")
-            out = np.concatenate([np.asarray(c) for c in chunks])
-        self._charge("allreduce", sent, 2 * (W - 1))
-        return out.reshape(a.shape)
-
-    def allreduce_max(self, arr: np.ndarray) -> np.ndarray:
-        a = np.asarray(arr)
-        if self.world_size == 1:
-            return a.copy()
-        # extrema payloads are tiny: gather-then-reduce over the ring
-        with self._op_span("allreduce_max", nbytes=a.nbytes):
-            parts = self._ring_allgather(a, a.nbytes, "allreduce")
-            out = np.array(a, copy=True)
-            for _, part, _ in parts:  # max is exact and order-independent
-                out = np.maximum(out, part)
-        return out
-
-    def allgather(self, obj: Any, nbytes: Optional[float] = None) -> List[Any]:
-        own = _payload_bytes(obj, nbytes)
-        if self.world_size == 1:
-            return [obj]
-        with self._op_span("allgather", nbytes=own):
-            tagged = self._ring_allgather(obj, own, "allgather")
-        out: List[Any] = [None] * self.world_size
-        for rank, payload, _ in tagged:
-            out[rank] = payload
-        return out
-
-    def _ring_allgather(self, obj: Any, own_bytes: float, op: str) -> List[Any]:
-        """Rotate size-tagged blocks around the ring; returns all W blocks."""
-        W = self.world_size
-        cur = (self.rank, obj, float(own_bytes))
-        collected = [cur]
-        sent = 0.0
-        for _ in range(W - 1):
-            self._send(cur)
-            sent += cur[2]
-            cur = self._recv(op)
-            collected.append(cur)
-        self._charge(op, sent, W - 1)
-        return collected
-
-    def broadcast(self, obj: Any, root: int = 0, nbytes: Optional[float] = None) -> Any:
-        W = self.world_size
-        if W == 1:
-            return obj
-        with self._op_span("broadcast"):
-            if self.rank == root:
-                self._send(obj)
-                self._charge("broadcast", _payload_bytes(obj, nbytes), 1)
-                return obj
-            obj = self._recv("broadcast")
-            if (self.rank + 1) % W != root:  # chain relay; tail stops
-                self._send(obj)
-                self._charge("broadcast", _payload_bytes(obj, nbytes), 1)
-            return obj
-
-    def barrier(self) -> None:
-        with self._op_span("barrier"):
-            if self.world_size > 1:
-                self._ring_allgather(None, 8.0, "barrier")
-
-    def _stall(self, seconds: float) -> None:
-        time.sleep(seconds)
-        self._note_wait("straggler", seconds)
-
-
-_BACKENDS = {"sim": SimulatedCollective, "threaded": ThreadedCollective}
+def _payload_bytes(obj: Any, hint: Optional[float]) -> float:
+    if hint is not None:
+        return float(hint)
+    if isinstance(obj, np.ndarray):
+        return float(obj.nbytes)
+    return 64.0  # small control message
 
 
 def run_spmd(
     world_size: int,
     fn: Callable[[Collective], Any],
     *,
-    backend: str = "sim",
     devices: Optional[Sequence[Optional[GpuDevice]]] = None,
     spec: DeviceSpec = TITAN_X_PASCAL,
     link: Optional[LinkSpec] = None,
     faults: Optional[FaultPlan] = None,
     tracers: Optional[Sequence[Tracer]] = None,
-    recv_timeout_s: Optional[float] = None,
+    recv_timeout_s: float = _RECV_TIMEOUT_S,
 ):
     """Run ``fn(collective)`` on ``world_size`` rank threads.
 
@@ -641,13 +484,12 @@ def run_spmd(
     exception -- every surviving rank unblocks with :class:`WorkerFailure`,
     and after all threads join this raises :class:`WorkerFailure` naming the
     failed ranks and carrying each rank's flight-recorder snapshot
-    (non-fault exceptions are re-raised as themselves so real bugs are not
-    mistaken for injected faults).
+    (non-fault exceptions -- including the :class:`CollectiveTimeout` of a
+    rank left waiting ``recv_timeout_s`` -- are re-raised as themselves so
+    real bugs are not mistaken for injected faults).
     """
     if world_size < 1:
         raise ValueError("world_size must be >= 1")
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {sorted(_BACKENDS)}")
     world = _World(world_size)
     if devices is None:
         devices = [GpuDevice(spec) for _ in range(world_size)]
@@ -664,19 +506,15 @@ def run_spmd(
         ]
     elif len(tracers) != world_size:
         raise ValueError("tracers must have one entry per rank")
-    cls = _BACKENDS[backend]
-    kwargs: Dict[str, Any] = {}
-    if recv_timeout_s is not None:
-        kwargs["recv_timeout_s"] = recv_timeout_s
     colls = [
-        cls(
+        Collective(
             world,
             r,
             devices[r],
             link or LinkSpec.for_spec(spec),
             faults,
             tracer=tracers[r],
-            **kwargs,
+            recv_timeout_s=recv_timeout_s,
         )
         for r in range(world_size)
     ]
@@ -687,7 +525,7 @@ def run_spmd(
     def target(r: int) -> None:
         try:
             with use_thread_tracer(tracers[r]):
-                with tracers[r].span("dist.worker", backend=backend):
+                with tracers[r].span("dist.worker"):
                     results[r] = fn(colls[r])
         except (WorkerCrash, WorkerFailure) as exc:
             errors[r] = exc

@@ -31,7 +31,6 @@ class DistDemoResult:
 
     digest: str
     workers: int
-    backend: str
     recoveries: int
     matches_single: bool
     elapsed_s: float
@@ -48,7 +47,6 @@ def run_dist_demo(
     *,
     quick: bool = False,
     workers: int = 4,
-    backend: str = "sim",
     trees: Optional[int] = None,
     kill_worker: Optional[int] = None,
     kill_round: Optional[int] = None,
@@ -86,7 +84,6 @@ def run_dist_demo(
             params,
             n_workers=workers,
             max_bins=max_bins,
-            backend=backend,
             faults=faults,
             checkpoint_dir=ckpt_dir,
             checkpoint_every=1,
@@ -98,7 +95,7 @@ def run_dist_demo(
         digest = model_digest(model)
 
         lines = [
-            f"distributed training: {workers} workers, backend={backend}, "
+            f"distributed training: {workers} workers, "
             f"{rows} rows, {n_trees} trees, max_bins={max_bins}",
         ]
         for attempt in trainer.attempts_:
@@ -150,7 +147,6 @@ def run_dist_demo(
         return DistDemoResult(
             digest=digest,
             workers=workers,
-            backend=backend,
             recoveries=trainer.recoveries,
             matches_single=matches,
             elapsed_s=trainer.elapsed_seconds(),

@@ -34,7 +34,7 @@ is inherited through the hook with no distributed-specific code.
 Because gradients are fixed-point quantized (:mod:`repro.approx.fixedpoint`)
 all reductions are exact and order-independent, so the W-worker model is
 **byte-identical** to single-worker training for any W -- the differential
-test suite asserts serialized-model equality under both backends.
+test suite asserts serialized-model equality for every W it runs.
 
 Fault tolerance: rank 0 checkpoints the growing ensemble every
 ``checkpoint_every`` rounds through :class:`repro.dist.checkpoint.
@@ -181,8 +181,7 @@ class DistributedHistTrainer:
 
     Parameters mirror :class:`~repro.approx.histogram_trainer.
     HistogramGBDTTrainer` (depthwise growth only) plus the distribution
-    knobs: comms ``backend`` (``"sim"`` or ``"threaded"``), per-link
-    :class:`~repro.dist.comms.LinkSpec`, an injectable
+    knobs: per-link :class:`~repro.dist.comms.LinkSpec`, an injectable
     :class:`~repro.dist.comms.FaultPlan`, and a checkpoint directory
     enabling crash recovery.
     """
@@ -193,7 +192,6 @@ class DistributedHistTrainer:
         n_workers: int = 2,
         *,
         max_bins: int = 64,
-        backend: str = "sim",
         spec: DeviceSpec = TITAN_X_PASCAL,
         link: LinkSpec | None = None,
         faults: FaultPlan | None = None,
@@ -205,8 +203,6 @@ class DistributedHistTrainer:
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if backend not in ("sim", "threaded"):
-            raise ValueError("backend must be 'sim' or 'threaded'")
         self.params = params if params is not None else GBDTParams()
         if self.params.goss_a < 1.0:
             # GOSS samples on *global* gradient order; a row-sharded draw
@@ -223,7 +219,6 @@ class DistributedHistTrainer:
         self.use_subtraction = use_subtraction
         self.n_workers = int(n_workers)
         self.max_bins = int(max_bins)
-        self.backend = backend
         self.spec = spec
         self.link = link
         self.faults = faults
@@ -304,13 +299,11 @@ class DistributedHistTrainer:
                 with span(
                     "dist.fit_attempt",
                     workers=workers,
-                    backend=self.backend,
                     resumed_round=resumed_round,
                 ):
                     models, colls = run_spmd(
                         workers,
                         worker,
-                        backend=self.backend,
                         devices=devices,
                         link=self.link,
                         faults=faults,
@@ -376,7 +369,7 @@ class DistributedHistTrainer:
         return int(sum(s.steps_total for s in self.comm_stats_))
 
     def wait_seconds(self) -> float:
-        """Blocked-receive time summed over ranks (threaded backend)."""
+        """Rendezvous-blocked plus modeled straggler time, summed over ranks."""
         return float(sum(s.wait_s for s in self.comm_stats_))
 
     def export_trace(self, path) -> int:

@@ -3,8 +3,8 @@
 These are the GPU building blocks the paper leans on (Section III-B):
 segmented prefix sum ("available in CUDA Thrust"), segmented reduction for
 best-split selection, parallel reduction, order-preserving scatter for node
-partitioning (Fig. 2/3), prefix-sum stream compaction for Directly-Split-RLE
-(Fig. 7), and segmented radix sort for the initial attribute-list build.
+partitioning (Fig. 2/3), and segmented radix sort for the initial
+attribute-list build.
 
 Every primitive executes functionally on NumPy arrays *and* charges the
 simulated device with a :class:`~repro.gpusim.kernel.Work` estimate.  The
@@ -41,7 +41,6 @@ __all__ = [
     "gather",
     "bincount_sum",
     "two_way_partition",
-    "stream_compact",
     "segment_order_desc",
     "segment_sort_desc",
 ]
@@ -349,29 +348,6 @@ def two_way_partition(
         irregular_bytes=n * 8,  # the scatter write itself
     )
     return dest, new_offsets
-
-
-def stream_compact(
-    device: GpuDevice, mask: np.ndarray, name: str = "stream_compact"
-) -> tuple[np.ndarray, int]:
-    """Prefix-sum compaction: destinations of kept elements.
-
-    Returns ``(dest, count)`` where ``dest[i]`` is the output slot of element
-    ``i`` if ``mask[i]`` else ``-1``.  This is the "use prefix sum to remove
-    the RLE element with length of 0" step of Directly-Split-RLE (Fig. 7).
-    """
-    mask = np.asarray(mask, dtype=bool)
-    n = mask.size
-    ranks = np.cumsum(mask.astype(np.int64))
-    count = int(ranks[-1]) if n else 0
-    dest = np.where(mask, ranks - 1, -1)
-    device.launch(
-        name,
-        elements=n,
-        flops_per_element=2.0,
-        coalesced_bytes=n * (1 + 8 + 8),
-    )
-    return dest, count
 
 
 # -------------------------------------------------------------------- sorts

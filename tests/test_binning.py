@@ -44,6 +44,20 @@ SPECIAL = [
 
 
 # ------------------------------------------------------------------ oracles
+def oracle_cut(hi, lo):
+    """The edge between adjacent distinct values ``hi > lo``: the plain
+    midpoint where it lies in ``[lo, hi)``, else ``hi / 2 + lo / 2`` (the
+    midpoint overflowed), else the float below ``hi``."""
+    for mid in ((hi + lo) / 2.0, hi / 2.0 + lo / 2.0):
+        if lo <= mid < hi:
+            return mid
+    return np.nextafter(hi, -np.inf)
+
+
+def oracle_cuts(hi, lo):
+    return np.array([oracle_cut(h, l) for h, l in zip(hi, lo)], dtype=np.float64)
+
+
 def oracle_build_bins(cols, max_bins):
     """Per-column equi-mass cuts of the sorted columns (the loop body the
     one-pass cut rule replaced)."""
@@ -56,16 +70,12 @@ def oracle_build_bins(cols, max_bins):
             continue
         change = np.flatnonzero(vals[1:] != vals[:-1]) + 1
         if change.size + 1 <= max_bins:
-            cut_vals = (vals[change - 1] + vals[change]) / 2.0
-            guard = np.minimum(cut_vals, np.nextafter(vals[change - 1], -np.inf))
-            edges.append(np.asarray(guard, dtype=np.float64))
+            edges.append(oracle_cuts(vals[change - 1], vals[change]))
             continue
         targets = (np.arange(1, max_bins) * L) // max_bins
         cut_pos = np.unique(np.searchsorted(change, targets, side="left").clip(0, change.size - 1))
         bpos = change[cut_pos]
-        cut_vals = (vals[bpos - 1] + vals[bpos]) / 2.0
-        guard = np.minimum(cut_vals, np.nextafter(vals[bpos - 1], -np.inf))
-        edges.append(np.asarray(np.unique(guard)[::-1], dtype=np.float64))
+        edges.append(oracle_cuts(vals[bpos - 1], vals[bpos]))
     return edges
 
 
@@ -74,16 +84,12 @@ def oracle_edges_from_sketch(v, c, max_bins):
     if v.size == 0:
         return np.empty(0)
     if v.size <= max_bins:
-        cut_vals = (v[:-1] + v[1:]) / 2.0
-        guard = np.minimum(cut_vals, np.nextafter(v[:-1], -np.inf))
-        return np.asarray(guard, dtype=np.float64)
+        return oracle_cuts(v[:-1], v[1:])
     change = np.cumsum(c[:-1])
     L = int(c.sum())
     targets = (np.arange(1, max_bins) * L) // max_bins
     cut_pos = np.unique(np.searchsorted(change, targets, side="left").clip(0, change.size - 1))
-    cut_vals = (v[cut_pos] + v[cut_pos + 1]) / 2.0
-    guard = np.minimum(cut_vals, np.nextafter(v[cut_pos], -np.inf))
-    return np.asarray(np.unique(guard)[::-1], dtype=np.float64)
+    return oracle_cuts(v[cut_pos], v[cut_pos + 1])
 
 
 def oracle_bins(edges, cols):
@@ -211,9 +217,9 @@ def test_named_cases_match_oracles(case, max_bins):
 
 
 def test_negative_overflow_tail_is_exercised():
-    """The near-max column overflows its midpoints to ``-inf``: in the
-    equi-mass branch the repeated ``-inf`` edge is kept once, and in the
-    every-boundary branch every copy is kept -- and no entry counts it."""
+    """The near-max columns' plain midpoints overflow to ``-inf``; every
+    edge still lies in its own ``[lo, hi)``, so no edge is ``-inf``, none
+    repeats in either branch, and every bin holds entries."""
     rng = np.random.default_rng(0)
     X = column_matrix(
         [
@@ -225,9 +231,12 @@ def test_negative_overflow_tail_is_exercised():
     cols = sorted_cols(X)
     spec = build_bins(cols, 4)
     ent = bin_column_values(spec, cols)
-    assert np.count_nonzero(spec.edges[0] == -np.inf) == 1
-    assert np.count_nonzero(spec.edges[1] == -np.inf) == 3
-    assert ent.max() < spec.n_bins(0) - 1
+    for j, size in ((0, 3), (1, 3)):  # equi-mass, then every-boundary
+        e = spec.edges[j]
+        assert e.size == size and np.all(np.isfinite(e))
+        assert np.all(e[1:] < e[:-1])
+        lo, hi = cols.col_offsets[j], cols.col_offsets[j + 1]
+        assert np.array_equal(np.unique(ent[lo:hi]), np.arange(size + 1))
     check_against_oracles(X, 4)
 
 

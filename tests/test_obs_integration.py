@@ -51,7 +51,7 @@ CONTRACT_TRAINERS = {
         p, grow_policy="lossguide", max_leaves=8
     ),
     "stream": lambda p: StreamingHistTrainer(p, block_rows=100),
-    "dist": lambda p: DistributedHistTrainer(p, n_workers=2, backend="sim"),
+    "dist": lambda p: DistributedHistTrainer(p, n_workers=2),
 }
 
 

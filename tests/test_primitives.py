@@ -18,7 +18,6 @@ from repro.gpusim.primitives import (
     segmented_argmax,
     segmented_inclusive_cumsum,
     segmented_sum,
-    stream_compact,
     two_way_partition,
 )
 
@@ -185,26 +184,6 @@ class TestTwoWayPartition:
                 expected = values[seg][side[seg] == mask_val]
                 got = out[new_off[child] : new_off[child + 1]]
                 assert np.array_equal(got, expected)
-
-
-class TestStreamCompact:
-    def test_basic(self):
-        dest, count = stream_compact(dev(), np.array([True, False, True, True]))
-        assert count == 3
-        assert list(dest) == [0, -1, 1, 2]
-
-    def test_empty(self):
-        dest, count = stream_compact(dev(), np.array([], dtype=bool))
-        assert count == 0 and dest.size == 0
-
-    @given(st.lists(st.booleans(), max_size=40))
-    @settings(max_examples=40, deadline=None)
-    def test_property(self, mask):
-        mask = np.array(mask, dtype=bool)
-        dest, count = stream_compact(dev(), mask)
-        assert count == mask.sum()
-        assert sorted(dest[mask]) == list(range(count))
-        assert np.all(dest[~mask] == -1)
 
 
 class TestSegmentSort:

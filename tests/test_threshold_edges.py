@@ -4,16 +4,19 @@ One attribute holds two values, 150 rows each, and the label is +5 or -5
 by value; one depth-1 tree must separate them.  The plain midpoint
 ``(hi + lo) / 2`` overflows to ``+inf`` near +max, to ``-inf`` near -max,
 and rounds onto ``hi`` at subnormals, and a threshold outside
-``[lo, hi)`` sends both values to one child.  Every exact trainer and the
-CPU reference must place ``lo <= threshold < hi`` and fit the labels.
+``[lo, hi)`` sends both values to one child.  Every exact trainer, the
+histogram trainers (whose bin edges are the thresholds) and the CPU
+reference must place ``lo <= threshold < hi`` and fit the labels.
 """
 
 import numpy as np
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, as_csr
+from repro.approx.histogram_trainer import HistogramGBDTTrainer
 from repro.core.split import midpoint_thresholds
 from repro.cpu.exact_greedy import ReferenceTrainer
+from repro.stream import StreamingHistTrainer
 
 PAIRS = {
     "near-plus-max": (1.7e308, 1.5e308),
@@ -29,6 +32,8 @@ TRAINERS = {
         p.replace(rle_policy="always", use_direct_rle=False)
     ),
     "reference": ReferenceTrainer,
+    "histogram": HistogramGBDTTrainer,
+    "stream": lambda p: StreamingHistTrainer(p, block_rows=64),
 }
 
 

@@ -4,20 +4,21 @@ A distributed regression is diagnosed from one merged Perfetto timeline, so
 the structural guarantees under test are: one pid per rank, lockstep
 sequence numbers monotonic within a rank and aligned across ranks, blocked
 time surfaced as ``collective_wait_seconds_total{rank=...}``, typed
-:class:`CollectiveTimeout` on a wedged receive, and a flight-recorder
+:class:`CollectiveTimeout` on a wedged rendezvous, and a flight-recorder
 snapshot per rank riding on :class:`WorkerFailure`.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from repro.dist.comms import (
+    Collective,
     CollectiveTimeout,
     FaultPlan,
     LinkSpec,
-    ThreadedCollective,
     WorkerFailure,
     _World,
     run_spmd,
@@ -31,7 +32,13 @@ from repro.obs.export import (
     merged_chrome_trace_events,
 )
 
-BACKENDS = ("sim", "threaded")
+#: ``sim`` ranks charge a gpusim ledger each; ``threaded`` ranks are bare
+#: threads with no device attached (ids kept from the retired backends)
+LEDGERS = ("sim", "threaded")
+
+
+def ledger_devices(ledger, world_size):
+    return None if ledger == "sim" else [None] * world_size
 
 
 def spmd_program(coll):
@@ -43,19 +50,22 @@ def spmd_program(coll):
     return total.sum(), gathered, top
 
 
-def run_world(world_size=4, backend="threaded"):
+def run_world(world_size=4, ledger="sim"):
     tracers = [Tracer(tags={"rank": r}) for r in range(world_size)]
     results, colls = run_spmd(
-        world_size, spmd_program, backend=backend, tracers=tracers
+        world_size,
+        spmd_program,
+        devices=ledger_devices(ledger, world_size),
+        tracers=tracers,
     )
     return results, colls, tracers
 
 
 # ------------------------------------------------------------- merged trace
 class TestMergedTrace:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_pid_per_rank(self, backend, tmp_path):
-        _, _, tracers = run_world(4, backend)
+    @pytest.mark.parametrize("ledger", LEDGERS)
+    def test_one_pid_per_rank(self, ledger, tmp_path):
+        _, _, tracers = run_world(4, ledger)
         path = tmp_path / "dist.trace.json"
         n = export_merged_chrome_trace(path, rank_tracers=tracers)
         assert n > 0
@@ -72,7 +82,7 @@ class TestMergedTrace:
         assert "rank 3 (wall-clock spans)" in names
 
     def test_lockstep_seq_monotonic_per_rank(self):
-        _, _, tracers = run_world(4, "threaded")
+        _, _, tracers = run_world(4)
         events = merged_chrome_trace_events(rank_tracers=tracers)
         for r in range(4):
             seqs = [
@@ -102,7 +112,7 @@ class TestMergedTrace:
         host = Tracer()
         with host.span("fit"):
             pass
-        _, _, tracers = run_world(2, "sim")
+        _, _, tracers = run_world(2)
         events = merged_chrome_trace_events(tracer=host, rank_tracers=tracers)
         pids = {e["pid"] for e in events if e.get("ph") == "X"}
         assert pids == {HOST_PID, RANK_PID_BASE, RANK_PID_BASE + 1}
@@ -110,7 +120,7 @@ class TestMergedTrace:
 
     def test_rank_from_tracer_tags(self):
         """Rank identity comes from the tracer's tag, not list position."""
-        _, _, tracers = run_world(2, "sim")
+        _, _, tracers = run_world(2)
         events = merged_chrome_trace_events(rank_tracers=list(reversed(tracers)))
         pids = {e["pid"] for e in events if e.get("ph") == "X"}
         assert pids == {RANK_PID_BASE, RANK_PID_BASE + 1}
@@ -229,9 +239,10 @@ class TestHotPathSpans:
 # ------------------------------------------------------------ wait metrics
 class TestWaitMetrics:
     def test_threaded_run_records_wait_per_rank(self):
+        """Every rank thread's time blocked in the rendezvous is metered."""
         registry = MetricsRegistry()
         with use_registry(registry):
-            run_world(4, "threaded")
+            _, colls, _ = run_world(4)
         waits = {
             inst.label_dict["rank"]: inst.value
             for _, _, _, series in registry.families()
@@ -240,20 +251,22 @@ class TestWaitMetrics:
         }
         assert set(waits) == {"0", "1", "2", "3"}
         assert all(v > 0 for v in waits.values())
+        for coll in colls:
+            assert coll.stats.wait_s > 0
 
 
 # ---------------------------------------------------------------- timeout
 class TestCollectiveTimeout:
-    def make_collective(self, recv_timeout_s=0.5):
-        """A rank-0 collective whose peer never sends, on a fake clock that
-        advances a full second per reading (so one real poll suffices)."""
+    def make_collective(self, recv_timeout_s=0.05):
+        """A rank-0 collective whose peer never arrives, on a fake clock
+        that advances a full second per reading."""
         state = {"t": 0.0}
 
         def clock():
             state["t"] += 1.0
             return state["t"]
 
-        return ThreadedCollective(
+        return Collective(
             _World(2),
             0,
             None,  # no device: timeout accounting must not need a ledger
@@ -269,26 +282,27 @@ class TestCollectiveTimeout:
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.raises(CollectiveTimeout) as excinfo:
-                coll._recv("allreduce")
+                coll.allreduce_sum(np.ones(4, dtype=np.int64))
         exc = excinfo.value
         assert exc.rank == 0 and exc.op == "allreduce"
         assert exc.elapsed_s > coll.recv_timeout_s
         assert "rank 0" in str(exc) and "allreduce" in str(exc)
         counter = registry.get(
-            "collective_timeout_total", backend="threaded", op="allreduce", rank=0
+            "collective_timeout_total", op="allreduce", rank=0
         )
         assert counter is not None and counter.value == 1
+        wait = registry.get("collective_wait_seconds_total", op="allreduce", rank=0)
+        assert wait is not None and wait.value == exc.elapsed_s
 
     def test_timeout_captures_flight_snapshot(self):
         coll = self.make_collective()
         with use_registry(MetricsRegistry()):
             with pytest.raises(CollectiveTimeout):
-                with coll._op_span("allreduce_sum", nbytes=32):
-                    coll._recv("allreduce")
+                coll.allreduce_sum(np.ones(4, dtype=np.int64))
         flight = coll.flight_
         assert flight is not None
         assert flight["rank"] == 0
-        assert "timed out" in flight["reason"]
+        assert flight["reason"] == "timed out in allreduce"
         assert flight["last_op"] == "allreduce_sum" and flight["seq"] == 1
         assert flight["wait_s"] > 0
         assert any(
@@ -305,16 +319,18 @@ class TestCollectiveTimeout:
             return None
 
         with use_registry(MetricsRegistry()):
-            with pytest.raises(CollectiveTimeout):
-                run_spmd(
-                    2, lopsided, backend="threaded", recv_timeout_s=0.3
-                )
+            t0 = time.perf_counter()
+            with pytest.raises(CollectiveTimeout) as excinfo:
+                run_spmd(2, lopsided, recv_timeout_s=0.3)
+        assert excinfo.value.rank == 0 and excinfo.value.op == "allgather"
+        # the deadline, not run_spmd's last-resort thread join, ends the run
+        assert time.perf_counter() - t0 < 30.0
 
 
 # --------------------------------------------------------- flight recorder
 class TestFlightRecorder:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worker_failure_carries_snapshots(self, backend):
+    @pytest.mark.parametrize("ledger", LEDGERS)
+    def test_worker_failure_carries_snapshots(self, ledger):
         def fn(coll):
             coll.fault_point(0)
             coll.barrier()
@@ -325,7 +341,7 @@ class TestFlightRecorder:
                 run_spmd(
                     4,
                     fn,
-                    backend=backend,
+                    devices=ledger_devices(ledger, 4),
                     faults=FaultPlan(kill_rank=2, kill_round=0),
                 )
         failure = excinfo.value
