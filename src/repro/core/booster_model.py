@@ -49,9 +49,7 @@ class GBDTModel:
         """Cheap content fingerprint guarding the cached flat ensemble.
 
         Catches every mutation the :class:`DecisionTree` API can make:
-        ``split_node`` changes node counts, ``set_leaf`` changes the value
-        sum.  Direct field surgery on a tree must call :meth:`flatten` with
-        ``refresh=True``.
+        ``split_node`` changes node counts, ``set_leaf`` the value sum.
         """
         return (
             len(self.trees),
@@ -60,18 +58,14 @@ class GBDTModel:
             self.base_score,
         )
 
-    def flatten(self, *, refresh: bool = False):
-        """The ensemble as a :class:`~repro.serve.FlatEnsemble` (cached).
-
-        The cache is invalidated automatically when trees are added or leaf
-        values change; pass ``refresh=True`` after mutating a tree's arrays
-        in place.
-        """
+    def flatten(self):
+        """The ensemble as a :class:`~repro.serve.FlatEnsemble` (cached; the
+        cache is invalidated when trees are added or leaf values change)."""
         from ..serve.flat_model import FlatEnsemble
 
         sig = self._flat_signature()
         cached = getattr(self, "_flat_cache", None)
-        if refresh or cached is None or cached[0] != sig:
+        if cached is None or cached[0] != sig:
             cached = (sig, FlatEnsemble.from_model(self))
             self._flat_cache = cached
         return cached[1]
@@ -136,8 +130,8 @@ class GBDTModel:
 
     # ------------------------------------------------------------ persistence
     def to_json(self) -> str:
-        """Serialize the trees (params are not round-tripped -- they belong
-        to training, not inference)."""
+        """Serialize the trees, base score and learning rate (the rest of
+        the params belong to training, not inference)."""
         return json.dumps(
             {
                 "base_score": self.base_score,
@@ -148,11 +142,27 @@ class GBDTModel:
 
     @classmethod
     def from_json(cls, text: str, params: GBDTParams | None = None) -> "GBDTModel":
+        """Rebuild a model written by :meth:`to_json`: the model-load
+        boundary (``ValueError`` for a damaged tree, see
+        :meth:`DecisionTree.from_dict`, or a non-finite base score).
+        ``params=None`` keeps the stored learning rate; ``params`` with
+        another one raise, since the stored leaf values include it."""
         d = json.loads(text)
+        base_score = float(d["base_score"])
+        if not np.isfinite(base_score):
+            raise ValueError(f"non-finite base score {base_score!r}")
+        stored_lr = d["learning_rate"]
+        if params is None:
+            params = GBDTParams(learning_rate=stored_lr)
+        elif params.learning_rate != stored_lr:
+            raise ValueError(
+                f"params.learning_rate={params.learning_rate!r} differs from the "
+                f"stored learning_rate={stored_lr!r} the leaf values include"
+            )
         return cls(
             trees=[DecisionTree.from_dict(td) for td in d["trees"]],
-            params=params if params is not None else GBDTParams(),
-            base_score=float(d["base_score"]),
+            params=params,
+            base_score=base_score,
         )
 
     def save(self, path) -> None:
@@ -169,7 +179,8 @@ class GBDTModel:
 
     @classmethod
     def load(cls, path, params: GBDTParams | None = None) -> "GBDTModel":
-        """Read a model written by :meth:`save`."""
+        """Read a model written by :meth:`save`; damaged files raise
+        ``ValueError`` as in :meth:`from_json`."""
         from pathlib import Path
 
         return cls.from_json(Path(path).read_text(encoding="utf-8"), params=params)

@@ -26,6 +26,13 @@ __all__ = ["DecisionTree", "trees_equal"]
 
 _NO_CHILD = -1
 
+#: every per-node list with its element type, in serialization order
+_FIELDS = (
+    ("left", int), ("right", int), ("attr", int), ("threshold", float),
+    ("default_left", bool), ("value", float), ("gain", float),
+    ("n_instances", int), ("depth", int),
+)
+
 
 class DecisionTree:
     """A binary regression tree built level by level.
@@ -177,30 +184,19 @@ class DecisionTree:
     # ----------------------------------------------------------- persistence
     def to_dict(self) -> Dict[str, list]:
         """JSON-serializable structure."""
-        return {
-            "left": list(self.left),
-            "right": list(self.right),
-            "attr": list(self.attr),
-            "threshold": [float(t) for t in self.threshold],
-            "default_left": list(self.default_left),
-            "value": list(self.value),
-            "gain": list(self.gain),
-            "n_instances": list(self.n_instances),
-            "depth": list(self.depth),
-        }
+        return {name: [conv(v) for v in getattr(self, name)] for name, conv in _FIELDS}
 
     @classmethod
     def from_dict(cls, d: Dict[str, list]) -> "DecisionTree":
+        """Rebuild a tree written by :meth:`to_dict`: the one structural check
+        of every tree read from outside (saved model, registry payload,
+        checkpoint).  Raises ``ValueError`` for a tree the unchecked flat
+        predictor could not traverse right (the checks: ``docs/serving.md``
+        section 4)."""
         t = cls()
-        t.left = [int(v) for v in d["left"]]
-        t.right = [int(v) for v in d["right"]]
-        t.attr = [int(v) for v in d["attr"]]
-        t.threshold = [float(v) for v in d["threshold"]]
-        t.default_left = [bool(v) for v in d["default_left"]]
-        t.value = [float(v) for v in d["value"]]
-        t.gain = [float(v) for v in d["gain"]]
-        t.n_instances = [int(v) for v in d["n_instances"]]
-        t.depth = [int(v) for v in d["depth"]]
+        for name, conv in _FIELDS:
+            setattr(t, name, [conv(v) for v in d[name]])
+        _validate(t)
         return t
 
     def dump_text(self, nid: int = 0, indent: str = "") -> str:
@@ -218,6 +214,46 @@ class DecisionTree:
                 self.dump_text(self.right[nid], indent + "  "),
             ]
         )
+
+
+def _validate(t: DecisionTree) -> None:
+    """The checks :meth:`DecisionTree.from_dict` documents."""
+    n = t.n_nodes
+    ragged = [name for name, _ in _FIELDS if len(getattr(t, name)) != n]
+    if ragged:
+        raise ValueError(f"node lists {ragged} differ in length from left ({n})")
+    if n == 0:
+        raise ValueError("tree has no nodes")
+    left = np.asarray(t.left, dtype=np.int64)
+    right = np.asarray(t.right, dtype=np.int64)
+    internal = left != _NO_CHILD
+    if not np.array_equal(internal, right != _NO_CHILD):
+        raise ValueError("a node has one child: left and right must both be -1 on a leaf")
+    parent = np.flatnonzero(internal)
+    kids = np.concatenate([left[parent], right[parent]])
+    if kids.size and (kids.min() < 1 or kids.max() >= n):
+        raise ValueError(f"child id out of range [1, {n})")
+    # one parent per non-root node leaves the root's tree plus, possibly,
+    # cycles detached from it; depth rising by one along every link rules
+    # the cycles out, so together they mean "reached exactly once"
+    n_parents = np.bincount(kids, minlength=n)[1:]
+    if (n_parents == 0).any():
+        raise ValueError(f"{int((n_parents == 0).sum())} node(s) unreachable from the root")
+    if (n_parents > 1).any():
+        raise ValueError(f"{int((n_parents > 1).sum())} node(s) with two parents")
+    depth = np.asarray(t.depth, dtype=np.int64)
+    if depth[0] != 0 or (depth[kids] != np.tile(depth[parent], 2) + 1).any():
+        raise ValueError(
+            "stored depths do not follow the links: nodes unreachable from the "
+            "root (a detached cycle) or a damaged depth list"
+        )
+    if (np.asarray(t.attr, dtype=np.int64)[parent] < 0).any():
+        raise ValueError("an internal node splits on a negative attribute")
+    thr = np.asarray(t.threshold, dtype=np.float64)[parent]
+    if np.isnan(thr).any() or (thr == np.inf).any():
+        raise ValueError("non-finite split threshold (NaN or +inf)")
+    if not np.isfinite(np.asarray(t.value, dtype=np.float64)[~internal]).all():
+        raise ValueError("non-finite leaf value")
 
 
 def trees_equal(

@@ -368,10 +368,6 @@ class DistributedHistTrainer:
     def comm_steps(self) -> int:
         return int(sum(s.steps_total for s in self.comm_stats_))
 
-    def wait_seconds(self) -> float:
-        """Rendezvous-blocked plus modeled straggler time, summed over ranks."""
-        return float(sum(s.wait_s for s in self.comm_stats_))
-
     def export_trace(self, path) -> int:
         """Write the last attempt's merged per-rank Chrome trace to ``path``.
 

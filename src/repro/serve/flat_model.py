@@ -95,29 +95,6 @@ class FlatEnsemble:
         self.tree_depths = np.asarray(tree_depths, dtype=np.int32)
         self.base_score = float(base_score)
         self.n_features = int(n_features)
-        self._validate()
-
-    def _validate(self) -> None:
-        n = self.left.size
-        for name in ("step", "attr", "threshold", "default_left", "value"):
-            if getattr(self, name).size != n:
-                raise ValueError(f"node array {name!r} length mismatch")
-        if self.tree_offset.size == 0 or self.tree_offset[0] != 0:
-            raise ValueError("tree_offset must start at 0")
-        if self.tree_offset[-1] != n:
-            raise ValueError("tree_offset must end at the node count")
-        if np.any(np.diff(self.tree_offset) < 1):
-            raise ValueError("every tree needs at least one node")
-        if self.tree_depths.size != self.n_trees:
-            raise ValueError("tree_depths length mismatch")
-        ids = np.arange(n, dtype=np.int64)
-        internal = self.step == 1
-        if not np.array_equal(self.left[~internal], ids[~internal]):
-            raise ValueError("leaves must self-loop (left[leaf] == leaf)")
-        if internal.any():
-            child = self.left[internal].astype(np.int64)
-            if child.min() < 0 or (child + 1).max() >= n:
-                raise ValueError("child id out of range")
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -197,17 +174,6 @@ class FlatEnsemble:
     @property
     def mean_depth(self) -> float:
         return float(self.tree_depths.mean()) if self.tree_depths.size else 0.0
-
-    @property
-    def nbytes(self) -> int:
-        """Resident size of the packed arrays."""
-        return sum(
-            a.nbytes
-            for a in (
-                self.tree_offset, self.left, self.step, self.attr,
-                self.threshold, self.default_left, self.value, self.tree_depths,
-            )
-        )
 
     def __repr__(self) -> str:
         return (
@@ -295,10 +261,10 @@ def _pack_tree(tree: "DecisionTree", *, offset: int) -> dict[str, np.ndarray]:
     BFS enqueues both children of a node together, so in the new numbering
     the right child always directly follows the left -- the invariant the
     arithmetic child step relies on, whatever order the source arrays used.
+    The walk trusts its input: the tree API and ``DecisionTree.from_dict``
+    only produce trees in which the root reaches every node exactly once.
     """
     n = tree.n_nodes
-    if n == 0:
-        raise ValueError("cannot flatten a tree with no nodes")
     old_left = np.asarray(tree.left, dtype=np.int64)
     old_right = np.asarray(tree.right, dtype=np.int64)
     order = np.empty(n, dtype=np.int64)  # BFS position -> old id
@@ -311,8 +277,6 @@ def _pack_tree(tree: "DecisionTree", *, offset: int) -> dict[str, np.ndarray]:
             order[filled + 1] = old_right[old]
             filled += 2
         head += 1
-    if filled != n:
-        raise ValueError(f"tree has {n - filled} node(s) unreachable from the root")
     new_id = np.empty(n, dtype=np.int64)  # old id -> BFS position
     new_id[order] = np.arange(n)
 

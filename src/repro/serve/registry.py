@@ -8,7 +8,9 @@ makes this a stable identity; ``tests/test_serve_determinism.py`` guards it).
 Every published model is **round-tripped** through
 ``GBDTModel.to_json``/``from_json`` before flattening: the serving path only
 ever sees what survives serialization, so a model restored from disk on
-another host predicts identically to the one published here.
+another host predicts identically to the one published here.  That round
+trip is also the only model check: ``publish`` refuses exactly what
+``GBDTModel.from_json`` refuses (``docs/serving.md`` section 4 lists it).
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 from typing import Dict, List
-
-import numpy as np
 
 from ..core.booster_model import GBDTModel, canonical_model_payload, model_digest
 from ..obs import get_registry, span
@@ -63,12 +63,9 @@ class ModelRegistry:
         """Register ``model`` under ``name``; returns its content version id.
 
         Re-publishing identical content is a no-op apart from (optionally)
-        activating the existing version.  Raises ``ValueError``, registering
-        and activating nothing, when the model's base score or any leaf
-        value is non-finite, or a split threshold is NaN or ``+inf`` (then
-        ``x > thr`` never holds and no present value goes left): such a
-        model cannot predict anything right.  ``-inf`` stays legal, the
-        exact boundary cut below the smallest finite value.
+        activating the existing version.  A model that
+        :meth:`GBDTModel.from_json` refuses raises its ``ValueError`` here,
+        registering and activating nothing.
         """
         with span("registry_publish", model=name):
             payload = canonical_model_payload(model)
@@ -77,17 +74,6 @@ class ModelRegistry:
                 if version not in self._versions.get(name, {}):
                     restored = GBDTModel.from_json(payload, params=model.params)
                     flat = FlatEnsemble.from_model(restored)
-                    if not (np.isfinite(flat.base_score) and np.isfinite(flat.value).all()):
-                        raise ValueError(
-                            f"refusing to publish model {name!r}: non-finite "
-                            "base score or leaf value"
-                        )
-                    thr = flat.threshold[flat.step == 1]
-                    if np.isnan(thr).any() or (thr == np.inf).any():
-                        raise ValueError(
-                            f"refusing to publish model {name!r}: non-finite "
-                            "split threshold (NaN or +inf)"
-                        )
                     self._seq += 1
                     self._versions.setdefault(name, {})[version] = ModelVersion(
                         name=name,

@@ -92,26 +92,27 @@ class TestAdversarialRoundTrip:
         assert np.allclose(r.predict(np.zeros((2, 1))), -1.25)
 
     def test_nan_threshold(self):
-        """A NaN threshold must survive serialization and route identically:
-        every observed value fails ``v > nan``, so only ``default_left``
-        (missing) rows can go left."""
-        import math
-
+        """A NaN threshold routes in memory -- every observed value fails
+        ``v > nan``, so only ``default_left`` (missing) rows can go left --
+        but no present value can ever go left, so loading refuses it."""
         m = GBDTModel(
             trees=[stump(threshold=float("nan"), default_left=True)],
             params=GBDTParams(),
         )
-        r = GBDTModel.from_json(m.to_json())
-        assert math.isnan(r.trees[0].threshold[0])
-        X = np.array([[5.0], [-5.0], [np.nan]])
-        out = r.predict(X)
-        assert np.array_equal(out, m.predict(X))
+        out = m.predict(np.array([[5.0], [-5.0], [np.nan]]))
         assert out[0] == out[1] == 0.75  # observed values go right
         assert out[2] == -0.25  # missing follows default_left
+        with pytest.raises(ValueError, match="non-finite split threshold"):
+            GBDTModel.from_json(m.to_json())
 
     def test_infinite_leaf_and_threshold_values(self):
+        """A ``+inf`` threshold and an infinite leaf serialize but do not
+        load; ``-inf`` thresholds and leaves at the float edge round-trip."""
+        for bad in (stump(threshold=float("inf")), stump(left=float("-inf"))):
+            with pytest.raises(ValueError, match="non-finite"):
+                GBDTModel.from_json(GBDTModel(trees=[bad], params=GBDTParams()).to_json())
         m = GBDTModel(
-            trees=[stump(threshold=float("inf"), left=float("-inf"), right=1e308)],
+            trees=[stump(threshold=float("-inf"), left=-1.7e308, right=1e308)],
             params=GBDTParams(),
         )
         r = GBDTModel.from_json(m.to_json())

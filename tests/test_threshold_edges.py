@@ -5,8 +5,10 @@ by value; one depth-1 tree must separate them.  The plain midpoint
 ``(hi + lo) / 2`` overflows to ``+inf`` near +max, to ``-inf`` near -max,
 and rounds onto ``hi`` at subnormals, and a threshold outside
 ``[lo, hi)`` sends both values to one child.  Every exact trainer, the
-histogram trainers (whose bin edges are the thresholds) and the CPU
-reference must place ``lo <= threshold < hi`` and fit the labels.
+histogram trainers (whose bin edges are the thresholds), the distributed,
+multi-GPU and out-of-core trainers and the CPU reference must place
+``lo <= threshold < hi`` and fit the labels, and the model must pass the
+load-boundary check (``GBDTModel.from_json``) unchanged.
 """
 
 import numpy as np
@@ -14,8 +16,12 @@ import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, as_csr
 from repro.approx.histogram_trainer import HistogramGBDTTrainer
+from repro.core.booster_model import GBDTModel
 from repro.core.split import midpoint_thresholds
 from repro.cpu.exact_greedy import ReferenceTrainer
+from repro.dist import DistributedHistTrainer
+from repro.ext.multigpu import MultiGpuGBDTTrainer
+from repro.ext.outofcore import OutOfCoreGBDTTrainer
 from repro.stream import StreamingHistTrainer
 
 PAIRS = {
@@ -34,6 +40,9 @@ TRAINERS = {
     "reference": ReferenceTrainer,
     "histogram": HistogramGBDTTrainer,
     "stream": lambda p: StreamingHistTrainer(p, block_rows=64),
+    "dist": lambda p: DistributedHistTrainer(p, n_workers=2),
+    "multigpu": lambda p: MultiGpuGBDTTrainer(p, n_devices=2),
+    "outofcore": OutOfCoreGBDTTrainer,
 }
 
 
@@ -57,6 +66,7 @@ def test_depth_one_tree_separates_the_two_values(pair, trainer):
     pred = model.predict(X)
     assert np.all(np.sign(pred) == np.sign(y))
     assert np.sqrt(np.mean((pred - y) ** 2)) < 0.1
+    assert GBDTModel.from_json(model.to_json(), params=model.params).to_json() == model.to_json()
 
 
 def test_midpoint_is_plain_away_from_the_edges():
