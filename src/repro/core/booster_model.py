@@ -9,7 +9,7 @@ from typing import List
 
 import numpy as np
 
-from ..data.matrix import CSRMatrix, DenseMatrix, dense_rows
+from ..data.matrix import CSRMatrix, DenseMatrix
 from .params import GBDTParams
 from .tree import DecisionTree, trees_equal
 
@@ -22,15 +22,15 @@ __all__ = [
 ]
 
 
-def _dense_rows(X: CSRMatrix | DenseMatrix | np.ndarray, trees: List[DecisionTree]) -> np.ndarray:
-    """Rows to predict with ``trees`` (:func:`~repro.data.matrix.dense_rows`)."""
-    return dense_rows(X, max((max(t.attr, default=-1) for t in trees), default=-1) + 1)
-
-
 @dataclasses.dataclass
 class GBDTModel:
     """An ensemble of regression trees (leaf values include the learning
-    rate, so prediction is a plain sum over trees plus the base score)."""
+    rate, so prediction is a plain sum over trees plus the base score).
+
+    Every prediction goes through the cached :meth:`flatten` ensemble and
+    sums each row in boosting order, base score first -- the order training
+    built its predictions in, whatever batch the row arrives in.
+    """
 
     trees: List[DecisionTree]
     params: GBDTParams
@@ -41,10 +41,6 @@ class GBDTModel:
         return len(self.trees)
 
     # ------------------------------------------------------------ flattening
-    #: below this many (row, tree) pairs the per-tree loop wins -- the
-    #: flattened sweep's setup cost is not worth amortizing
-    _FLAT_MIN_PAIRS = 4096
-
     def _flat_signature(self) -> tuple:
         """Cheap content fingerprint guarding the cached flat ensemble.
 
@@ -77,56 +73,22 @@ class GBDTModel:
         n_trees: int | None = None,
         transform: bool = False,
     ) -> np.ndarray:
-        """Predict with the first ``n_trees`` trees (all by default).
+        """Predict with the first ``n_trees`` trees (all by default); ``X``
+        must be as wide as those trees test.
 
         ``transform=True`` maps margins through the loss's output transform
         (sigmoid for logistic; identity for MSE).
         """
-        use = self.trees if n_trees is None else self.trees[: max(0, n_trees)]
-        dense = _dense_rows(X, use)
-        if (
-            n_trees is None
-            and len(use) >= 2
-            and dense.shape[0] * len(use) >= self._FLAT_MIN_PAIRS
-        ):
-            # big batches route through the flattened ensemble in one
-            # level-wise sweep instead of the per-tree Python loop
-            out = self.flatten().predict(dense)
-        else:
-            out = np.full(dense.shape[0], self.base_score, dtype=np.float64)
-            for tree in use:
-                out += tree.predict(dense)
+        out = self.flatten().predict(X, n_trees=n_trees)
         if transform:
             out = self.params.loss_fn.transform(out)
         return out
 
-    def predict_margin(self, X) -> np.ndarray:
-        """Raw margins accumulated tree by tree, in boosting order.
-
-        This is the warm-start path: the sum is built exactly the way the
-        trainer's :class:`~repro.core.smartgd.GradientComputer` built
-        ``yhat`` during training (one add per instance per round, in round
-        order), so resuming boosting from these margins is bit-identical to
-        never having stopped.  ``predict`` may instead route large batches
-        through the flattened ensemble, whose different summation order is
-        fine for serving but not for resuming.
-        """
-        dense = _dense_rows(X, self.trees)
-        out = np.full(dense.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            out += tree.predict(dense)
-        return out
-
-    def staged_predict(self, X) -> "np.ndarray":
+    def staged_predict(self, X) -> np.ndarray:
         """``(n_trees, n_rows)`` matrix of cumulative predictions -- one row
-        per boosting round (Fig. 10b's error-vs-budget curves)."""
-        dense = _dense_rows(X, self.trees)
-        out = np.empty((self.n_trees, dense.shape[0]), dtype=np.float64)
-        acc = np.full(dense.shape[0], self.base_score, dtype=np.float64)
-        for t, tree in enumerate(self.trees):
-            acc = acc + tree.predict(dense)
-            out[t] = acc
-        return out
+        per boosting round (Fig. 10b's error-vs-budget curves); row ``t`` is
+        ``predict(X, n_trees=t + 1)`` bit for bit."""
+        return self.flatten().staged_predict(X)
 
     # ------------------------------------------------------------ persistence
     def to_json(self) -> str:
@@ -143,27 +105,29 @@ class GBDTModel:
     @classmethod
     def from_json(cls, text: str, params: GBDTParams | None = None) -> "GBDTModel":
         """Rebuild a model written by :meth:`to_json`: the model-load
-        boundary (``ValueError`` for a damaged tree, see
-        :meth:`DecisionTree.from_dict`, or a non-finite base score).
-        ``params=None`` keeps the stored learning rate; ``params`` with
-        another one raise, since the stored leaf values include it."""
+        boundary (``ValueError`` for text that is not a model payload -- not
+        JSON, not an object, a missing key or a field of the wrong type --
+        for a damaged tree, see :meth:`DecisionTree.from_dict`, or for a
+        non-finite base score).  ``params=None`` keeps the stored learning
+        rate; ``params`` with another one raise, since the stored leaf values
+        include it."""
         d = json.loads(text)
-        base_score = float(d["base_score"])
+        try:
+            base_score = float(d["base_score"])
+            stored_lr = d["learning_rate"]
+            if params is None:
+                params = GBDTParams(learning_rate=stored_lr)
+            trees = [DecisionTree.from_dict(td) for td in d["trees"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a model payload ({type(exc).__name__}: {exc})") from exc
         if not np.isfinite(base_score):
             raise ValueError(f"non-finite base score {base_score!r}")
-        stored_lr = d["learning_rate"]
-        if params is None:
-            params = GBDTParams(learning_rate=stored_lr)
-        elif params.learning_rate != stored_lr:
+        if params.learning_rate != stored_lr:
             raise ValueError(
                 f"params.learning_rate={params.learning_rate!r} differs from the "
                 f"stored learning_rate={stored_lr!r} the leaf values include"
             )
-        return cls(
-            trees=[DecisionTree.from_dict(td) for td in d["trees"]],
-            params=params,
-            base_score=base_score,
-        )
+        return cls(trees=trees, params=params, base_score=base_score)
 
     def save(self, path) -> None:
         """Write the model to a JSON file, crash-safely.

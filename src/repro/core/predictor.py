@@ -70,18 +70,13 @@ def predict_on_device(
     transform: bool = False,
 ) -> np.ndarray:
     """Predict for all rows of ``X`` using instance x tree parallelism."""
-    if isinstance(X, (CSRMatrix, DenseMatrix)):
-        n = X.n_rows
-    else:
-        n = np.asarray(X).shape[0]
-    avg_depth = max(
-        1.0, float(np.mean([t.max_depth() for t in model.trees])) if model.trees else 1.0
-    )
+    n = X.n_rows if isinstance(X, (CSRMatrix, DenseMatrix)) else np.asarray(X).shape[0]
+    flat = model.flatten()
     charge_prediction_kernels(
         device,
         n_rows=n,
-        n_trees=model.n_trees,
-        avg_depth=avg_depth,
+        n_trees=flat.n_trees,
+        avg_depth=max(1.0, flat.mean_depth),
         row_scale=row_scale,
     )
     return model.predict(X, transform=transform)

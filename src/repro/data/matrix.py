@@ -239,12 +239,6 @@ class CSRMatrix:
         gather = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
         return CSRMatrix(indptr, self.indices[gather], self.data[gather], n_cols=self.n_cols)
 
-    @property
-    def nbytes_sparse(self) -> int:
-        """Device footprint as (value fp32 + column index int32) pairs plus
-        the row pointer -- what GPU-GBDT ships over PCIe before sorting."""
-        return self.nnz * 8 + self.indptr.size * 8
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CSRMatrix)

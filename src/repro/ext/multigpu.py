@@ -21,10 +21,13 @@ shard per device; the shared grow loop does, per level:
    charged as PCIe traffic);
 4. every device partitions its own lists locally.
 
-Gradients are computed on device 0 and broadcast each round.  The trees are
-bit-identical to single-GPU training (asserted by ``tests/test_multigpu.py``)
-because every decision consumes the same float32-quantized gains -- also
-under row/column subsampling and warm starts, which come with the loop.
+Gradients are computed on device 0 and broadcast each round.  Every decision
+consumes the same float32-quantized gains as single-GPU training, and
+``tests/test_multigpu.py`` asserts ``models_equal`` with it (same structure,
+values within ``rtol=1e-9, atol=1e-8``) -- also under row/column subsampling
+and warm starts, which come with the loop.  The models are not byte-identical:
+past the first tree, leaf values differ in their low bits (~1e-13 on covtype
+and higgs, 4,000 rows, two devices).
 
 The modeled wall time is the slowest device's ledger (shards are balanced,
 communication is charged to the devices that perform it).

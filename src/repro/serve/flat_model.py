@@ -1,10 +1,8 @@
 """Flattened-ensemble predictor: all trees as one set of contiguous arrays.
 
-:meth:`GBDTModel.predict <repro.core.booster_model.GBDTModel.predict>`
-historically looped over trees in Python, and each
-:meth:`DecisionTree.predict <repro.core.tree.DecisionTree.predict>` call
-re-materialized that tree's node lists.  :class:`FlatEnsemble` packs the
-whole ensemble once:
+Every ensemble prediction goes through :class:`FlatEnsemble` -- serving,
+:meth:`GBDTModel.predict <repro.core.booster_model.GBDTModel.predict>` and
+``staged_predict``.  It packs the whole ensemble once:
 
 * node arrays of every tree are concatenated (``tree_offset[t]`` is tree
   ``t``'s slice start, node ids are rebased to global ids);
@@ -16,7 +14,9 @@ whole ensemble once:
 
 Prediction then routes every (row, tree) pair at once, level by level, with
 the frontier compacted as pairs settle into leaves.  Rows are processed in
-chunks sized to keep the pair temporaries cache-resident.
+chunks sized to keep the pair temporaries cache-resident.  A row's leaf
+values are summed in training's order, ``((base_score + v0) + v1) + ...``,
+so its prediction has the same bits whatever batch it arrives in.
 
 Thresholds and feature values stay ``float64``: the flattened predictor must
 be bit-identical to the per-row oracle (``DecisionTree.predict_row``), not
@@ -27,7 +27,7 @@ by a whole leaf value.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class FlatEnsemble:
             "default_left": [], "value": [],
         }
         depths = []
-        max_attr = -1
         for tree in trees:
             packed = _pack_tree(tree, offset=offsets[-1])
             for key, arr in packed.items():
@@ -121,8 +120,6 @@ class FlatEnsemble:
                 else:
                     chunks[key].append(arr)
             offsets.append(offsets[-1] + packed["left"].size)
-            if packed["attr"].size:
-                max_attr = max(max_attr, int(packed["attr"].max()))
 
         def cat(key: str, dtype) -> np.ndarray:
             parts = chunks[key]
@@ -132,17 +129,19 @@ class FlatEnsemble:
                 else np.empty(0, dtype=dtype)
             )
 
+        attr, step = cat("attr", np.int32), cat("step", np.int32)
+        need = _width(attr, step)
         if n_features is None:
-            n_features = max_attr + 1
-        elif max_attr >= n_features:
+            n_features = need
+        elif need > n_features:
             raise ValueError(
-                f"tree tests attribute {max_attr} but n_features={n_features}"
+                f"tree tests attribute {need - 1} but n_features={n_features}"
             )
         return cls(
             tree_offset=np.asarray(offsets, dtype=np.int32),
             left=cat("left", np.int32),
-            step=cat("step", np.int32),
-            attr=cat("attr", np.int32),
+            step=step,
+            attr=attr,
             threshold=cat("threshold", np.float64),
             default_left=cat("default_left", bool),
             value=cat("value", np.float64),
@@ -182,37 +181,63 @@ class FlatEnsemble:
         )
 
     # ------------------------------------------------------------ prediction
-    def predict(self, X: CSRMatrix | DenseMatrix | np.ndarray) -> np.ndarray:
-        """Margin predictions for every row of ``X`` (``base_score`` included).
+    def predict(
+        self, X: CSRMatrix | DenseMatrix | np.ndarray, *, n_trees: int | None = None
+    ) -> np.ndarray:
+        """Margin predictions for every row of ``X`` (``base_score`` included)
+        from the first ``n_trees`` trees (all by default; clamped to
+        ``[0, self.n_trees]``), each summed in boosting order.
 
         Dense ``nan`` cells and absent CSR entries are missing values routed
-        by ``default_left`` -- identical semantics to the per-tree path.
+        by ``default_left``.  ``X`` must be as wide as the trees used test.
         """
-        dense = dense_rows(X, self.n_features)
-        n = dense.shape[0]
-        out = np.full(n, self.base_score, dtype=np.float64)
-        if n == 0 or self.n_trees == 0:
-            return out
-        with span("flat_predict", rows=n, trees=self.n_trees):
-            chunk = max(1, _PAIRS_PER_CHUNK // self.n_trees)
-            for lo in range(0, n, chunk):
-                hi = min(n, lo + chunk)
-                out[lo:hi] += self._route_block(dense[lo:hi])
+        k = self.n_trees if n_trees is None else min(max(0, n_trees), self.n_trees)
+        end = self.tree_offset[k]
+        width = self.n_features if k == self.n_trees else _width(self.attr[:end], self.step[:end])
+        dense = dense_rows(X, width)
+        out = np.full(dense.shape[0], self.base_score, dtype=np.float64)
+        for rows, margins in self._sweep(dense, k):
+            out[rows] = margins[-1]
         return out
 
-    def _route_block(self, dense: np.ndarray) -> np.ndarray:
-        """Sum of leaf values over all trees for one row block (no base)."""
+    def staged_predict(self, X: CSRMatrix | DenseMatrix | np.ndarray) -> np.ndarray:
+        """``(n_trees, n_rows)`` running margins: row ``t`` equals
+        ``predict(X, n_trees=t + 1)`` bit for bit."""
+        dense = dense_rows(X, self.n_features)
+        out = np.empty((self.n_trees, dense.shape[0]), dtype=np.float64)
+        for rows, margins in self._sweep(dense, self.n_trees):
+            out[:, rows] = margins
+        return out
+
+    def _sweep(self, dense: np.ndarray, k: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield ``(row slice, margins)`` per row chunk, where row ``j`` of
+        the ``(k, rows)`` margins is ``base_score`` plus the first ``j + 1``
+        trees' leaf values, added one tree at a time in boosting order
+        (nothing for no rows or no trees)."""
+        n = dense.shape[0]
+        if n == 0 or k == 0:
+            return
+        chunk = max(1, _PAIRS_PER_CHUNK // k)
+        with span("flat_predict", rows=n, trees=k):
+            for lo in range(0, n, chunk):
+                hi = min(n, lo + chunk)
+                margins = self._route_block(dense[lo:hi], k)
+                margins[0] += self.base_score  # == base + v0: addition commutes
+                # one whole-row add per tree, in tree order (never pairwise)
+                yield slice(lo, hi), np.cumsum(margins, axis=0, out=margins)
+
+    def _route_block(self, dense: np.ndarray, k: int) -> np.ndarray:
+        """``(k, rows)`` leaf values of the first ``k`` trees for one row block."""
         n, d = dense.shape
-        T = self.n_trees
         flat_x = np.ascontiguousarray(dense).reshape(-1)
         has_nan = bool(np.isnan(flat_x).any())
-        roots = self.tree_offset[:-1]
-        # one (row, tree) pair per slot; all pairs start at their tree's root
-        cur = np.broadcast_to(roots, (n, T)).reshape(-1).copy()
-        row_base = np.repeat(np.arange(n, dtype=np.int64) * d, T)
+        roots = self.tree_offset[:k]
+        # one (tree, row) pair per slot, tree-major; all start at their root
+        cur = np.repeat(roots, n)
+        row_base = np.broadcast_to(np.arange(n, dtype=np.int64) * d, (k, n)).reshape(-1)
         active = None  # None means "every pair", else global slot indices
         a_cur, a_row = cur, row_base
-        for _ in range(self.max_depth):
+        for _ in range(int(self.tree_depths[:k].max())):
             x = flat_x.take(a_row + self.attr.take(a_cur))
             with np.errstate(invalid="ignore"):
                 go_left = x > self.threshold.take(a_cur)
@@ -236,7 +261,7 @@ class FlatEnsemble:
                     break
                 a_cur = a_cur[live]
                 a_row = a_row[live]
-        return self.value.take(cur).reshape(n, T).sum(axis=1)
+        return self.value.take(cur).reshape(k, n)
 
     def predict_one(self, row: np.ndarray) -> float:
         """Single dense row via scalar traversal (the overload fallback --
@@ -253,6 +278,12 @@ class FlatEnsemble:
                 nid = int(left[nid]) + (not go_left)
             total += float(value[nid])
         return total
+
+
+def _width(attr: np.ndarray, step: np.ndarray) -> int:
+    """Columns a run of flat nodes tests: one past its largest split
+    attribute (leaves hold ``attr=0`` but test nothing)."""
+    return int(attr[step == 1].max(initial=-1)) + 1
 
 
 def _pack_tree(tree: "DecisionTree", *, offset: int) -> dict[str, np.ndarray]:

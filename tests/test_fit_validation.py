@@ -114,16 +114,16 @@ def test_non_csr_X_raises_type_error(ds, name, kind):
     assert getattr(trainer, "model_", None) is None
 
 
-@pytest.mark.parametrize("n_rows", [1, 2000], ids=["per-tree", "flat"])
+@pytest.mark.parametrize("n_rows", [1, 2000], ids=["one-row", "2000-rows"])
 def test_predict_too_few_columns_matches_flat_ensemble(ds, n_rows):
-    """Every model predict path and the serving ensemble reject a
+    """Every model predict method and the serving ensemble reject a
     too-narrow input with the same ``ValueError``."""
     model = GPUGBDTTrainer(GBDTParams(n_trees=3, max_depth=3)).fit(ds.X, ds.y)
     need = max(max(t.attr) for t in model.trees) + 1
     narrow = np.zeros((n_rows, need - 1))
     msg = f"input has {need - 1} features, ensemble tests up to {need}"
     for predict in (
-        model.predict, model.predict_margin, model.staged_predict,
+        model.predict, model.staged_predict,
         model.flatten().predict,
     ):
         with pytest.raises(ValueError, match=msg):

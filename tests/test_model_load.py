@@ -66,6 +66,13 @@ def _base_score_nan(d):
     d["base_score"] = float("nan")
 
 
+def _drop(key, tree=False):
+    def damage(d):
+        del (d["trees"][0] if tree else d)[key]
+
+    return damage
+
+
 #: damage -> the message fragment of the check that must catch it
 DAMAGE = {
     "root-left-is-root": (_set("left", lambda t: 0, 0), "out of range"),
@@ -82,12 +89,20 @@ DAMAGE = {
     "right-one-entry-left-leaf": (_right_one_entry, "differ in length"),
     "one-child": (_set("left", _first_internal, -1), "one child"),
     "wrong-depth": (_set("depth", _first_leaf, 99), "depths do not follow"),
+    # payloads of the wrong shape (a text entry replaces the whole payload)
+    "payload-is-a-list": ("[]", "not a model payload"),
+    "tree-without-right": (_drop("right", tree=True), "not a model payload"),
+    "no-learning-rate": (_drop("learning_rate"), "not a model payload"),
+    "trees-is-a-number": (lambda d: d.update(trees=5), "not a model payload"),
 }
 
 
 def _damaged(model, name):
+    damage = DAMAGE[name][0]
+    if isinstance(damage, str):
+        return damage
     d = json.loads(model.to_json())
-    DAMAGE[name][0](d)
+    damage(d)
     return json.dumps(d)
 
 
@@ -101,6 +116,13 @@ def test_damaged_file_refused_by_load(model, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(_damaged(model, "left-child-999"), encoding="utf-8")
     with pytest.raises(ValueError, match="out of range"):
+        GBDTModel.load(path)
+
+
+def test_wrong_shape_file_refused_by_load(model, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(_damaged(model, "no-learning-rate"), encoding="utf-8")
+    with pytest.raises(ValueError, match="not a model payload"):
         GBDTModel.load(path)
 
 

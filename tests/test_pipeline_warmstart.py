@@ -107,8 +107,8 @@ def test_resume_rejects_wrong_base_score(covtype_small):
         GPUGBDTTrainer(_params(2)).fit(ds.X, ds.y, init_model=head)
 
 
-def test_predict_margin_matches_sequential_sum(covtype_small):
-    """``predict_margin`` is the replay path: base score plus each tree in
+def test_predict_matches_sequential_sum(covtype_small):
+    """``predict`` sums in the replay order: base score plus each tree in
     training order, exactly the accumulation order ``fit`` maintains."""
     ds = covtype_small
     model = GPUGBDTTrainer(_params(5)).fit(ds.X, ds.y)
@@ -116,4 +116,4 @@ def test_predict_margin_matches_sequential_sum(covtype_small):
     expected = np.full(dense.shape[0], model.base_score)
     for tree in model.trees:
         expected = expected + tree.predict(dense)
-    assert np.array_equal(model.predict_margin(dense), expected)
+    assert np.array_equal(model.predict(dense), expected)

@@ -4,21 +4,22 @@ The serving path must be a pure re-layout, never a re-interpretation: for
 every model shape we can build -- randomized structures, missing values,
 ``default_left`` on both branches, stumps, empty ensembles -- and every input
 container (``np.ndarray``, ``DenseMatrix``, ``CSRMatrix``), the
-:class:`~repro.serve.FlatEnsemble` must agree with ``predict_row`` (the
-scalar oracle) and with the existing vectorized ``DecisionTree.predict``
-to 1e-6.
+:class:`~repro.serve.FlatEnsemble` must give the same bits as ``predict_row``
+(the scalar oracle) and as the vectorized ``DecisionTree.predict`` summed
+tree by tree.  Every path sums a row in boosting order, base score first, so
+the comparisons are exact, whatever batch a row arrives in.
 """
 
 import numpy as np
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer
+from repro.approx.histogram_trainer import HistogramGBDTTrainer
 from repro.core.booster_model import GBDTModel
 from repro.core.tree import DecisionTree
 from repro.data.matrix import CSRMatrix, DenseMatrix
 from repro.serve import FlatEnsemble
-
-TOL = 1e-6
+from repro.stream import StreamingHistTrainer
 
 
 # --------------------------------------------------------------- generators
@@ -75,7 +76,8 @@ def oracle_predict(model: GBDTModel, dense: np.ndarray) -> np.ndarray:
 
 
 def per_tree_predict(model: GBDTModel, X) -> np.ndarray:
-    """The legacy vectorized path: explicit Python loop over trees."""
+    """Vectorized per-tree reference: ``DecisionTree.predict`` added tree by
+    tree in boosting order (how training accumulates its predictions)."""
     if isinstance(X, CSRMatrix):
         X = X.to_dense(fill=np.nan).values
     elif isinstance(X, DenseMatrix):
@@ -103,8 +105,8 @@ def test_random_models_match_oracle_everywhere(seed):
     expected = oracle_predict(model, dense)
     for X in (dense, dm, csr):
         got = flat.predict(X)
-        assert np.allclose(got, expected, atol=TOL, rtol=0), type(X).__name__
-        assert np.allclose(got, per_tree_predict(model, X), atol=TOL, rtol=0)
+        assert np.array_equal(got, expected), type(X).__name__
+        assert np.array_equal(got, per_tree_predict(model, X))
 
 
 @pytest.mark.parametrize("missing_rate", [0.0, 0.35, 0.95])
@@ -122,8 +124,8 @@ def test_default_direction_respected(missing_rate):
     dense, _, csr = random_inputs(rng, n=40, d=6, missing_rate=missing_rate)
     expected = oracle_predict(model, dense)
     flat = FlatEnsemble.from_model(model, n_features=6)
-    assert np.allclose(flat.predict(dense), expected, atol=TOL, rtol=0)
-    assert np.allclose(flat.predict(csr), expected, atol=TOL, rtol=0)
+    assert np.array_equal(flat.predict(dense), expected)
+    assert np.array_equal(flat.predict(csr), expected)
 
 
 def test_all_missing_row_routes_by_defaults_only():
@@ -132,10 +134,10 @@ def test_all_missing_row_routes_by_defaults_only():
     flat = FlatEnsemble.from_model(model, n_features=4)
     dense = np.full((3, 4), np.nan)
     expected = oracle_predict(model, dense)
-    assert np.allclose(flat.predict(dense), expected, atol=TOL, rtol=0)
+    assert np.array_equal(flat.predict(dense), expected)
     empty_csr = CSRMatrix(np.zeros(4, dtype=np.int64), np.empty(0, dtype=np.int64),
                           np.empty(0), n_cols=4)
-    assert np.allclose(flat.predict(empty_csr), expected, atol=TOL, rtol=0)
+    assert np.array_equal(flat.predict(empty_csr), expected)
 
 
 # ------------------------------------------------------------- edge cases
@@ -183,7 +185,7 @@ def test_from_dict_roundtrip_and_scrambled_node_order():
     clone.base_score = model.base_score
     flat = FlatEnsemble.from_model(clone, n_features=5)
     dense, _, _ = random_inputs(rng, n=30, d=5, missing_rate=0.3)
-    assert np.allclose(flat.predict(dense), oracle_predict(model, dense), atol=TOL, rtol=0)
+    assert np.array_equal(flat.predict(dense), oracle_predict(model, dense))
 
 
 def test_unreachable_node_rejected():
@@ -205,20 +207,56 @@ def test_trained_models_differential(fixture, request):
     flat = model.flatten()
     dense = ds.X_test.to_dense(fill=np.nan).values
     expected = oracle_predict(model, dense)
-    assert np.allclose(flat.predict(ds.X_test), expected, atol=TOL, rtol=0)
-    assert np.allclose(flat.predict(dense), expected, atol=TOL, rtol=0)
-    assert np.allclose(
-        model.predict(ds.X_test), per_tree_predict(model, ds.X_test), atol=TOL, rtol=0
-    )
+    assert np.array_equal(flat.predict(ds.X_test), expected)
+    assert np.array_equal(flat.predict(dense), expected)
+    assert np.array_equal(model.predict(ds.X_test), per_tree_predict(model, ds.X_test))
 
 
 def test_flat_dispatch_in_model_predict_matches_loop(susy_small):
-    """GBDTModel.predict's large-batch flat dispatch equals the tree loop."""
+    """GBDTModel.predict goes through the cached flat ensemble at every
+    batch size and equals the tree loop bit for bit."""
     ds = susy_small
     model = GPUGBDTTrainer(GBDTParams(n_trees=8, max_depth=4)).fit(ds.X, ds.y)
     big = np.repeat(ds.X_test.to_dense(fill=np.nan).values, 20, axis=0)
-    assert big.shape[0] * model.n_trees >= GBDTModel._FLAT_MIN_PAIRS
-    assert np.allclose(model.predict(big), per_tree_predict(model, big), atol=TOL, rtol=0)
+    for rows in (big[:1], big[:8], big):
+        assert np.array_equal(model.predict(rows), model.flatten().predict(rows))
+        assert np.array_equal(model.predict(rows), per_tree_predict(model, rows))
+
+
+TRAINERS = {
+    "exact": GPUGBDTTrainer,
+    "histogram": HistogramGBDTTrainer,
+    "stream": lambda p: StreamingHistTrainer(p, block_rows=64),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_prediction_is_batch_independent(covtype_small, trainer):
+    """A row gets the same bits whether it is predicted alone, in a batch of
+    8 or in one batch of ``rows x trees`` well past the old 4096-pair switch
+    to the flat sweep -- and those bits are the per-tree sequential sum and
+    ``predict_one``'s; ``staged_predict(X)[k - 1]`` is
+    ``predict(X, n_trees=k)`` for every ``k``."""
+    ds = covtype_small
+    model = TRAINERS[trainer](GBDTParams(n_trees=20, max_depth=4)).fit(ds.X, ds.y)
+    dense = np.vstack(
+        [ds.X.to_dense(fill=np.nan).values, ds.X_test.to_dense(fill=np.nan).values]
+    )
+    assert dense.shape[0] * model.n_trees >= 4096
+    whole = model.predict(dense)
+    one_by_one = np.concatenate([model.predict(row[None]) for row in dense])
+    by_eight = np.concatenate(
+        [model.predict(dense[i : i + 8]) for i in range(0, dense.shape[0], 8)]
+    )
+    assert np.array_equal(one_by_one, whole)
+    assert np.array_equal(by_eight, whole)
+    assert np.array_equal(whole, per_tree_predict(model, dense))
+    staged = model.staged_predict(dense)
+    for k in range(1, model.n_trees + 1):
+        assert np.array_equal(staged[k - 1], model.predict(dense, n_trees=k))
+    assert np.array_equal(staged[-1], whole)
+    flat = model.flatten()
+    assert np.array_equal([flat.predict_one(row) for row in dense], whole)
 
 
 def test_flatten_cache_invalidates_on_model_growth(susy_small):
@@ -240,5 +278,30 @@ def test_predict_one_and_predict_row_agree(sparse_small):
         cols, vals = ds.X_test.row(i)
         row = np.full(ds.X_test.n_cols, np.nan)
         row[cols] = vals
-        expected = model.base_score + sum(t.predict_row(cols, vals) for t in model.trees)
-        assert flat.predict_one(row) == pytest.approx(expected, abs=TOL)
+        expected = model.base_score
+        for tree in model.trees:
+            expected += tree.predict_row(cols, vals)
+        assert flat.predict_one(row) == expected
+        assert flat.predict(row[None])[0] == expected
+
+
+def test_prefix_needs_only_its_trees_width():
+    """``predict(X, n_trees=k)`` accepts an ``X`` as wide as the first ``k``
+    trees test; the whole model still needs its full width."""
+    def stump_on(attr, value):
+        tree = DecisionTree()
+        tree.add_root()
+        left, right = tree.split_node(0, attr=attr, threshold=0.0, default_left=True, gain=1.0)
+        tree.set_leaf(left, value)
+        tree.set_leaf(right, -value)
+        return tree
+
+    model = GBDTModel(
+        trees=[stump_on(0, 1.0), stump_on(4, 2.0)], params=GBDTParams(), base_score=0.5
+    )
+    narrow = np.array([[1.0], [-1.0]])
+    assert np.array_equal(model.predict(narrow, n_trees=1), [1.5, -0.5])
+    with pytest.raises(ValueError, match="input has 1 features, ensemble tests up to 5"):
+        model.predict(narrow)
+    with pytest.raises(ValueError, match="ensemble tests up to 5"):
+        model.predict(narrow, n_trees=2)
