@@ -21,6 +21,9 @@ __all__ = [
     "validate_fit",
 ]
 
+#: the node lists a flat ensemble is packed from
+_FLAT_FIELDS = ("left", "right", "attr", "threshold", "default_left", "value", "depth")
+
 
 @dataclasses.dataclass
 class GBDTModel:
@@ -41,28 +44,22 @@ class GBDTModel:
         return len(self.trees)
 
     # ------------------------------------------------------------ flattening
-    def _flat_signature(self) -> tuple:
-        """Cheap content fingerprint guarding the cached flat ensemble.
-
-        Catches every mutation the :class:`DecisionTree` API can make:
-        ``split_node`` changes node counts, ``set_leaf`` the value sum.
-        """
-        return (
-            len(self.trees),
-            sum(len(t.left) for t in self.trees),
-            sum(sum(t.value) for t in self.trees),
-            self.base_score,
-        )
+    def _flat_key(self) -> tuple:
+        """The base score and the live node lists the flat ensemble is
+        packed from, tree by tree."""
+        return (self.base_score, [getattr(t, f) for t in self.trees for f in _FLAT_FIELDS])
 
     def flatten(self):
-        """The ensemble as a :class:`~repro.serve.FlatEnsemble` (cached; the
-        cache is invalidated when trees are added or leaf values change)."""
+        """The ensemble as a :class:`~repro.serve.FlatEnsemble`, cached until
+        the base score, the tree list or any node field changes -- through
+        the tree API or in place (the cache keeps copies of the node lists
+        and compares them whole)."""
         from ..serve.flat_model import FlatEnsemble
 
-        sig = self._flat_signature()
+        base, nodes = key = self._flat_key()
         cached = getattr(self, "_flat_cache", None)
-        if cached is None or cached[0] != sig:
-            cached = (sig, FlatEnsemble.from_model(self))
+        if cached is None or cached[0] != key:
+            cached = ((base, [list(v) for v in nodes]), FlatEnsemble.from_model(self))
             self._flat_cache = cached
         return cached[1]
 

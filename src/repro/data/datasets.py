@@ -20,6 +20,19 @@ that matches the statistics its performance behaviour depends on:
 Targets are a sparse linear-plus-interaction function of a few signal
 attributes with noise, so trees genuinely reduce training RMSE and test
 error falls with the time budget (Fig. 10b).
+
+Generation is byte-reproducible and never materializes an ``n x d`` array.
+The bytes of ``X``, ``X_test``, ``y`` and ``y_test`` (pinned in
+``tests/test_datasets.py``) depend on two things that must not change:
+
+* **draw order** -- column by column: ``random(n)`` for the presence mask,
+  one ``integers`` row if the column came out empty, then its values; then
+  the signal columns, their weights, the target noise and the train/test
+  permutation;
+* **signal-block layout** -- the targets read the ``k <= 12`` signal columns
+  into an F-ordered ``(n, k)`` block, the layout a dense column gather
+  gives, because the BLAS mat-vec sums in a layout-dependent order (a
+  C-ordered block moves ``y`` by about 1e-15).
 """
 
 from __future__ import annotations
@@ -171,7 +184,6 @@ def _column_values(
 
 def _generate_matrix(rng: np.random.Generator, n: int, spec: DatasetSpec) -> CSRMatrix:
     rows_list = []
-    cols_list = []
     vals_list = []
     for j in range(spec.run_cols):
         present = np.flatnonzero(rng.random(n) < spec.run_density)
@@ -179,12 +191,14 @@ def _generate_matrix(rng: np.random.Generator, n: int, spec: DatasetSpec) -> CSR
             # keep every column non-empty so it is a real split candidate
             present = rng.integers(0, n, size=1)
         rows_list.append(present)
-        cols_list.append(np.full(present.size, j, dtype=np.int64))
         vals_list.append(_column_values(rng, present.size, j, spec))
     rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    vals = np.concatenate(vals_list)
-    return CSRMatrix.from_coo(rows, cols, vals, n_rows=n, n_cols=spec.run_cols)
+    cols = np.repeat(np.arange(spec.run_cols, dtype=np.int64), [r.size for r in rows_list])
+    # entries are column-major with rows ascending per column, so a stable
+    # sort by row leaves each row's columns ascending: the CSR order
+    order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return CSRMatrix(indptr, cols[order], np.concatenate(vals_list)[order], n_cols=spec.run_cols)
 
 
 def _make_targets(
@@ -195,7 +209,15 @@ def _make_targets(
     k = min(12, d)
     signal_cols = rng.choice(d, size=k, replace=False)
     weights = rng.normal(0.0, 1.0, size=k)
-    dense_signal = X.to_dense(fill=0.0).values[:, signal_cols]
+    # the (n, k) signal block, F-ordered as a dense column gather would
+    # leave it: the mat-vec below sums in a layout-dependent order
+    dense_signal = np.zeros((k, X.n_rows)).T
+    slot = np.full(d, -1, dtype=np.int8)
+    slot[signal_cols] = np.arange(k)
+    entry_slot = slot[X.indices]
+    hit = np.flatnonzero(entry_slot >= 0)
+    row_of = np.searchsorted(X.indptr, hit, side="right") - 1
+    dense_signal[row_of, entry_slot[hit]] = X.data[hit]
     score = dense_signal @ weights
     if k >= 2:
         score = score + 0.5 * dense_signal[:, 0] * dense_signal[:, 1]

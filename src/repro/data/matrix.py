@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["DenseMatrix", "CSRMatrix", "CSCMatrix", "dense_rows"]
+__all__ = ["DenseMatrix", "CSRMatrix", "CSCMatrix", "predict_rows"]
 
 
 class DenseMatrix:
@@ -205,12 +205,15 @@ class CSRMatrix:
         return None
 
     # ------------------------------------------------------------ conversions
-    def to_dense(self, fill: float = 0.0) -> DenseMatrix:
-        """Materialize, filling absences with ``fill`` (0 = the xgbst-gpu
+    def to_dense(self, fill: float = 0.0, lo: int = 0, hi: int | None = None) -> DenseMatrix:
+        """Materialize rows ``lo:hi`` (all by default; ``0 <= lo <= hi <=
+        n_rows``), filling absences with ``fill`` (0 = the xgbst-gpu
         semantics; ``np.nan`` keeps missingness explicit)."""
-        out = np.full((self.n_rows, self.n_cols), fill, dtype=np.float64)
-        row_of = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        out[row_of, self.indices] = self.data
+        hi = self.n_rows if hi is None else hi
+        ptr = self.indptr[lo:hi + 1]
+        out = np.full((hi - lo, self.n_cols), fill, dtype=np.float64)
+        row_of = np.repeat(np.arange(hi - lo), np.diff(ptr))
+        out[row_of, self.indices[ptr[0]:ptr[-1]]] = self.data[ptr[0]:ptr[-1]]
         return DenseMatrix(out)
 
     def to_csc(self) -> "CSCMatrix":
@@ -309,17 +312,20 @@ class CSCMatrix:
         return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def dense_rows(X: CSRMatrix | DenseMatrix | np.ndarray, n_features: int) -> np.ndarray:
-    """``X`` as dense float64 rows to predict (absent CSR entries: NaN),
-    refused with ``ValueError`` unless 2-D and at least ``n_features`` wide."""
+def predict_rows(
+    X: CSRMatrix | DenseMatrix | np.ndarray, n_features: int
+) -> CSRMatrix | np.ndarray:
+    """``X`` as rows to predict -- a ``CSRMatrix`` as is (absent entries are
+    missing), anything else as dense float64 rows -- refused with
+    ``ValueError`` unless 2-D and at least ``n_features`` wide."""
     if isinstance(X, CSRMatrix):
-        dense = X.to_dense(fill=np.nan).values
+        rows = X
     elif isinstance(X, DenseMatrix):
-        dense = X.values
+        rows = X.values
     else:
-        dense = np.asarray(X, dtype=np.float64)
-        if dense.ndim != 2:
+        rows = np.asarray(X, dtype=np.float64)
+        if rows.ndim != 2:
             raise ValueError("expected a 2-D matrix of rows to predict")
-    if dense.shape[1] < n_features:
-        raise ValueError(f"input has {dense.shape[1]} features, ensemble tests up to {n_features}")
-    return dense
+    if rows.shape[1] < n_features:
+        raise ValueError(f"input has {rows.shape[1]} features, ensemble tests up to {n_features}")
+    return rows

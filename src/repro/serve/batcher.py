@@ -59,7 +59,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 import numpy as np
 
 from ..core.predictor import charge_prediction_kernels
-from ..data.matrix import dense_rows
+from ..data.matrix import predict_rows
 from ..gpusim.kernel import GpuDevice
 from ..obs import span
 from .flat_model import FlatEnsemble
@@ -198,7 +198,7 @@ class MicroBatcher:
         now = self._clock() if now is None else now
         self.stats.note_time(now)
         row = np.asarray(row, dtype=np.float64).reshape(-1)
-        dense_rows(row[None], self._resolve()[0].n_features)  # too narrow: ValueError
+        predict_rows(row[None], self._resolve()[0].n_features)  # too narrow: ValueError
 
         handle = PendingPrediction()
         with self._lock:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ..data.matrix import CSRMatrix, DenseMatrix, dense_rows
+from ..data.matrix import CSRMatrix, DenseMatrix, predict_rows
 from ..obs import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -194,34 +194,37 @@ class FlatEnsemble:
         k = self.n_trees if n_trees is None else min(max(0, n_trees), self.n_trees)
         end = self.tree_offset[k]
         width = self.n_features if k == self.n_trees else _width(self.attr[:end], self.step[:end])
-        dense = dense_rows(X, width)
-        out = np.full(dense.shape[0], self.base_score, dtype=np.float64)
-        for rows, margins in self._sweep(dense, k):
-            out[rows] = margins[-1]
+        rows = predict_rows(X, width)
+        out = np.full(rows.shape[0], self.base_score, dtype=np.float64)
+        for block, margins in self._sweep(rows, k):
+            out[block] = margins[-1]
         return out
 
     def staged_predict(self, X: CSRMatrix | DenseMatrix | np.ndarray) -> np.ndarray:
         """``(n_trees, n_rows)`` running margins: row ``t`` equals
         ``predict(X, n_trees=t + 1)`` bit for bit."""
-        dense = dense_rows(X, self.n_features)
-        out = np.empty((self.n_trees, dense.shape[0]), dtype=np.float64)
-        for rows, margins in self._sweep(dense, self.n_trees):
-            out[:, rows] = margins
+        rows = predict_rows(X, self.n_features)
+        out = np.empty((self.n_trees, rows.shape[0]), dtype=np.float64)
+        for block, margins in self._sweep(rows, self.n_trees):
+            out[:, block] = margins
         return out
 
-    def _sweep(self, dense: np.ndarray, k: int) -> Iterator[tuple[slice, np.ndarray]]:
+    def _sweep(self, rows: CSRMatrix | np.ndarray, k: int) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield ``(row slice, margins)`` per row chunk, where row ``j`` of
         the ``(k, rows)`` margins is ``base_score`` plus the first ``j + 1``
         trees' leaf values, added one tree at a time in boosting order
-        (nothing for no rows or no trees)."""
-        n = dense.shape[0]
+        (nothing for no rows or no trees).  A CSR input is densified one
+        chunk at a time."""
+        n = rows.shape[0]
         if n == 0 or k == 0:
             return
         chunk = max(1, _PAIRS_PER_CHUNK // k)
+        dense = isinstance(rows, np.ndarray)
         with span("flat_predict", rows=n, trees=k):
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)
-                margins = self._route_block(dense[lo:hi], k)
+                block = rows[lo:hi] if dense else rows.to_dense(np.nan, lo, hi).values
+                margins = self._route_block(block, k)
                 margins[0] += self.base_score  # == base + v0: addition commutes
                 # one whole-row add per tree, in tree order (never pairwise)
                 yield slice(lo, hi), np.cumsum(margins, axis=0, out=margins)

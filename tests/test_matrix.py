@@ -104,6 +104,12 @@ class TestCSR:
         )
         assert np.array_equal(table1_csr.to_dense(0.0).values, expected)
 
+    def test_to_dense_row_range_is_a_slice_of_the_whole(self, table1_csr):
+        whole = table1_csr.to_dense(np.nan).values
+        for lo, hi in [(0, 4), (1, 3), (2, 2), (3, 4), (4, 4)]:
+            block = table1_csr.to_dense(np.nan, lo, hi).values
+            assert np.array_equal(block, whole[lo:hi], equal_nan=True)
+
     def test_select_rows(self, table1_csr):
         sub = table1_csr.select_rows(np.array([3, 1]))
         assert sub.n_rows == 2

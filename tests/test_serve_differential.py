@@ -10,6 +10,8 @@ tree by tree.  Every path sums a row in boosting order, base score first, so
 the comparisons are exact, whatever batch a row arrives in.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro import GBDTParams, GPUGBDTTrainer
 from repro.approx.histogram_trainer import HistogramGBDTTrainer
 from repro.core.booster_model import GBDTModel
 from repro.core.tree import DecisionTree
+from repro.data import make_dataset
 from repro.data.matrix import CSRMatrix, DenseMatrix
 from repro.serve import FlatEnsemble
 from repro.stream import StreamingHistTrainer
@@ -268,6 +271,64 @@ def test_flatten_cache_invalidates_on_model_growth(susy_small):
     model.trees.append(extra.trees[0])
     assert model.flatten() is not first
     assert model.flatten().n_trees == 4
+
+
+def _first_internal(tree: DecisionTree) -> int:
+    return next(n for n in range(tree.n_nodes) if not tree.is_leaf(n))
+
+
+def _set_threshold(tree):
+    tree.threshold[_first_internal(tree)] = 1e300
+
+
+def _set_attr(tree):
+    n = _first_internal(tree)
+    tree.attr[n] = (tree.attr[n] + 1) % 54
+
+
+def _flip_default(tree):
+    n = _first_internal(tree)
+    tree.default_left[n] = not tree.default_left[n]
+
+
+def _swap_children(tree):
+    n = _first_internal(tree)
+    tree.left[n], tree.right[n] = tree.right[n], tree.left[n]
+
+
+@pytest.mark.parametrize("edit", [_set_threshold, _set_attr, _flip_default, _swap_children])
+def test_flatten_cache_sees_in_place_node_edits(covtype_small, edit):
+    """Editing a node list in place, past the tree API, is not served from
+    the stale flat ensemble: the next predict is the per-tree sum."""
+    ds = covtype_small
+    model = GPUGBDTTrainer(GBDTParams(n_trees=3)).fit(ds.X, ds.y)
+    before = model.predict(ds.X_test)
+    edit(model.trees[0])
+    after = model.predict(ds.X_test)
+    assert np.array_equal(after, per_tree_predict(model, ds.X_test))
+    assert not np.array_equal(after, before)
+
+
+def test_wide_csr_predict_densifies_one_chunk_at_a_time():
+    """A CSR input is densified one row chunk at a time: 6,000 x 600 sparse
+    rows (a 27.5 MiB dense block) under 128 trees (1,024-row chunks, 4.7 MiB
+    each) peak at about 11 MiB, and give the per-tree sum's bits."""
+    X = make_dataset("e2006", run_rows=8000, seed=3).X
+    model = random_model(np.random.default_rng(3), n_trees=128, n_features=600, max_depth=4)
+    flat = model.flatten()
+    tracemalloc.start()
+    try:
+        got = flat.predict(X)
+        predict_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        staged = flat.staged_predict(X)
+        staged_peak = tracemalloc.get_traced_memory()[1] - staged.nbytes
+    finally:
+        tracemalloc.stop()
+    assert predict_peak < 16 * 2**20
+    assert staged_peak < 16 * 2**20
+    assert np.array_equal(got, per_tree_predict(model, X))
+    assert np.array_equal(staged[-1], got)
 
 
 def test_predict_one_and_predict_row_agree(sparse_small):
