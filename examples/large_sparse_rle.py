@@ -35,12 +35,12 @@ def main() -> None:
     # --- RLE splitting strategies on compressible data -------------------
     print("\n--- Directly-Split-RLE (Fig. 7) vs decompress/recompress (Fig. 6) ---")
     ins = make_dataset("insurance", run_rows=2000, seed=2)
-    direct = run_gpu_gbdt(ins, params.replace(rle_policy="always"))
-    decomp = run_gpu_gbdt(ins, params.replace(rle_policy="always", use_direct_rle=False))
+    direct = run_gpu_gbdt(ins, params, rle_policy="always")
+    decomp = run_gpu_gbdt(ins, params, rle_policy="always", use_direct_rle=False)
     print(f"{ins.name}: direct {direct.seconds:.2f}s vs decompress {decomp.seconds:.2f}s "
           f"(+{(decomp.seconds / direct.seconds - 1) * 100:.0f}% without the Fig. 7 trick)")
 
-    norle = run_gpu_gbdt(ins, params.replace(use_rle=False))
+    norle = run_gpu_gbdt(ins, params, rle_policy="never")
     print(f"{ins.name}: disabling RLE entirely costs "
           f"+{(norle.seconds / direct.seconds - 1) * 100:.0f}%")
 

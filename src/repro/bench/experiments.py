@@ -21,7 +21,7 @@ cases       Section IV-E case studies (i)-(iii)
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -230,13 +230,14 @@ def run_fig8b(
 
 
 # ============================================================ Fig. 9 ========
-#: ablation label -> GBDTParams override switching that optimization off
-ABLATIONS: Dict[str, Dict] = {
-    "Customized SetKey": {"use_custom_setkey": False},
-    "Customized IdxComp Workload": {"use_custom_workload": False},
-    "RLE": {"use_rle": False},
-    "SmartGD": {"use_smartgd": False},
-    "Directly Split RLE": {"use_direct_rle": False},
+#: ablation label -> (GBDTParams override, GPUGBDTTrainer keywords) that
+#: switch that optimization off
+ABLATIONS: Dict[str, Tuple[Dict, Dict]] = {
+    "Customized SetKey": ({}, {"use_custom_setkey": False}),
+    "Customized IdxComp Workload": ({}, {"use_custom_workload": False}),
+    "RLE": ({}, {"rle_policy": "never"}),
+    "SmartGD": ({"use_smartgd": False}, {}),
+    "Directly Split RLE": ({}, {"use_direct_rle": False}),
 }
 
 
@@ -276,18 +277,18 @@ def run_fig9(
     """Fig. 9: switch each optimization off and measure the slowdown."""
     if quick:
         names = SENSITIVITY_DATASETS
-    # RLE ablations only speak on compressible data; force RLE on so the
-    # Directly-Split-RLE switch is exercised everywhere it applies
+    # the default "measured" RLE policy decides per dataset, so the RLE and
+    # Directly-Split-RLE ablations only move where the data compresses
     p_full = _params(quick)
     datasets = load_table2_datasets(quick, names)
     full_seconds: Dict[str, float] = {}
     for ds in datasets:
         full_seconds[ds.name] = run_gpu_gbdt(ds, p_full).seconds
     ablated: Dict[str, Dict[str, float]] = {}
-    for label, overrides in ABLATIONS.items():
+    for label, (overrides, kernel_options) in ABLATIONS.items():
         per_ds: Dict[str, float] = {}
         for ds in datasets:
-            res = run_gpu_gbdt(ds, p_full.replace(**overrides))
+            res = run_gpu_gbdt(ds, p_full.replace(**overrides), **kernel_options)
             per_ds[ds.name] = res.seconds
         ablated[label] = per_ds
     return AblationResult(

@@ -60,15 +60,17 @@ def run_gpu_gbdt(
     params: GBDTParams | None = None,
     spec: DeviceSpec = TITAN_X_PASCAL,
     init_model=None,
+    **kernel_options,
 ) -> RunResult:
     """Train GPU-GBDT; modeled seconds at the dataset's full scale.
 
     ``init_model`` warm-starts boosting from an existing ensemble (the
     continual-training refresh path), charging only the replay plus the new
-    rounds."""
+    rounds.  ``**kernel_options`` go to :class:`GPUGBDTTrainer` (its
+    ``rle_policy``, ``use_direct_rle``, ... switches)."""
     p = params if params is not None else GBDTParams()
     device = GpuDevice(spec, work_scale=ds.work_scale, seg_scale=ds.seg_scale)
-    trainer = GPUGBDTTrainer(p, device, row_scale=ds.row_scale)
+    trainer = GPUGBDTTrainer(p, device, row_scale=ds.row_scale, **kernel_options)
     try:
         model = trainer.fit(ds.X, ds.y, init_model=init_model)
     except DeviceOutOfMemory as exc:

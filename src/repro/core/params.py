@@ -1,26 +1,30 @@
-"""Training hyper-parameters and optimization switches.
+"""Training hyper-parameters every trainer honours.
 
 Algorithm 1 of the paper is parameterized by the maximum depth ``d``, the
 number of trees ``T``, the valid-split threshold ``gamma`` and the
 regularization constant ``lambda`` of Eq. (2); the case study (Section IV-E)
-adds the learning rate ``eta``.  On top of those, :class:`GBDTParams`
-exposes one boolean per GPU-specific optimization so the Fig. 9 ablation can
-switch each off independently:
+adds the learning rate ``eta``.  :class:`GBDTParams` holds those, the loss,
+the row samplers and the gradient switch -- the fields every trainer either
+honours or rejects with a ``ValueError``:
 
-====================  =====================================================
-``use_rle``           RLE compression of sorted attribute values (III-C)
-``use_direct_rle``    Directly-Split-RLE instead of decompress/recompress
-``use_smartgd``       gradients from intermediate results, no tree traversal
-``use_custom_setkey`` Customized SetKey segment-per-block formula (III-B)
-``use_custom_workload`` Customized IdxComp partition thread workload (III-B)
-====================  =====================================================
+==================================  =========================================
+``subsample``, ``colsample_bytree``  uniform row/column draw (exact family)
+``goss_a``, ``goss_b``              GOSS row sampling (histogram family)
+``use_smartgd``                     gradients from intermediate results, no
+                                    tree traversal (Section III-B)
+==================================  =========================================
+
+The switches of the exact kernels the Fig. 9 ablation turns off (RLE,
+Directly-Split-RLE, customized SetKey, the IdxComp workload) are keywords
+of :class:`~repro.core.trainer.GPUGBDTTrainer`, the trainer that runs those
+kernels -- as ``max_bins``, ``grow_policy`` and ``use_subtraction`` are
+keywords of the histogram trainer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..data.rle import RLE_POLICIES
 from ..losses import Loss, get_loss
 
 __all__ = ["GBDTParams"]
@@ -49,24 +53,12 @@ class GBDTParams:
     #: the remaining low-|g| rows are sampled at rate ``goss_b`` and their
     #: gradient/hessian amplified by (1-a)/b so the histogram totals stay
     #: unbiased.  a=1 disables GOSS entirely (the default: exact training).
-    #: Only the histogram trainer implements GOSS (single-process, depthwise).
+    #: The histogram trainers implement GOSS (both grow policies, in memory
+    #: or streamed); every other trainer rejects ``goss_a < 1``.
     goss_a: float = 1.0
     goss_b: float = 0.1
-
-    # -- RLE compression (Section III-C) -------------------------------------
-    use_rle: bool = True
-    rle_policy: str = "measured"  # see repro.data.rle.RLE_POLICIES
-    rle_paper_threshold: float = 1e-3  # R in the paper's dim/cardinality rule
-    rle_measured_threshold: float = 4.0  # elements-per-run to justify RLE
-    use_direct_rle: bool = True  # Fig. 7 vs Fig. 6 node splitting
-
-    # -- GPU-specific optimizations (Section III-B) ---------------------------
+    #: SmartGD (Section III-B) vs. tree-traversal gradients
     use_smartgd: bool = True
-    use_custom_setkey: bool = True
-    setkey_c: int = 1000  # C in "1 + #segments / (#SM * C)"
-    use_custom_workload: bool = True
-    max_counter_mem_bytes: int = 2**30  # the paper's example budget (2^30)
-    fixed_thread_workload: int = 16  # the naive b = 16 workload
 
     # -- misc -----------------------------------------------------------------
     seed: int = 0
@@ -95,19 +87,11 @@ class GBDTParams:
                 raise ValueError("goss_a + goss_b must be <= 1")
         elif not (0 <= self.goss_b <= 1):
             raise ValueError("goss_b must be in [0, 1]")
-        if self.rle_policy not in RLE_POLICIES:
-            raise ValueError(f"rle_policy must be one of {RLE_POLICIES}")
-        if self.setkey_c < 1:
-            raise ValueError("setkey_c must be >= 1")
-        if self.max_counter_mem_bytes < 1024:
-            raise ValueError("max_counter_mem_bytes unreasonably small")
-        if self.fixed_thread_workload < 1:
-            raise ValueError("fixed_thread_workload must be >= 1")
         # resolve the loss eagerly so bad names fail at construction
         self.loss_fn: Loss = get_loss(self.loss)
 
     def replace(self, **kwargs) -> "GBDTParams":
-        """Return a copy with the given fields changed (ablation helper)."""
+        """Return a copy with the given fields changed."""
         return dataclasses.replace(self, **kwargs)
 
     def to_config(self) -> dict:
@@ -122,18 +106,3 @@ class GBDTParams:
             value = getattr(self, f.name)
             out[f.name] = self.loss_fn.name if f.name == "loss" else value
         return out
-
-    def ablation_name(self) -> str:
-        """Short tag describing which optimizations are off (Fig. 9 labels)."""
-        off = []
-        if not self.use_custom_setkey:
-            off.append("no-SetKey")
-        if not self.use_custom_workload:
-            off.append("no-IdxCompWorkload")
-        if not self.use_rle:
-            off.append("no-RLE")
-        if not self.use_smartgd:
-            off.append("no-SmartGD")
-        if self.use_rle and not self.use_direct_rle:
-            off.append("no-DirectSplitRLE")
-        return "+".join(off) if off else "full"

@@ -44,10 +44,15 @@ from .workspace import IDX_DTYPE, WorkspaceArena
 __all__ = [
     "PartitionPlan", "plan_partition", "SideLists", "split_sides",
     "partition_segments", "check_segment_maps", "COUNTER_BYTES",
+    "MAX_COUNTER_MEM_BYTES", "FIXED_THREAD_WORKLOAD",
 ]
 
 #: bytes per histogram counter (a 32-bit count)
 COUNTER_BYTES = 4
+#: counter memory budget of one partition pass (the paper's example, 2^30)
+MAX_COUNTER_MEM_BYTES = 2**30
+#: the naive per-thread workload ``b = 16`` the paper ablates against
+FIXED_THREAD_WORKLOAD = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,9 +76,9 @@ def plan_partition(
     n_values: int,
     n_nodes: int,
     *,
-    max_counter_mem_bytes: int,
+    max_counter_mem_bytes: int = MAX_COUNTER_MEM_BYTES,
     use_custom_workload: bool = True,
-    fixed_thread_workload: int = 16,
+    fixed_thread_workload: int = FIXED_THREAD_WORKLOAD,
     fanout: int = 2,
 ) -> PartitionPlan:
     """Choose the per-thread workload for partitioning ``n_values`` elements

@@ -22,7 +22,10 @@ import dataclasses
 
 from ..gpusim.device import DeviceSpec
 
-__all__ = ["SetKeyPlan", "plan_segment_grid"]
+__all__ = ["SetKeyPlan", "plan_segment_grid", "SETKEY_C"]
+
+#: ``C`` in the paper's segments-per-block formula
+SETKEY_C = 1000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,7 +43,7 @@ def plan_segment_grid(
     n_segments: int,
     *,
     enabled: bool = True,
-    c: int = 1000,
+    c: int = SETKEY_C,
 ) -> SetKeyPlan:
     """Choose the grid for a kernel over ``n_segments`` segments.
 

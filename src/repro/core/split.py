@@ -359,7 +359,6 @@ def _select_splits(
     layout: SegmentLayout,
     lambda_: float,
     setkey_enabled: bool,
-    setkey_c: int,
 ) -> NodeBestSplits:
     """Shared tail of split finding: per-segment argmax over interior
     candidates, boundary (missing) candidates, then the per-node reduce."""
@@ -372,7 +371,7 @@ def _select_splits(
     node_h_seg = node_h[seg_node]
 
     # -- interior candidates: segmented argmax with the SetKey grid ----------
-    plan = plan_segment_grid(device.spec, max(S, 1), enabled=setkey_enabled, c=setkey_c)
+    plan = plan_segment_grid(device.spec, max(S, 1), enabled=setkey_enabled)
     best_gain, best_cand = _segmented_argmax(
         device,
         cand_gain,
@@ -466,7 +465,6 @@ def find_best_splits_sparse(
     *,
     lambda_: float,
     setkey_enabled: bool = True,
-    setkey_c: int = 1000,
     workspace: WorkspaceArena | None = None,
 ) -> NodeBestSplits:
     """Split finding on uncompressed sorted attribute lists (Section III-B).
@@ -553,7 +551,6 @@ def find_best_splits_sparse(
         layout=layout,
         lambda_=lambda_,
         setkey_enabled=setkey_enabled,
-        setkey_c=setkey_c,
     )
 
 
@@ -570,7 +567,6 @@ def find_best_splits_rle(
     *,
     lambda_: float,
     setkey_enabled: bool = True,
-    setkey_c: int = 1000,
     workspace: WorkspaceArena | None = None,
 ) -> NodeBestSplits:
     """Split finding on RLE-compressed values (Section III-C, Fig. 5).
@@ -671,5 +667,4 @@ def find_best_splits_rle(
         layout=layout,
         lambda_=lambda_,
         setkey_enabled=setkey_enabled,
-        setkey_c=setkey_c,
     )

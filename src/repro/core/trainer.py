@@ -28,10 +28,17 @@ through the ``_build_shards`` / ``_share_gradients`` / ``_page_in`` /
 itself combines the per-shard winners (strictly higher gain wins, ties go
 to the lowest global attribute -- the single-shard kernels' own rule).
 
-Every Fig. 9 optimization switch in :class:`~repro.core.params.GBDTParams`
-changes the *recorded work* (and sometimes the code path) but never the
-resulting trees -- ``tests/test_trainer.py`` asserts tree identity across
-all switch combinations and against the independent CPU reference.
+The Fig. 9 optimization switches of the exact kernels are keywords of
+:class:`GPUGBDTTrainer` (``rle_policy``, ``use_direct_rle``,
+``use_custom_setkey``, ``use_custom_workload``; SmartGD is
+``GBDTParams.use_smartgd``).  The SetKey and workload switches change only
+the *recorded work*.  Turning RLE on or off changes the code path and the
+order in which gradients are summed, so the trees keep their structure
+(attributes, thresholds, default directions) while leaf values may differ
+in the last bits -- ``tests/test_trainer.py`` asserts ``models_equal``
+(structure exact, values within a tolerance) across all switch
+combinations and against the independent CPU reference.  ROADMAP's
+fixed-point gradient item would make them byte-identical.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..data.matrix import CSRMatrix
-from ..data.rle import RunLengthColumns, decide_compression, encode_segments
+from ..data.rle import RLE_POLICIES, RunLengthColumns, decide_compression, encode_segments
 from ..data.sorted_columns import SortedColumns, build_sorted_columns
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.primitives import bincount_sum
@@ -159,7 +166,7 @@ class GPUGBDTTrainer(BoostingDriver):
     Parameters
     ----------
     params:
-        Hyper-parameters and optimization switches.
+        Hyper-parameters (:class:`~repro.core.params.GBDTParams`).
     device:
         Simulated device (scales pre-configured by the caller/harness);
         a fresh Titan X is created when omitted.
@@ -170,6 +177,18 @@ class GPUGBDTTrainer(BoostingDriver):
         XGBoost baseline allocates it (n x d cells + node-interleaved
         gradient copies) instead of GPU-GBDT's sparse/RLE layout.  Used by
         :mod:`repro.cpu.gpu_xgboost`.
+    rle_policy:
+        When to RLE-compress the sorted values (Section III-C), one of
+        :data:`~repro.data.rle.RLE_POLICIES`; ``"never"`` turns RLE off.
+    use_direct_rle:
+        Directly-Split-RLE (Fig. 7) instead of decompress/recompress
+        (Fig. 6) when a node's runs are split.
+    use_custom_setkey:
+        The customized SetKey segments-per-block grid (Section III-B)
+        instead of one block per segment.
+    use_custom_workload:
+        The customized IdxComp partition workload (Section III-B) instead
+        of the fixed ``b = 16``.
 
     ``fit`` is the shared :class:`~repro.core.boosting.BoostingDriver`
     loop; GOSS (``goss_a < 1``) is rejected here, it is a histogram-family
@@ -185,7 +204,13 @@ class GPUGBDTTrainer(BoostingDriver):
         *,
         row_scale: float = 1.0,
         dense_memory_model: bool = False,
+        rle_policy: str = "measured",
+        use_direct_rle: bool = True,
+        use_custom_setkey: bool = True,
+        use_custom_workload: bool = True,
     ) -> None:
+        if rle_policy not in RLE_POLICIES:
+            raise ValueError(f"rle_policy must be one of {RLE_POLICIES}")
         super().__init__(params, device, row_scale)
         if self.params.goss_a < 1.0:
             raise ValueError(
@@ -193,6 +218,10 @@ class GPUGBDTTrainer(BoostingDriver):
                 "trainer; the exact trainer supports uniform subsample="
             )
         self.dense_memory_model = dense_memory_model
+        self.rle_policy = rle_policy
+        self.use_direct_rle = bool(use_direct_rle)
+        self.use_custom_setkey = bool(use_custom_setkey)
+        self.use_custom_workload = bool(use_custom_workload)
         if dense_memory_model:
             self.backend = "xgb-gpu-dense"
         #: one arena per shard; shard 0 shares the trainer's
@@ -237,15 +266,12 @@ class GPUGBDTTrainer(BoostingDriver):
 
     def _decide_rle(self, cols: SortedColumns) -> bool:
         """The run-wide compression decision, made once on all columns."""
-        p = self.params
-        return p.use_rle and decide_compression(
-            p.rle_policy,
+        return decide_compression(
+            self.rle_policy,
             n_rows=cols.n_rows,
             n_cols=cols.n_cols,
             values=cols.values,
             offsets=cols.col_offsets,
-            paper_threshold=p.rle_paper_threshold,
-            measured_threshold=p.rle_measured_threshold,
         )
 
     def _build_shards(self, X: CSRMatrix) -> Tuple[List[ColumnShard], bool]:
@@ -373,8 +399,8 @@ class GPUGBDTTrainer(BoostingDriver):
                         bests.append(find(
                             shard.device, shard.rle if used_rle else shard.vals,
                             shard.inst, shard.layout, g, h, node_g, node_h, node_n,
-                            lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey,
-                            setkey_c=p.setkey_c, workspace=shard.workspace,
+                            lambda_=p.lambda_, setkey_enabled=self.use_custom_setkey,
+                            workspace=shard.workspace,
                         ))
                         self._exchange_winners(shard, n_active)
             best, owner = _combine_winners(shards, bests)
@@ -490,7 +516,6 @@ class GPUGBDTTrainer(BoostingDriver):
         new_local_of: np.ndarray, k: int, depth: int, used_rle: bool,
     ) -> None:
         """Order-preserving split of one shard's lists into the children's."""
-        p = self.params
         device = shard.device
         ws = shard.workspace
         layout = shard.layout
@@ -507,9 +532,7 @@ class GPUGBDTTrainer(BoostingDriver):
         plan = plan_partition(
             int(layout.n_elements * device.work_scale),
             k,
-            max_counter_mem_bytes=p.max_counter_mem_bytes,
-            use_custom_workload=p.use_custom_workload,
-            fixed_thread_workload=p.fixed_thread_workload,
+            use_custom_workload=self.use_custom_workload,
         )
         n_new_seg = 2 * k * d_used
         perm, new_offsets = partition_segments(
@@ -522,7 +545,7 @@ class GPUGBDTTrainer(BoostingDriver):
             shard.vals = np.take(
                 shard.vals, perm, out=ws.buf(f"tree/vals/{pp}", perm.size, np.float64)
             )
-        elif p.use_direct_rle:
+        elif self.use_direct_rle:
             shard.rle = split_runs_direct(
                 device, shard.rle, sides, left_seg, right_seg, n_new_seg,
                 workspace=ws, parity=depth,

@@ -5,7 +5,7 @@ dense-representation GPU XGBoost baseline (xgbst-gpu)."""
 from .exact_greedy import ReferenceTrainer
 from .gpu_xgboost import DenseGpuXgboostTrainer, dense_device_bytes, densify
 from .model import CpuLedger, CpuOp, CpuTimeModel, translate_gpu_ledger
-from .parallel_model import XGBoostCpuRunner, cpu_work_profile
+from .parallel_model import XGBoostCpuRunner
 
 __all__ = [
     "ReferenceTrainer",
@@ -17,5 +17,4 @@ __all__ = [
     "CpuTimeModel",
     "translate_gpu_ledger",
     "XGBoostCpuRunner",
-    "cpu_work_profile",
 ]

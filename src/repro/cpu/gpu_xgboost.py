@@ -71,10 +71,7 @@ class DenseGpuXgboostTrainer:
         *,
         row_scale: float = 1.0,
     ) -> None:
-        base = params if params is not None else GBDTParams()
-        # dense data has no repetition structure worth compressing, and the
-        # plugin predates RLE anyway
-        self.params = base.replace(use_rle=False)
+        self.params = params if params is not None else GBDTParams()
         self.device = device if device is not None else GpuDevice()
         self.row_scale = float(row_scale)
         self.report: TrainReport | None = None
@@ -90,6 +87,9 @@ class DenseGpuXgboostTrainer:
             self.device,
             row_scale=self.row_scale,
             dense_memory_model=True,
+            # dense data has no repetition structure worth compressing, and
+            # the plugin predates RLE anyway
+            rle_policy="never",
         )
         model = trainer.fit(Xd, y, init_model=init_model)
         self.report = trainer.report

@@ -2,10 +2,11 @@
 
 The paper's CPU baselines execute the same exact-greedy algorithm as
 GPU-GBDT (Table II verifies identical trees), so they are reproduced by
-running the training engine functionally once with a *CPU work profile*
-(no RLE -- XGBoost does not compress; its prediction cache is equivalent to
-SmartGD) and replaying the recorded operation counts through
-:class:`~repro.cpu.model.CpuTimeModel` at 1 or 40 threads.
+running the training engine functionally once the way XGBoost's CPU exact
+method works (no RLE -- XGBoost stores plain sorted columns -- and SmartGD,
+which its always-on prediction cache corresponds to) and replaying the
+recorded operation counts through :class:`~repro.cpu.model.CpuTimeModel` at
+1 or 40 threads.
 
 Training once and timing at several thread counts mirrors the paper's
 methodology of sweeping 10/20/40/80 threads over the same algorithm.
@@ -25,17 +26,7 @@ from ..gpusim.device import XEON_E5_2640V4_X2, CpuSpec, DeviceSpec, TITAN_X_PASC
 from ..gpusim.kernel import GpuDevice
 from .model import CpuLedger, CpuTimeModel, translate_gpu_ledger
 
-__all__ = ["cpu_work_profile", "XGBoostCpuRunner"]
-
-
-def cpu_work_profile(params: GBDTParams) -> GBDTParams:
-    """The parameter profile XGBoost's CPU exact method corresponds to."""
-    return params.replace(
-        use_rle=False,  # XGBoost stores plain sorted columns
-        use_smartgd=True,  # its prediction cache plays the same role
-        use_custom_setkey=True,  # GPU-only concerns; keep grids irrelevant
-        use_custom_workload=True,
-    )
+__all__ = ["XGBoostCpuRunner"]
 
 
 #: an unconstrained pseudo-device for recording CPU work (host RAM is 256 GB
@@ -60,7 +51,8 @@ class XGBoostCpuRunner:
     Parameters
     ----------
     params:
-        User hyper-parameters (converted via :func:`cpu_work_profile`).
+        User hyper-parameters; ``use_smartgd`` must stay on (XGBoost's
+        prediction cache cannot be switched off).
     spec:
         CPU hardware description (paper default: 2x Xeon E5-2640 v4).
     work_scale, seg_scale, row_scale:
@@ -75,6 +67,11 @@ class XGBoostCpuRunner:
     row_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        if not self.params.use_smartgd:
+            raise ValueError(
+                "use_smartgd=False has no XGBoost counterpart: its prediction "
+                "cache (SmartGD's role) is always on"
+            )
         self.model: GBDTModel | None = None
         self.ledger: CpuLedger | None = None
         self._time_model = CpuTimeModel(self.spec)
@@ -83,7 +80,7 @@ class XGBoostCpuRunner:
         """Run the functional training and record the CPU work ledger."""
         recorder = GpuDevice(_HOST_SPEC, work_scale=self.work_scale, seg_scale=self.seg_scale)
         trainer = GPUGBDTTrainer(
-            cpu_work_profile(self.params), recorder, row_scale=self.row_scale
+            self.params, recorder, row_scale=self.row_scale, rle_policy="never"
         )
         self.model = trainer.fit(X, y)
         self.ledger = translate_gpu_ledger(recorder.ledger)

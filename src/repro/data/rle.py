@@ -36,9 +36,15 @@ __all__ = [
     "measured_ratio",
     "decide_compression",
     "RLE_POLICIES",
+    "PAPER_RLE_THRESHOLD",
+    "MEASURED_RLE_THRESHOLD",
 ]
 
 RLE_POLICIES = ("paper", "measured", "always", "never")
+#: ``R`` of the paper's rule: compress when dimensionality / cardinality > R
+PAPER_RLE_THRESHOLD = 1e-3
+#: elements per run the ``"measured"`` policy needs before it compresses
+MEASURED_RLE_THRESHOLD = 4.0
 
 
 @dataclasses.dataclass
@@ -163,8 +169,8 @@ def decide_compression(
     n_cols: int,
     values: np.ndarray | None = None,
     offsets: np.ndarray | None = None,
-    paper_threshold: float = 1e-3,
-    measured_threshold: float = 4.0,
+    paper_threshold: float = PAPER_RLE_THRESHOLD,
+    measured_threshold: float = MEASURED_RLE_THRESHOLD,
 ) -> bool:
     """Decide whether to RLE-compress under the given policy.
 

@@ -2,16 +2,11 @@
 names as future work and the time-budget hyper-parameter search of case
 study (iii)."""
 
-from .crossval import CVResult, FoldResult, cross_validate, kfold_indices
 from .hyperband import BudgetedRun, SearchConfig, SearchSummary, TimeBudgetSearch, paper_search_grid
 from .multigpu import MultiGpuGBDTTrainer
 from .outofcore import OutOfCoreGBDTTrainer, plan_column_groups
 
 __all__ = [
-    "CVResult",
-    "FoldResult",
-    "cross_validate",
-    "kfold_indices",
     "BudgetedRun",
     "SearchConfig",
     "SearchSummary",

@@ -78,7 +78,11 @@ def build_column_shard(
 
 
 class MultiGpuGBDTTrainer(GPUGBDTTrainer):
-    """Attribute-parallel GBDT training over ``n_devices`` simulated GPUs."""
+    """Attribute-parallel GBDT training over ``n_devices`` simulated GPUs.
+
+    ``**kernel_options`` are :class:`~repro.core.trainer.GPUGBDTTrainer`'s
+    kernel switches (``rle_policy``, ``use_direct_rle``, ...).
+    """
 
     backend = "multigpu"
 
@@ -91,6 +95,7 @@ class MultiGpuGBDTTrainer(GPUGBDTTrainer):
         work_scale: float = 1.0,
         seg_scale: float = 1.0,
         row_scale: float = 1.0,
+        **kernel_options,
     ) -> None:
         if n_devices < 1:
             raise ValueError("need at least one device")
@@ -98,7 +103,7 @@ class MultiGpuGBDTTrainer(GPUGBDTTrainer):
             GpuDevice(spec, work_scale=work_scale, seg_scale=seg_scale)
             for _ in range(n_devices)
         ]
-        super().__init__(params, self.devices[0], row_scale=row_scale)
+        super().__init__(params, self.devices[0], row_scale=row_scale, **kernel_options)
 
     @property
     def n_devices(self) -> int:

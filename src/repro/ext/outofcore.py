@@ -96,6 +96,9 @@ class OutOfCoreGBDTTrainer(GPUGBDTTrainer):
     group_budget_bytes:
         Device bytes one resident column group may occupy.  Defaults to
         roughly half the device memory (lists + working buffers).
+    **kernel_options:
+        :class:`~repro.core.trainer.GPUGBDTTrainer`'s kernel switches
+        (``rle_policy``, ``use_direct_rle``, ...).
     """
 
     backend = "outofcore"
@@ -109,11 +112,13 @@ class OutOfCoreGBDTTrainer(GPUGBDTTrainer):
         seg_scale: float = 1.0,
         row_scale: float = 1.0,
         group_budget_bytes: float | None = None,
+        **kernel_options,
     ) -> None:
         super().__init__(
             params,
             GpuDevice(spec, work_scale=work_scale, seg_scale=seg_scale),
             row_scale=row_scale,
+            **kernel_options,
         )
         self.group_budget_bytes = (
             float(group_budget_bytes)

@@ -43,6 +43,9 @@ __all__ = ["FlatEnsemble"]
 #: target number of (row, tree) pairs routed per chunk; keeps the per-level
 #: temporaries (a handful of arrays of this length) inside the outer caches
 _PAIRS_PER_CHUNK = 131072
+#: most cells of a CSR input densified at once (4 MiB of float64), so a
+#: model with few trees does not densify a wide input whole
+_CSR_CELLS_PER_CHUNK = 1 << 19
 
 
 class FlatEnsemble:
@@ -214,12 +217,14 @@ class FlatEnsemble:
         the ``(k, rows)`` margins is ``base_score`` plus the first ``j + 1``
         trees' leaf values, added one tree at a time in boosting order
         (nothing for no rows or no trees).  A CSR input is densified one
-        chunk at a time."""
+        chunk at a time, of at most ``_CSR_CELLS_PER_CHUNK`` cells."""
         n = rows.shape[0]
         if n == 0 or k == 0:
             return
         chunk = max(1, _PAIRS_PER_CHUNK // k)
         dense = isinstance(rows, np.ndarray)
+        if not dense:
+            chunk = min(chunk, max(1, _CSR_CELLS_PER_CHUNK // max(rows.shape[1], 1)))
         with span("flat_predict", rows=n, trees=k):
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import GBDTParams, GpuDevice, TITAN_X_PASCAL
 from repro.cpu.model import CpuLedger, CpuOp, CpuTimeModel, translate_gpu_ledger
-from repro.cpu.parallel_model import XGBoostCpuRunner, cpu_work_profile
+from repro.cpu.parallel_model import XGBoostCpuRunner
 from repro.gpusim.device import XEON_E5_2640V4_X2
 
 
@@ -96,10 +96,15 @@ class TestTranslate:
 
 
 class TestRunner:
-    def test_profile_disables_rle(self):
-        p = cpu_work_profile(GBDTParams())
-        assert not p.use_rle
-        assert p.use_smartgd
+    def test_profile_disables_rle(self, covtype_small):
+        """XGBoost stores plain sorted columns, and its prediction cache
+        (SmartGD's role) cannot be switched off."""
+        ds = covtype_small
+        runner = XGBoostCpuRunner(params=GBDTParams(n_trees=1, max_depth=2))
+        runner.fit(ds.X, ds.y)
+        assert not any("rle" in op.name for op in runner.ledger.ops)
+        with pytest.raises(ValueError, match="prediction cache"):
+            XGBoostCpuRunner(params=GBDTParams(use_smartgd=False))
 
     def test_fit_then_model_times(self, covtype_small):
         ds = covtype_small

@@ -1,7 +1,7 @@
 """Smoke tests: the example scripts must run end-to-end.
 
 Each example is executed in-process with a reduced-scale monkeypatched
-dataset factory where needed; the two fastest run as-is via subprocess to
+dataset factory where needed; the fastest run as-is via subprocess to
 also validate their shebang/imports in a clean interpreter.
 """
 
@@ -31,6 +31,7 @@ def run_script(name: str, timeout: int = 300) -> str:
     [
         ("quickstart.py", "trees identical to the CPU reference: True"),
         ("malware_realtime.py", "meets SLO"),
+        ("large_sparse_rle.py", "without the Fig. 7 trick"),
     ],
 )
 def test_fast_examples_run(script, expect):

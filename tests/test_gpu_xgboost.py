@@ -82,7 +82,7 @@ class TestSemantics:
         X = as_csr(dense)
         y = rng.normal(size=80)
         p = GBDTParams(n_trees=3, max_depth=3)
-        base = GPUGBDTTrainer(p.replace(use_rle=False)).fit(X, y)
+        base = GPUGBDTTrainer(p, rle_policy="never").fit(X, y)
         densed = DenseGpuXgboostTrainer(p).fit(X, y)
         assert models_equal(base, densed)
 

@@ -64,32 +64,32 @@ def probe_rle(monkeypatch):
 class TestSortednessAcrossLevels:
     def test_sparse_path_every_level(self, susy_small, probe_sparse):
         ds = susy_small
-        GPUGBDTTrainer(GBDTParams(n_trees=3, max_depth=5, use_rle=False)).fit(ds.X, ds.y)
+        GPUGBDTTrainer(GBDTParams(n_trees=3, max_depth=5), rle_policy="never").fit(ds.X, ds.y)
         assert probe_sparse["levels"] >= 3  # probed multiple levels
 
     def test_sparse_path_with_missing_values(self, sparse_small, probe_sparse):
         ds = sparse_small
-        GPUGBDTTrainer(GBDTParams(n_trees=2, max_depth=4, use_rle=False)).fit(ds.X, ds.y)
+        GPUGBDTTrainer(GBDTParams(n_trees=2, max_depth=4), rle_policy="never").fit(ds.X, ds.y)
         assert probe_sparse["levels"] >= 2
 
     def test_rle_path_every_level(self, covtype_small, probe_rle):
         ds = covtype_small
         GPUGBDTTrainer(
-            GBDTParams(n_trees=3, max_depth=5, rle_policy="always")
+            GBDTParams(n_trees=3, max_depth=5), rle_policy="always"
         ).fit(ds.X, ds.y)
         assert probe_rle["levels"] >= 3
 
     def test_rle_decompression_path_every_level(self, covtype_small, probe_rle):
         ds = covtype_small
         GPUGBDTTrainer(
-            GBDTParams(n_trees=2, max_depth=4, rle_policy="always", use_direct_rle=False)
+            GBDTParams(n_trees=2, max_depth=4), rle_policy="always", use_direct_rle=False
         ).fit(ds.X, ds.y)
         assert probe_rle["levels"] >= 2
 
     def test_sparse_path_under_sampling(self, covtype_small, probe_sparse):
         ds = covtype_small
         GPUGBDTTrainer(
-            GBDTParams(n_trees=3, max_depth=4, use_rle=False,
-                       subsample=0.6, colsample_bytree=0.5, seed=3)
+            GBDTParams(n_trees=3, max_depth=4, subsample=0.6, colsample_bytree=0.5, seed=3),
+            rle_policy="never",
         ).fit(ds.X, ds.y)
         assert probe_sparse["levels"] >= 3

@@ -80,7 +80,7 @@ class TestSetKeyAblationGridRecording:
         GPUGBDTTrainer(GBDTParams(n_trees=1, max_depth=3), d_on).fit(ds.X, ds.y)
         d_off = GpuDevice(TITAN_X_PASCAL, seg_scale=1000.0)
         GPUGBDTTrainer(
-            GBDTParams(n_trees=1, max_depth=3, use_custom_setkey=False), d_off
+            GBDTParams(n_trees=1, max_depth=3), d_off, use_custom_setkey=False
         ).fit(ds.X, ds.y)
 
         def max_blocks(dev):

@@ -34,16 +34,17 @@ class TestTreeIdentity:
 
     def test_identical_without_rle(self, susy_small):
         ds = susy_small
-        p = GBDTParams(n_trees=2, max_depth=4, use_rle=False)
-        single = GPUGBDTTrainer(p).fit(ds.X, ds.y)
-        multi = MultiGpuGBDTTrainer(p, n_devices=2).fit(ds.X, ds.y)
+        p = GBDTParams(n_trees=2, max_depth=4)
+        single = GPUGBDTTrainer(p, rle_policy="never").fit(ds.X, ds.y)
+        multi = MultiGpuGBDTTrainer(p, n_devices=2, rle_policy="never").fit(ds.X, ds.y)
         assert models_equal(multi, single)
 
     def test_identical_with_decompression_split(self, covtype_small):
         ds = covtype_small
-        p = GBDTParams(n_trees=2, max_depth=3, use_direct_rle=False, rle_policy="always")
-        single = GPUGBDTTrainer(p).fit(ds.X, ds.y)
-        multi = MultiGpuGBDTTrainer(p, n_devices=2).fit(ds.X, ds.y)
+        p = GBDTParams(n_trees=2, max_depth=3)
+        kernels = dict(use_direct_rle=False, rle_policy="always")
+        single = GPUGBDTTrainer(p, **kernels).fit(ds.X, ds.y)
+        multi = MultiGpuGBDTTrainer(p, n_devices=2, **kernels).fit(ds.X, ds.y)
         assert models_equal(multi, single)
 
     @pytest.mark.parametrize("dataset", ["covtype_small", "susy_small"])

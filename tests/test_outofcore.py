@@ -68,9 +68,11 @@ class TestTreeIdentity:
 
     def test_identical_on_sparse_without_rle(self, sparse_small):
         ds = sparse_small
-        p = GBDTParams(n_trees=2, max_depth=3, use_rle=False)
-        single = GPUGBDTTrainer(p).fit(ds.X, ds.y)
-        ooc = OutOfCoreGBDTTrainer(p, group_budget_bytes=ds.X.nnz * 2)
+        p = GBDTParams(n_trees=2, max_depth=3)
+        single = GPUGBDTTrainer(p, rle_policy="never").fit(ds.X, ds.y)
+        ooc = OutOfCoreGBDTTrainer(
+            p, group_budget_bytes=ds.X.nnz * 2, rle_policy="never"
+        )
         model = ooc.fit(ds.X, ds.y)
         assert models_equal(model, single)
         assert ooc.n_groups_ > 1

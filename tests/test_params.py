@@ -1,8 +1,8 @@
-"""Tests for GBDTParams validation and ablation helpers."""
+"""Tests for GBDTParams validation."""
 
 import pytest
 
-from repro import GBDTParams
+from repro import GBDTParams, GPUGBDTTrainer
 from repro.losses import LogisticLoss, SquaredErrorLoss
 
 
@@ -15,10 +15,10 @@ class TestDefaults:
         assert isinstance(p.loss_fn, SquaredErrorLoss)
 
     def test_all_optimizations_on_by_default(self):
-        p = GBDTParams()
-        assert p.use_rle and p.use_direct_rle and p.use_smartgd
-        assert p.use_custom_setkey and p.use_custom_workload
-        assert p.ablation_name() == "full"
+        assert GBDTParams().use_smartgd
+        t = GPUGBDTTrainer()
+        assert t.rle_policy == "measured" and t.use_direct_rle
+        assert t.use_custom_setkey and t.use_custom_workload
 
 
 class TestValidation:
@@ -29,10 +29,10 @@ class TestValidation:
         {"lambda_": -1.0},
         {"learning_rate": 0.0},
         {"learning_rate": 1.5},
-        {"rle_policy": "maybe"},
-        {"setkey_c": 0},
-        {"max_counter_mem_bytes": 10},
-        {"fixed_thread_workload": 0},
+        {"subsample": 0.0},
+        {"colsample_bytree": 1.5},
+        {"goss_a": 0.0},
+        {"goss_a": 0.5, "goss_b": 0.6},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -55,23 +55,3 @@ class TestReplace:
     def test_replace_revalidates(self):
         with pytest.raises(ValueError):
             GBDTParams().replace(max_depth=-1)
-
-
-class TestAblationNames:
-    @pytest.mark.parametrize("kw,expect", [
-        ({"use_custom_setkey": False}, "no-SetKey"),
-        ({"use_custom_workload": False}, "no-IdxCompWorkload"),
-        ({"use_rle": False}, "no-RLE"),
-        ({"use_smartgd": False}, "no-SmartGD"),
-        ({"use_direct_rle": False}, "no-DirectSplitRLE"),
-    ])
-    def test_single_ablations(self, kw, expect):
-        assert GBDTParams(**kw).ablation_name() == expect
-
-    def test_direct_rle_irrelevant_without_rle(self):
-        p = GBDTParams(use_rle=False, use_direct_rle=False)
-        assert p.ablation_name() == "no-RLE"
-
-    def test_combined(self):
-        p = GBDTParams(use_rle=False, use_smartgd=False)
-        assert p.ablation_name() == "no-RLE+no-SmartGD"

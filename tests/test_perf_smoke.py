@@ -82,7 +82,7 @@ def test_medium_warm_refit_allocation_gate(baseline):
     """A second fit on the same trainer reuses the first fit's arena."""
     spec = HOTPATH_WORKLOADS["medium"]
     X, y = make_hotpath_data(spec.n_rows, spec.n_cols)
-    trainer = GPUGBDTTrainer(spec.params())
+    trainer = GPUGBDTTrainer(spec.params(), rle_policy=spec.rle_policy)
     peak, new_allocs = _warm_refit(trainer, X, y)
     ws = trainer.workspace
 

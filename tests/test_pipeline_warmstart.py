@@ -15,10 +15,11 @@ from repro.core.booster import GradientBoostedTrees
 from repro.core.booster_model import GBDTModel, model_digest
 from repro.cpu.exact_greedy import ReferenceTrainer
 
+#: (GBDTParams overrides, GPUGBDTTrainer keywords)
 CONFIGS = [
-    pytest.param({"use_rle": True}, id="rle"),
-    pytest.param({"use_rle": False}, id="no-rle"),
-    pytest.param({"subsample": 0.7, "colsample_bytree": 0.8}, id="sampled"),
+    pytest.param({}, {"rle_policy": "always"}, id="rle"),
+    pytest.param({}, {"rle_policy": "never"}, id="no-rle"),
+    pytest.param({"subsample": 0.7, "colsample_bytree": 0.8}, {}, id="sampled"),
 ]
 
 
@@ -26,29 +27,29 @@ def _params(total: int, **overrides) -> GBDTParams:
     return GBDTParams(n_trees=total, max_depth=3, seed=13).replace(**overrides)
 
 
-@pytest.mark.parametrize("overrides", CONFIGS)
-def test_gpu_resume_is_bit_identical(covtype_small, overrides):
+@pytest.mark.parametrize("overrides,kernels", CONFIGS)
+def test_gpu_resume_is_bit_identical(covtype_small, overrides, kernels):
     ds = covtype_small
     k, m = 2, 3
-    full = GPUGBDTTrainer(_params(k + m, **overrides)).fit(ds.X, ds.y)
-    head = GPUGBDTTrainer(_params(k, **overrides)).fit(ds.X, ds.y)
-    resumed = GPUGBDTTrainer(_params(m, **overrides)).fit(
+    full = GPUGBDTTrainer(_params(k + m, **overrides), **kernels).fit(ds.X, ds.y)
+    head = GPUGBDTTrainer(_params(k, **overrides), **kernels).fit(ds.X, ds.y)
+    resumed = GPUGBDTTrainer(_params(m, **overrides), **kernels).fit(
         ds.X, ds.y, init_model=head
     )
     assert resumed.to_json() == full.to_json()
     assert model_digest(resumed) == model_digest(full)
 
 
-@pytest.mark.parametrize("overrides", CONFIGS)
-def test_gpu_resume_through_json_is_bit_identical(covtype_small, overrides):
+@pytest.mark.parametrize("overrides,kernels", CONFIGS)
+def test_gpu_resume_through_json_is_bit_identical(covtype_small, overrides, kernels):
     """Resuming from a serialized model (the checkpoint path) changes nothing:
     JSON round-trips Python floats exactly."""
     ds = covtype_small
     k, m = 2, 3
-    full = GPUGBDTTrainer(_params(k + m, **overrides)).fit(ds.X, ds.y)
-    head = GPUGBDTTrainer(_params(k, **overrides)).fit(ds.X, ds.y)
+    full = GPUGBDTTrainer(_params(k + m, **overrides), **kernels).fit(ds.X, ds.y)
+    head = GPUGBDTTrainer(_params(k, **overrides), **kernels).fit(ds.X, ds.y)
     head = GBDTModel.from_json(head.to_json(), params=_params(k, **overrides))
-    resumed = GPUGBDTTrainer(_params(m, **overrides)).fit(
+    resumed = GPUGBDTTrainer(_params(m, **overrides), **kernels).fit(
         ds.X, ds.y, init_model=head
     )
     assert resumed.to_json() == full.to_json()

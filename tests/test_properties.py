@@ -42,11 +42,8 @@ def training_problem(draw):
 def test_gpu_matches_reference_on_random_problems(problem, use_rle):
     """The headline invariant under random data: identical trees."""
     X, y, _ = problem
-    p = GBDTParams(
-        n_trees=3, max_depth=3,
-        use_rle=use_rle, rle_policy="always" if use_rle else "never",
-    )
-    a = GPUGBDTTrainer(p).fit(X, y)
+    p = GBDTParams(n_trees=3, max_depth=3)
+    a = GPUGBDTTrainer(p, rle_policy="always" if use_rle else "never").fit(X, y)
     b = ReferenceTrainer(p).fit(X, y)
     assert models_equal(a, b)
 
@@ -213,15 +210,14 @@ def test_instance_duplication_equals_doubled_weight(problem):
 @given(adversarial_problem(), st.booleans())
 @SETTINGS
 def test_rle_on_off_identity(problem, direct):
-    """Compressed and raw attribute lists must grow byte-identical trees
-    (paper Section III-C: RLE is an encoding, not an approximation)."""
+    """Compressed and raw attribute lists must grow the same trees (paper
+    Section III-C: RLE is an encoding, not an approximation)."""
     X, _, _, y, _ = problem
-    on = GPUGBDTTrainer(
-        GBDTParams(n_trees=2, max_depth=4, rle_policy="always", use_direct_rle=direct)
-    ).fit(X, y)
-    off = GPUGBDTTrainer(GBDTParams(n_trees=2, max_depth=4, rle_policy="never")).fit(X, y)
-    # to_json embeds the (intentionally different) params; the *trees* and
-    # base score must match exactly
+    p = GBDTParams(n_trees=2, max_depth=4)
+    on = GPUGBDTTrainer(p, rle_policy="always", use_direct_rle=direct).fit(X, y)
+    off = GPUGBDTTrainer(p, rle_policy="never").fit(X, y)
+    # the two paths sum gradients in different orders, so leaf values may
+    # differ in the last bits: same structure, values within a tolerance
     assert models_equal(on, off)
 
 

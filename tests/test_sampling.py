@@ -102,10 +102,8 @@ class TestStochasticTraining:
 
     def test_sampling_with_rle_paths(self, covtype_small):
         ds = covtype_small
-        p = GBDTParams(
-            n_trees=3, max_depth=3, subsample=0.7, rle_policy="always", seed=4
-        )
-        a = GPUGBDTTrainer(p).fit(ds.X, ds.y)
+        p = GBDTParams(n_trees=3, max_depth=3, subsample=0.7, seed=4)
+        a = GPUGBDTTrainer(p, rle_policy="always").fit(ds.X, ds.y)
         b = ReferenceTrainer(p).fit(ds.X, ds.y)
         assert models_equal(a, b)
 

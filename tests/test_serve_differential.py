@@ -21,7 +21,7 @@ from repro.core.booster_model import GBDTModel
 from repro.core.tree import DecisionTree
 from repro.data import make_dataset
 from repro.data.matrix import CSRMatrix, DenseMatrix
-from repro.serve import FlatEnsemble
+from repro.serve import FlatEnsemble, flat_model
 from repro.stream import StreamingHistTrainer
 
 
@@ -311,7 +311,7 @@ def test_flatten_cache_sees_in_place_node_edits(covtype_small, edit):
 
 def test_wide_csr_predict_densifies_one_chunk_at_a_time():
     """A CSR input is densified one row chunk at a time: 6,000 x 600 sparse
-    rows (a 27.5 MiB dense block) under 128 trees (1,024-row chunks, 4.7 MiB
+    rows (a 27.5 MiB dense block) under 128 trees (873-row chunks, 4 MiB
     each) peak at about 11 MiB, and give the per-tree sum's bits."""
     X = make_dataset("e2006", run_rows=8000, seed=3).X
     model = random_model(np.random.default_rng(3), n_trees=128, n_features=600, max_depth=4)
@@ -329,6 +329,29 @@ def test_wide_csr_predict_densifies_one_chunk_at_a_time():
     assert staged_peak < 16 * 2**20
     assert np.array_equal(got, per_tree_predict(model, X))
     assert np.array_equal(staged[-1], got)
+
+
+def test_wide_csr_chunks_are_capped_by_cells(monkeypatch):
+    """With few trees the (row, tree) budget alone would densify all 6,000 x
+    600 test rows of e2006 at once; the CSR cell cap bounds every densified
+    row range, and each row still gets the bits of a one-row predict."""
+    X = make_dataset("e2006", run_rows=24000, seed=1).X_test
+    model = random_model(np.random.default_rng(5), n_trees=2, n_features=600, max_depth=4)
+    flat = model.flatten()
+    cells = []
+    to_dense = CSRMatrix.to_dense
+
+    def recording(self, fill=0.0, lo=0, hi=None):
+        out = to_dense(self, fill, lo, hi)
+        cells.append(out.values.size)
+        return out
+
+    monkeypatch.setattr(CSRMatrix, "to_dense", recording)
+    got = flat.predict(X)
+    assert X.n_rows * X.n_cols > flat_model._CSR_CELLS_PER_CHUNK
+    assert len(cells) > 1 and max(cells) <= flat_model._CSR_CELLS_PER_CHUNK
+    one_by_one = [flat.predict(X.select_rows(np.array([i])))[0] for i in range(X.n_rows)]
+    assert np.array_equal(got, np.array(one_by_one))
 
 
 def test_predict_one_and_predict_row_agree(sparse_small):

@@ -36,8 +36,9 @@ def datasets():
 
 
 def _exact(rle_policy, direct):
-    p = PARAMS.replace(rle_policy=rle_policy, use_direct_rle=direct)
-    return lambda tmp: GPUGBDTTrainer(p)
+    return lambda tmp: GPUGBDTTrainer(
+        PARAMS, rle_policy=rle_policy, use_direct_rle=direct
+    )
 
 
 def _hist(grow_policy, subtraction):

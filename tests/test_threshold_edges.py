@@ -32,10 +32,10 @@ PAIRS = {
 }
 
 TRAINERS = {
-    "sparse-exact": lambda p: GPUGBDTTrainer(p.replace(rle_policy="never")),
-    "direct-rle-exact": lambda p: GPUGBDTTrainer(p.replace(rle_policy="always")),
+    "sparse-exact": lambda p: GPUGBDTTrainer(p, rle_policy="never"),
+    "direct-rle-exact": lambda p: GPUGBDTTrainer(p, rle_policy="always"),
     "decompress-rle-exact": lambda p: GPUGBDTTrainer(
-        p.replace(rle_policy="always", use_direct_rle=False)
+        p, rle_policy="always", use_direct_rle=False
     ),
     "reference": ReferenceTrainer,
     "histogram": HistogramGBDTTrainer,

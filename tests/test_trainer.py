@@ -43,13 +43,11 @@ class TestTreeIdentity:
         base = GBDTParams(n_trees=4, max_depth=4)
         ref = ReferenceTrainer(base).fit(ds.X, ds.y)
         for rle, direct, smart in ABLATION_GRID:
-            p = base.replace(
-                use_rle=rle,
-                use_direct_rle=direct,
-                use_smartgd=smart,
+            got = GPUGBDTTrainer(
+                base.replace(use_smartgd=smart),
                 rle_policy="always" if rle else "never",
-            )
-            got = GPUGBDTTrainer(p).fit(ds.X, ds.y)
+                use_direct_rle=direct,
+            ).fit(ds.X, ds.y)
             assert models_equal(got, ref), (dataset, rle, direct, smart)
 
     def test_setkey_and_workload_do_not_change_trees(self, covtype_small):
@@ -57,8 +55,9 @@ class TestTreeIdentity:
         base = GBDTParams(n_trees=3, max_depth=4)
         ref = GPUGBDTTrainer(base).fit(ds.X, ds.y)
         for setkey, workload in itertools.product([True, False], repeat=2):
-            p = base.replace(use_custom_setkey=setkey, use_custom_workload=workload)
-            got = GPUGBDTTrainer(p).fit(ds.X, ds.y)
+            got = GPUGBDTTrainer(
+                base, use_custom_setkey=setkey, use_custom_workload=workload
+            ).fit(ds.X, ds.y)
             assert models_equal(got, ref)
 
     def test_rmse_identical_to_reference(self, covtype_small):
@@ -181,13 +180,10 @@ class TestDeviceInteraction:
     def test_rle_reduces_upload_bytes(self, covtype_small):
         ds = covtype_small
         d1 = GpuDevice(TITAN_X_PASCAL)
-        GPUGBDTTrainer(
-            GBDTParams(n_trees=1, max_depth=2, rle_policy="always"), d1
-        ).fit(ds.X, ds.y)
+        p = GBDTParams(n_trees=1, max_depth=2)
+        GPUGBDTTrainer(p, d1, rle_policy="always").fit(ds.X, ds.y)
         d2 = GpuDevice(TITAN_X_PASCAL)
-        GPUGBDTTrainer(
-            GBDTParams(n_trees=1, max_depth=2, use_rle=False), d2
-        ).fit(ds.X, ds.y)
+        GPUGBDTTrainer(p, d2, rle_policy="never").fit(ds.X, ds.y)
         up1 = sum(t.nbytes for t in d1.ledger.transfers if t.name == "upload_training_data")
         up2 = sum(t.nbytes for t in d2.ledger.transfers if t.name == "upload_training_data")
         assert up1 < up2
