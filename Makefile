@@ -37,7 +37,8 @@ compare:  ## record a run and gate it against the pinned reference (exit 1 on dr
 experiments-md:  ## regenerate EXPERIMENTS.md from full-scale runs
 	$(PYTHON) scripts/generate_experiments_md.py
 
-loc:
+loc:  ## the src/ total (the number ROADMAP.md tracks), then everything
+	@echo "src: $$(find src -name '*.py' | xargs cat | wc -l)"
 	@find src tests benchmarks examples scripts -name "*.py" | xargs wc -l | tail -1
 
 clean:  ## also drops the gitignored run artifacts at the repo root

@@ -13,7 +13,6 @@ from repro.gpusim.primitives import (
     segment_sort_desc,
     segmented_argmax,
     segmented_inclusive_cumsum,
-    two_way_partition,
 )
 
 N = 200_000
@@ -26,13 +25,12 @@ def arrays():
     values = rng.normal(size=N)
     bounds = np.sort(rng.choice(N, size=N_SEG - 1, replace=False))
     offsets = np.concatenate(([0], bounds, [N])).astype(np.int64)
-    side = rng.integers(0, 2, size=N).astype(np.int8)
-    return values, offsets, side
+    return values, offsets
 
 
 @pytest.mark.benchmark(group="primitives")
 def test_segmented_cumsum_speed(benchmark, arrays):
-    values, offsets, _ = arrays
+    values, offsets = arrays
     d = GpuDevice(TITAN_X_PASCAL)
     out = benchmark(lambda: segmented_inclusive_cumsum(d, values, offsets))
     assert out.size == N
@@ -40,23 +38,15 @@ def test_segmented_cumsum_speed(benchmark, arrays):
 
 @pytest.mark.benchmark(group="primitives")
 def test_segmented_argmax_speed(benchmark, arrays):
-    values, offsets, _ = arrays
+    values, offsets = arrays
     d = GpuDevice(TITAN_X_PASCAL)
     mx, am = benchmark(lambda: segmented_argmax(d, values, offsets))
     assert mx.size == N_SEG
 
 
 @pytest.mark.benchmark(group="primitives")
-def test_two_way_partition_speed(benchmark, arrays):
-    values, offsets, side = arrays
-    d = GpuDevice(TITAN_X_PASCAL)
-    dest, new_off = benchmark(lambda: two_way_partition(d, offsets, side))
-    assert new_off[-1] == N
-
-
-@pytest.mark.benchmark(group="primitives")
 def test_segment_sort_speed(benchmark, arrays):
-    values, offsets, _ = arrays
+    values, offsets = arrays
     d = GpuDevice(TITAN_X_PASCAL)
     payload = np.arange(N)
     sv, sp = benchmark(lambda: segment_sort_desc(d, values, payload, offsets))

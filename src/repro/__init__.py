@@ -22,13 +22,10 @@ from .core import (
     GPUGBDTTrainer,
     GradientBoostedTrees,
     as_csr,
-    feature_importance,
     models_equal,
-    predict_on_device,
     trees_equal,
 )
 from .data import (
-    analyze,
     TABLE2_NAMES,
     CSCMatrix,
     CSRMatrix,
@@ -49,7 +46,7 @@ from .gpusim import (
     GpuDevice,
 )
 from .losses import CustomLoss, HuberLoss, LogisticLoss, Loss, PoissonLoss, SquaredErrorLoss, get_loss
-from .metrics import accuracy, error_rate, mean_abs_error, mse, rmse
+from .metrics import accuracy, error_rate, mse, rmse
 from .obs import (
     MetricsRegistry,
     Tracer,
@@ -78,12 +75,9 @@ __all__ = [
     "GPUGBDTTrainer",
     "GradientBoostedTrees",
     "as_csr",
-    "feature_importance",
     "models_equal",
-    "predict_on_device",
     "trees_equal",
     "TABLE2_NAMES",
-    "analyze",
     "CSCMatrix",
     "CSRMatrix",
     "Dataset",
@@ -110,7 +104,6 @@ __all__ = [
     "get_loss",
     "accuracy",
     "error_rate",
-    "mean_abs_error",
     "mse",
     "rmse",
     "BatchPolicy",

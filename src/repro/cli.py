@@ -278,10 +278,6 @@ def _obs_main(argv: list[str]) -> int:
 
 def _runs_main(argv: list[str]) -> int:
     """``gpu-gbdt runs {submit,list,diff,gate}``: the benchmark run store."""
-    import json
-    import os
-    from pathlib import Path
-
     parser = argparse.ArgumentParser(
         prog="gpu-gbdt runs",
         description="Append-only benchmark run store: submit BENCH_*.json "
@@ -336,7 +332,18 @@ def _runs_main(argv: list[str]) -> int:
 
     from .obs.runstore import RunStore
 
-    store = RunStore(args.store)
+    try:
+        return _runs_command(args, RunStore(args.store))
+    except ValueError as exc:  # a bad bench name or a refused payload
+        print(f"ERROR: {exc}")
+        return 1
+
+
+def _runs_command(args: argparse.Namespace, store) -> int:
+    """Run one parsed ``runs`` subcommand against ``store``."""
+    import json
+    import os
+    from pathlib import Path
 
     if args.command == "submit":
         if args.file is not None:
@@ -349,11 +356,7 @@ def _runs_main(argv: list[str]) -> int:
             print(f"ERROR: no result file at {path} -- run the bench first")
             return 2
         payload = json.loads(path.read_text(encoding="utf-8"))
-        try:
-            rec = store.submit(args.bench, payload, note=args.note, pinned=args.pin)
-        except ValueError as exc:
-            print(f"ERROR: {exc}")
-            return 1
+        rec = store.submit(args.bench, payload, note=args.note, pinned=args.pin)
         pin = " (pinned)" if rec.pinned else ""
         print(f"[submitted {args.bench} run {rec.run_id}{pin} -> {rec.path}]")
         return 0

@@ -2,10 +2,9 @@
 
 from .booster import BACKENDS, GradientBoostedTrees, as_csr
 from .booster_model import GBDTModel, models_equal, validate_fit
-from .importance import IMPORTANCE_KINDS, feature_importance
 from .params import GBDTParams
 from .partition import PartitionPlan, partition_segments, plan_partition
-from .predictor import charge_prediction_kernels, predict_on_device
+from .predictor import charge_prediction_kernels
 from .rle_split import split_runs_direct, split_runs_with_decompression
 from .sampling import TreeSample, sample_tree
 from .setkey import SetKeyPlan, plan_segment_grid
@@ -27,14 +26,11 @@ __all__ = [
     "GBDTModel",
     "models_equal",
     "validate_fit",
-    "IMPORTANCE_KINDS",
-    "feature_importance",
     "GBDTParams",
     "PartitionPlan",
     "partition_segments",
     "plan_partition",
     "charge_prediction_kernels",
-    "predict_on_device",
     "split_runs_direct",
     "split_runs_with_decompression",
     "TreeSample",

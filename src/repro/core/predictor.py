@@ -6,21 +6,18 @@ instance level and tree level parallelism (i.e., one GPU thread predicts the
 partial target value of an instance using one tree)", followed by a
 reduction summing the per-tree partial predictions.
 
-This module runs that kernel on the simulator: functionally it is the
-ensemble's exact traversal; the cost charged is one thread per
-(instance, tree) pair doing depth-many irregular node fetches -- precisely
-the traffic SmartGD avoids during training.
+This module charges that kernel to the simulator; the values themselves
+come from the ensemble's exact traversal (:class:`~repro.serve.FlatEnsemble`).
+The cost charged is one thread per (instance, tree) pair doing depth-many
+irregular node fetches -- precisely the traffic SmartGD avoids during
+training.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..data.matrix import CSRMatrix, DenseMatrix
 from ..gpusim.kernel import GpuDevice
-from .booster_model import GBDTModel
 
-__all__ = ["charge_prediction_kernels", "predict_on_device"]
+__all__ = ["charge_prediction_kernels"]
 
 
 def charge_prediction_kernels(
@@ -33,9 +30,8 @@ def charge_prediction_kernels(
 ) -> None:
     """Record the Section III-D prediction kernels on ``device``'s ledger.
 
-    Shared by :func:`predict_on_device` and the serving path
-    (:class:`~repro.serve.batcher.MicroBatcher`), so a batched flush is
-    charged exactly what the ad-hoc predictor would have been.
+    The serving path (:class:`~repro.serve.batcher.MicroBatcher`) charges
+    every flush through it.
     """
     rows = n_rows * row_scale
     n_trees = max(n_trees, 1)
@@ -60,23 +56,3 @@ def charge_prediction_kernels(
         )
         device.transfer("download_predictions", rows * 4, direction="d2h", scale=False)
 
-
-def predict_on_device(
-    device: GpuDevice,
-    model: GBDTModel,
-    X: CSRMatrix | DenseMatrix | np.ndarray,
-    *,
-    row_scale: float = 1.0,
-    transform: bool = False,
-) -> np.ndarray:
-    """Predict for all rows of ``X`` using instance x tree parallelism."""
-    n = X.n_rows if isinstance(X, (CSRMatrix, DenseMatrix)) else np.asarray(X).shape[0]
-    flat = model.flatten()
-    charge_prediction_kernels(
-        device,
-        n_rows=n,
-        n_trees=flat.n_trees,
-        avg_depth=max(1.0, flat.mean_depth),
-        row_scale=row_scale,
-    )
-    return model.predict(X, transform=transform)

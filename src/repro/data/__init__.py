@@ -1,7 +1,6 @@
 """Data substrate: matrix representations, sorted attribute lists, RLE
 compression, LibSVM I/O and the Table-II synthetic dataset generators."""
 
-from .analysis import DatasetStats, analyze
 from .datasets import TABLE2_NAMES, TABLE2_SPECS, Dataset, DatasetSpec, make_dataset, table1_example
 from .libsvm import dump_libsvm, dumps_libsvm, load_libsvm, loads_libsvm
 from .matrix import CSCMatrix, CSRMatrix, DenseMatrix
@@ -17,8 +16,6 @@ from .rle import (
 from .sorted_columns import SortedColumns, build_sorted_columns
 
 __all__ = [
-    "DatasetStats",
-    "analyze",
     "TABLE2_NAMES",
     "TABLE2_SPECS",
     "Dataset",

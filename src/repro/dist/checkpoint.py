@@ -20,8 +20,9 @@ Safety properties
   (tmp file in the destination directory, fsync, rename).  A kill at any
   point leaves either the previous checkpoint set or the new one, plus at
   most an orphaned ``*.tmp`` the store ignores.
-* **Self-verifying**: the envelope carries a SHA-256 checksum of the
-  payload; truncated or corrupted files raise :class:`CheckpointCorrupt`
+* **Self-verifying**: the file is a :func:`repro.ioutil.seal_json`
+  envelope carrying a SHA-256 checksum of the payload; truncated or
+  corrupted files raise :class:`CheckpointCorrupt`
   on load, and :meth:`CheckpointStore.latest` skips them (counting the
   recovery in the metrics registry) and falls back to the newest valid one.
 * **Param-guarded**: loading with a params whose growth-relevant fields
@@ -48,7 +49,7 @@ from typing import Dict, List, Optional
 
 from ..core.booster_model import GBDTModel, canonical_model_payload, model_digest
 from ..core.params import GBDTParams
-from ..ioutil import atomic_write_text
+from ..ioutil import EnvelopeError, atomic_write_text, open_json, seal_json
 from ..obs import get_registry, span
 
 __all__ = [
@@ -72,7 +73,8 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointCorrupt(CheckpointError):
-    """The file is truncated, unparsable, or fails its checksum."""
+    """The file is unreadable or not a sound envelope (the
+    :class:`~repro.ioutil.EnvelopeError` it wraps says why)."""
 
 
 class CheckpointMismatch(CheckpointError):
@@ -110,22 +112,14 @@ class Checkpoint:
 
 def write_checkpoint(path: Path | str, ckpt: Checkpoint, *, fault_hook=None) -> Path:
     """Serialize ``ckpt`` to ``path`` atomically; returns the path."""
-    payload = json.dumps(
+    envelope = seal_json(
+        CHECKPOINT_FORMAT,
         {
             "round": int(ckpt.round),
             "params_digest": ckpt.params_digest,
             "model": ckpt.model_payload,
             "meta": ckpt.meta,
         },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    envelope = json.dumps(
-        {
-            "format": CHECKPOINT_FORMAT,
-            "checksum": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-            "payload": payload,
-        }
     )
     with span("checkpoint_write", round=ckpt.round, bytes=len(envelope)):
         out = atomic_write_text(path, envelope, fault_hook=fault_hook)
@@ -152,18 +146,9 @@ def load_checkpoint(
     except OSError as exc:
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointCorrupt(f"checkpoint {path} is not valid JSON (truncated write?)") from exc
-    if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointCorrupt(f"checkpoint {path} has unknown format")
-    payload = envelope.get("payload")
-    checksum = envelope.get("checksum")
-    if not isinstance(payload, str) or not isinstance(checksum, str):
-        raise CheckpointCorrupt(f"checkpoint {path} envelope is incomplete")
-    if hashlib.sha256(payload.encode("utf-8")).hexdigest() != checksum:
-        raise CheckpointCorrupt(f"checkpoint {path} fails its checksum")
-    record = json.loads(payload)
+        record = open_json(CHECKPOINT_FORMAT, text)
+    except EnvelopeError as exc:
+        raise CheckpointCorrupt(f"checkpoint {path} {exc}") from exc
     ckpt = Checkpoint(
         round=int(record["round"]),
         model_payload=record["model"],

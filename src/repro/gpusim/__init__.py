@@ -9,7 +9,6 @@ from .device import (
     A100_80GB,
     GIB,
     NVME_SSD,
-    SATA_SSD,
     TESLA_K20,
     TESLA_P100,
     TITAN_X_PASCAL,
@@ -21,14 +20,13 @@ from .device import (
 from .kernel import CostLedger, GpuDevice, KernelLaunch, Transfer, Work
 from .memory import Allocation, DeviceOutOfMemory, GlobalMemory
 from .scheduler import Occupancy, occupancy
-from .timeline import PhaseSlice, format_profile, kernel_breakdown, profile
-from .trace import chrome_trace_events, export_chrome_trace
+from .timeline import PhaseSlice, format_profile, profile
+from .trace import chrome_trace_events
 
 __all__ = [
     "A100_80GB",
     "GIB",
     "NVME_SSD",
-    "SATA_SSD",
     "TESLA_K20",
     "TESLA_P100",
     "TITAN_X_PASCAL",
@@ -48,8 +46,6 @@ __all__ = [
     "occupancy",
     "PhaseSlice",
     "format_profile",
-    "kernel_breakdown",
     "profile",
     "chrome_trace_events",
-    "export_chrome_trace",
 ]

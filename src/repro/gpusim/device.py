@@ -22,7 +22,6 @@ __all__ = [
     "DiskSpec",
     "A100_80GB",
     "NVME_SSD",
-    "SATA_SSD",
     "TITAN_X_PASCAL",
     "TESLA_P100",
     "TESLA_K20",
@@ -207,14 +206,6 @@ NVME_SSD = DiskSpec(
     read_bandwidth_gbs=3.0,
     write_bandwidth_gbs=1.8,
     latency_s=90e-6,
-)
-
-#: A SATA SSD: the pessimistic spill target for sensitivity studies.
-SATA_SSD = DiskSpec(
-    name="SATA SSD",
-    read_bandwidth_gbs=0.52,
-    write_bandwidth_gbs=0.48,
-    latency_s=150e-6,
 )
 
 

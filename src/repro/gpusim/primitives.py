@@ -2,9 +2,9 @@
 
 These are the GPU building blocks the paper leans on (Section III-B):
 segmented prefix sum ("available in CUDA Thrust"), segmented reduction for
-best-split selection, parallel reduction, order-preserving scatter for node
-partitioning (Fig. 2/3), and segmented radix sort for the initial
-attribute-list build.
+best-split selection, gathers and atomic group sums, and segmented radix
+sort for the initial attribute-list build.  The order-preserving node
+partition of Fig. 2/3 is :func:`repro.core.partition.partition_segments`.
 
 Every primitive executes functionally on NumPy arrays *and* charges the
 simulated device with a :class:`~repro.gpusim.kernel.Work` estimate.  The
@@ -33,14 +33,11 @@ from .kernel import GpuDevice
 __all__ = [
     "check_offsets",
     "seg_ids",
-    "exclusive_cumsum",
     "segmented_inclusive_cumsum",
     "segmented_sum",
     "segmented_argmax",
-    "argmax_first",
     "gather",
     "bincount_sum",
-    "two_way_partition",
     "segment_order_desc",
     "segment_sort_desc",
 ]
@@ -78,22 +75,6 @@ def seg_ids(offsets: np.ndarray, n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- scans
-def exclusive_cumsum(device: GpuDevice, values: np.ndarray, name: str = "exclusive_scan") -> np.ndarray:
-    """Exclusive prefix sum (Blelchsum): ``out[i] = sum(values[:i])``."""
-    values = np.asarray(values)
-    acc_dtype = np.int64 if values.dtype.kind in "biu" else np.float64
-    out = np.zeros(values.size, dtype=acc_dtype)
-    if values.size > 1:
-        out[1:] = np.cumsum(values[:-1].astype(acc_dtype, copy=False))
-    device.launch(
-        name,
-        elements=values.size,
-        flops_per_element=1.0,
-        coalesced_bytes=2.0 * values.size * max(values.dtype.itemsize, out.dtype.itemsize),
-    )
-    return out
-
-
 def _segmented_inclusive_cumsum(
     device: GpuDevice,
     values: np.ndarray,
@@ -224,15 +205,6 @@ segmented_inclusive_cumsum, segmented_sum, segmented_argmax = map(
 )
 
 
-def argmax_first(device: GpuDevice, values: np.ndarray, name: str = "reduce_argmax") -> int:
-    """Whole-array first-argmax via the GPU parallel-reduction pattern [12]."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("argmax of empty array")
-    device.launch(name, elements=values.size, flops_per_element=1.0, coalesced_bytes=values.size * 8)
-    return int(np.argmax(values))
-
-
 # ------------------------------------------------------------------- gathers
 def gather(
     device: GpuDevice,
@@ -285,69 +257,6 @@ def bincount_sum(
         irregular_bytes=groups.size * 8,  # atomic scatter into the group table
     )
     return out
-
-
-# ------------------------------------------------------------- partitioning
-def two_way_partition(
-    device: GpuDevice,
-    offsets: np.ndarray,
-    side: np.ndarray,
-    name: str = "order_preserving_partition",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Order-preserving two-way split of every segment (paper Fig. 2/3).
-
-    Parameters
-    ----------
-    offsets:
-        Segmentation of the current array (``S + 1`` entries).
-    side:
-        Per-element destination: ``0`` -> left child segment, ``1`` -> right
-        child segment, ``-1`` -> dropped (instances that landed in a leaf).
-
-    Returns
-    -------
-    dest:
-        Per-element destination position in the new array (``-1`` if
-        dropped).  Within each child segment the original relative order is
-        preserved -- this is what keeps attribute values sorted (the
-        "Scatter" row of Fig. 2), verified by property tests.
-    new_offsets:
-        Segmentation of the new array with ``2 S + 1`` entries; old segment
-        ``s`` maps to children ``2 s`` (left) and ``2 s + 1`` (right).
-    """
-    side = np.asarray(side, dtype=np.int8)
-    n = side.size
-    offsets = check_offsets(offsets, n)
-    n_seg = offsets.size - 1
-    if side.size and (side.min() < -1 or side.max() > 1):
-        raise ValueError("side entries must be -1, 0 or 1")
-
-    is_left = (side == 0).astype(np.int64)
-    is_right = (side == 1).astype(np.int64)
-    rank_left = segmented_inclusive_cumsum(device, is_left, offsets, name=f"{name}/rank_left") - 1
-    rank_right = segmented_inclusive_cumsum(device, is_right, offsets, name=f"{name}/rank_right") - 1
-    left_counts = segmented_sum(device, is_left, offsets, name=f"{name}/count_left")
-    right_counts = segmented_sum(device, is_right, offsets, name=f"{name}/count_right")
-
-    counts = np.empty(2 * n_seg, dtype=np.int64)
-    counts[0::2] = left_counts
-    counts[1::2] = right_counts
-    new_offsets = np.concatenate(([0], np.cumsum(counts)))
-
-    dest = np.full(n, -1, dtype=np.int64)
-    sid = seg_ids(offsets, n)
-    lmask = side == 0
-    rmask = side == 1
-    dest[lmask] = new_offsets[2 * sid[lmask]] + rank_left[lmask]
-    dest[rmask] = new_offsets[2 * sid[rmask] + 1] + rank_right[rmask]
-    device.launch(
-        name,
-        elements=n,
-        flops_per_element=3.0,
-        coalesced_bytes=n * (1 + 8 + 8),
-        irregular_bytes=n * 8,  # the scatter write itself
-    )
-    return dest, new_offsets
 
 
 # -------------------------------------------------------------------- sorts

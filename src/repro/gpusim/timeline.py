@@ -11,10 +11,10 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from .costmodel import kernel_time, phase_times, transfer_time
+from .costmodel import phase_times
 from .kernel import GpuDevice
 
-__all__ = ["PhaseSlice", "profile", "format_profile", "kernel_breakdown"]
+__all__ = ["PhaseSlice", "profile", "format_profile"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,17 +38,6 @@ def profile(device: GpuDevice) -> List[PhaseSlice]:
         PhaseSlice(phase=p, seconds=s, fraction=s / total, launches=launches_by_phase.get(p, 0))
         for p, s in times.items()
     ]
-
-
-def kernel_breakdown(device: GpuDevice) -> dict[str, float]:
-    """Modeled seconds per kernel name (aggregated), plus PCIe under 'pcie'."""
-    out: dict[str, float] = {}
-    for k in device.ledger.kernels:
-        out[k.name] = out.get(k.name, 0.0) + kernel_time(device.spec, k)
-    pcie = sum(transfer_time(device.spec, t) for t in device.ledger.transfers)
-    if pcie:
-        out["pcie"] = pcie
-    return out
 
 
 def format_profile(device: GpuDevice, title: str = "device profile") -> str:

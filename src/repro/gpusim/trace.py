@@ -1,26 +1,25 @@
-"""Chrome-trace export of a device's kernel timeline.
+"""Chrome-trace events for a device's kernel timeline.
 
-Writes the recorded ledger as a ``chrome://tracing`` / Perfetto-compatible
-JSON document: one row per phase, one slice per kernel launch (duration =
-the cost model's time), PCIe transfers on their own row.  Handy for eyeball
-profiling of a training run::
+Lays the recorded ledger out as ``chrome://tracing`` / Perfetto-compatible
+events: one row per phase, one slice per kernel launch (duration = the cost
+model's time), PCIe transfers on their own row.  Handy for eyeball profiling
+of a training run::
 
-    from repro.gpusim.trace import export_chrome_trace
-    export_chrome_trace(device, "train.trace.json")
+    from repro.obs.export import export_merged_chrome_trace
+    export_merged_chrome_trace("train.trace.json", device=device)
 
-Open the file at https://ui.perfetto.dev.
+which writes these events as the merged trace's device track.  Open the
+file at https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import List
 
 from .costmodel import kernel_time, transfer_time
 from .kernel import GpuDevice
 
-__all__ = ["chrome_trace_events", "export_chrome_trace"]
+__all__ = ["chrome_trace_events"]
 
 
 def chrome_trace_events(device: GpuDevice) -> List[dict]:
@@ -92,17 +91,3 @@ def chrome_trace_events(device: GpuDevice) -> List[dict]:
         )
     return events
 
-
-def export_chrome_trace(device: GpuDevice, path: Path | str) -> int:
-    """Write the trace JSON to ``path``; returns the number of slice events.
-
-    An empty ledger writes a valid document with an empty ``traceEvents``
-    list (and returns 0) rather than a trace with orphaned metadata rows.
-    """
-    events = chrome_trace_events(device)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}), encoding="utf-8"
-    )
-    return sum(1 for e in events if e.get("ph") == "X")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rmse", "mse", "error_rate", "accuracy", "mean_abs_error"]
+__all__ = ["rmse", "mse", "error_rate", "accuracy"]
 
 
 def _check(y: np.ndarray, yhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,12 +31,6 @@ def mse(y: np.ndarray, yhat: np.ndarray) -> float:
 def rmse(y: np.ndarray, yhat: np.ndarray) -> float:
     """Root mean squared error -- the "rmse" columns of Table II."""
     return float(np.sqrt(mse(y, yhat)))
-
-
-def mean_abs_error(y: np.ndarray, yhat: np.ndarray) -> float:
-    """Mean absolute error (used by some of the case-study workloads)."""
-    y, yhat = _check(y, yhat)
-    return float(np.mean(np.abs(y - yhat)))
 
 
 def error_rate(y: np.ndarray, yhat: np.ndarray, threshold: float = 0.5) -> float:

@@ -4,17 +4,13 @@ The paper's core claim is a performance claim, but ``BENCH_<name>.json``
 files are overwritten in place -- after two commits nobody can answer "did
 commit X make training slower, and which phase regressed?".  This module
 keeps the longitudinal record: every benchmark run is **submitted** into
-``results/runs/<bench>/`` as one immutable, checksummed envelope
-
-.. code-block:: json
-
-    {"format": "repro-run-v1",
-     "checksum": "<sha256 of the payload string>",
-     "payload": "<json: bench, run_id, commit, timestamp, env, phases, metrics>"}
-
-written with :func:`repro.ioutil.atomic_write_text` (the checkpoint-store
-recipe: readers see the old file or the new file, never a mixture, and a
-torn envelope is *skipped and counted*, never trusted).
+``results/runs/<bench>/`` as one immutable, checksummed
+:func:`repro.ioutil.seal_json` envelope of format ``repro-run-v1`` (the
+payload: bench, run_id, commit, timestamp, env, phases, metrics), written
+with :func:`repro.ioutil.atomic_write_text` (the checkpoint-store recipe:
+readers see the old file or the new file, never a mixture, and a torn
+envelope is *skipped and counted*, never trusted).  A bench name starts
+with a letter or digit, so every run stays under its store's root.
 
 On top of the store sit three queries, exposed as
 ``python -m repro runs {submit,list,diff,gate}``:
@@ -45,8 +41,6 @@ run never becomes anyone's baseline.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
 import platform
 import re
@@ -56,7 +50,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, open_json, seal_json
 from .metrics_registry import get_registry
 
 __all__ = [
@@ -82,6 +76,10 @@ PHASES = ("setup", "gradients", "find_split", "split_node")
 #: list elements are keyed by the first of these fields they carry, so
 #: flattened metric paths stay stable when a workload set is reordered
 _KEY_FIELDS = ("workload", "layout", "name", "workers", "devices")
+
+#: a bench name is one path component that cannot leave the store
+#: (``..`` and ``.`` are refused by the leading alphanumeric)
+_BENCH_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 _HIGHER_BETTER = re.compile(r"(speedup|throughput|per_s\b|per_sec|qps|rows_per)")
 _LOWER_BETTER = re.compile(
@@ -381,8 +379,7 @@ class RunStore:
         reference for :meth:`gate`.  A payload with a false invariant is
         refused (``ValueError``).
         """
-        if not re.fullmatch(r"[A-Za-z0-9_.-]+", bench):
-            raise ValueError(f"invalid bench name: {bench!r}")
+        bench_dir = self._bench_dir(bench)
         broken = failed_invariants(metrics)
         if broken:
             raise ValueError(
@@ -392,7 +389,7 @@ class RunStore:
             embedded = metrics.get("phases") if isinstance(metrics, dict) else None
             phases = dict(embedded) if isinstance(embedded, dict) else {}
         commit = self.commit_resolver()
-        seq = self._next_seq(bench)
+        seq = self._next_seq(bench_dir)
         run_id = f"{seq:06d}-{commit[:10]}"
         doc = {
             "bench": bench,
@@ -405,20 +402,21 @@ class RunStore:
             "note": note,
             "pinned": pinned,
         }
-        payload = json.dumps(doc, sort_keys=True)
-        envelope = {
-            "format": RUN_FORMAT,
-            "checksum": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-            "payload": payload,
-        }
-        path = self.root / bench / f"{run_id}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, json.dumps(envelope, indent=1, sort_keys=True))
+        path = bench_dir / f"{run_id}.json"
+        bench_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(path, seal_json(RUN_FORMAT, doc))
         return self._record(doc, path)
 
-    def _next_seq(self, bench: str) -> int:
+    def _bench_dir(self, bench: str) -> Path:
+        """``root/<bench>``; ``ValueError`` unless ``bench`` is a valid name."""
+        if not _BENCH_NAME.fullmatch(bench):
+            raise ValueError(f"invalid bench name: {bench!r}")
+        return self.root / bench
+
+    @staticmethod
+    def _next_seq(bench_dir: Path) -> int:
         best = 0
-        for p in (self.root / bench).glob("*.json"):
+        for p in bench_dir.glob("*.json"):
             m = re.match(r"(\d+)-", p.name)
             if m:
                 best = max(best, int(m.group(1)))
@@ -443,14 +441,7 @@ class RunStore:
     def _load(self, path: Path) -> Optional[RunRecord]:
         """One envelope, or None (counted) when torn/invalid."""
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-            payload = envelope["payload"]
-            if envelope.get("format") != RUN_FORMAT:
-                raise ValueError("unknown format")
-            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            if digest != envelope.get("checksum"):
-                raise ValueError("checksum mismatch")
-            return self._record(json.loads(payload), path)
+            return self._record(open_json(RUN_FORMAT, path.read_text(encoding="utf-8")), path)
         except (OSError, ValueError, KeyError, TypeError):
             get_registry().counter(
                 "runstore_torn_skipped_total",
@@ -461,12 +452,15 @@ class RunStore:
     def benches(self) -> List[str]:
         if not self.root.is_dir():
             return []
-        return sorted(p.name for p in self.root.iterdir() if p.is_dir())
+        return sorted(
+            p.name for p in self.root.iterdir()
+            if p.is_dir() and _BENCH_NAME.fullmatch(p.name)
+        )
 
     def runs(self, bench: str) -> List[RunRecord]:
         """Every valid run of ``bench``, oldest first (torn files skipped)."""
         out = []
-        for path in sorted((self.root / bench).glob("*.json")):
+        for path in sorted(self._bench_dir(bench).glob("*.json")):
             rec = self._load(path)
             if rec is not None:
                 out.append(rec)

@@ -1,53 +1,12 @@
-"""Tests for dataset analysis and the chrome-trace exporter."""
+"""Tests for the device ledger's chrome-trace events."""
 
 import json
 
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, GpuDevice, TITAN_X_PASCAL
-from repro.data import CSRMatrix, make_dataset
-from repro.data.analysis import analyze
-from repro.gpusim.trace import chrome_trace_events, export_chrome_trace
-
-
-class TestAnalyze:
-    def test_basic_counts(self):
-        X = CSRMatrix.from_rows(
-            [[(0, 1.0), (1, 1.0)], [(0, 1.0)], [(1, 2.0)]], n_cols=2
-        )
-        st = analyze(X)
-        assert (st.n_rows, st.n_cols, st.nnz) == (3, 2, 4)
-        assert st.density == pytest.approx(4 / 6)
-        assert st.missing_rate == pytest.approx(2 / 6)
-
-    def test_rle_ratio_reflects_repetition(self):
-        rep = analyze(CSRMatrix.from_rows([[(0, 1.0)]] * 10, n_cols=1))
-        assert rep.rle_ratio == pytest.approx(10.0)
-        distinct = analyze(
-            CSRMatrix.from_rows([[(0, float(i))] for i in range(10)], n_cols=1)
-        )
-        assert distinct.rle_ratio == pytest.approx(1.0)
-
-    def test_binary_attr_detection(self):
-        X = CSRMatrix.from_rows(
-            [[(0, 1.0), (1, 0.3)], [(0, 1.0), (1, 0.7)]], n_cols=2
-        )
-        st = analyze(X)
-        assert st.binary_attr_frac == pytest.approx(0.5)
-        assert st.max_distinct_per_attr == 2
-
-    def test_dataset_profiles_differ(self):
-        cov = analyze(make_dataset("covtype", run_rows=200).X)
-        susy = analyze(make_dataset("susy", run_rows=200).X)
-        assert cov.rle_ratio > susy.rle_ratio
-        assert susy.density > cov.density
-        # RLE shrinks the device footprint only where repetition exists
-        assert cov.estimated_rle_bytes < cov.estimated_sparse_bytes
-
-    def test_format_is_readable(self):
-        st = analyze(make_dataset("covtype", run_rows=100).X)
-        text = st.format()
-        assert "RLE ratio" in text and "shape" in text
+from repro.gpusim.trace import chrome_trace_events
+from repro.obs.export import export_merged_chrome_trace
 
 
 class TestChromeTrace:
@@ -83,7 +42,7 @@ class TestChromeTrace:
 
     def test_export_file(self, device, tmp_path):
         path = tmp_path / "trace.json"
-        n = export_chrome_trace(device, path)
+        n = export_merged_chrome_trace(path, device=device)
         doc = json.loads(path.read_text())
-        assert n > 0
+        assert n == len(device.ledger.kernels) + len(device.ledger.transfers)
         assert "traceEvents" in doc

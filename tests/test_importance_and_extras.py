@@ -1,68 +1,11 @@
-"""Tests for feature importance, the extra built-in losses, and the
-eval-set / early-stopping facade features."""
+"""Tests for the extra built-in losses and the eval-set / early-stopping
+facade features."""
 
 import numpy as np
 import pytest
 
-from repro import GBDTParams, GPUGBDTTrainer, GradientBoostedTrees
-from repro.core.importance import IMPORTANCE_KINDS, feature_importance
-from repro.data import CSRMatrix
+from repro import GBDTParams, GradientBoostedTrees
 from repro.losses import HuberLoss, PoissonLoss, get_loss
-
-
-class TestFeatureImportance:
-    @pytest.fixture
-    def model(self):
-        """Attr 1 perfectly explains y; attr 0 is noise."""
-        rng = np.random.default_rng(0)
-        n = 120
-        signal = rng.uniform(0, 4, size=n)
-        rows = [
-            [(0, float(rng.uniform(0, 4))), (1, float(signal[i]))] for i in range(n)
-        ]
-        X = CSRMatrix.from_rows(rows, n_cols=2)
-        y = signal * 2.0
-        return GPUGBDTTrainer(GBDTParams(n_trees=4, max_depth=3)).fit(X, y)
-
-    def test_signal_attribute_dominates_gain(self, model):
-        imp = feature_importance(model, n_attrs=2, kind="gain")
-        assert imp[1] > imp[0]
-        assert imp.sum() == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("kind", IMPORTANCE_KINDS)
-    def test_all_kinds_normalized(self, model, kind):
-        imp = feature_importance(model, n_attrs=2, kind=kind)
-        assert imp.shape == (2,)
-        assert imp.sum() == pytest.approx(1.0)
-
-    def test_unnormalized_split_counts_are_integers(self, model):
-        imp = feature_importance(model, n_attrs=2, kind="split", normalize=False)
-        assert np.allclose(imp, np.round(imp))
-        assert imp.sum() == sum(
-            1 for t in model.trees for a in t.attr if a >= 0
-        )
-
-    def test_inferred_n_attrs(self, model):
-        imp = feature_importance(model)
-        assert imp.size >= 1
-
-    def test_bad_kind(self, model):
-        with pytest.raises(ValueError):
-            feature_importance(model, kind="shap")
-
-    def test_n_attrs_too_small(self, model):
-        with pytest.raises(ValueError):
-            feature_importance(model, n_attrs=1)
-
-    def test_stump_only_model(self):
-        from repro.core.booster_model import GBDTModel
-        from repro.core.tree import DecisionTree
-
-        t = DecisionTree()
-        t.add_root()
-        t.set_leaf(0, 1.0)
-        m = GBDTModel(trees=[t], params=GBDTParams())
-        assert feature_importance(m, n_attrs=3).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestExtraLosses:

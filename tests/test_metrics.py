@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics import accuracy, error_rate, mean_abs_error, mse, rmse
+from repro.metrics import accuracy, error_rate, mse, rmse
 
 
 def test_mse_basic():
@@ -19,10 +19,6 @@ def test_rmse_is_sqrt_mse():
 def test_rmse_zero_for_perfect_predictions():
     y = np.linspace(0, 1, 10)
     assert rmse(y, y) == 0.0
-
-
-def test_mean_abs_error():
-    assert mean_abs_error(np.array([1.0, -1.0]), np.array([0.0, 0.0])) == pytest.approx(1.0)
 
 
 def test_error_rate_thresholding():

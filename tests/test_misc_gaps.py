@@ -3,7 +3,6 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer
 from repro.bench.harness import run_gpu_gbdt
@@ -42,31 +41,6 @@ class TestModelEdges:
         a = GPUGBDTTrainer(GBDTParams(n_trees=2, max_depth=2)).fit(ds.X, ds.y)
         b = GPUGBDTTrainer(GBDTParams(n_trees=3, max_depth=2)).fit(ds.X, ds.y)
         assert not models_equal(a, b)
-
-
-class TestAnalysisFields:
-    def test_rows_per_attr_mean(self):
-        from repro.data import CSRMatrix
-        from repro.data.analysis import analyze
-
-        X = CSRMatrix.from_rows(
-            [[(0, 1.0), (1, 2.0)], [(0, 1.0)]], n_cols=2
-        )
-        st = analyze(X)
-        assert st.rows_per_attr_mean == pytest.approx(1.5)
-
-
-class TestPredictorTransform:
-    def test_logistic_transform_through_device(self, susy_small):
-        from repro import GpuDevice, TITAN_X_PASCAL
-        from repro.core.predictor import predict_on_device
-
-        ds = susy_small
-        model = GPUGBDTTrainer(
-            GBDTParams(n_trees=3, max_depth=2, loss="logistic")
-        ).fit(ds.X, ds.y)
-        out = predict_on_device(GpuDevice(TITAN_X_PASCAL), model, ds.X_test, transform=True)
-        assert np.all((out >= 0) & (out <= 1))
 
 
 class TestSetKeyAblationGridRecording:

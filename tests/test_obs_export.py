@@ -3,7 +3,7 @@
 import json
 
 from repro.gpusim.kernel import GpuDevice
-from repro.gpusim.trace import chrome_trace_events, export_chrome_trace
+from repro.gpusim.trace import chrome_trace_events
 from repro.obs import (
     DEVICE_PID,
     HOST_PID,
@@ -173,7 +173,7 @@ class TestGpusimTraceErgonomics:
         device = GpuDevice()
         assert chrome_trace_events(device) == []
         path = tmp_path / "sub" / "empty.trace.json"  # parent dir is created
-        n = export_chrome_trace(device, path)
+        n = export_merged_chrome_trace(path, device=device)
         assert n == 0
         assert json.loads(path.read_text())["traceEvents"] == []
 
@@ -191,5 +191,5 @@ class TestGpusimTraceErgonomics:
     def test_accepts_str_path(self, tmp_path):
         device = GpuDevice()
         run_tiny_training(device)
-        n = export_chrome_trace(device, str(tmp_path / "t.json"))
+        n = export_merged_chrome_trace(str(tmp_path / "t.json"), device=device)
         assert n == 2

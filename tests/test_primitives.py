@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpusim import GpuDevice, TITAN_X_PASCAL
 from repro.gpusim.primitives import (
-    argmax_first,
     bincount_sum,
     check_offsets,
-    exclusive_cumsum,
     gather,
     seg_ids,
     segment_order_desc,
@@ -18,7 +16,6 @@ from repro.gpusim.primitives import (
     segmented_argmax,
     segmented_inclusive_cumsum,
     segmented_sum,
-    two_way_partition,
 )
 
 
@@ -57,13 +54,6 @@ class TestCheckOffsets:
 
 
 class TestScans:
-    def test_exclusive_cumsum_basic(self):
-        out = exclusive_cumsum(dev(), np.array([1, 2, 3]))
-        assert list(out) == [0, 1, 3]
-
-    def test_exclusive_cumsum_empty(self):
-        assert exclusive_cumsum(dev(), np.array([])).size == 0
-
     def test_segmented_cumsum_resets_at_boundaries(self):
         out = segmented_inclusive_cumsum(
             dev(), np.array([1.0, 1, 1, 1, 1]), np.array([0, 2, 5])
@@ -122,14 +112,6 @@ class TestArgmax:
                 assert mx[s] == seg.max()
                 assert am[s] == offsets[s] + int(np.argmax(seg))
 
-    def test_argmax_first_whole_array(self):
-        assert argmax_first(dev(), np.array([1.0, 9.0, 9.0])) == 1
-
-    def test_argmax_first_empty_raises(self):
-        with pytest.raises(ValueError):
-            argmax_first(dev(), np.array([]))
-
-
 class TestGatherBincount:
     def test_gather(self):
         out = gather(dev(), np.array([10.0, 20.0, 30.0]), np.array([2, 0]))
@@ -142,48 +124,6 @@ class TestGatherBincount:
     def test_bincount_out_of_range(self):
         with pytest.raises(ValueError):
             bincount_sum(dev(), np.array([5]), np.array([1.0]), 3)
-
-
-class TestTwoWayPartition:
-    def test_fig2_style_split(self):
-        """The paper's order-preserving partition example shape."""
-        offsets = np.array([0, 4])
-        side = np.array([0, 1, 0, 1], dtype=np.int8)
-        dest, new_off = two_way_partition(dev(), offsets, side)
-        assert list(dest) == [0, 2, 1, 3]
-        assert list(new_off) == [0, 2, 4]
-
-    def test_drop_elements(self):
-        dest, new_off = two_way_partition(
-            dev(), np.array([0, 3]), np.array([0, -1, 1], dtype=np.int8)
-        )
-        assert dest[1] == -1
-        assert list(new_off) == [0, 1, 2]
-
-    def test_bad_side_values(self):
-        with pytest.raises(ValueError):
-            two_way_partition(dev(), np.array([0, 1]), np.array([2], dtype=np.int8))
-
-    @given(segmented_array(), st.randoms())
-    @settings(max_examples=60, deadline=None)
-    def test_order_preservation_property(self, va, rnd):
-        """Within each child, elements keep their original relative order --
-        the invariant that keeps attribute values sorted (Fig. 2)."""
-        values, offsets = va
-        n = values.size
-        side = np.array([rnd.choice([-1, 0, 1]) for _ in range(n)], dtype=np.int8)
-        dest, new_off = two_way_partition(dev(), offsets, side)
-        n_new = int(new_off[-1])
-        out = np.full(n_new, np.nan)
-        keep = dest >= 0
-        out[dest[keep]] = values[keep]
-        assert not np.isnan(out).any()
-        for s in range(offsets.size - 1):
-            seg = slice(offsets[s], offsets[s + 1])
-            for child, mask_val in ((2 * s, 0), (2 * s + 1, 1)):
-                expected = values[seg][side[seg] == mask_val]
-                got = out[new_off[child] : new_off[child + 1]]
-                assert np.array_equal(got, expected)
 
 
 class TestSegmentSort:

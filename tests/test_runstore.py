@@ -11,6 +11,7 @@ recorded.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,31 +97,38 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             store.submit("../escape", payload())
 
-
-class TestTornFiles:
-    def test_torn_file_skipped_and_counted(self, tmp_path):
+    @pytest.mark.parametrize("bench", ["..", "."])
+    def test_dot_names_cannot_leave_the_store(self, tmp_path, bench):
+        """``..`` would write beside the store root and ``.`` into the root
+        itself; every method taking a bench refuses both."""
         store, _ = make_store(tmp_path)
-        good = store.submit("hotpath", payload(on_s=1.0))
-        bad = store.submit("hotpath", payload(on_s=9.9))
-        # tear the newest envelope mid-payload
-        text = bad.path.read_text()
-        bad.path.write_text(text[: len(text) // 2])
+        for call in (
+            lambda: store.submit(bench, payload()),
+            lambda: store.runs(bench),
+            lambda: store.gate(bench),
+        ):
+            with pytest.raises(ValueError, match="invalid bench name"):
+                call()
+        assert not list(tmp_path.rglob("*.json"))
+        assert store.benches() == []
+
+    def test_cli_reports_bad_bench_name(self, tmp_path, capsys):
+        f = tmp_path / "BENCH_x.json"
+        f.write_text(json.dumps(payload()))
+        store = ["runs", "--store", str(tmp_path / "store")]
+        assert cli_main(store + ["submit", "--bench", "..", "--file", str(f)]) == 1
+        assert cli_main(store + ["gate", "--bench", ".."]) == 1
+        assert "invalid bench name" in capsys.readouterr().out
+        assert not list(tmp_path.rglob("0*.json"))
+
+    def test_committed_runs_all_load(self):
+        """Every envelope under ``results/runs/`` reads back: none torn."""
+        store = RunStore(Path(__file__).resolve().parents[1] / "results" / "runs")
         registry = MetricsRegistry()
         with use_registry(registry):
-            (latest,) = store.latest("hotpath", 1)
-        assert latest.run_id == good.run_id
-        assert (
-            registry.counter("runstore_torn_skipped_total", "").value == 1
-        )
-
-    def test_checksum_mismatch_skipped(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        rec = store.submit("hotpath", payload())
-        env = json.loads(rec.path.read_text())
-        env["payload"] = env["payload"].replace("1.0", "1.1", 1)
-        rec.path.write_text(json.dumps(env))
-        with use_registry(MetricsRegistry()):
-            assert store.runs("hotpath") == []
+            n_runs = sum(len(store.runs(b)) for b in store.benches())
+        assert n_runs == len(list(store.root.glob("*/*.json"))) > 0
+        assert registry.counter("runstore_torn_skipped_total", "").value == 0
 
 
 # ------------------------------------------------------------------ algebra

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim import GpuDevice, TITAN_X_PASCAL, format_profile, kernel_breakdown, profile
+from repro.gpusim import GpuDevice, TITAN_X_PASCAL, format_profile, profile
 
 
 @pytest.fixture
@@ -32,12 +32,6 @@ def test_profile_launch_counts(busy_device):
     assert slices["split_node"].launches == 1
 
 
-def test_kernel_breakdown_aggregates_by_name(busy_device):
-    bd = kernel_breakdown(busy_device)
-    assert set(bd) == {"seg_prefix_sum", "scatter", "pcie"}
-    assert bd["seg_prefix_sum"] > bd["scatter"]
-
-
 def test_format_profile_is_table(busy_device):
     text = format_profile(busy_device, title="t")
     assert text.startswith("t")
@@ -47,4 +41,3 @@ def test_format_profile_is_table(busy_device):
 def test_empty_device_profile():
     d = GpuDevice(TITAN_X_PASCAL)
     assert profile(d) == []
-    assert kernel_breakdown(d) == {}
